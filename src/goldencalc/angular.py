@@ -34,24 +34,20 @@ from mpmath import mp
 
 from .core import (
     DEFAULT_DPS,
+    MAX_RATIO_INDEX,
+    MIN_DPS,
     DomainError,
+    _PHI,
     _require,
     fib_exact,
     fib_extended,
     fib_range,
 )
+from .oscillator import _freeze
 
 MAX_J = 25
 
 Variant = Literal["standard_F", "symmetric_iphi", "tilde_F"]
-
-_PHI = (1 + sqrt(5.0)) / 2
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
 
 def _validate_j(j) -> Fraction:
     jf = Fraction(j)
@@ -175,6 +171,8 @@ def casimir_ratio(j_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
     The sequence converges to -phi**2.
     """
     _require(isinstance(j_max, int) and j_max >= 3, "j_max must be an integer >= 3")
+    _require(j_max <= MAX_RATIO_INDEX, f"j_max must not exceed {MAX_RATIO_INDEX}")
+    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
     fibs = fib_range(1, j_max + 1)
     with mp.workdps(precision):
         return [-mp.mpf(fibs[jj]) / fibs[jj - 2] for jj in range(2, j_max + 1)]

@@ -79,7 +79,7 @@ class BivarPoly:
     """Sparse polynomial sum c_{ij} x^i y^j with exact coefficients.
 
     Coefficients may be any exact ring elements supporting +, * and
-    truth-testing (ZPhi, QPhi, int, Fraction); explicit zeros are dropped.
+    truth-testing (QPhi or ZPhi, int, Fraction); explicit zeros are dropped.
     """
 
     __slots__ = ("_coeffs",)
@@ -88,9 +88,8 @@ class BivarPoly:
         self._coeffs = {e: c for e, c in coeffs.items() if c}
 
     @classmethod
-    def one(cls, ring=ZPhi) -> BivarPoly:
-        unit = ring(1, 0) if ring in (ZPhi, QPhi) else ring(1)
-        return cls({(0, 0): unit})
+    def one(cls) -> BivarPoly:
+        return cls({(0, 0): ZPhi(1, 0)})
 
     @property
     def coefficients(self) -> dict[tuple[int, int], object]:
@@ -110,7 +109,7 @@ class BivarPoly:
         return all(self._coeffs[e] == other._coeffs[e] for e in self._coeffs)
 
     def __hash__(self) -> int:
-        return hash(frozenset((e, str(c)) for e, c in self._coeffs.items()))
+        return hash(frozenset(self._coeffs.items()))
 
     def __repr__(self) -> str:
         return f"BivarPoly({self._coeffs!r})"
@@ -121,7 +120,6 @@ class BivarPoly:
         parts = []
         for (i, j) in sorted(self._coeffs, key=lambda e: (-e[0], e[1])):
             c = self._coeffs[(i, j)]
-            mono = "".join(s for s, p in (("x", i), ("y", j)) if p) or ""
             mono = (f"x^{i}" if i > 1 else "x" if i == 1 else "") + \
                    (f"y^{j}" if j > 1 else "y" if j == 1 else "")
             parts.append(f"({c}){mono}" if mono else f"({c})")
@@ -181,10 +179,9 @@ class BivarPoly:
         return iter(sorted(self._coeffs.items()))
 
 
-def _linear_factor(y_coeff, ring=ZPhi) -> BivarPoly:
+def _linear_factor(y_coeff) -> BivarPoly:
     """x + (y_coeff) * y."""
-    unit = ring(1, 0) if ring in (ZPhi, QPhi) else ring(1)
-    return BivarPoly({(1, 0): unit, (0, 1): y_coeff})
+    return BivarPoly({(1, 0): ZPhi(1, 0), (0, 1): y_coeff})
 
 
 BinomialForm = Literal["product", "expansion"]
@@ -245,7 +242,7 @@ class UnivarPoly:
     def evaluate(self, x):
         total = 0
         for c in reversed(self.coeffs):
-            total = total * x + (c.to_mpf() if isinstance(c, (ZPhi, QPhi)) else c)
+            total = total * x + (c.to_mpf() if isinstance(c, QPhi) else c)
         return total
 
     def __str__(self) -> str:
@@ -326,9 +323,9 @@ def noncomm_expected_coefficient(n: int, k: int) -> ZPhi:
 
 def golden_base(precision: int = DEFAULT_DPS) -> mpmath.mpf:
     """-phi**2, the Jackson base reached by the large-n Golden binomial limit."""
+    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
     with mp.workdps(precision):
-        phi = (1 + mp.sqrt(5)) / 2
-        return -(phi ** 2)
+        return -(mp.phi ** 2)
 
 
 def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath.mpc:
@@ -373,8 +370,7 @@ def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
     _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
     with mp.workdps(precision + GUARD_DPS):
         yv = mpmath.mpmathify(y)
-        phi = (1 + mp.sqrt(5)) / 2
-        scale = yv / mp.power(phi, n)
+        scale = yv / mp.power(mp.phi, n)
         total = mp.mpc(0)
         power = mp.mpc(1)
         for k in range(n + 1):

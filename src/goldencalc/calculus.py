@@ -28,7 +28,7 @@ from .core import (
     _require,
     fib_exact,
 )
-from .binomials import BivarPoly, UnivarPoly, _trim, fib_factorial
+from .binomials import BivarPoly, UnivarPoly, _half_triangle_sign, _trim, fib_factorial
 
 MAX_TAYLOR_DEGREE = 100
 MAX_EXP_TERMS = 500
@@ -84,8 +84,7 @@ def golden_derivative(f, x=None, precision: int = DEFAULT_DPS):
             if xv == 0:
                 raise DomainError(
                     "difference quotient is singular at x = 0; supply a polynomial or series form")
-            phi = (1 + mp.sqrt(5)) / 2
-            return (f(phi * xv) - f(-xv / phi)) / (mp.sqrt(5) * xv)
+            return (f(mp.phi * xv) - f(-xv / mp.phi)) / (mp.sqrt(5) * xv)
     raise DomainError(f"unsupported function representation {type(f).__name__}")
 
 
@@ -178,7 +177,7 @@ def _exp_coefficient(kind: str) -> Callable[[int], int]:
     if kind == "small_e":
         return lambda n: 1
     if kind == "big_E":
-        return lambda n: -1 if (n * (n - 1) // 2) % 2 else 1
+        return _half_triangle_sign
     raise DomainError(f"unknown exponential kind {kind!r}")
 
 
@@ -275,7 +274,7 @@ def jackson_antiderivative(g, x, n_terms: int = 200, precision: int = DEFAULT_DP
         xv = mpmath.mpmathify(x)
         if xv == 0:
             raise DomainError("antiderivative representation needs x != 0")
-        phi = (1 + mp.sqrt(5)) / 2
+        phi = +mp.phi
         Q = -1 / phi ** 2
         total = mp.mpc(0)
         q_pow = mp.mpc(1)
@@ -310,7 +309,7 @@ def is_golden_periodic(f, samples: Sequence[float], tol: float = 1e-10,
     _require(len(samples) > 0, "sample list must be nonempty")
     _require(all(s != 0 for s in samples), "samples must be nonzero")
     with mp.workdps(precision + GUARD_DPS):
-        phi = (1 + mp.sqrt(5)) / 2
+        phi = +mp.phi
         worst = mp.mpf(0)
         worst_x = samples[0]
         ok = True

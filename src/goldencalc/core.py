@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import sqrt
 
 import mpmath
 from mpmath import mp
@@ -23,6 +24,7 @@ DEFAULT_DPS = 34
 MIN_DPS = 16
 GUARD_DPS = 10
 MAX_FIB_INDEX = 10**6
+MAX_RATIO_INDEX = 10**3
 MAX_EXTENDED_ARG = 1e3
 
 
@@ -67,6 +69,8 @@ def _fib_pair(n: int) -> tuple[int, int]:
 def fib_range(lo: int, hi: int) -> list[int]:
     """[F_lo, ..., F_hi] by the linear recurrence (cheaper than repeated doubling)."""
     _require(lo <= hi, "empty index range")
+    if hi > MAX_FIB_INDEX:  # checked before the loop; fib_exact only sees lo and lo + 1
+        raise DomainError(f"|n| must not exceed {MAX_FIB_INDEX}")
     a, b = fib_exact(lo), fib_exact(lo + 1)
     out = [a]
     for _ in range(lo, hi):
@@ -76,39 +80,168 @@ def fib_range(lo: int, hi: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# The ring Z[phi]
+# The field Q(phi) and its ring of integers Z[phi]
 # ---------------------------------------------------------------------------
 
-class ZPhi:
-    """Element a + b*phi of the quadratic integer ring Z[phi].
+_PHI = (1 + sqrt(5.0)) / 2
+_new = object.__new__  # looked up once: _element builds every ring product
+
+
+def _coord(x: int | Fraction) -> int | Fraction:
+    """A rational coordinate, as a plain int whenever it is integral."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _element(x: QPhi, y: object, a: int | Fraction, b: int | Fraction) -> QPhi:
+    """a + b*phi from an operation on x and y: a ZPhi when both are ZPhi or int.
+
+    Skips __init__, whose checks would slow the hot products in Z[phi].
+    """
+    if isinstance(x, ZPhi) and isinstance(y, (ZPhi, int)):
+        z = _new(ZPhi)
+    else:
+        z = _new(QPhi)
+        a, b = _coord(a), _coord(b)
+    z._a = a
+    z._b = b
+    return z
+
+
+class QPhi:
+    """Element a + b*phi of the field Q(phi), with rational coordinates.
 
     Products reduce through phi**2 = phi + 1:
 
         (a1 + b1*phi)(a2 + b2*phi) = (a1*a2 + b1*b2) + (a1*b2 + a2*b1 + b1*b2)*phi.
 
-    phi is a unit here (phi**-1 = phi - 1), so all integer powers of phi are
-    exact ring elements; phi**n = F_{n-1} + F_n * phi.
+    Integral coordinates are stored as plain ints, so equal values compare
+    and hash equal whatever their type (QPhi, ZPhi, int or Fraction).
     """
 
     __slots__ = ("_a", "_b")
+
+    def __init__(self, a: int | Fraction, b: int | Fraction = 0) -> None:
+        self._a = _coord(Fraction(a))
+        self._b = _coord(Fraction(b))
+
+    @property
+    def a(self) -> int | Fraction:
+        return self._a
+
+    @property
+    def b(self) -> int | Fraction:
+        return self._b
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._a}, {self._b})"
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b)) if self._b else hash(self._a)
+
+    def __bool__(self) -> bool:
+        return self._a != 0 or self._b != 0
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, QPhi):
+            return self._a == other._a and self._b == other._b
+        if isinstance(other, (int, Fraction)):
+            return self._a == other and self._b == 0
+        return NotImplemented
+
+    def __neg__(self) -> QPhi:
+        return _element(self, self, -self._a, -self._b)
+
+    def __add__(self, other: int | Fraction | QPhi) -> QPhi:
+        if isinstance(other, QPhi):
+            return _element(self, other, self._a + other._a, self._b + other._b)
+        if isinstance(other, (int, Fraction)):
+            return _element(self, other, self._a + other, self._b)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other: int | Fraction | QPhi) -> QPhi:
+        if isinstance(other, QPhi):
+            return _element(self, other, self._a - other._a, self._b - other._b)
+        return self + (-other)
+
+    def __rsub__(self, other: int | Fraction) -> QPhi:
+        return (-self) + other
+
+    def __mul__(self, other: int | Fraction | QPhi) -> QPhi:
+        if isinstance(other, QPhi):
+            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+            return _element(self, other, a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
+        if isinstance(other, (int, Fraction)):
+            return _element(self, other, self._a * other, self._b * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    @property
+    def conj(self) -> QPhi:
+        """Galois conjugate phi -> 1 - phi."""
+        return _element(self, self, self._a + self._b, -self._b)
+
+    @property
+    def norm(self) -> int | Fraction:
+        """Field norm a**2 + a*b - b**2 (multiplicative)."""
+        return self._a * self._a + self._a * self._b - self._b * self._b
+
+    def inverse(self) -> QPhi:
+        n = self.norm
+        if n == 0:
+            raise ZeroDivisionError("zero element of Q(phi)")
+        return QPhi(Fraction(self._a + self._b) / n, Fraction(-self._b) / n)
+
+    def __truediv__(self, other: int | Fraction | QPhi) -> QPhi:
+        if isinstance(other, (int, Fraction)):
+            other = QPhi(other)
+        if isinstance(other, QPhi):
+            return self * QPhi.inverse(other)
+        return NotImplemented
+
+    def __pow__(self, n: int) -> QPhi:
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = _element(self, 1, 1, 0)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def to_mpf(self) -> mpmath.mpf:
+        """Value a + b*phi at the current mpmath precision."""
+        def value(x: int | Fraction):
+            return x if isinstance(x, int) else mp.mpf(x.numerator) / x.denominator
+
+        return value(self._a) + value(self._b) * mp.phi
+
+    def __float__(self) -> float:
+        return self._a + self._b * _PHI
+
+
+class ZPhi(QPhi):
+    """Element a + b*phi of the quadratic integer ring Z[phi].
+
+    phi is a unit here (phi**-1 = phi - 1), so all integer powers of phi are
+    exact ring elements; phi**n = F_{n-1} + F_n * phi.  Sums, differences and
+    products with ZPhi or int stay in the ring; anything with a QPhi or a
+    Fraction lands in the field.
+    """
+
+    __slots__ = ()
 
     def __init__(self, a: int, b: int) -> None:
         if not (isinstance(a, int) and isinstance(b, int)):
             raise TypeError("ZPhi coefficients must be integers")
         self._a = a
         self._b = b
-
-    @property
-    def a(self) -> int:
-        return self._a
-
-    @property
-    def b(self) -> int:
-        return self._b
-
-    @classmethod
-    def from_int(cls, x: int) -> ZPhi:
-        return cls(x, 0)
 
     @classmethod
     def phi(cls) -> ZPhi:
@@ -124,205 +257,15 @@ class ZPhi:
         """1/phi = phi - 1."""
         return cls(-1, 1)
 
-    def __repr__(self) -> str:
-        return f"ZPhi({self._a}, {self._b})"
-
     def __str__(self) -> str:
         return f"{self._a}{self._b:+}φ"
 
-    def __hash__(self) -> int:
-        return hash((self._a, self._b))
-
-    def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self._a == other and self._b == 0
-        if isinstance(other, ZPhi):
-            return self._a == other._a and self._b == other._b
-        return NotImplemented
-
-    def __neg__(self) -> ZPhi:
-        return ZPhi(-self._a, -self._b)
-
-    def __add__(self, other: int | ZPhi) -> ZPhi:
-        if isinstance(other, int):
-            return ZPhi(self._a + other, self._b)
-        if isinstance(other, ZPhi):
-            return ZPhi(self._a + other._a, self._b + other._b)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other: int | ZPhi) -> ZPhi:
-        return self + (-other)
-
-    def __rsub__(self, other: int | ZPhi) -> ZPhi:
-        return (-self) + other
-
-    def __mul__(self, other: int | ZPhi) -> ZPhi:
-        if isinstance(other, int):
-            return ZPhi(self._a * other, self._b * other)
-        if isinstance(other, ZPhi):
-            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-            return ZPhi(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    @property
-    def conj(self) -> ZPhi:
-        """Galois conjugate phi -> 1 - phi."""
-        return ZPhi(self._a + self._b, -self._b)
-
-    @property
-    def norm(self) -> int:
-        """Field norm a**2 + a*b - b**2 (multiplicative)."""
-        return self._a * self._a + self._a * self._b - self._b * self._b
-
     def inverse(self) -> ZPhi:
+        """Inverse of a unit (norm ±1); other elements have none in Z[phi]."""
         n = self.norm
-        if n == 1:
-            return self.conj
-        if n == -1:
-            return -self.conj
-        raise ZeroDivisionError("only units (norm ±1) are invertible in Z[phi]")
-
-    def __pow__(self, n: int) -> ZPhi:
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = ZPhi(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def to_mpf(self) -> mpmath.mpf:
-        """Value a + b*phi at the current mpmath precision."""
-        return self._a + self._b * (1 + mp.sqrt(5)) / 2
-
-    def __float__(self) -> float:
-        return self._a + self._b * (1 + 5 ** 0.5) / 2
-
-
-class QPhi:
-    """Element a + b*phi with rational coordinates (the field Q(phi)).
-
-    Used where exact phi-arithmetic meets rational denominators, e.g. the
-    factored forms of the Golden polynomials.
-    """
-
-    __slots__ = ("_a", "_b")
-
-    def __init__(self, a: int | Fraction, b: int | Fraction = 0) -> None:
-        self._a = Fraction(a)
-        self._b = Fraction(b)
-
-    @classmethod
-    def from_zphi(cls, z: ZPhi) -> QPhi:
-        return cls(z.a, z.b)
-
-    @property
-    def a(self) -> Fraction:
-        return self._a
-
-    @property
-    def b(self) -> Fraction:
-        return self._b
-
-    def __repr__(self) -> str:
-        return f"QPhi({self._a}, {self._b})"
-
-    def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self._a == other and self._b == 0
-        if isinstance(other, QPhi):
-            return self._a == other._a and self._b == other._b
-        if isinstance(other, ZPhi):
-            return self._a == other.a and self._b == other.b
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._a, self._b))
-
-    def __neg__(self) -> QPhi:
-        return QPhi(-self._a, -self._b)
-
-    def __add__(self, other: int | Fraction | ZPhi | QPhi) -> QPhi:
-        o = _as_qphi(other)
-        if o is None:
-            return NotImplemented
-        return QPhi(self._a + o._a, self._b + o._b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: int | Fraction | ZPhi | QPhi) -> QPhi:
-        o = _as_qphi(other)
-        if o is None:
-            return NotImplemented
-        return QPhi(self._a - o._a, self._b - o._b)
-
-    def __rsub__(self, other: int | Fraction | ZPhi | QPhi) -> QPhi:
-        return (-self) + other
-
-    def __mul__(self, other: int | Fraction | ZPhi | QPhi) -> QPhi:
-        o = _as_qphi(other)
-        if o is None:
-            return NotImplemented
-        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
-        return QPhi(a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> QPhi:
-        n = self._a * self._a + self._a * self._b - self._b * self._b
-        if n == 0:
-            raise ZeroDivisionError("zero element of Q(phi)")
-        return QPhi((self._a + self._b) / n, -self._b / n)
-
-    def __truediv__(self, other: int | Fraction | ZPhi | QPhi) -> QPhi:
-        o = _as_qphi(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, n: int) -> QPhi:
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = QPhi(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def to_mpf(self) -> mpmath.mpf:
-        phi = (1 + mp.sqrt(5)) / 2
-        return (mp.mpf(self._a.numerator) / self._a.denominator
-                + mp.mpf(self._b.numerator) / self._b.denominator * phi)
-
-
-def _as_qphi(x: object) -> QPhi | None:
-    if isinstance(x, QPhi):
-        return x
-    if isinstance(x, ZPhi):
-        return QPhi(x.a, x.b)
-    if isinstance(x, (int, Fraction)):
-        return QPhi(x)
-    return None
+        if n not in (1, -1):
+            raise ZeroDivisionError("only units (norm ±1) are invertible in Z[phi]")
+        return self.conj * n
 
 
 def phi_power_exact(n: int) -> ZPhi:
@@ -339,8 +282,8 @@ def phi_value(precision: int = DEFAULT_DPS) -> tuple[mpmath.mpf, mpmath.mpf]:
     """(phi, phi') to `precision` decimal digits; phi' = -1/phi."""
     _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
     with mp.workdps(precision):
-        s = mp.sqrt(5)
-        return (1 + s) / 2, (1 - s) / 2
+        phi = +mp.phi
+        return phi, 1 - phi
 
 
 @dataclass(frozen=True)
@@ -366,8 +309,7 @@ def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> Gold
         zc = mp.mpc(z)
         _require(abs(zc.real) <= MAX_EXTENDED_ARG and abs(zc.imag) <= MAX_EXTENDED_ARG,
                  f"|Re z| and |Im z| must not exceed {MAX_EXTENDED_ARG:g}")
-        phi = (1 + mp.sqrt(5)) / 2
-        value = (mp.power(phi, zc) - mp.exp(1j * mp.pi * zc) * mp.power(phi, -zc)) / mp.sqrt(5)
+        value = (mp.power(mp.phi, zc) - mp.exp(1j * mp.pi * zc) * mp.power(mp.phi, -zc)) / mp.sqrt(5)
         return GoldenValue(z=zc, value=value, precision=precision)
 
 
@@ -390,15 +332,15 @@ def fib_higher_real(n: float, order: float, precision: int = DEFAULT_DPS) -> mpm
     with mp.workdps(precision + GUARD_DPS):
         r = mp.mpf(order)
         nn = mp.mpf(n)
-        phi = (1 + mp.sqrt(5)) / 2
-        big = mp.power(phi, r)
-        small = mp.exp(1j * mp.pi * r) * mp.power(phi, -r)
+        big = mp.power(mp.phi, r)
+        small = mp.exp(1j * mp.pi * r) * mp.power(mp.phi, -r)
         return (big ** nn - small ** nn) / (big - small)
 
 
 def ratio_sequence(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
     """Convergents r_n = F_{n+1}/F_n for n = 1..n_max; r_n -> phi."""
     _require(n_max >= 2, "n_max must be at least 2")
+    _require(n_max <= MAX_RATIO_INDEX, f"n_max must not exceed {MAX_RATIO_INDEX}")
     _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
     fibs = fib_range(1, n_max + 1)
     with mp.workdps(precision):

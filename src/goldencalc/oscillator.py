@@ -27,9 +27,11 @@ from mpmath import mp
 from .core import (
     DEFAULT_DPS,
     GUARD_DPS,
+    MAX_RATIO_INDEX,
     MIN_DPS,
     DomainError,
     ZPhi,
+    _PHI,
     _require,
     fib_exact,
     fib_range,
@@ -38,8 +40,6 @@ from .core import (
 
 MAX_LADDER_DIM = 200
 MAX_SPECTRUM_INDEX = 10**3
-
-_PHI = (1 + sqrt(5.0)) / 2
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -183,7 +183,8 @@ def spectrum(n_max: int, hbar_omega: int | float | str | Fraction = 1) -> Spectr
 def energy_ratios(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
     """r_n = E_{n+1}/E_n = F_{n+3}/F_{n+2} for n = 0..n_max; r_n -> phi."""
     _require(isinstance(n_max, int) and n_max >= 1, "n_max must be at least 1")
-    _require(n_max <= MAX_SPECTRUM_INDEX, f"n_max must not exceed {MAX_SPECTRUM_INDEX}")
+    _require(n_max <= MAX_RATIO_INDEX, f"n_max must not exceed {MAX_RATIO_INDEX}")
+    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
     fibs = fib_range(2, n_max + 3)
     with mp.workdps(precision):
         return [mp.mpf(fibs[n + 1]) / fibs[n] for n in range(n_max + 1)]
@@ -216,8 +217,7 @@ def invert_number(fib_value: int, parity: str, precision: int = DEFAULT_DPS) -> 
         F = mp.mpf(fib_value)
         radicand = 5 * F ** 2 / 4 + (1 if parity == "even" else -1)
         arg = mp.sqrt(5) / 2 * F + mp.sqrt(radicand)
-        phi = (1 + mp.sqrt(5)) / 2
-        n = int(mp.nint(mp.log(arg) / mp.log(phi)))
+        n = int(mp.nint(mp.log(arg) / mp.log(mp.phi)))
     expected_parity = 0 if parity == "even" else 1
     if n % 2 != expected_parity or fib_exact(n) != fib_value:
         raise DomainError(

@@ -23,10 +23,11 @@ import numpy as np
 from mpmath import mp
 
 from . import angular, calculus, core, oscillator
-from .core import DomainError, QPhi, ZPhi, fib_exact, fib_range, phi_power_exact
+from .core import DomainError, ZPhi, fib_exact, fib_range, phi_power_exact
 from .binomials import (
     BivarPoly,
     UnivarPoly,
+    _linear_factor,
     fib_factorial,
     fibonomial as fibonomial_coeff,
     golden_binomial,
@@ -188,7 +189,7 @@ def _fib_real(x, precision: int):
 def _run_real_addition(ctx: SuiteContext):
     worst = mp.mpf(0)
     with mp.workdps(ctx.precision):
-        phi = (1 + mp.sqrt(5)) / 2
+        phi = +mp.phi
         for _ in range(20):
             x = mp.mpf(ctx.rng.uniform(-5, 5))
             y = mp.mpf(ctx.rng.uniform(-5, 5))
@@ -222,11 +223,10 @@ def _run_form_agreement(ctx: SuiteContext):
 
 
 def _run_root_structure(ctx: SuiteContext):
-    one = ZPhi(1, 0)
     for n in range(1, 11):
         poly = golden_binomial(n, "product")
         for root in golden_binomial_roots(n):
-            if poly.evaluate(root, one):
+            if poly.evaluate(root, 1):
                 return False, None, f"nonzero at a declared root, n={n}"
     return True, 0.0, "all n declared zeros vanish exactly, n <= 10"
 
@@ -257,79 +257,45 @@ def _printed_polynomial_factors() -> dict[int, tuple[int, list[tuple[int, ...]]]
     }
 
 
-def _factor_to_bivar(triple) -> BivarPoly:
-    if len(triple) == 2:
-        c1, c0 = triple
-        return BivarPoly({(1, 0): QPhi(c1), (0, 1): QPhi(c0)})
-    c2, c1, c0 = triple
-    return BivarPoly({(2, 0): QPhi(c2), (1, 1): QPhi(c1), (0, 2): QPhi(c0)})
+def _factor_to_bivar(factor) -> BivarPoly:
+    """c1 x + c0 a, or c2 x^2 + c1 x a + c0 a^2, from its coefficient tuple."""
+    exponents = [(1, 0), (0, 1)] if len(factor) == 2 else [(2, 0), (1, 1), (0, 2)]
+    return BivarPoly(dict(zip(exponents, factor)))
 
 
 def _binomial_as_xa(n: int) -> BivarPoly:
-    """(x - a)_F^n as an exact bivariate polynomial in (x, a) over Q(phi)."""
-    out: dict[tuple[int, int], QPhi] = {}
-    for (i, k), c in golden_binomial(n, "expansion").coefficients.items():
-        sign = -1 if k % 2 else 1
-        out[(i, k)] = QPhi(sign * c.a, sign * c.b)
-    return BivarPoly(out)
+    """(x - a)_F^n as an exact bivariate polynomial in (x, a)."""
+    return BivarPoly({(i, k): -c if k % 2 else c
+                      for (i, k), c in golden_binomial(n, "expansion").coefficients.items()})
 
 
 def _run_factored_polynomials(ctx: SuiteContext):
     mismatches = []
-    phi_q = QPhi(0, 1)
     for n in range(1, 9):
-        reference = _binomial_as_xa(n).scale(QPhi(Fraction(1, fib_factorial(n))))
-        # phi-power factored form
-        if n % 2 == 0:
-            nu = n // 2
-            prod = BivarPoly({(0, 0): QPhi(1)})
-            for k in range(1, nu + 1):
-                s = -1 if (nu + k) % 2 else 1
-                p = phi_q ** (2 * k - 1)
-                q = phi_q ** (-(2 * k - 1))
-                prod = prod * BivarPoly({(1, 0): QPhi(1), (0, 1): QPhi(-s) * p})
-                prod = prod * BivarPoly({(1, 0): QPhi(1), (0, 1): QPhi(s) * q})
-            prod = prod.scale(QPhi(Fraction(1, fib_factorial(n))))
-            if prod != reference:
-                mismatches.append(f"phi-power even form at n={n}")
-            # Fibonacci-coefficient quadratic form
-            prod2 = BivarPoly({(0, 0): QPhi(1)})
-            for k in range(1, nu + 1):
-                s = -1 if (nu + k) % 2 else 1
-                lucas = fib_exact(2 * k - 1) + 2 * fib_exact(2 * k - 2)
-                prod2 = prod2 * BivarPoly({(2, 0): QPhi(1), (1, 1): QPhi(-s * lucas),
-                                           (0, 2): QPhi(-1)})
-            prod2 = prod2.scale(QPhi(Fraction(1, fib_factorial(n))))
-            if prod2 != reference:
-                mismatches.append(f"Fibonacci-coefficient even form at n={n}")
-        else:
-            nu = (n - 1) // 2
-            s0 = -1 if nu % 2 else 1
-            lead = BivarPoly({(1, 0): QPhi(1), (0, 1): QPhi(-s0)})
-            prod = lead
-            prod2 = lead
-            for k in range(1, nu + 1):
-                s = -1 if (nu + k) % 2 else 1
-                p = phi_q ** (2 * k)
-                q = phi_q ** (-2 * k)
-                prod = prod * BivarPoly({(1, 0): QPhi(1), (0, 1): QPhi(-s) * p})
-                prod = prod * BivarPoly({(1, 0): QPhi(1), (0, 1): QPhi(-s) * q})
-                lucas = fib_exact(2 * k) + 2 * fib_exact(2 * k - 1)
-                prod2 = prod2 * BivarPoly({(2, 0): QPhi(1), (1, 1): QPhi(-s * lucas),
-                                           (0, 2): QPhi(1)})
-            prod = prod.scale(QPhi(Fraction(1, fib_factorial(n))))
-            prod2 = prod2.scale(QPhi(Fraction(1, fib_factorial(n))))
-            if prod != reference:
-                mismatches.append(f"phi-power odd form at n={n}")
-            if prod2 != reference:
-                mismatches.append(f"Fibonacci-coefficient odd form at n={n}")
+        reference = _binomial_as_xa(n)
+        nu, odd = divmod(n, 2)
+        parity, sign = ("odd", -1) if odd else ("even", 1)
+        # odd degrees carry one extra linear factor x - (-1)^nu a
+        prod = _factor_to_bivar((1, 1 if nu % 2 else -1)) if odd else BivarPoly.one()
+        prod2 = prod  # Fibonacci-coefficient quadratic form
+        for k in range(1, nu + 1):
+            s = -1 if (nu + k) % 2 else 1
+            e = 2 * k - 1 + odd
+            prod = (prod * _linear_factor(-s * phi_power_exact(e))
+                    * _linear_factor(sign * s * phi_power_exact(-e)))
+            lucas = fib_exact(e) + 2 * fib_exact(e - 1)
+            prod2 = prod2 * _factor_to_bivar((1, -s * lucas, -sign))
+        # the common prefactor 1/F_n! of P_n cancels from both sides
+        if prod != reference:
+            mismatches.append(f"phi-power {parity} form at n={n}")
+        if prod2 != reference:
+            mismatches.append(f"Fibonacci-coefficient {parity} form at n={n}")
     # printed small polynomials
     for n, (den, factors) in _printed_polynomial_factors().items():
-        prod = BivarPoly({(0, 0): QPhi(1)})
+        prod = BivarPoly.one()
         for f in factors:
             prod = prod * _factor_to_bivar(f)
-        prod = prod.scale(QPhi(Fraction(1, den)))
-        if prod != _binomial_as_xa(n).scale(QPhi(Fraction(1, fib_factorial(n)))):
+        if prod.scale(Fraction(1, den)) != _binomial_as_xa(n).scale(Fraction(1, fib_factorial(n))):
             mismatches.append(f"printed polynomial at n={n}")
     if mismatches:
         return False, None, "; ".join(mismatches)
@@ -377,7 +343,7 @@ def _poly_product(f: UnivarPoly, g: UnivarPoly) -> UnivarPoly:
 def _leibnitz_harness(ctx: SuiteContext, check) -> tuple[bool, float | None, str]:
     worst = mp.mpf(0)
     with mp.workdps(ctx.precision):
-        phi = (1 + mp.sqrt(5)) / 2
+        phi = +mp.phi
         for _ in range(20):
             f = _random_poly(ctx.rng)
             g = _random_poly(ctx.rng)
@@ -425,7 +391,7 @@ def _run_leibnitz_alpha(ctx: SuiteContext):
 def _run_quotient_rules(ctx: SuiteContext):
     worst = mp.mpf(0)
     with mp.workdps(ctx.precision):
-        phi = (1 + mp.sqrt(5)) / 2
+        phi = +mp.phi
         s5 = mp.sqrt(5)
         tried = 0
         while tried < 20:
@@ -669,11 +635,10 @@ def _run_antiderivative_convention(ctx: SuiteContext):
 
 def _run_number_inversion_branch(ctx: SuiteContext):
     with mp.workdps(ctx.precision):
-        phi = (1 + mp.sqrt(5)) / 2
         worst = mp.mpf(0)
         for n in (3, 5, 7, 9):
             F = mp.mpf(fib_exact(n))
-            minus_branch = mp.log(mp.sqrt(5) / 2 * F - mp.sqrt(5 * F ** 2 / 4 - 1)) / mp.log(phi)
+            minus_branch = mp.log(mp.sqrt(5) / 2 * F - mp.sqrt(5 * F ** 2 / 4 - 1)) / mp.log(mp.phi)
             worst = max(worst, abs(minus_branch + n))
             if oscillator.invert_number(fib_exact(n), "odd") != n:
                 return False, None, f"plus-branch round trip failed at n={n}"

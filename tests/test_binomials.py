@@ -22,7 +22,7 @@ from goldencalc.binomials import (
     noncomm_expand,
     remarkable_limit_lhs,
 )
-from goldencalc.core import DomainError, ZPhi
+from goldencalc.core import DomainError, QPhi, ZPhi
 
 
 def brute_poly_mul(p: dict, q: dict) -> dict:
@@ -116,6 +116,17 @@ class TestGoldenBinomial:
     def test_guard(self):
         with pytest.raises(DomainError):
             golden_binomial(31)
+
+    def test_equal_polynomials_hash_equal(self):
+        pairs = [
+            (BivarPoly({(0, 0): ZPhi(1, 0)}), BivarPoly({(0, 0): QPhi(1)})),
+            (BivarPoly({(1, 0): ZPhi(2, 3)}), BivarPoly({(1, 0): QPhi(Fraction(4, 2), 3)})),
+            (BivarPoly({(0, 1): ZPhi(5, 0)}), BivarPoly({(0, 1): 5})),
+            (golden_binomial(4, "product"), golden_binomial(4, "expansion")),
+        ]
+        for p, q in pairs:
+            assert p == q
+            assert hash(p) == hash(q)
 
 
 class TestGoldenPolynomial:

@@ -41,6 +41,17 @@ class TestDispatch:
         code, _ = run_command(["invert-n", "4", "--parity", "even"])
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("argv", [
+        ["ratios", "--n-max", "10000000"],
+        ["plot-data", "ratios", "--n-max", "10000000", "--output", "unused.csv"],
+        ["plot-data", "casimir_ratios", "--n-max", "10000000", "--output", "unused.csv"],
+    ])
+    def test_ratio_bounds_exit(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, record = run_command(argv)
+        assert code == EXIT_DOMAIN and record is None
+        assert not (tmp_path / "unused.csv").exists()
+
     def test_help_exits_zero(self):
         code, _ = run_command(["--help"])
         assert code == EXIT_OK

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from goldencalc.angular import casimir_ratio
+from goldencalc.binomials import golden_base
 from goldencalc.core import (
     DomainError,
     GoldenValue,
@@ -23,6 +25,7 @@ from goldencalc.core import (
     phi_value,
     ratio_sequence,
 )
+from goldencalc.oscillator import energy_ratios
 
 
 def fib_linear(n: int) -> int:
@@ -111,6 +114,67 @@ class TestQPhi:
     def test_mixed_arithmetic(self):
         assert QPhi(1, 2) + ZPhi(3, -2) == QPhi(4)
         assert QPhi(0, 1) ** -1 == QPhi(-1, 1)
+
+
+ints = st.integers(-10**6, 10**6)
+fractions = st.fractions(max_denominator=50).filter(lambda f: f.denominator > 1)
+
+
+class TestOneField:
+    """ZPhi is the ring subtype of QPhi: same arithmetic, same values."""
+
+    @staticmethod
+    def as_field(x):
+        return QPhi(x.a, x.b) if isinstance(x, QPhi) else QPhi(x)
+
+    @given(ints, ints, st.one_of(st.builds(ZPhi, ints, ints), ints))
+    def test_ring_operands_stay_in_ring(self, a, b, other):
+        x = ZPhi(a, b)
+        for result, expected in ((x + other, self.as_field(x) + self.as_field(other)),
+                                 (other + x, self.as_field(other) + self.as_field(x)),
+                                 (x - other, self.as_field(x) - self.as_field(other)),
+                                 (other - x, self.as_field(other) - self.as_field(x)),
+                                 (x * other, self.as_field(x) * self.as_field(other)),
+                                 (other * x, self.as_field(other) * self.as_field(x))):
+            assert type(result) is ZPhi
+            assert result == expected
+
+    @given(ints, ints, st.one_of(fractions, st.builds(QPhi, fractions, fractions)))
+    def test_field_operands_leave_ring(self, a, b, other):
+        x = ZPhi(a, b)
+        for result, expected in ((x + other, self.as_field(x) + self.as_field(other)),
+                                 (other + x, self.as_field(other) + self.as_field(x)),
+                                 (x - other, self.as_field(x) - self.as_field(other)),
+                                 (x * other, self.as_field(x) * self.as_field(other)),
+                                 (other * x, self.as_field(other) * self.as_field(x))):
+            assert type(result) is QPhi
+            assert result == expected
+
+    @given(ints, ints)
+    def test_equal_values_compare_and_hash_equal(self, a, b):
+        forms = [ZPhi(a, b), QPhi(a, b), QPhi(Fraction(2 * a, 2), Fraction(3 * b, 3))]
+        if b == 0:
+            forms += [a, Fraction(a)]
+        for x in forms:
+            for y in forms:
+                assert x == y
+                assert hash(x) == hash(y)
+
+    def test_integral_coordinates_are_ints(self):
+        x = QPhi(Fraction(1, 2), Fraction(3, 2)) * 2
+        assert x == ZPhi(1, 3)
+        assert type(x.a) is int and type(x.b) is int
+
+    def test_coordinates_read_only(self):
+        for x in (ZPhi(1, 2), QPhi(1, 2)):
+            with pytest.raises(AttributeError):
+                x.a = 5
+            with pytest.raises(AttributeError):
+                x.b = 5
+
+    def test_ring_constructor_takes_integers_only(self):
+        with pytest.raises(TypeError):
+            ZPhi(Fraction(1, 2), 0)
 
 
 class TestPhiValue:
@@ -205,6 +269,32 @@ class TestRatioSequence:
     def test_minimum_length(self):
         with pytest.raises(DomainError):
             ratio_sequence(1)
+
+
+class TestDomainBounds:
+    @pytest.mark.parametrize("call", [
+        lambda: fib_range(0, 10**6 + 1),
+        lambda: ratio_sequence(10**3 + 1),
+        lambda: casimir_ratio(10**3 + 1),
+        lambda: energy_ratios(10**3 + 1),
+        lambda: ratio_sequence(10**7),
+        lambda: casimir_ratio(10**7),
+        lambda: ratio_sequence(3, precision=2),
+        lambda: casimir_ratio(4, precision=2),
+        lambda: energy_ratios(3, precision=2),
+        lambda: golden_base(precision=2),
+    ], ids=["fib_range-hi", "ratio_sequence-n", "casimir_ratio-j", "energy_ratios-n",
+            "ratio_sequence-huge", "casimir_ratio-huge", "ratio_sequence-dps",
+            "casimir_ratio-dps", "energy_ratios-dps", "golden_base-dps"])
+    def test_out_of_range_refused(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_upper_bounds_accepted(self):
+        assert len(fib_range(10**6 - 5, 10**6)) == 6
+        assert len(ratio_sequence(10**3)) == 10**3
+        assert len(casimir_ratio(10**3)) == 10**3 - 1
+        assert len(energy_ratios(10**3)) == 10**3 + 1
 
 
 class TestRealArgumentLaws:
