@@ -55,6 +55,7 @@ from .binomials import (
     UnivarPoly,
     fib_factorial,
     fibonomial,
+    fibonomial_row,
     golden_base,
     golden_binomial,
     golden_polynomial,

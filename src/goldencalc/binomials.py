@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Literal
 
 import mpmath
@@ -49,21 +50,46 @@ def fib_factorial(n: int) -> int:
     return out
 
 
+def fibonomial_row(n: int) -> tuple[int, ...]:
+    """The whole row [n 0]_F, ..., [n n]_F of Fibonomial coefficients.
+
+    Built by the multiplicative step [n k] = [n k-1] * F_{n-k+1} / F_k, each
+    step an exact division.  The most recent row is kept, so a caller that
+    walks one row a coefficient at a time pays for it once.
+    """
+    _require_upper_index(n)
+    return _fibonomial_row(n)
+
+
+def _require_upper_index(n: int) -> None:
+    _require(isinstance(n, int) and n >= 0, "upper index must be a non-negative integer")
+    _require(n <= MAX_FIBONOMIAL_INDEX, f"upper index must not exceed {MAX_FIBONOMIAL_INDEX}")
+
+
+@lru_cache(maxsize=1)  # one row at n = 300 holds ~0.4 MB
+def _fibonomial_row(n: int) -> tuple[int, ...]:
+    # The full row is computed, never mirrored, so [n k] = [n n-k] stays a check.
+    fibs = fib_range(0, n)
+    row = [1]
+    for k in range(1, n + 1):
+        c, r = divmod(row[-1] * fibs[n - k + 1], fibs[k])
+        if r:  # cannot happen: Fibonomials are integers
+            raise ArithmeticError(f"Fibonomial ({n},{k}) is not an integer")
+        row.append(c)
+    return tuple(row)
+
+
 def fibonomial(n: int, k: int) -> int:
     """Fibonomial coefficient F_n! / (F_k! F_{n-k}!), always an integer.
 
-    k outside [0, n] returns 0, matching the usual binomial-sum convention.
+    Read from the cached `fibonomial_row(n)`.  k outside [0, n] returns 0,
+    matching the usual binomial-sum convention.
     """
-    _require(isinstance(n, int) and n >= 0, "upper index must be a non-negative integer")
-    _require(n <= MAX_FIBONOMIAL_INDEX, f"upper index must not exceed {MAX_FIBONOMIAL_INDEX}")
+    _require_upper_index(n)
+    _require(isinstance(k, int), "lower index must be an integer")
     if k < 0 or k > n:
         return 0
-    num = fib_factorial(n)
-    den = fib_factorial(k) * fib_factorial(n - k)
-    q, r = divmod(num, den)
-    if r:  # cannot happen: Fibonomials are integers
-        raise ArithmeticError(f"Fibonomial ({n},{k}) is not an integer")
-    return q
+    return _fibonomial_row(n)[k]
 
 
 def _half_triangle_sign(k: int) -> int:
@@ -208,8 +234,8 @@ def golden_binomial(n: int, form: BinomialForm = "product") -> BivarPoly:
         return poly
     if form == "expansion":
         coeffs = {
-            (n - k, k): ZPhi(_half_triangle_sign(k) * fibonomial(n, k), 0)
-            for k in range(n + 1)
+            (n - k, k): ZPhi(_half_triangle_sign(k) * c, 0)
+            for k, c in enumerate(fibonomial_row(n))
         }
         return BivarPoly(coeffs)
     raise DomainError(f"unknown binomial form {form!r}")
@@ -269,9 +295,8 @@ def golden_polynomial(n: int, a: int | Fraction = 1) -> UnivarPoly:
     a = Fraction(a)
     fact = fib_factorial(n)
     coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        c = Fraction(_half_triangle_sign(k) * fibonomial(n, k)) * (-a) ** k
-        coeffs[n - k] = c / fact
+    for k, c in enumerate(fibonomial_row(n)):
+        coeffs[n - k] = Fraction(_half_triangle_sign(k) * c) * (-a) ** k / fact
     return UnivarPoly(coeffs=_trim(coeffs), shift=a)
 
 
@@ -373,7 +398,7 @@ def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
         scale = yv / mp.power(mp.phi, n)
         total = mp.mpc(0)
         power = mp.mpc(1)
-        for k in range(n + 1):
-            total += _half_triangle_sign(k) * mp.mpf(fibonomial(n, k)) * power
+        for k, c in enumerate(fibonomial_row(n)):
+            total += _half_triangle_sign(k) * mp.mpf(c) * power
             power *= scale
         return total

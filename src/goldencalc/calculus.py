@@ -28,7 +28,7 @@ from .core import (
     _require,
     fib_exact,
 )
-from .binomials import BivarPoly, UnivarPoly, _half_triangle_sign, _trim, fib_factorial
+from .binomials import MAX_FACTORIAL_INDEX, BivarPoly, UnivarPoly, _half_triangle_sign, _trim
 
 MAX_TAYLOR_DEGREE = 100
 MAX_EXP_TERMS = 500
@@ -106,9 +106,15 @@ def golden_taylor(f: UnivarPoly) -> list:
 
 def taylor_reconstruct(values: Sequence) -> UnivarPoly:
     """Rebuild the polynomial sum_n values[n] * x^n / F_n! from golden_taylor output."""
-    coeffs = [Fraction(v) / fib_factorial(n) if isinstance(v, (int, Fraction)) else v / fib_factorial(n)
-              for n, v in enumerate(values)]
-    return UnivarPoly(coeffs=_trim(list(coeffs)))
+    coeffs = []
+    fact, fn, fn1 = 1, 0, 1  # F_n!, F_n, F_{n+1} at n = 0
+    for n, v in enumerate(values):
+        _require(n <= MAX_FACTORIAL_INDEX, f"factorial index must not exceed {MAX_FACTORIAL_INDEX}")
+        if n:
+            fact *= fn
+        coeffs.append(Fraction(v) / fact if isinstance(v, (int, Fraction)) else v / fact)
+        fn, fn1 = fn1, fn + fn1
+    return UnivarPoly(coeffs=_trim(coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from mpmath import mp
 from .core import (
     DEFAULT_DPS,
     GUARD_DPS,
+    MAX_FIB_INDEX,
     MAX_RATIO_INDEX,
     MIN_DPS,
     DomainError,
@@ -35,7 +36,6 @@ from .core import (
     _require,
     fib_exact,
     fib_range,
-    phi_power_exact,
 )
 
 MAX_LADDER_DIM = 200
@@ -140,18 +140,23 @@ def diagonal_identities_exact(n_max: int = 100) -> bool:
     Both identities are verified in Z[phi] for 0 <= n <= n_max; any failure
     raises (they are theorems, not tolerances).
     """
+    _require(n_max < MAX_FIB_INDEX, f"n_max must not exceed {MAX_FIB_INDEX - 1}")
     phi = ZPhi.phi()
     inv_phi = ZPhi.inv_phi()
     neg_inv_phi = ZPhi.phi_conjugate()
+    # F_n, F_{n+1} by the recurrence; the right-hand sides as running ring products.
+    fn, fn1 = 0, 1
+    minus_rhs = plus_rhs = ZPhi(1, 0)
     for n in range(n_max + 1):
-        fn = fib_exact(n)
-        fn1 = fib_exact(n + 1)
         lhs_minus = ZPhi(fn1, 0) - phi * fn
-        if lhs_minus != neg_inv_phi ** n:
+        if lhs_minus != minus_rhs:
             raise ArithmeticError(f"deformed minus-identity fails at n={n}")
         lhs_plus = ZPhi(fn1, 0) + inv_phi * fn
-        if lhs_plus != phi_power_exact(n):
+        if lhs_plus != plus_rhs:
             raise ArithmeticError(f"deformed plus-identity fails at n={n}")
+        fn, fn1 = fn1, fn + fn1
+        minus_rhs = minus_rhs * neg_inv_phi
+        plus_rhs = plus_rhs * phi
     return True
 
 

@@ -14,6 +14,7 @@ from goldencalc.binomials import (
     UnivarPoly,
     fib_factorial,
     fibonomial,
+    fibonomial_row,
     golden_base,
     golden_binomial,
     golden_binomial_roots,
@@ -22,7 +23,7 @@ from goldencalc.binomials import (
     noncomm_expand,
     remarkable_limit_lhs,
 )
-from goldencalc.core import DomainError, QPhi, ZPhi
+from goldencalc.core import DomainError, QPhi, ZPhi, fib_range
 
 
 def brute_poly_mul(p: dict, q: dict) -> dict:
@@ -68,6 +69,59 @@ class TestFibonomial:
     def test_guard(self):
         with pytest.raises(DomainError):
             fibonomial(301, 1)
+
+    @pytest.mark.parametrize("call, args", [
+        (fibonomial, (5, 2.0)),
+        (fibonomial, (5, Fraction(3, 2))),
+        (fibonomial, (301, 1)),
+        (fibonomial, (-1, 0)),
+        (fibonomial, ("5", 2)),
+        (fibonomial, (5, 7.5)),
+        (fibonomial, (5, "2")),
+        (fibonomial_row, (301,)),
+        (fibonomial_row, (2.0,)),
+    ])
+    def test_refusals(self, call, args):
+        with pytest.raises(DomainError):
+            call(*args)
+
+    @pytest.mark.parametrize("k", [-7, -1, 8, 50])
+    def test_outside_row_is_zero_with_row_cached(self, k):
+        fibonomial_row(7)
+        assert fibonomial(7, k) == 0
+
+
+class TestFibonomialRow:
+    def test_conformance_sweep(self):
+        """Every row in the domain against the Fibonacci Pascal rule.
+
+        [n k] = F_{k+1}[n-1 k] + F_{n-k-1}[n-1 k-1] is a recurrence independent
+        of the multiplicative step that builds the rows.
+        """
+        fibs = fib_range(0, 301)
+        prev = None
+        for n in range(0, 301):
+            row = fibonomial_row(n)
+            assert isinstance(row, tuple) and len(row) == n + 1
+            assert all(c > 0 for c in row) and row[0] == 1
+            assert row == row[::-1], n
+            if prev is not None:
+                for k in range(1, n):
+                    assert row[k] == fibs[k + 1] * prev[k] + fibs[n - k - 1] * prev[k - 1], (n, k)
+            prev = row
+
+    @pytest.mark.parametrize("n", [*range(0, 31), 150, 299, 300])
+    def test_factorial_quotient(self, n):
+        fact = [fib_factorial(k) for k in range(n + 1)]
+        assert list(fibonomial_row(n)) == [fact[n] // (fact[k] * fact[n - k]) for k in range(n + 1)]
+
+    def test_walking_a_row_builds_it_once(self):
+        from goldencalc.binomials import _fibonomial_row
+
+        fibonomial_row(40)
+        misses = _fibonomial_row.cache_info().misses
+        assert [fibonomial(40, k) for k in range(41)] == list(fibonomial_row(40))
+        assert _fibonomial_row.cache_info().misses == misses
 
 
 class TestGoldenBinomial:

@@ -12,6 +12,7 @@ from mpmath import mp
 
 from goldencalc.binomials import UnivarPoly, fib_factorial, golden_binomial, golden_polynomial
 from goldencalc.calculus import (
+    MAX_TAYLOR_DEGREE,
     GoldenSeries,
     derive_bivar,
     derive_poly,
@@ -100,6 +101,15 @@ class TestTaylor:
             raw.pop()
         p = UnivarPoly(coeffs=tuple(Fraction(c) for c in raw))
         assert taylor_reconstruct(golden_taylor(p)).coeffs == p.coeffs
+
+    def test_reconstruct_at_max_degree(self):
+        values = list(range(MAX_TAYLOR_DEGREE + 1))
+        coeffs = taylor_reconstruct(values).coeffs
+        assert coeffs == tuple(Fraction(n, fib_factorial(n)) for n in values)
+        assert all(type(c) is Fraction for c in coeffs)
+        floats = taylor_reconstruct([mp.mpf(n) for n in values]).coeffs
+        assert floats == tuple(mp.mpf(n) / fib_factorial(n) for n in values)
+        assert all(isinstance(c, mpmath.mpf) for c in floats)
 
     def test_rejects_non_polynomial(self):
         with pytest.raises(DomainError):

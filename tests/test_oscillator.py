@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from goldencalc.binomials import fib_factorial
-from goldencalc.core import DomainError, fib_exact, phi_value
+from goldencalc.core import MAX_FIB_INDEX, DomainError, fib_exact, phi_value
 from goldencalc.oscillator import (
     LadderSet,
     build_ladder,
@@ -85,6 +85,11 @@ class TestAlgebraVerification:
 
     def test_exact_diagonal_identities(self):
         assert diagonal_identities_exact(100)
+
+    def test_diagonal_identities_bound(self):
+        assert diagonal_identities_exact(0)
+        with pytest.raises(DomainError):
+            diagonal_identities_exact(MAX_FIB_INDEX)
 
 
 class TestSpectrum:
