@@ -66,6 +66,7 @@ from .binomials import (
 from .oscillator import (
     LadderSet,
     SpectrumTable,
+    WeightedShift,
     build_ladder,
     diagonal_identities_exact,
     energy_ratios,

@@ -15,6 +15,10 @@ Three constructions on the (2j+1)-dimensional state lattice |j, m>:
                   diagonal with entries F_{2m}; phases are i-powers fixed by
                   the double-boson operator ordering, with (-1)^{1/2} = i.
 
+Each J+ is a WeightedShift and J- its transpose, so [J+, J-], {Jt+, Jt-}
+and the Casimir forms are exact diagonals; only F at half-integer arguments
+is inexact (the analytic extension at DEFAULT_DPS digits).
+
 Half-integer j is supported throughout (j-m is always an integer on the
 lattice); phase-bearing results at half-integer j are convention-dependent
 (principal branch (-1)^x = exp(i*pi*x)).
@@ -22,9 +26,9 @@ lattice); phase-bearing results at half-integer j are convention-dependent
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import sqrt
 from typing import Literal
 
@@ -43,7 +47,7 @@ from .core import (
     fib_extended,
     fib_range,
 )
-from .oscillator import _freeze
+from .oscillator import _I_POWERS, WeightedShift, _Checked, _diagonal_view, _freeze
 
 MAX_J = 25
 
@@ -62,31 +66,78 @@ def _m_values(j: Fraction) -> list[Fraction]:
     return [m - j for m in range(int(2 * j) + 1)]
 
 
-def _fib_at(m: Fraction) -> complex:
-    """F_m: exact integer for integer m, analytic extension otherwise."""
+@lru_cache(maxsize=None)
+def _fib_at(m: Fraction) -> int | mpmath.mpc:
+    """F_m: exact integer for integer m, analytic extension (an mpc) otherwise.
+
+    Memoised: every argument lies within a few units of [-2 MAX_J, 2 MAX_J].
+    """
     if m.denominator == 1:
-        return float(fib_exact(int(m)))
-    return complex(fib_extended(float(m), DEFAULT_DPS).value)
+        return fib_exact(int(m))
+    return fib_extended(float(m), DEFAULT_DPS).value
 
 
-def _half_power(exponent: Fraction | int) -> complex:
-    """(-1)**exponent on the principal branch exp(i*pi*exponent)."""
-    e = Fraction(exponent)
-    if e.denominator == 1:
-        return -1.0 + 0j if int(e) % 2 else 1.0 + 0j
-    return cmath.exp(1j * cmath.pi * float(e))
+def _half_power(exponent: Fraction | int) -> int | complex:
+    """(-1)**exponent on the principal branch exp(i*pi*exponent), for 2*exponent integral."""
+    return _I_POWERS[int(2 * exponent) % 4]
+
+
+def _casimir_forms(jf: Fraction, shift: WeightedShift, tilde: bool) -> tuple[list, list]:
+    """The two written Casimir forms of a variant, as their diagonals.
+
+    standard_F:  form1 = (-1)^{-Jz} (F_{Jz} F_{Jz+1} + (-1)^{-N2} J- J+)
+                 form2 = (-1)^{-Jz} (-F_{Jz} F_{Jz-1} + (-1)^{-N2} J+ J-)
+    tilde_F:     form1 = (-1)^{Jz} (F_{Jz} F_{Jz+1} - Jt- Jt+)
+                 form2 = (-1)^{Jz} (Jt+ Jt- - F_{Jz} F_{Jz-1})
+
+    with N2 = j - Jz.  Entries are integers at integer j; at half-integer j
+    they are mpc values computed at DEFAULT_DPS digits.
+    """
+    form1, form2 = [], []
+    with mp.workdps(DEFAULT_DPS):
+        for m, up_down, down_up in zip(_m_values(jf), *shift.products()):
+            z = _half_power(m if tilde else -m)
+            c1, c2 = (-1, 1) if tilde else (_half_power(m - jf),) * 2
+            form1.append(z * (_fib_at(m) * _fib_at(m + 1) + c1 * down_up))
+            form2.append(z * (c2 * up_down - _fib_at(m) * _fib_at(m - 1)))
+    return form1, form2
+
+
+def _max_gap(xs, ys) -> float:
+    """max |x - y| over paired entries, at DEFAULT_DPS digits."""
+    with mp.workdps(DEFAULT_DPS):
+        return max((float(abs(x - y)) for x, y in zip(xs, ys)), default=0.0)
 
 
 @dataclass(frozen=True)
 class AngularRep:
-    """One deformed angular-momentum representation at spin j."""
+    """One deformed angular-momentum representation at spin j; `shift` is J+.
+
+    j_plus, j_minus (its transpose), j_z and the Casimir (the first written
+    form; None for symmetric_iphi) are dense read-only views.
+    """
 
     j: Fraction
     variant: Variant
-    j_plus: np.ndarray
-    j_minus: np.ndarray
-    j_z: np.ndarray
-    casimir: np.ndarray | None
+    shift: WeightedShift
+
+    @cached_property
+    def j_plus(self) -> np.ndarray:
+        return _freeze(self.shift.raising())
+
+    @cached_property
+    def j_minus(self) -> np.ndarray:
+        return _freeze(self.j_plus.T.copy())
+
+    @cached_property
+    def j_z(self) -> np.ndarray:
+        return _diagonal_view(_m_values(self.j))
+
+    @cached_property
+    def casimir(self) -> np.ndarray | None:
+        if self.variant == "symmetric_iphi":
+            return None
+        return _diagonal_view(_casimir_forms(self.j, self.shift, self.variant == "tilde_F")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -94,45 +145,15 @@ class AngularRep:
 # ---------------------------------------------------------------------------
 
 def build_suF2(j) -> AngularRep:
-    """Fibonacci-deformed su(2) ladder matrices at spin j.
+    """Fibonacci-deformed su(2) ladder at spin j.
 
     J+|j,m> = sqrt(F_{j-m} F_{j+m+1}) |j,m+1>;  J- = (J+)^dagger;
     J_z = diag(m).  The Casimir matrix stored is the first of the two
     equivalent forms (see casimir_suF2).
     """
     jf = _validate_j(j)
-    ms = _m_values(jf)
-    dim = len(ms)
-    j_plus = np.zeros((dim, dim), dtype=np.complex128)
-    for k, m in enumerate(ms[:-1]):
-        up = int(jf - m)       # F-index j-m
-        down = int(jf + m + 1)  # F-index j+m+1
-        j_plus[k + 1, k] = sqrt(fib_exact(up) * fib_exact(down))
-    j_minus = j_plus.conj().T.copy()
-    j_z = np.diag(np.array([float(m) for m in ms], dtype=np.complex128))
-    casimir = _casimir_matrices(jf, j_plus, j_minus)[0]
-    return AngularRep(j=jf, variant="standard_F", j_plus=_freeze(j_plus),
-                      j_minus=_freeze(j_minus), j_z=_freeze(j_z), casimir=_freeze(casimir))
-
-
-def _casimir_matrices(jf: Fraction, j_plus: np.ndarray,
-                      j_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two written forms of the deformed Casimir operator.
-
-    form1 = (-1)^{-Jz} (F_{Jz} F_{Jz+1} + (-1)^{-N2} J- J+)
-    form2 = (-1)^{-Jz} (-F_{Jz} F_{Jz-1} + (-1)^{-N2} J+ J-)
-
-    with N2 = j - Jz; phases are principal, F at half-integer arguments via
-    the analytic extension.
-    """
-    ms = _m_values(jf)
-    sign_mz = np.diag(np.array([_half_power(-m) for m in ms]))
-    sign_n2 = np.diag(np.array([_half_power(-(jf - m)) for m in ms]))
-    f_up = np.diag(np.array([_fib_at(m) * _fib_at(m + 1) for m in ms]))
-    f_down = np.diag(np.array([_fib_at(m) * _fib_at(m - 1) for m in ms]))
-    form1 = sign_mz @ (f_up + sign_n2 @ (j_minus @ j_plus))
-    form2 = sign_mz @ (-f_down + sign_n2 @ (j_plus @ j_minus))
-    return form1, form2
+    sq = tuple(fib_exact(int(jf - m)) * fib_exact(int(jf + m + 1)) for m in _m_values(jf)[:-1])
+    return AngularRep(j=jf, variant="standard_F", shift=WeightedShift(sq, (0,) * len(sq)))
 
 
 @dataclass(frozen=True)
@@ -153,15 +174,14 @@ def casimir_suF2(j, tol: float = 1e-10) -> CasimirResult:
     (-1)^{-j} F_j F_{j+1} (principal phase for half-integer j).
     """
     jf = _validate_j(j)
-    rep = build_suF2(jf)
-    form1, form2 = _casimir_matrices(jf, rep.j_plus, rep.j_minus)
-    diff = float(np.max(np.abs(form1 - form2)))
-    eig = _half_power(-jf) * _fib_at(jf) * _fib_at(jf + 1)
-    dim = form1.shape[0]
-    dev = float(np.max(np.abs(form1 - eig * np.eye(dim))))
+    form1, form2 = _casimir_forms(jf, build_suF2(jf).shift, tilde=False)
+    diff = _max_gap(form1, form2)
+    with mp.workdps(DEFAULT_DPS):
+        eig = _half_power(-jf) * _fib_at(jf) * _fib_at(jf + 1)
+    dev = _max_gap(form1, [eig] * len(form1))
     if diff > tol:
         raise DomainError(f"Casimir forms disagree at j={jf}: max difference {diff:.3e}")
-    return CasimirResult(j=jf, matrix=form1, eigenvalue=complex(eig),
+    return CasimirResult(j=jf, matrix=_diagonal_view(form1), eigenvalue=complex(eig),
                          form_difference=diff, eigenvalue_deviation=dev)
 
 
@@ -179,7 +199,7 @@ def casimir_ratio(j_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
 
 
 @dataclass(frozen=True)
-class CommutatorReport:
+class CommutatorReport(_Checked):
     """Residuals of the ladder commutation relations at one spin."""
 
     j: Fraction
@@ -189,56 +209,34 @@ class CommutatorReport:
     exact_identity_ok: bool
     failures: tuple[str, ...]
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def verify_commutators(j, tol: float = 1e-12) -> CommutatorReport:
     """Check [J+, J-] = diag((-1)^{j-m} F_{2m}) and [Jz, J±] = ±J±.
 
-    The diagonal claim is verified twice: as the exact integer identity
-    F_{j+m} F_{j-m+1} - F_{j-m} F_{j+m+1} = (-1)^{j-m} F_{2m}, and as a dense
-    matrix residual.  Both written forms of the diagonal ((-1)^{N2} F_{2Jz}
-    and -(-1)^{N1} F_{-2Jz}) are cross-checked through
+    The diagonal of [J+, J-] comes from the squared weights: at m it is
+    F_{j+m} F_{j-m+1} - F_{j-m} F_{j+m+1}, the left-hand side of d'Ocagne's
+    identity.  It is checked exactly in Z against both written forms of the
+    diagonal ((-1)^{N2} F_{2Jz} and -(-1)^{N1} F_{-2Jz}), which agree through
     F_{-2m} = (-1)^{2m+1} F_{2m}.
     """
     jf = _validate_j(j)
-    rep = build_suF2(jf)
+    shift = build_suF2(jf).shift
     ms = _m_values(jf)
     failures: list[str] = []
 
-    exact_ok = True
-    for m in ms:
-        a = int(jf + m)
-        bb = int(jf - m)
-        two_m = int(2 * m)
-        lhs = fib_exact(a) * fib_exact(bb + 1) - fib_exact(bb) * fib_exact(a + 1)
-        sign = -1 if bb % 2 else 1
-        if lhs != sign * fib_exact(two_m):
-            exact_ok = False
+    ladder_res = 0.0
+    for m, up_down, down_up in zip(ms, *shift.products()):
+        lhs = up_down - down_up
+        expected = (-1 if int(jf - m) % 2 else 1) * fib_exact(int(2 * m))
+        ladder_res = max(ladder_res, float(abs(lhs - expected)))
+        if lhs != expected:
             failures.append(f"exact identity at (j={jf}, m={m})")
         # second written form: -(-1)^{n1} F_{-2m}
-        n1_sign = -1 if a % 2 else 1
-        if lhs != -n1_sign * fib_exact(-two_m):
-            exact_ok = False
+        if lhs != -(-1 if int(jf + m) % 2 else 1) * fib_exact(int(-2 * m)):
             failures.append(f"mirrored form at (j={jf}, m={m})")
+    exact_ok = not failures
 
-    comm = rep.j_plus @ rep.j_minus - rep.j_minus @ rep.j_plus
-    expected = np.diag(np.array(
-        [(-1 if int(jf - m) % 2 else 1) * float(fib_exact(int(2 * m))) for m in ms],
-        dtype=np.complex128))
-    ladder_res = float(np.max(np.abs(comm - expected)))
-    if ladder_res > tol:
-        failures.append(f"[J+,J-] residual {ladder_res:.3e}")
-
-    z_res = max(
-        float(np.max(np.abs(rep.j_z @ rep.j_plus - rep.j_plus @ rep.j_z - rep.j_plus))),
-        float(np.max(np.abs(rep.j_z @ rep.j_minus - rep.j_minus @ rep.j_z + rep.j_minus))),
-    )
+    z_res = max(shift.step_defects(ms), default=0.0)
     if z_res > tol:
         failures.append(f"[Jz,J±] residual {z_res:.3e}")
 
@@ -287,26 +285,16 @@ def build_symmetric(j) -> AngularRep:
     """Natural symmetric q-boson construction with bases (i*phi, i/phi).
 
     J+|j,m> = sqrt([j-m][j+m+1]) |j,m+1> with the complex symmetric basic
-    numbers (principal square roots of the products).  No Casimir is defined
-    for this variant; the target commutator relation is checked separately by
+    numbers (principal square roots of the products), and J- its transpose:
+    J-|j,m> = sqrt([j+m][j-m+1]) |j,m-1>.  No Casimir is defined for this
+    variant; the target commutator relation is checked separately by
     verify_symmetric and reported, not asserted.
     """
     jf = _validate_j(j)
-    ms = _m_values(jf)
-    dim = len(ms)
-    j_plus = np.zeros((dim, dim), dtype=np.complex128)
-    j_minus = np.zeros((dim, dim), dtype=np.complex128)
-    for k, m in enumerate(ms[:-1]):
-        j_plus[k + 1, k] = cmath.sqrt(
-            symmetric_basic_number(int(jf - m)) * symmetric_basic_number(int(jf + m + 1)))
-    for k, m in enumerate(ms):
-        if k == 0:
-            continue
-        j_minus[k - 1, k] = cmath.sqrt(
-            symmetric_basic_number(int(jf + m)) * symmetric_basic_number(int(jf - m + 1)))
-    j_z = np.diag(np.array([float(m) for m in ms], dtype=np.complex128))
-    return AngularRep(j=jf, variant="symmetric_iphi", j_plus=_freeze(j_plus),
-                      j_minus=_freeze(j_minus), j_z=_freeze(j_z), casimir=None)
+    sq = tuple(symmetric_basic_number(int(jf - m)) * symmetric_basic_number(int(jf + m + 1))
+               for m in _m_values(jf)[:-1])
+    return AngularRep(j=jf, variant="symmetric_iphi",
+                      shift=WeightedShift(sq, (0,) * len(sq)))
 
 
 @dataclass(frozen=True)
@@ -332,20 +320,16 @@ def verify_symmetric(j) -> SymmetricReport:
     O(1) and is reported as a diagnostic.
     """
     jf = _validate_j(j)
-    rep = build_symmetric(jf)
+    shift = build_symmetric(jf).shift
     ms = _m_values(jf)
-    comm = rep.j_plus @ rep.j_minus - rep.j_minus @ rep.j_plus
-    target_plain = np.diag(np.array(
-        [(_PHI ** float(2 * m) - _PHI ** float(-2 * m)) for m in ms])).astype(np.complex128)
+    comm = [complex(up_down - down_up) for up_down, down_up in zip(*shift.products())]
+    target_plain = [_PHI ** float(2 * m) - _PHI ** float(-2 * m) for m in ms]
     # second written form of the same diagonal
-    target_phase = np.diag(np.array(
-        [symmetric_basic_number(int(2 * m)) * _half_power(Fraction(1, 2) - m)
-         if (2 * m).denominator == 1 else 0j
-         for m in ms])).astype(np.complex128)
-    res_plain = float(np.max(np.abs(comm - target_plain)))
-    res_phase = float(np.max(np.abs(comm - target_phase)))
-    return SymmetricReport(j=jf, residual_plain=res_plain, residual_phase_form=res_phase,
-                           commutator_diagonal=tuple(np.diag(comm).tolist()))
+    target_phase = [symmetric_basic_number(int(2 * m)) * _half_power(Fraction(1, 2) - m)
+                    for m in ms]
+    return SymmetricReport(j=jf, residual_plain=_max_gap(comm, target_plain),
+                           residual_phase_form=_max_gap(comm, target_phase),
+                           commutator_diagonal=tuple(comm))
 
 
 # ---------------------------------------------------------------------------
@@ -361,31 +345,18 @@ def build_tilde(j) -> AngularRep:
         Jt+|j,m> = exp(-i*pi*(j-m-1)/2) sqrt(F_{j-m} F_{j+m+1}) |j,m+1>,
         Jt-|j,m> = exp(-i*pi*(j-m)/2)   sqrt(F_{j+m} F_{j-m+1}) |j,m-1>,
 
-    giving {Jt+, Jt-} = diag(F_{2m}) exactly.  The stored Casimir is
-    (-1)^{Jz} (F_{Jz} F_{Jz+1} - Jt- Jt+); see tilde_casimir_matrices.
+    so Jt- is the transpose of Jt+ and the phase of the step m -> m+1 is
+    i^{1-(j-m)}.  This gives {Jt+, Jt-} = diag(F_{2m}) exactly.  The stored
+    Casimir is (-1)^{Jz} (F_{Jz} F_{Jz+1} - Jt- Jt+); see tilde_casimir_forms.
     """
     jf = _validate_j(j)
-    ms = _m_values(jf)
-    dim = len(ms)
-    j_plus = np.zeros((dim, dim), dtype=np.complex128)
-    j_minus = np.zeros((dim, dim), dtype=np.complex128)
-    for k, m in enumerate(ms[:-1]):
-        phase = _half_power(Fraction(-(int(jf - m) - 1), 2))
-        j_plus[k + 1, k] = phase * sqrt(fib_exact(int(jf - m)) * fib_exact(int(jf + m + 1)))
-    for k, m in enumerate(ms):
-        if k == 0:
-            continue
-        phase = _half_power(Fraction(-int(jf - m), 2))
-        j_minus[k - 1, k] = phase * sqrt(fib_exact(int(jf + m)) * fib_exact(int(jf - m + 1)))
-    j_z = np.diag(np.array([float(m) for m in ms], dtype=np.complex128))
-    casimir = tilde_casimir_matrices(jf, j_plus, j_minus)[0]
-    return AngularRep(j=jf, variant="tilde_F", j_plus=_freeze(j_plus),
-                      j_minus=_freeze(j_minus), j_z=_freeze(j_z), casimir=_freeze(casimir))
+    turns = tuple((1 - int(jf - m)) % 4 for m in _m_values(jf)[:-1])
+    shift = WeightedShift(build_suF2(jf).shift.sq, turns)  # the su_F(2) weights, phase-dressed
+    return AngularRep(j=jf, variant="tilde_F", shift=shift)
 
 
-def tilde_casimir_matrices(jf: Fraction, j_plus: np.ndarray,
-                           j_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two written forms of the tilde Casimir.
+def tilde_casimir_forms(jf: Fraction, shift: WeightedShift) -> tuple[list, list]:
+    """Diagonals of the two written forms of the tilde Casimir.
 
     form1 = (-1)^{Jz} (F_{Jz} F_{Jz+1} - Jt- Jt+)
     form2 = (-1)^{Jz} (Jt+ Jt- - F_{Jz} F_{Jz-1})
@@ -395,23 +366,18 @@ def tilde_casimir_matrices(jf: Fraction, j_plus: np.ndarray,
     (-1)^m F_m F_{m+1} + (-1)^j F_{j-m} F_{j+m+1}
     = (-1)^j F_{j-m+1} F_{j+m} - (-1)^m F_m F_{m-1}.
     """
-    ms = _m_values(jf)
-    sign_z = np.diag(np.array([_half_power(m) for m in ms]))
-    f_up = np.diag(np.array([_fib_at(m) * _fib_at(m + 1) for m in ms]))
-    f_down = np.diag(np.array([_fib_at(m) * _fib_at(m - 1) for m in ms]))
-    form1 = sign_z @ (f_up - j_minus @ j_plus)
-    form2 = sign_z @ (j_plus @ j_minus - f_down)
-    return form1, form2
+    return _casimir_forms(jf, shift, tilde=True)
 
 
-def tilde_eigenvalue(jf: Fraction, m: Fraction) -> complex:
+def tilde_eigenvalue(jf: Fraction, m: Fraction) -> int | mpmath.mpc:
     """Closed-form tilde Casimir eigenvalue at state (j, m)."""
-    return (_half_power(m) * _fib_at(m) * _fib_at(m + 1)
-            + _half_power(jf) * _fib_at(jf - m) * _fib_at(jf + m + 1))
+    with mp.workdps(DEFAULT_DPS):
+        return (_half_power(m) * _fib_at(m) * _fib_at(m + 1)
+                + _half_power(jf) * _fib_at(jf - m) * _fib_at(jf + m + 1))
 
 
 @dataclass(frozen=True)
-class TildeReport:
+class TildeReport(_Checked):
     """Anti-commutator and Casimir diagnostics for the tilde variant."""
 
     j: Fraction
@@ -422,53 +388,32 @@ class TildeReport:
     casimir_eigenvalue_deviation: float
     failures: tuple[str, ...]
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def verify_tilde(j, tol: float = 1e-10) -> TildeReport:
     """Check {Jt+, Jt-} = diag(F_{2m}) and the two Casimir forms.
 
-    Failures carry the offending (j, m) location.
+    The anti-commutator is the sum of the two diagonals of the shift, checked
+    in Z; a shift times its transpose has no off-diagonal part, so
+    offdiagonal_max is 0.0.  Failures carry the offending (j, m) location.
     """
     jf = _validate_j(j)
-    rep = build_tilde(jf)
+    shift = build_tilde(jf).shift
     ms = _m_values(jf)
-    failures: list[str] = []
+    anti = [float(abs(up_down + down_up - fib_exact(int(2 * m))))
+            for m, up_down, down_up in zip(ms, *shift.products())]
+    form1, form2 = tilde_casimir_forms(jf, shift)
+    form_diff = _max_gap(form1, form2)
+    eig = [_max_gap([value], [tilde_eigenvalue(jf, m)]) for m, value in zip(ms, form1)]
 
-    anti = rep.j_plus @ rep.j_minus + rep.j_minus @ rep.j_plus
-    expected = np.diag(np.array([_fib_at(2 * m) for m in ms])).astype(np.complex128)
-    diag_dev = 0.0
-    for k, m in enumerate(ms):
-        dev = abs(anti[k, k] - expected[k, k])
-        if dev > diag_dev:
-            diag_dev = float(dev)
-        if dev > tol:
-            failures.append(f"anti-commutator at (j={jf}, m={m}): deviation {dev:.3e}")
-    off = anti - np.diag(np.diag(anti))
-    off_max = float(np.max(np.abs(off)))
-    if off_max > tol:
-        failures.append(f"anti-commutator off-diagonal max {off_max:.3e}")
-
-    form1, form2 = tilde_casimir_matrices(jf, rep.j_plus, rep.j_minus)
-    form_diff = float(np.max(np.abs(form1 - form2)))
+    failures = [f"anti-commutator at (j={jf}, m={m}): deviation {dev:.3e}"
+                for m, dev in zip(ms, anti) if dev > tol]
     if form_diff > tol:
         failures.append(f"Casimir forms differ by {form_diff:.3e} at j={jf}")
-    eig_dev = 0.0
-    for k, m in enumerate(ms):
-        dev = abs(form1[k, k] - tilde_eigenvalue(jf, m))
-        if dev > eig_dev:
-            eig_dev = float(dev)
-        if dev > tol:
-            failures.append(f"Casimir eigenvalue at (j={jf}, m={m}): deviation {dev:.3e}")
-
-    return TildeReport(j=jf, tol=tol, anticommutator_residual=diag_dev,
-                       offdiagonal_max=off_max, casimir_form_difference=form_diff,
-                       casimir_eigenvalue_deviation=eig_dev, failures=tuple(failures))
+    failures += [f"Casimir eigenvalue at (j={jf}, m={m}): deviation {dev:.3e}"
+                 for m, dev in zip(ms, eig) if dev > tol]
+    return TildeReport(j=jf, tol=tol, anticommutator_residual=max(anti),
+                       offdiagonal_max=0.0, casimir_form_difference=form_diff,
+                       casimir_eigenvalue_deviation=max(eig), failures=tuple(failures))
 
 
 def build_representation(j, variant: Variant = "standard_F") -> AngularRep:

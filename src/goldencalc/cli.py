@@ -581,6 +581,11 @@ def run_command(argv: Sequence[str]) -> tuple[int, OutputRecord | None]:
     verification failures 3.
     """
     obj: dict = {}
+    # Exact results inside the documented bounds (F_n up to n = 10**6) run past
+    # the interpreter's int-to-str digit limit: lift it while the command renders.
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
     try:
         cli.main(args=list(argv), prog_name="goldencalc", standalone_mode=False, obj=obj)
     except click.UsageError as exc:
@@ -593,6 +598,9 @@ def run_command(argv: Sequence[str]) -> tuple[int, OutputRecord | None]:
     except DomainError as exc:
         click.echo(f"domain error: {exc}", err=True)
         return EXIT_DOMAIN, None
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
     record = obj.get("record")
     return obj.get("exit_code", EXIT_OK), record
 

@@ -12,12 +12,18 @@ hold on every state below the truncation boundary.  The Hamiltonian
 (hbar*omega/2)(b+b + bb+) is diagonal with entries (hbar*omega/2) F_{n+2}:
 the spectrum is the Fibonacci sequence and successive level ratios converge
 to the golden ratio.
+
+Every ladder of the library is a WeightedShift, whose products with its
+transpose are exact diagonals: the identities above are checked in Z and
+Z[phi] at any size, and the dense matrices are views built on first use.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import sqrt
 
 import mpmath
@@ -32,7 +38,6 @@ from .core import (
     MIN_DPS,
     DomainError,
     ZPhi,
-    _PHI,
     _require,
     fib_exact,
     fib_range,
@@ -41,42 +46,53 @@ from .core import (
 MAX_LADDER_DIM = 200
 MAX_SPECTRUM_INDEX = 10**3
 
+# i**t for t quarter turns; 1 and -1 stay ints so real products stay exact,
+# and complex(0, -1) has a +0.0 real part where the literal -1j has -0.0.
+_I_POWERS = (1, 1j, -1, complex(0, -1))
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
-@dataclass(frozen=True)
-class LadderSet:
-    """Ladder matrices b, b+ and the number operator at truncation dim."""
-
-    dim: int
-    b: np.ndarray
-    b_dag: np.ndarray
-    n_op: np.ndarray
-
-
-def build_ladder(dim: int) -> LadderSet:
-    """Dense complex ladder matrices with subdiagonal entries sqrt(F_{n+1})."""
-    _require(isinstance(dim, int) and dim >= 2, "truncation dimension must be an integer >= 2")
-    _require(dim <= MAX_LADDER_DIM, f"truncation dimension must not exceed {MAX_LADDER_DIM}")
-    fibs = fib_range(1, dim - 1)  # F_1 .. F_{dim-1}
-    sub = np.array([sqrt(f) for f in fibs], dtype=np.complex128)
-    b_dag = np.diag(sub, -1)
-    b = b_dag.conj().T.copy()
-    n_op = np.diag(np.arange(dim, dtype=np.complex128))
-    return LadderSet(dim=dim, b=_freeze(b), b_dag=_freeze(b_dag), n_op=_freeze(n_op))
+def _diagonal_view(values) -> np.ndarray:
+    return _freeze(np.diag(np.array([complex(v) for v in values], dtype=np.complex128)))
 
 
 @dataclass(frozen=True)
-class OscillatorAlgebraReport:
-    """Max-entry residuals of the defining operator identities."""
+class WeightedShift:
+    """The raising ladder R|k> = i^turns[k] sqrt(sq[k]) |k+1>, k = 0 .. dim-2.
 
-    dim: int
-    tol: float
-    residuals: dict[str, float]
-    failures: tuple[str, ...]
+    Its lowering partner L is the transpose of R (the adjoint too when all
+    phases are real), so with w_k = (-1)^turns[k] sq[k] both products are
+    diagonal: R L = diag(0, w_0, ...) and L R = diag(..., w_{dim-2}, 0).
+    sq holds integers (F_n or F_a F_b) for every ladder but the symmetric
+    angular variant, whose squared weights are complex floats.
+    """
+
+    sq: tuple
+    turns: tuple
+
+    def products(self) -> tuple[list, list]:
+        """Diagonals of R L and L R, raising times lowering and the reverse."""
+        w = [-s if t % 2 else s for s, t in zip(self.sq, self.turns)]
+        return [0] + w, w + [0]
+
+    def step_defects(self, levels) -> list[float]:
+        """|[D, R] - R| = |[D, L] + L| on each step k -> k+1, for D = diag(levels)."""
+        return [float(abs(levels[k + 1] - levels[k] - 1)) * sqrt(abs(s))
+                for k, s in enumerate(self.sq)]
+
+    def raising(self) -> np.ndarray:
+        """Dense complex matrix of R."""
+        roots = [cmath.sqrt(s) if isinstance(s, complex) else sqrt(s) for s in self.sq]
+        entries = [_I_POWERS[t % 4] * w if t % 4 else w for w, t in zip(roots, self.turns)]
+        return np.diag(np.array(entries, dtype=np.complex128), -1)
+
+
+class _Checked:
+    """A report that passes when its `failures` tuple is empty."""
 
     @property
     def passed(self) -> bool:
@@ -86,12 +102,54 @@ class OscillatorAlgebraReport:
         return self.passed
 
 
+@dataclass(frozen=True)
+class LadderSet:
+    """b+ as a weighted shift with sq = (F_1, ..., F_{dim-1}); b, b_dag, n_op are dense views."""
+
+    shift: WeightedShift
+
+    @property
+    def dim(self) -> int:
+        return len(self.shift.sq) + 1
+
+    @cached_property
+    def b_dag(self) -> np.ndarray:
+        return _freeze(self.shift.raising())
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        return _freeze(self.b_dag.T.copy())
+
+    @cached_property
+    def n_op(self) -> np.ndarray:
+        return _diagonal_view(range(self.dim))
+
+
+def build_ladder(dim: int) -> LadderSet:
+    """The Golden ladder at truncation dim: b+|n> = sqrt(F_{n+1}) |n+1>."""
+    _require(isinstance(dim, int) and dim >= 2, "truncation dimension must be an integer >= 2")
+    _require(dim <= MAX_LADDER_DIM, f"truncation dimension must not exceed {MAX_LADDER_DIM}")
+    fibs = fib_range(1, dim - 1)  # F_1 .. F_{dim-1}
+    return LadderSet(WeightedShift(tuple(fibs), (0,) * len(fibs)))
+
+
+@dataclass(frozen=True)
+class OscillatorAlgebraReport(_Checked):
+    """Max-entry residuals of the defining operator identities."""
+
+    dim: int
+    tol: float
+    residuals: dict[str, float]
+    failures: tuple[str, ...]
+
+
 def verify_oscillator_algebra(dim: int, tol: float = 1e-12,
                               ladder: LadderSet | None = None) -> OscillatorAlgebraReport:
     """Check the deformed commutation relations on the interior states.
 
-    Residuals are absolute max-entry norms over the subspace excluding the
-    top truncated state, for:
+    b+b and bb+ are exact diagonals of the ladder's shift: every identity is
+    checked below the truncated top state, in Z[phi] or Z, with residuals
+    the largest magnitude of an exact difference (0.0 for a true ladder):
 
       * b b+ - phi b+ b = (-1/phi)^N
       * b b+ + (1/phi) b+ b = phi^N
@@ -100,36 +158,30 @@ def verify_oscillator_algebra(dim: int, tol: float = 1e-12,
     """
     _require(dim >= 3, "need dimension >= 3 for a nontrivial interior")
     lad = ladder if ladder is not None else build_ladder(dim)
-    b, bd, n_op = lad.b, lad.b_dag, lad.n_op
     d = lad.dim
-    interior = slice(0, d - 1)
-
-    bbd = b @ bd
-    bdb = bd @ b
-    n = np.arange(d)
-    sign_over_phi = np.diag(((-1.0 / _PHI) ** n).astype(np.complex128))
-    phi_pow = np.diag((_PHI ** n).astype(np.complex128))
-    fib_prev = np.diag(np.array([float(fib_exact(k - 1)) for k in range(d)],
-                                dtype=np.complex128))
-
-    def interior_block(m: np.ndarray) -> np.ndarray:
-        return m[interior, interior]
-
-    blocks = {
-        "deformed_commutator_minus": interior_block(bbd - _PHI * bdb - sign_over_phi),
-        "deformed_commutator_plus": interior_block(bbd + bdb / _PHI - phi_pow),
-        "number_raises": n_op @ bd - bd @ n_op - bd,
-        "number_lowers": n_op @ b - b @ n_op + b,
-        "fibonacci_recurrence": interior_block(bbd - bdb - fib_prev),
-    }
+    bdb, bbd = lad.shift.products()
+    phi = ZPhi.phi()
+    inv_phi = ZPhi.inv_phi()
+    neg_inv_phi = ZPhi.phi_conjugate()
+    minus, plus, recurrence = [], [], []
+    minus_rhs = plus_rhs = ZPhi(1, 0)
+    for n, f_prev in enumerate(fib_range(-1, d - 3)):  # F_{n-1} on the interior
+        minus.append(bbd[n] - phi * bdb[n] - minus_rhs)
+        plus.append(bbd[n] + inv_phi * bdb[n] - plus_rhs)
+        recurrence.append(bbd[n] - bdb[n] - f_prev)
+        minus_rhs = minus_rhs * neg_inv_phi
+        plus_rhs = plus_rhs * phi
+    steps = lad.shift.step_defects(range(d))
+    diffs = {"deformed_commutator_minus": minus, "deformed_commutator_plus": plus,
+             "number_raises": steps, "number_lowers": steps,
+             "fibonacci_recurrence": recurrence}
     residuals: dict[str, float] = {}
     failures: list[str] = []
-    for name, block in blocks.items():
-        mags = np.abs(block)
-        residuals[name] = float(np.max(mags))
+    for name, values in diffs.items():
+        mags = [abs(float(v)) for v in values]
+        residuals[name] = max(mags)
         if residuals[name] > tol:
-            r, c = np.unravel_index(int(np.argmax(mags)), mags.shape)
-            failures.append(f"{name} at entry ({r}, {c}): {residuals[name]:.3e}")
+            failures.append(f"{name} at state {mags.index(residuals[name])}: {residuals[name]:.3e}")
     return OscillatorAlgebraReport(dim=d, tol=tol, residuals=residuals,
                                    failures=tuple(failures))
 
@@ -197,7 +249,7 @@ def energy_ratios(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
 
 def hamiltonian(ladder: LadderSet, hbar_omega: float = 1.0) -> np.ndarray:
     """(hbar*omega/2)(b+b + bb+); diagonal with entries E_n on interior states."""
-    return hbar_omega / 2 * (ladder.b_dag @ ladder.b + ladder.b @ ladder.b_dag)
+    return hbar_omega / 2 * _diagonal_view(map(sum, zip(*ladder.shift.products())))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +310,5 @@ def nonlinear_map(dim: int) -> NonlinearMap:
 
 def standard_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Undeformed boson matrices (a, a+) with entries sqrt(n)."""
-    sub = np.sqrt(np.arange(1, dim, dtype=np.float64)).astype(np.complex128)
-    a_dag = np.diag(sub, -1)
-    return a_dag.conj().T.copy(), a_dag
+    a_dag = WeightedShift(tuple(range(1, dim)), (0,) * (dim - 1)).raising()
+    return a_dag.T.copy(), a_dag

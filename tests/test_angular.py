@@ -194,10 +194,10 @@ class TestTildeVariant:
 
     def test_casimir_eigenvalue_closed_form(self):
         # both written forms agree; the second printed closed form holds
-        from goldencalc.angular import tilde_casimir_matrices, tilde_eigenvalue
+        from goldencalc.angular import tilde_casimir_forms, tilde_eigenvalue
         j = Fraction(2)
         rep = build_tilde(j)
-        form1, form2 = tilde_casimir_matrices(j, rep.j_plus, rep.j_minus)
+        form1, form2 = tilde_casimir_forms(j, rep.shift)
         ms = [m - j for m in range(int(2 * j) + 1)]
         for k, m in enumerate(ms):
             jj, mm = int(j), int(m)
@@ -205,10 +205,10 @@ class TestTildeVariant:
             sign_m = -1 if mm % 2 else 1
             second_form = (sign_j * fib_exact(jj - mm + 1) * fib_exact(jj + mm)
                            - sign_m * fib_exact(mm) * fib_exact(mm - 1))
-            assert abs(form1[k, k] - second_form) < 1e-12
-            assert abs(form2[k, k] - tilde_eigenvalue(j, m)) < 1e-12
+            assert abs(form1[k] - second_form) < 1e-12
+            assert abs(form2[k] - tilde_eigenvalue(j, m)) < 1e-12
         # constant on the representation: (-1)^j F_j F_{j+1}
-        assert np.allclose(np.diag(form1).real, fib_exact(2) * fib_exact(3))
+        assert np.allclose(np.real(form1), fib_exact(2) * fib_exact(3))
 
     def test_hermiticity_broken_by_phases_only(self):
         rep = build_tilde(3)
@@ -230,3 +230,33 @@ class TestDispatch:
             rep = build_representation(Fraction(3, 2), variant)
             res = np.max(np.abs(rep.j_z @ rep.j_plus - rep.j_plus @ rep.j_z - rep.j_plus))
             assert res < 1e-12
+
+
+def _binet(x: Fraction) -> mp.mpc:
+    """F_x = (phi^x - e^{i pi x} phi^(-x)) / sqrt(5), the principal branch."""
+    xv = mp.mpf(x.numerator) / x.denominator
+    phi = (1 + mp.sqrt(5)) / 2
+    return (mp.power(phi, xv) - mp.expjpi(xv) * mp.power(phi, -xv)) / mp.sqrt(5)
+
+
+SPINS = [Fraction(t, 2) for t in range(51)]
+
+
+class TestWholeDomain:
+    """Conformance for every spin the library accepts, 0 <= j <= 25 in half steps."""
+
+    @pytest.mark.parametrize("j", SPINS, ids=str)
+    def test_reports_pass_at_default_tolerance(self, j):
+        assert verify_commutators(j).passed
+        assert verify_tilde(j).passed
+
+    @pytest.mark.parametrize("j", SPINS, ids=str)
+    def test_casimir_eigenvalue(self, j):
+        result = casimir_suF2(j)
+        if j.denominator == 1:
+            jj = int(j)
+            expected = (-1) ** jj * fib_exact(jj) * fib_exact(jj + 1)
+        else:
+            with mp.workdps(34):
+                expected = complex(mp.expjpi(-mp.mpf(j.numerator) / 2) * _binet(j) * _binet(j + 1))
+        assert abs(result.eigenvalue - expected) <= 1e-12 * fib_exact(int(2 * j) + 1)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from goldencalc.binomials import fibonomial
 from goldencalc.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run_command
+from goldencalc.core import fib_exact
 
 
 def payload(argv):
@@ -191,3 +194,41 @@ class TestRecordMetadata:
         assert record.command == "fib"
         assert record.params == {"n": 7}
         assert record.precision == 34
+
+
+def _unlimited_str(value: int) -> str:
+    """str(value) with the interpreter's int-to-str digit limit lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+class TestBigIntegers:
+    """Exact results longer than Python's default 4300-digit str() limit."""
+
+    CASES = [(["fibonomial", "300", "150"], lambda: fibonomial(300, 150)),
+             (["fib", "30000"], lambda: fib_exact(30000))]
+
+    @pytest.mark.parametrize("argv,value", CASES)
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_every_format(self, argv, value, fmt):
+        text = _unlimited_str(value())
+        assert len(text) > 4300
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        out = payload(["--format", fmt] + argv)
+        if fmt == "plain":
+            assert out == text + "\n"
+        elif fmt == "json":
+            assert out.endswith(f'  "value": {text}\n}}\n')
+        else:
+            assert out.splitlines()[1].split(",")[-1] == text
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit  # restored after the command
+
+    def test_largest_fibonacci_index(self):
+        assert payload(["fib", "1000000"]) == _unlimited_str(fib_exact(10**6)) + "\n"

@@ -15,6 +15,7 @@ from goldencalc.binomials import fib_factorial
 from goldencalc.core import MAX_FIB_INDEX, DomainError, fib_exact, phi_value
 from goldencalc.oscillator import (
     LadderSet,
+    WeightedShift,
     build_ladder,
     diagonal_identities_exact,
     energy_ratios,
@@ -75,10 +76,10 @@ class TestAlgebraVerification:
         assert verify_oscillator_algebra(3, 1e-12).passed
 
     def test_corrupted_entry_detected(self):
-        lad = build_ladder(10)
-        bad_b = lad.b.copy()
-        bad_b[1, 2] += 1e-6
-        bad = LadderSet(dim=10, b=bad_b, b_dag=lad.b_dag, n_op=lad.n_op)
+        shift = build_ladder(10).shift
+        sq = list(shift.sq)
+        sq[1] += 1  # F_2 + 1
+        bad = LadderSet(WeightedShift(tuple(sq), shift.turns))
         report = verify_oscillator_algebra(10, 1e-12, ladder=bad)
         assert not report.passed
         assert max(report.residuals.values()) >= 1e-7
@@ -214,3 +215,20 @@ class TestFockSpace:
         table = spectrum(10, 1)
         for n, energy in table.levels:
             assert abs(h[n, n].real - float(energy)) < 1e-12 * float(energy)
+
+
+class TestWholeDomain:
+    """Conformance over every truncation the library accepts."""
+
+    def test_algebra_exact_at_every_dimension(self):
+        for dim in range(3, 201):
+            report = verify_oscillator_algebra(dim)
+            assert report.passed, (dim, report.failures)
+            assert all(r == 0.0 for r in report.residuals.values()), (dim, report.residuals)
+
+    def test_hamiltonian_exact_at_largest_dimension(self):
+        dim = 200
+        h = hamiltonian(build_ladder(dim))
+        assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
+        for n in range(dim - 1):
+            assert h[n, n] == fib_exact(n + 2) / 2
