@@ -179,17 +179,6 @@ class BivarPoly:
     def scale(self, factor) -> BivarPoly:
         return BivarPoly({e: c * factor for e, c in self._coeffs.items()})
 
-    def substitute_y(self, value) -> list:
-        """Collapse y by substituting an exact value; dense x-coefficients ascending."""
-        deg = max((i for i, _ in self._coeffs), default=0)
-        out = [0] * (deg + 1)
-        for (i, j), c in self._coeffs.items():
-            term = c
-            for _ in range(j):
-                term = term * value
-            out[i] = out[i] + term
-        return out
-
     def evaluate(self, x_val, y_val):
         total = None
         for (i, j), c in self._coeffs.items():
@@ -367,6 +356,7 @@ def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath
     with mp.workdps(precision + GUARD_DPS):
         qv = mpmath.mpmathify(q)
         xv = mpmath.mpmathify(x)
+        _require(mp.isfinite(qv) and mp.isfinite(xv), "base and argument must be finite")
         total = mp.mpc(1)
         basic_fact = mp.mpf(1)
         power = mp.mpc(1)
@@ -395,6 +385,7 @@ def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
     _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
     with mp.workdps(precision + GUARD_DPS):
         yv = mpmath.mpmathify(y)
+        _require(mp.isfinite(yv), "argument must be finite")
         scale = yv / mp.power(mp.phi, n)
         total = mp.mpc(0)
         power = mp.mpc(1)

@@ -81,6 +81,7 @@ def golden_derivative(f, x=None, precision: int = DEFAULT_DPS):
             raise DomainError("a bare callable needs an evaluation point x")
         with mp.workdps(precision + GUARD_DPS):
             xv = mpmath.mpmathify(x)
+            _require(mp.isfinite(xv), "evaluation point must be finite")
             if xv == 0:
                 raise DomainError(
                     "difference quotient is singular at x = 0; supply a polynomial or series form")
@@ -149,6 +150,7 @@ class GoldenSeries:
         _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
         with mp.workdps(precision + GUARD_DPS):
             xv = mpmath.mpmathify(x)
+            _require(mp.isfinite(xv), "series argument must be finite")
             total = mp.mpc(0)
             power = mp.mpc(1)
             fact = 1
@@ -278,6 +280,7 @@ def jackson_antiderivative(g, x, n_terms: int = 200, precision: int = DEFAULT_DP
         g = poly.evaluate
     with mp.workdps(precision + GUARD_DPS):
         xv = mpmath.mpmathify(x)
+        _require(mp.isfinite(xv), "antiderivative argument must be finite")
         if xv == 0:
             raise DomainError("antiderivative representation needs x != 0")
         phi = +mp.phi

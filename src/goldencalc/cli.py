@@ -80,9 +80,7 @@ def _num_str(v, dps: int) -> str:
 
 def _json_scalar(v, dps: int):
     """JSON-ready scalar; complex becomes {'re': ..., 'im': ...}."""
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
+    if isinstance(v, int):  # bool included
         return v
     if isinstance(v, Fraction):
         return _frac_str(v)
@@ -90,10 +88,8 @@ def _json_scalar(v, dps: int):
         return {"unit_part": v.a, "phi_part": v.b}
     if isinstance(v, (complex, mpmath.mpc)) or (hasattr(v, "imag") and v.imag != 0):
         return {"re": _num_str(v.real, dps), "im": _num_str(v.imag, dps)}
-    if hasattr(v, "real") and not isinstance(v, float):
+    if hasattr(v, "real"):  # float, mpf and the like
         return _num_str(v.real, dps)
-    if isinstance(v, float):
-        return _num_str(v, dps)
     return str(v)
 
 
@@ -112,31 +108,44 @@ def _render_csv(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_payload(ctx: click.Context, command: str, params: dict, body: dict) -> str:
+    """The JSON envelope: command, params and precision, plus the command's body."""
+    envelope = {"command": command, "params": params, "precision": ctx.obj["precision"], **body}
+    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(ctx: click.Context, command: str, params: dict, *,
-          value=None, values=None,
-          plain: str, csv_header: list[str] | None = None,
-          csv_rows: list[list[str]] | None = None,
+          value=None, values=None, plain: str,
+          csv_header: list[str], csv_rows: list[list[str]],
           json_extra: dict | None = None) -> None:
-    opts = ctx.obj
-    dps = opts["precision"]
-    fmt = opts["format"]
+    fmt = ctx.obj["format"]
     if fmt == "json":
-        body: dict = {"command": command, "params": params, "precision": dps}
-        if values is not None:
-            body["values"] = values
-        else:
-            body["value"] = value
-        if json_extra:
-            body.update(json_extra)
-        payload = json.dumps(body, indent=2, sort_keys=True) + "\n"
+        body = {"values": values} if values is not None else {"value": value}
+        payload = _json_payload(ctx, command, params, {**body, **(json_extra or {})})
     elif fmt == "csv":
-        if csv_header is None:
-            csv_header, csv_rows = ["value"], [[str(value)]]
-        payload = _render_csv(csv_header, csv_rows or [])
+        payload = _render_csv(csv_header, csv_rows)
     else:
         payload = plain if plain.endswith("\n") else plain + "\n"
-    opts["record"] = OutputRecord(format=fmt, payload=payload, command=command,
-                                  params=params, precision=dps)
+    ctx.obj["record"] = OutputRecord(format=fmt, payload=payload, command=command,
+                                     params=params, precision=ctx.obj["precision"])
+
+
+def _write_file(path: str, content: str) -> None:
+    """Write a command's output file; an unwritable path is a domain error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path!r}: {exc}")
+
+
+def _real(ctx: click.Context, text: str) -> mpmath.mpf:
+    """A real command argument, parsed at the command's precision."""
+    with mp.workdps(ctx.obj["precision"]):
+        try:
+            return mp.mpf(text)
+        except ValueError:
+            raise click.UsageError(f"{text!r} is not a real number")
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +165,22 @@ class _FractionParam(click.ParamType):
 FRACTION = _FractionParam()
 
 
-def _common_params() -> list[click.Option]:
-    return [
-        click.Option(["--precision"], type=int, default=None,
-                     help="Working precision in decimal digits."),
-        click.Option(["--tol"], type=float, default=None,
-                     help="Override the default tolerance where residuals are checked."),
-        click.Option(["--format", "fmt"], type=click.Choice(["plain", "json", "csv"]),
-                     default=None, help="Output format."),
-        click.Option(["--seed"], type=int, default=None,
-                     help="Seed for randomized verification suites."),
-    ]
+# Global options by name: (group default, click settings).  The group takes the
+# defaults; every subcommand takes them too, defaulting to None, so that they
+# may also follow the subcommand name and override the group's values.
+_GLOBAL_OPTIONS = {
+    "precision": (DEFAULT_DPS, dict(type=int, help="Working precision in decimal digits.")),
+    "tol": (None, dict(type=float,
+                       help="Override the default tolerance where a command checks residuals.")),
+    "format": ("plain", dict(type=click.Choice(["plain", "json", "csv"]), help="Output format.")),
+    "seed": (0, dict(type=int, help="Seed for randomized verification suites.")),
+}
+
+
+def _global_params(on_group: bool) -> list[click.Option]:
+    return [click.Option([f"--{name}"], default=default if on_group else None,
+                         show_default=on_group, **settings)
+            for name, (default, settings) in _GLOBAL_OPTIONS.items()]
 
 
 class CommonCommand(click.Command):
@@ -178,33 +192,23 @@ class CommonCommand(click.Command):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.params = list(self.params) + _common_params()
+        self.params = list(self.params) + _global_params(on_group=False)
         self.context_settings.setdefault("ignore_unknown_options", True)
 
     def invoke(self, ctx: click.Context):
-        for param, key in (("precision", "precision"), ("tol", "tol"),
-                           ("fmt", "format"), ("seed", "seed")):
-            value = ctx.params.pop(param, None)
+        for name in _GLOBAL_OPTIONS:
+            value = ctx.params.pop(name)
             if value is not None:
-                ctx.obj[key] = value
+                ctx.obj[name] = value
         return super().invoke(ctx)
 
 
-@click.group()
-@click.option("--precision", type=int, default=DEFAULT_DPS, show_default=True,
-              help="Working precision in decimal digits.")
-@click.option("--tol", type=float, default=None,
-              help="Override the default tolerance where a command checks residuals.")
-@click.option("--format", "fmt", type=click.Choice(["plain", "json", "csv"]),
-              default="plain", show_default=True, help="Output format.")
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for randomized verification suites.")
+@click.group(params=_global_params(on_group=True))
 @click.pass_context
-def cli(ctx: click.Context, precision: int, tol: float | None, fmt: str, seed: int) -> None:
+def cli(ctx: click.Context, **options) -> None:
     """Golden (Binet-Fibonacci) calculus and the Golden quantum oscillator."""
     ctx.ensure_object(dict)
-    ctx.obj.update({"precision": precision, "tol": tol, "format": fmt, "seed": seed,
-                    "record": None, "exit_code": EXIT_OK})
+    ctx.obj.update(options, record=None, exit_code=EXIT_OK)
 
 
 @cli.command(cls=CommonCommand)
@@ -225,7 +229,7 @@ def fibx(ctx, re: str, im: str) -> None:
     """Analytic Fibonacci value F_z at complex z = RE + IM*i."""
     dps = ctx.obj["precision"]
     with mp.workdps(dps):
-        z = mp.mpc(mp.mpf(re), mp.mpf(im))
+        z = mp.mpc(_real(ctx, re), _real(ctx, im))
     gv = core.fib_extended(z, dps)
     _emit(ctx, "fibx", {"re": re, "im": im},
           value=_json_scalar(gv.value, dps),
@@ -296,7 +300,7 @@ def deriv(ctx, coeffs: str, x_at: str | None) -> None:
     dps = ctx.obj["precision"]
     if x_at is not None:
         with mp.workdps(dps):
-            value = d.evaluate(mp.mpf(x_at))
+            value = d.evaluate(_real(ctx, x_at))
         _emit(ctx, "deriv", {"coeffs": coeffs, "x": x_at},
               value=_json_scalar(value, dps), plain=_num_str(value, dps),
               csv_header=["value"], csv_rows=[_csv_cells(value, dps)])
@@ -317,9 +321,7 @@ def deriv(ctx, coeffs: str, x_at: str | None) -> None:
 def exp_cmd(ctx, x: str, kind: str, terms: int) -> None:
     """Golden exponential e_F^x or E_F^x."""
     dps = ctx.obj["precision"]
-    with mp.workdps(dps):
-        xv = mp.mpf(x)
-    sv = calculus.golden_exp(xv, kind, n_terms=terms, precision=dps)
+    sv = calculus.golden_exp(_real(ctx, x), kind, n_terms=terms, precision=dps)
     _emit(ctx, "exp", {"x": x, "kind": kind, "terms": terms},
           value=_json_scalar(sv.value, dps),
           json_extra={"terms_used": sv.terms_used, "tail_bound": _num_str(sv.tail_bound, dps)},
@@ -338,9 +340,7 @@ def exp_cmd(ctx, x: str, kind: str, terms: int) -> None:
 def trig(ctx, x: str, kind: str, terms: int) -> None:
     """Golden trigonometric value at x."""
     dps = ctx.obj["precision"]
-    with mp.workdps(dps):
-        xv = mp.mpf(x)
-    sv = calculus.golden_trig(xv, kind, n_terms=terms, precision=dps)
+    sv = calculus.golden_trig(_real(ctx, x), kind, n_terms=terms, precision=dps)
     _emit(ctx, "trig", {"x": x, "kind": kind, "terms": terms},
           value=_json_scalar(sv.value, dps),
           json_extra={"terms_used": sv.terms_used, "tail_bound": _num_str(sv.tail_bound, dps)},
@@ -357,9 +357,7 @@ def integrate(ctx, coeffs: str, x_at: str, terms: int) -> None:
     """Golden antiderivative of the polynomial COEFFS, evaluated at --x."""
     p = _parse_coeffs(coeffs)
     dps = ctx.obj["precision"]
-    with mp.workdps(dps):
-        xv = mp.mpf(x_at)
-    value = calculus.jackson_antiderivative(p, xv, n_terms=terms, precision=dps)
+    value = calculus.jackson_antiderivative(p, _real(ctx, x_at), n_terms=terms, precision=dps)
     _emit(ctx, "integrate", {"coeffs": coeffs, "x": x_at, "terms": terms},
           value=_json_scalar(value, dps), plain=_num_str(value, dps),
           csv_header=["re", "im"], csv_rows=[_csv_cells(value, dps)])
@@ -472,7 +470,7 @@ def limit(ctx, y: str, n: int) -> None:
     """Finite Golden-binomial value (1 + y/phi^n)_F^n vs its Jackson-exponential limit."""
     dps = ctx.obj["precision"]
     with mp.workdps(dps):
-        yv = mp.mpf(y)
+        yv = _real(ctx, y)
         lhs = binomials.remarkable_limit_lhs(yv, n, dps)
         rhs = binomials.jackson_exp(binomials.golden_base(dps), yv / mp.sqrt(5),
                                      min(n, binomials.MAX_SERIES_TERMS), dps)
@@ -499,20 +497,16 @@ def limit(ctx, y: str, n: int) -> None:
 def verify_cmd(ctx, profile: str, only: tuple[str, ...], inject_fault: str | None,
                report_path: str | None) -> None:
     """Run the identity verification suites and emit the report."""
-    known = verify.suite_ids()
-    if only and not any(s == f or s.startswith(f) for s in known for f in only):
+    if only and not verify.matching_suites(only):
         raise click.UsageError(f"no verification suites match {list(only)!r}")
     rep = verify.verify_all(profile=profile, seed=ctx.obj["seed"],
                             only=list(only) or None, inject_fault=inject_fault,
                             precision=ctx.obj["precision"],
                             tol_override=ctx.obj["tol"])
     params = {"profile": profile, "only": list(only), "seed": ctx.obj["seed"]}
-    envelope = {"command": "verify", "params": params,
-                "precision": ctx.obj["precision"], "value": rep.to_dict()}
-    payload_json = json.dumps(envelope, indent=2, sort_keys=True) + "\n"
+    report = rep.to_dict()
     if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(payload_json)
+        _write_file(report_path, _json_payload(ctx, "verify", params, {"value": report}))
     summary = rep.summary
     plain_lines = [
         f"{e.status.upper():15s} {e.id:40s} "
@@ -521,18 +515,10 @@ def verify_cmd(ctx, profile: str, only: tuple[str, ...], inject_fault: str | Non
     ]
     plain_lines.append(f"pass {summary['pass']}  fail {summary['fail']}  "
                        f"known-deviation {summary['known_deviation']}")
-    fmt = ctx.obj["format"]
-    if fmt == "csv":
-        rows = [[e.id, e.status, "" if e.max_residual is None else repr(e.max_residual)]
-                for e in rep.entries]
-        _emit(ctx, "verify", params, values=None, plain="\n".join(plain_lines),
-              csv_header=["id", "status", "max_residual"], csv_rows=rows)
-    elif fmt == "json":
-        ctx.obj["record"] = OutputRecord(format="json", payload=payload_json,
-                                         command="verify", params=params,
-                                         precision=ctx.obj["precision"])
-    else:
-        _emit(ctx, "verify", params, value=None, plain="\n".join(plain_lines))
+    rows = [[e.id, e.status, "" if e.max_residual is None else repr(e.max_residual)]
+            for e in rep.entries]
+    _emit(ctx, "verify", params, value=report, plain="\n".join(plain_lines),
+          csv_header=["id", "status", "max_residual"], csv_rows=rows)
     if rep.failed:
         ctx.obj["exit_code"] = EXIT_VERIFY
 
@@ -557,12 +543,7 @@ def plot_data(ctx, kind: str, n_max: int, output: str) -> None:
         seq = angular.casimir_ratio(max(n_max, 3), dps)[: max(n_max - 1, 0)]
         header = ["n", "value"]  # n is the spin label of the numerator eigenvalue
         rows = [[str(j + 2), _num_str(r, dps)] for j, r in enumerate(seq)]
-    content = _render_csv(header, rows)
-    try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(content)
-    except OSError as exc:
-        raise DomainError(f"cannot write {output!r}: {exc}")
+    _write_file(output, _render_csv(header, rows))
     _emit(ctx, "plot-data", {"kind": kind, "n_max": n_max, "output": output},
           value={"path": output, "rows": len(rows)},
           plain=f"wrote {len(rows)} rows to {output}",

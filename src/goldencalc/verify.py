@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -55,15 +55,7 @@ class ReportEntry:
     notes: str
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "statement": self.statement,
-            "range": self.range,
-            "tolerance": self.tolerance,
-            "max_residual": self.max_residual,
-            "status": self.status,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -85,13 +77,7 @@ class VerificationReport:
         return self.summary["fail"] > 0
 
     def to_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "seed": self.seed,
-            "entries": [e.to_dict() for e in self.entries],
-            "diagnostics": list(self.diagnostics),
-            "summary": self.summary,
-        }
+        return {**asdict(self), "summary": self.summary}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -122,7 +108,7 @@ class Suite:
 # ---------------------------------------------------------------------------
 
 def _run_addition_law(ctx: SuiteContext):
-    fibs = fib_range(-1, 401)  # F_{-1} .. F_400, index shift +1
+    fibs = fib_range(-1, 401)  # F_{-1} .. F_401, index shift +1
 
     def f(i: int) -> int:
         return fibs[i + 1]
@@ -135,14 +121,16 @@ def _run_addition_law(ctx: SuiteContext):
 
 
 def _run_subtraction_law(ctx: SuiteContext):
+    fibs = fib_range(-1, 100)  # F_{-1} .. F_100, index shift +1
+    powers = [ZPhi(fibs[m], fibs[m + 1]) for m in range(0, 101)]  # phi^m = F_{m-1} + F_m phi
     for n in range(0, 101):
-        phi_n = phi_power_exact(n)
-        fn = fib_exact(n)
+        phi_n = powers[n]
+        fn = fibs[n + 1]
         for m in range(0, n + 1):
-            rhs = (phi_power_exact(m) * fn - phi_n * fib_exact(m))
+            rhs = (powers[m] * fn - phi_n * fibs[m + 1])
             if m % 2:
                 rhs = -rhs
-            if rhs != ZPhi(fib_exact(n - m), 0):
+            if rhs != ZPhi(fibs[n - m + 1], 0):
                 return False, None, f"failed at (n={n}, m={m})"
     return True, 0.0, "exact in Z[phi] for 0 <= m <= n <= 100"
 
@@ -523,11 +511,12 @@ def _run_hamiltonian_diagonal(ctx: SuiteContext):
 # ---------------------------------------------------------------------------
 
 def _run_docagne(ctx: SuiteContext):
+    fibs = fib_range(0, 81)  # F_0 .. F_81
     for j in range(0, 41):
         for m in range(0, j + 1):
-            lhs = fib_exact(j + m) * fib_exact(j - m + 1) - fib_exact(j - m) * fib_exact(j + m + 1)
+            lhs = fibs[j + m] * fibs[j - m + 1] - fibs[j - m] * fibs[j + m + 1]
             sign = -1 if (j - m) % 2 else 1
-            if lhs != sign * fib_exact(2 * m):
+            if lhs != sign * fibs[2 * m]:
                 return False, None, f"failed at (j={j}, m={m})"
     return True, 0.0, "exact integers for 0 <= m <= j <= 40"
 
@@ -755,6 +744,11 @@ def suite_ids() -> list[str]:
     return [s.id for s in SUITES]
 
 
+def matching_suites(only=None) -> list[Suite]:
+    """The suites whose id starts with one of the prefixes in `only` (all when empty)."""
+    return [s for s in SUITES if not only or s.id.startswith(tuple(only))]
+
+
 def verify_all(profile: str = "default", seed: int = 0,
                only: list[str] | None = None,
                inject_fault: str | None = None,
@@ -770,11 +764,9 @@ def verify_all(profile: str = "default", seed: int = 0,
     """
     if profile not in ("default", "strict"):
         raise DomainError("profile must be 'default' or 'strict'")
-    selected = list(SUITES)
-    if only:
-        selected = [s for s in SUITES if any(s.id == f or s.id.startswith(f) for f in only)]
-        if not selected:
-            raise DomainError(f"no verification suites match {only!r}")
+    selected = matching_suites(only)
+    if not selected:
+        raise DomainError(f"no verification suites match {only!r}")
     if inject_fault is not None:
         targets = [s for s in selected if s.id == inject_fault]
         if not targets:

@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from goldencalc.binomials import UnivarPoly, fib_factorial, golden_binomial, golden_polynomial
+from goldencalc.binomials import (
+    UnivarPoly,
+    fib_factorial,
+    golden_binomial,
+    golden_polynomial,
+    jackson_exp,
+    remarkable_limit_lhs,
+)
 from goldencalc.calculus import (
     MAX_TAYLOR_DEGREE,
     GoldenSeries,
@@ -238,6 +245,25 @@ class TestAntiderivative:
             raise RuntimeError("integrand blew up")
         with pytest.raises(RuntimeError):
             jackson_antiderivative(bad, 1.0)
+
+
+class TestNonFiniteArguments:
+    """A non-finite real argument is refused, never turned into a NaN result."""
+
+    CALLS = {
+        "golden_exp": lambda v: golden_exp(v),
+        "golden_trig": lambda v: golden_trig(v, "cos_F"),
+        "jackson_antiderivative": lambda v: jackson_antiderivative(UnivarPoly(coeffs=(1,)), v),
+        "jackson_exp": lambda v: jackson_exp(2, v),
+        "remarkable_limit_lhs": lambda v: remarkable_limit_lhs(v, 5),
+        "golden_derivative": lambda v: golden_derivative(lambda t: t, v),
+    }
+
+    @pytest.mark.parametrize("value", [mp.inf, -mp.inf, mp.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused(self, call, value):
+        with pytest.raises(DomainError):
+            self.CALLS[call](value)
 
 
 class TestGoldenPeriodic:

@@ -60,6 +60,24 @@ class TestDispatch:
         assert code == EXIT_OK
 
 
+    @pytest.mark.parametrize("argv", [
+        ["fibx", "abc"],
+        ["exp", "abc"],
+        ["trig", "abc", "--kind", "cos_F"],
+        ["deriv", "0,0,1", "--x", "abc"],
+        ["integrate", "0,0,1", "--x", "abc"],
+        ["limit", "abc"],
+    ])
+    def test_malformed_real_is_usage_error(self, argv, capsys):
+        code, record = run_command(argv)
+        assert code == EXIT_USAGE and record is None
+        assert capsys.readouterr().err == "error: 'abc' is not a real number\n"
+
+    def test_non_finite_real_is_domain_error(self):
+        code, record = run_command(["exp", "inf"])
+        assert code == EXIT_DOMAIN and record is None
+
+
 class TestFormats:
     def test_spectrum_csv_rows(self):
         text = payload(["spectrum", "--n-max", "3", "--hbar-omega", "1",
@@ -140,6 +158,11 @@ class TestVerifyCommand:
         data = json.loads(target.read_text())
         assert data["value"]["summary"]["fail"] == 0
 
+    def test_unwritable_report_is_domain_error(self, capsys):
+        code, record = run_command(["verify", "--report", "/nonexistent-dir/x.json"])
+        assert code == EXIT_DOMAIN and record is None
+        assert capsys.readouterr().err.startswith("domain error: cannot write '/nonexistent-dir/x.json'")
+
     def test_fault_injection_fails_with_exit_code(self):
         code, record = run_command(["verify", "--profile", "strict",
                                     "--inject-fault", "oscillator.fock-normalization"])
@@ -194,6 +217,81 @@ class TestRecordMetadata:
         assert record.command == "fib"
         assert record.params == {"n": 7}
         assert record.precision == 34
+
+
+def _monomial(x_power, y_power, unit_part):
+    return {"coefficient": {"phi_part": 0, "unit_part": unit_part},
+            "x_power": x_power, "y_power": y_power}
+
+
+_VERIFY_STATUSES = [
+    ("angular.casimir-forms", "pass"), ("angular.docagne-identity", "pass"),
+    ("angular.hermiticity", "pass"), ("angular.relabeling", "pass"),
+    ("angular.tilde-anticommutator", "pass"),
+    ("calculus.antiderivative-convention", "known-deviation"),
+    ("calculus.binomial-derivative", "pass"), ("calculus.exp-eigenrelations", "pass"),
+    ("calculus.leibnitz-general-alpha", "pass"), ("calculus.leibnitz-rule-i", "pass"),
+    ("calculus.leibnitz-rule-ii", "pass"), ("calculus.quotient-rules", "pass"),
+    ("calculus.summation-formula", "pass"), ("calculus.taylor-basis", "pass"),
+    ("core.addition-law", "pass"), ("core.division-law", "pass"),
+    ("core.lucas-combinations", "pass"), ("core.multiplication-law", "pass"),
+    ("core.pi-extension-scale", "known-deviation"), ("core.real-addition", "pass"),
+    ("core.real-recurrence", "pass"), ("core.subtraction-law", "pass"),
+    ("fibonomial.factored-polynomials", "pass"), ("fibonomial.form-agreement", "pass"),
+    ("fibonomial.noncomm-bridge", "pass"), ("fibonomial.root-structure", "pass"),
+    ("fibonomial.symmetry-integrality", "pass"), ("oscillator.diagonal-identities", "pass"),
+    ("oscillator.fock-normalization", "pass"), ("oscillator.hamiltonian-diagonal", "pass"),
+    ("oscillator.number-distinct", "pass"),
+    ("oscillator.number-inversion-branch", "known-deviation"),
+]
+
+
+class TestOutputContract:
+    """Full payloads of exact commands, pinned; a dict stands for its JSON rendering.
+
+    The series commands (exp, trig, integrate) are left out: their last digits
+    depend on the fixed series stopping ratio, which is still to be fixed.
+    """
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["fib", "7"], "13\n"),
+        (["fibx", "2.5", "1"],
+         "(1.317486920782086270369389372568689 + 0.6841868920401788569005309977673571j)\n"),
+        (["fibonomial", "5", "2"], "15\n"),
+        (["invert-n", "832040", "--parity", "even"], "30\n"),
+        (["limit", "1"],
+         "finite:  (1.313425861129575856281587020050988 + 0.0j)\n"
+         "jackson: (1.313425861129575856281587020050988 + 0.0j)\n"
+         "difference: 2.15486e-34\n"),
+        (["binom", "6"],
+         "(1+0φ)x^6 + (8+0φ)x^5y + (-40+0φ)x^4y^2 + (-60+0φ)x^3y^3 + (40+0φ)x^2y^4"
+         " + (8+0φ)xy^5 + (-1+0φ)y^6\n"),
+        (["binom", "6", "--format", "json"],
+         {"command": "binom", "params": {"form": "product", "n": 6}, "precision": 34,
+          "values": [_monomial(0, 6, -1), _monomial(1, 5, 8), _monomial(2, 4, 40),
+                     _monomial(3, 3, -60), _monomial(4, 2, -40), _monomial(5, 1, 8),
+                     _monomial(6, 0, 1)]}),
+        (["binom", "6", "--format", "csv"],
+         "x_power,y_power,coeff_unit,coeff_phi\n0,6,-1,0\n1,5,8,0\n2,4,40,0\n"
+         "3,3,-60,0\n4,2,-40,0\n5,1,8,0\n6,0,1,0\n"),
+        (["spectrum", "--n-max", "10", "--format", "csv"],
+         "n,E_n\n0,0.5\n1,1\n2,1.5\n3,2.5\n4,4\n5,6.5\n6,10.5\n7,17\n8,27.5\n"
+         "9,44.5\n10,72\n"),
+        (["ratios", "--n-max", "5"], "1.0\n2.0\n1.5\n1.666666666666666666666666666666667\n1.6\n"),
+        (["poly", "3", "--a", "1/2", "--format", "json"],
+         {"command": "poly", "params": {"a": "0.5", "n": 3}, "precision": 34,
+          "values": ["0.0625", "-0.25", "-0.5", "0.5"]}),
+        (["deriv", "0,0,0,1"], "0,0,2\n"),
+    ])
+    def test_payload(self, argv, expected):
+        if isinstance(expected, dict):
+            expected = json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert payload(argv) == expected
+
+    def test_verify_csv_statuses(self):
+        lines = payload(["--format", "csv", "verify"]).splitlines()
+        assert [tuple(line.split(",")[:2]) for line in lines] == \
+            [("id", "status")] + _VERIFY_STATUSES
 
 
 def _unlimited_str(value: int) -> str:
