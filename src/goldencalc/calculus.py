@@ -67,12 +67,15 @@ def golden_derivative(f, x=None, precision: int = DEFAULT_DPS):
     """Golden derivative of a polynomial, series, or callable.
 
     Polynomial / series arguments derive exactly (coefficient rule / index
-    shift); with `x` supplied, the derived object is evaluated there.  A bare
-    callable needs x != 0 and uses the difference quotient directly.
+    shift); with a finite `x` supplied, the derived object is evaluated there.
+    A bare callable needs x != 0 and uses the difference quotient directly.
     """
     if isinstance(f, UnivarPoly):
         d = derive_poly(f)
-        return d if x is None else d.evaluate(x)
+        if x is None:
+            return d
+        _require(mp.isfinite(x), "evaluation point must be finite")
+        return d.evaluate(x)
     if isinstance(f, GoldenSeries):
         d = f.derived()
         return d if x is None else d.evaluate(x, precision=precision).value

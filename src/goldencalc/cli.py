@@ -296,16 +296,15 @@ def _parse_coeffs(text: str) -> binomials.UnivarPoly:
 def deriv(ctx, coeffs: str, x_at: str | None) -> None:
     """Golden derivative of a polynomial given by ascending COEFFS (comma-separated)."""
     p = _parse_coeffs(coeffs)
-    d = calculus.derive_poly(p)
     dps = ctx.obj["precision"]
     if x_at is not None:
         with mp.workdps(dps):
-            value = d.evaluate(_real(ctx, x_at))
+            value = calculus.golden_derivative(p, _real(ctx, x_at))
         _emit(ctx, "deriv", {"coeffs": coeffs, "x": x_at},
               value=_json_scalar(value, dps), plain=_num_str(value, dps),
               csv_header=["value"], csv_rows=[_csv_cells(value, dps)])
         return
-    values = [_frac_str(c) for c in d.coeffs]
+    values = [_frac_str(c) for c in calculus.derive_poly(p).coeffs]
     _emit(ctx, "deriv", {"coeffs": coeffs}, values=values,
           plain=",".join(values),
           csv_header=["degree", "coefficient"],

@@ -307,6 +307,7 @@ def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> Gold
     _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
     with mp.workdps(precision + GUARD_DPS):
         zc = mp.mpc(z)
+        _require(mp.isfinite(zc), "Re z and Im z must be finite")
         _require(abs(zc.real) <= MAX_EXTENDED_ARG and abs(zc.imag) <= MAX_EXTENDED_ARG,
                  f"|Re z| and |Im z| must not exceed {MAX_EXTENDED_ARG:g}")
         value = (mp.power(mp.phi, zc) - mp.exp(1j * mp.pi * zc) * mp.power(mp.phi, -zc)) / mp.sqrt(5)

@@ -257,6 +257,7 @@ class TestNonFiniteArguments:
         "jackson_exp": lambda v: jackson_exp(2, v),
         "remarkable_limit_lhs": lambda v: remarkable_limit_lhs(v, 5),
         "golden_derivative": lambda v: golden_derivative(lambda t: t, v),
+        "golden_derivative_poly": lambda v: golden_derivative(UnivarPoly(coeffs=(0, 0, 1)), v),
     }
 
     @pytest.mark.parametrize("value", [mp.inf, -mp.inf, mp.nan], ids=["inf", "-inf", "nan"])

@@ -74,8 +74,20 @@ class TestDispatch:
         assert capsys.readouterr().err == "error: 'abc' is not a real number\n"
 
     def test_non_finite_real_is_domain_error(self):
-        code, record = run_command(["exp", "inf"])
+        for argv in (["exp", "inf"], ["deriv", "0,0,1", "--x", "inf"],
+                     ["deriv", "0,0,1", "--x", "-inf"], ["deriv", "0,0,1", "--x", "nan"]):
+            code, record = run_command(argv)
+            assert code == EXIT_DOMAIN and record is None, argv
+
+    @pytest.mark.parametrize("argv,message", [
+        (["fibx", "1", "nan"], "Re z and Im z must be finite"),
+        (["fibx", "nan"], "Re z and Im z must be finite"),
+        (["fibx", "2000"], "|Re z| and |Im z| must not exceed 1000"),
+    ])
+    def test_fibx_domain_messages(self, argv, message, capsys):
+        code, record = run_command(argv)
         assert code == EXIT_DOMAIN and record is None
+        assert capsys.readouterr().err == f"domain error: {message}\n"
 
 
 class TestFormats:
@@ -150,6 +162,18 @@ class TestVerifyCommand:
         for entry in report["entries"]:
             assert {"id", "statement", "range", "tolerance", "max_residual",
                     "status", "notes"} == set(entry)
+
+    def test_precision_below_bound_is_domain_error(self, capsys):
+        code, record = run_command(["--precision", "15", "verify"])
+        assert code == EXIT_DOMAIN and record is None
+        assert capsys.readouterr().err == "domain error: precision must be at least 16 digits\n"
+
+    def test_csv_residuals_are_numbers(self):
+        rows = [line.split(",") for line in payload(["--format", "csv", "verify"]).splitlines()[1:]]
+        residuals = [row[2] for row in rows if row[2]]
+        assert len(residuals) == len(rows)
+        for cell in residuals:
+            float(cell)
 
     def test_report_written_to_file(self, tmp_path):
         target = tmp_path / "report.json"

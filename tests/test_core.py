@@ -226,6 +226,16 @@ class TestFibExtended:
         with pytest.raises(DomainError):
             fib_extended(1.0, precision=8)
 
+    @pytest.mark.parametrize("z", [mp.nan, mp.mpc(1, mp.nan), mp.mpc(mp.inf, 0)],
+                             ids=["nan", "nan-imaginary", "inf"])
+    def test_non_finite_argument_named(self, z):
+        with pytest.raises(DomainError, match="must be finite"):
+            fib_extended(z)
+
+    def test_out_of_range_message(self):
+        with pytest.raises(DomainError, match=r"must not exceed 1000"):
+            fib_extended(mp.mpc(1, -2000))
+
 
 class TestFibHigher:
     def test_examples(self):

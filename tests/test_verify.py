@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from mpmath import mp
 
+import goldencalc.verify as verify
 from goldencalc.core import DomainError
-from goldencalc.verify import SUITES, suite_ids, verify_all
+from goldencalc.verify import (
+    DEFAULT_PRECISION,
+    SUITES,
+    Suite,
+    SuiteContext,
+    suite_ids,
+    verify_all,
+)
 
 MANIFEST = json.loads((Path(__file__).parent / "identity_manifest.json").read_text())
 
@@ -125,3 +137,49 @@ class TestReportShape:
         report = verify_all(only=["oscillator.diagonal-identities"])
         assert report.entries[0].status == "fail"
         assert "synthetic breakage" in report.entries[0].notes
+
+
+class TestHarness:
+    """Suite.runner turns the (case, residual) pairs a suite yields into its verdict."""
+
+    def test_exact_suite_stops_at_first_nonzero_residual(self, monkeypatch):
+        seen = []
+
+        def cases(ctx):
+            for n in range(5):
+                seen.append(n)
+                yield f"n={n}", 1 if n == 2 else 0
+
+        monkeypatch.setattr(verify, "SUITES", (
+            Suite("test.exact", "n = 2 is the only failure", "0 <= n < 5", None, None,
+                  "invariant", cases, "all cases vanish"),))
+        (entry,) = verify_all().entries
+        assert (entry.status, entry.max_residual, entry.notes) == ("fail", None, "failed at n=2")
+        assert seen == [0, 1, 2]
+
+    def test_toleranced_suite_reports_worst_residual_as_float(self, monkeypatch):
+        def cases(ctx):
+            yield "mpf", mp.mpf("1e-20")
+            yield "numpy", np.float64(3e-9)
+            yield "fraction", Fraction(1, 10 ** 12)
+
+        monkeypatch.setattr(verify, "SUITES", (
+            Suite("test.toleranced", "small residuals", "3 cases", 1e-10, 1e-12, "invariant",
+                  cases, "three residual types"),))
+        (entry,) = verify_all().entries
+        assert entry.status == "fail" and entry.notes == "three residual types"
+        assert type(entry.max_residual) is float and entry.max_residual == 3e-9
+        assert entry.tolerance == 1e-10
+
+    @pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.id)
+    def test_every_suite_passes_its_runner(self, suite):
+        # as perfbench times the suites: the runner alone, at the default tolerance
+        ctx = SuiteContext(tol=suite.default_tol, rng=random.Random(0), precision=DEFAULT_PRECISION)
+        ok, residual, notes = suite.runner(ctx)
+        assert ok and notes == suite.notes, notes
+        assert type(residual) is float
+        assert residual == 0.0 if suite.default_tol is None else residual <= suite.default_tol
+
+    def test_precision_below_bound_rejected(self):
+        with pytest.raises(DomainError, match="at least 16 digits"):
+            verify_all(precision=15)
