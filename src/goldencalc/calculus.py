@@ -8,13 +8,15 @@ which sends x^n to F_n x^{n-1}, so it generates Fibonacci numbers from
 monomials.  On top of it sit the Leibnitz and quotient rules, a Taylor
 formula in the basis P_n = x^n / F_n!, two entire Golden exponentials with
 their trigonometric offspring, oscillator-type difference equations, and the
-geometric-grid antiderivative inverting D_F.
+antiderivative inverting D_F (exact on polynomials, a geometric-grid sum for
+callables).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Literal, Sequence
 
 import mpmath
@@ -32,7 +34,6 @@ from .binomials import MAX_FACTORIAL_INDEX, BivarPoly, UnivarPoly, _half_triangl
 
 MAX_TAYLOR_DEGREE = 100
 MAX_EXP_TERMS = 500
-STOP_RATIO = mp.mpf("1e-30")
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +75,7 @@ def golden_derivative(f, x=None, precision: int = DEFAULT_DPS):
         d = derive_poly(f)
         if x is None:
             return d
+        _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
         _require(mp.isfinite(x), "evaluation point must be finite")
         return d.evaluate(x)
     if isinstance(f, GoldenSeries):
@@ -82,6 +84,7 @@ def golden_derivative(f, x=None, precision: int = DEFAULT_DPS):
     if callable(f):
         if x is None:
             raise DomainError("a bare callable needs an evaluation point x")
+        _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
         with mp.workdps(precision + GUARD_DPS):
             xv = mpmath.mpmathify(x)
             _require(mp.isfinite(xv), "evaluation point must be finite")
@@ -127,7 +130,12 @@ def taylor_reconstruct(values: Sequence) -> UnivarPoly:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A truncated series evaluation with its first-omitted-term bound."""
+    """A series sum and a proven bound on the terms it left out.
+
+    `value` sums the first `terms_used` terms and `tail_bound` bounds the
+    absolute sum of the rest (+inf if the term cap cut the sum far from
+    convergence).  Uncapped, tail_bound <= 10^-precision * max(|value|, 1).
+    """
 
     value: mpmath.mpc
     terms_used: int
@@ -139,14 +147,27 @@ class SeriesValue:
 
 @dataclass(frozen=True)
 class GoldenSeries:
-    """Series sum c_n x^n / F_n! given by a coefficient rule n -> c_n."""
+    """Series sum_n sign(n + shift) k^(n + shift) x^n / F_n!, with |sign| <= 1.
 
-    coefficient: Callable[[int], object]
+    Term n is at most u_n = |k|^(n+shift) |x|^n / F_n!, and u_(m+1) / u_m =
+    |kx| / F_(m+1).  Once F_(n+1) >= 2|kx|, terms n, n+1, ... sum to at most
+    2 u_n; `evaluate` stops at the first such n with 2 u_n <= 10^-precision *
+    max(|sum|, 1) and returns 2 u_n as `tail_bound`.  The GUARD_DPS extra
+    digits cover rounding: for |kx| <= 10^5 no term of e_F, E_F, cos_F or
+    sin_F exceeds 10^6 max(|sum|, 1).
+    """
+
+    sign: Callable[[int], int]
+    k: object = 1
+    shift: int = 0
+
+    def coefficient(self, n: int):
+        """c_n = sign(n + shift) k^(n + shift)."""
+        return self.sign(n + self.shift) * self.k ** (n + self.shift)
 
     def derived(self) -> GoldenSeries:
         """Exact D_F: shifts the coefficient stream, D_F x^n/F_n! = x^{n-1}/F_{n-1}!."""
-        c = self.coefficient
-        return GoldenSeries(coefficient=lambda n: c(n + 1))
+        return GoldenSeries(self.sign, self.k, self.shift + 1)
 
     def evaluate(self, x, n_terms: int = MAX_EXP_TERMS, precision: int = DEFAULT_DPS) -> SeriesValue:
         _require(1 <= n_terms <= MAX_EXP_TERMS, f"term count must be in 1..{MAX_EXP_TERMS}")
@@ -154,53 +175,39 @@ class GoldenSeries:
         with mp.workdps(precision + GUARD_DPS):
             xv = mpmath.mpmathify(x)
             _require(mp.isfinite(xv), "series argument must be finite")
-            total = mp.mpc(0)
-            power = mp.mpc(1)
-            fact = 1
-            fa, fb = 0, 1  # running F_n, F_{n+1}
-            used = 0
-            tail = mp.mpf(0)
-            prev_small = False
-            for n in range(n_terms + 1):
-                if n > 0:
-                    power *= xv
+            kv = mpmath.mpmathify(self.k)
+            kx, t = kv * xv, kv ** self.shift  # t = k^(n+shift) x^n / F_n!, so u_n = |t|
+            need = int(mp.ceil(2 * abs(kx)))  # ratios from term n on are <= 1/2 once F_(n+1) >= need
+            tol, skipped, total = None, 0, mp.zero
+            fa, fb = 0, 1  # F_n, F_(n+1)
+            for n in count():
+                if n:
                     fa, fb = fb, fa + fb
-                    fact *= fa
-                term = mpmath.mpmathify(self.coefficient(n)) * power / fact
-                # two consecutive negligible terms end the sum (single zeros
-                # occur inside the even/odd subseries and must not stop it)
-                small = n > 0 and abs(term) < STOP_RATIO * abs(total)
-                if small and prev_small:
-                    tail = abs(term)
+                    t = t * kx / fa
+                if fb >= need:
+                    if tol is None:  # |sum| ends above |total| - 2|t|: one tolerance serves
+                        tol = mp.mpf(10) ** -precision * max(abs(total) - 2 * abs(t), 1) / 2
+                    if n > n_terms or abs(t) <= tol:
+                        break
+                if n <= n_terms:
+                    total += self.sign(n + self.shift) * t
+                elif n <= n_terms + MAX_EXP_TERMS:  # past the cap: terms the bound must still count
+                    skipped += abs(t)
+                else:  # |kx| is too large for the ratios to reach 1/2: no finite bound
+                    skipped = mp.inf
                     break
-                total += term
-                used += 1
-                prev_small = small
-            else:
-                # bound by the next uncomputed term
-                power *= xv
-                fa2 = fb
-                tail = abs(mpmath.mpmathify(self.coefficient(n_terms + 1))) * abs(power) / (fact * fa2)
-            return SeriesValue(value=total, terms_used=used, tail_bound=tail)
-
-
-def _exp_coefficient(kind: str) -> Callable[[int], int]:
-    if kind == "small_e":
-        return lambda n: 1
-    if kind == "big_E":
-        return _half_triangle_sign
-    raise DomainError(f"unknown exponential kind {kind!r}")
+            return SeriesValue(value=mp.mpc(total), terms_used=min(n, n_terms + 1),
+                               tail_bound=skipped + 2 * abs(t))
 
 
 ExpKind = Literal["small_e", "big_E"]
+_EXP_SIGNS = {"small_e": lambda n: 1, "big_E": _half_triangle_sign}
 
 
 def golden_exp_series(kind: ExpKind = "small_e", k=1) -> GoldenSeries:
     """Series form of e_F^{kx} (kind small_e) or E_F^{kx} (kind big_E)."""
-    sign = _exp_coefficient(kind)
-    if k == 1:
-        return GoldenSeries(coefficient=sign)
-    return GoldenSeries(coefficient=lambda n: sign(n) * k ** n)
+    _require(kind in _EXP_SIGNS, f"unknown exponential kind {kind!r}")
+    return GoldenSeries(sign=_EXP_SIGNS[kind], k=k)
 
 
 def golden_exp(x, kind: ExpKind = "small_e", n_terms: int = 120,
@@ -213,6 +220,9 @@ def golden_exp(x, kind: ExpKind = "small_e", n_terms: int = 120,
 
 
 TrigKind = Literal["cos_F", "sin_F", "Cosh_F", "Sinh_F"]
+_EVEN_SIGN = lambda n: 0 if n % 2 else _half_triangle_sign(n)
+_ODD_SIGN = lambda n: _half_triangle_sign(n) if n % 2 else 0
+_TRIG_SIGNS = {"cos_F": _EVEN_SIGN, "Cosh_F": _EVEN_SIGN, "sin_F": _ODD_SIGN, "Sinh_F": _ODD_SIGN}
 
 
 def golden_trig(x, kind: TrigKind, n_terms: int = 120,
@@ -220,24 +230,12 @@ def golden_trig(x, kind: TrigKind, n_terms: int = 120,
     """Golden trigonometric functions.
 
     cos_F and sin_F are the even/odd parts of e_F^{ix}; Cosh_F and Sinh_F are
-    the half sum/difference of E_F^{±x}.  The alternating big_E signs make
-    Cosh_F x = cos_F x and Sinh_F x = sin_F x.
+    the half sum/difference of E_F^{±x}.  The big_E signs (-1)^{n(n-1)/2} are
+    (-1)^{n/2} on even n and (-1)^{(n-1)/2} on odd n, so Cosh_F = cos_F and
+    Sinh_F = sin_F term by term, and each pair is one series.
     """
-    if kind == "cos_F":
-        series = GoldenSeries(lambda n: (-1) ** (n // 2) if n % 2 == 0 else 0)
-        return series.evaluate(x, n_terms=n_terms, precision=precision)
-    if kind == "sin_F":
-        series = GoldenSeries(lambda n: (-1) ** ((n - 1) // 2) if n % 2 == 1 else 0)
-        return series.evaluate(x, n_terms=n_terms, precision=precision)
-    if kind in ("Cosh_F", "Sinh_F"):
-        plus = golden_exp(x, "big_E", n_terms=n_terms, precision=precision)
-        with mp.workdps(precision + GUARD_DPS):
-            minus = golden_exp(-mpmath.mpmathify(x), "big_E", n_terms=n_terms, precision=precision)
-            sign = 1 if kind == "Cosh_F" else -1
-            return SeriesValue(value=(plus.value + sign * minus.value) / 2,
-                               terms_used=max(plus.terms_used, minus.terms_used),
-                               tail_bound=(plus.tail_bound + minus.tail_bound) / 2)
-    raise DomainError(f"unknown trigonometric kind {kind!r}")
+    _require(kind in _TRIG_SIGNS, f"unknown trigonometric kind {kind!r}")
+    return GoldenSeries(_TRIG_SIGNS[kind]).evaluate(x, n_terms=n_terms, precision=precision)
 
 
 OscKind = Literal["hyperbolic", "elliptic"]
@@ -251,12 +249,8 @@ def f_oscillator_solution(k, kind: OscKind, A, B, t, n_terms: int = 120,
     elliptic:   A E_F^{kt} + B E_F^{-kt} solves (D_F^2 + k^2) f = 0
     (using D_F E_F^{kx} = k E_F^{-kx}).
     """
-    if kind == "hyperbolic":
-        exp_kind: ExpKind = "small_e"
-    elif kind == "elliptic":
-        exp_kind = "big_E"
-    else:
-        raise DomainError(f"unknown oscillator kind {kind!r}")
+    exp_kind = {"hyperbolic": "small_e", "elliptic": "big_E"}.get(kind)
+    _require(exp_kind is not None, f"unknown oscillator kind {kind!r}")
     with mp.workdps(precision + GUARD_DPS):
         kv = mpmath.mpmathify(k)
         tv = mpmath.mpmathify(t)
@@ -270,33 +264,37 @@ def f_oscillator_solution(k, kind: OscKind, A, B, t, n_terms: int = 120,
 # ---------------------------------------------------------------------------
 
 def jackson_antiderivative(g, x, n_terms: int = 200, precision: int = DEFAULT_DPS) -> mpmath.mpc:
-    """Geometric-grid antiderivative G with D_F G = g.
+    """Golden antiderivative G with D_F G = g, evaluated at x != 0.
 
-    G(x) = (1 - Q) x sum_{k>=0} Q^k g((x/phi) Q^k) with Q = -1/phi^2; the
-    series converges geometrically (|Q| < 1).  The defining contract is the
-    round trip: applying the Golden derivative to G returns g.
+    A polynomial integrates exactly by x^n -> x^(n+1)/F_(n+1).  A callable is
+    summed on the geometric grid G(x) = (1 - Q) x sum_k Q^k g((x/phi) Q^k),
+    Q = -1/phi^2, which gives the same rule on x^n since (1 - Q) phi^-n /
+    (1 - Q^(n+1)) = 1/F_(n+1).  The grid sum stops at the first term after
+    term 0 that is at most 10^-precision * max(|sum|, 1), an estimate rather
+    than a proven bound; if `n_terms` runs out first, it is a DomainError.
     """
     _require(1 <= n_terms <= MAX_EXP_TERMS, f"term count must be in 1..{MAX_EXP_TERMS}")
     _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    if isinstance(g, UnivarPoly):
-        poly = g
-        g = poly.evaluate
     with mp.workdps(precision + GUARD_DPS):
         xv = mpmath.mpmathify(x)
         _require(mp.isfinite(xv), "antiderivative argument must be finite")
         if xv == 0:
             raise DomainError("antiderivative representation needs x != 0")
+        if isinstance(g, UnivarPoly):
+            coeffs = [Fraction(c, fib_exact(n + 1)) if isinstance(c, int) else c / fib_exact(n + 1)
+                      for n, c in enumerate(g.coeffs)]
+            return mp.mpc(UnivarPoly(coeffs=(0, *coeffs)).evaluate(xv))
         phi = +mp.phi
         Q = -1 / phi ** 2
-        total = mp.mpc(0)
-        q_pow = mp.mpc(1)
-        for _ in range(n_terms + 1):
+        eps = mp.mpf(10) ** -precision
+        total, q_pow = mp.mpc(0), mp.mpc(1)
+        for k in range(n_terms + 1):
             term = q_pow * g(xv / phi * q_pow)
             total += term
-            if abs(term) < STOP_RATIO * abs(total):
-                break
+            if k and abs(term) <= eps * max(abs(total), 1):
+                return (1 - Q) * xv * total
             q_pow *= Q
-        return (1 - Q) * xv * total
+        raise DomainError(f"grid series did not reach {precision} digits in {n_terms} terms")
 
 
 @dataclass(frozen=True)
@@ -318,6 +316,7 @@ def is_golden_periodic(f, samples: Sequence[float], tol: float = 1e-10,
     Functions annihilated by D_F satisfy this dilation identity; the model
     example is sin(pi * ln|x| / ln phi).
     """
+    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
     _require(len(samples) > 0, "sample list must be nonempty")
     _require(all(s != 0 for s in samples), "samples must be nonzero")
     with mp.workdps(precision + GUARD_DPS):

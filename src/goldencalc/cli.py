@@ -299,7 +299,7 @@ def deriv(ctx, coeffs: str, x_at: str | None) -> None:
     dps = ctx.obj["precision"]
     if x_at is not None:
         with mp.workdps(dps):
-            value = calculus.golden_derivative(p, _real(ctx, x_at))
+            value = calculus.golden_derivative(p, _real(ctx, x_at), precision=dps)
         _emit(ctx, "deriv", {"coeffs": coeffs, "x": x_at},
               value=_json_scalar(value, dps), plain=_num_str(value, dps),
               csv_header=["value"], csv_rows=[_csv_cells(value, dps)])
@@ -350,14 +350,13 @@ def trig(ctx, x: str, kind: str, terms: int) -> None:
 @cli.command(cls=CommonCommand)
 @click.argument("coeffs", type=str)
 @click.option("--x", "x_at", type=str, required=True, help="Evaluation point (nonzero).")
-@click.option("--terms", type=int, default=200, show_default=True)
 @click.pass_context
-def integrate(ctx, coeffs: str, x_at: str, terms: int) -> None:
+def integrate(ctx, coeffs: str, x_at: str) -> None:
     """Golden antiderivative of the polynomial COEFFS, evaluated at --x."""
     p = _parse_coeffs(coeffs)
     dps = ctx.obj["precision"]
-    value = calculus.jackson_antiderivative(p, _real(ctx, x_at), n_terms=terms, precision=dps)
-    _emit(ctx, "integrate", {"coeffs": coeffs, "x": x_at, "terms": terms},
+    value = calculus.jackson_antiderivative(p, _real(ctx, x_at), precision=dps)
+    _emit(ctx, "integrate", {"coeffs": coeffs, "x": x_at},
           value=_json_scalar(value, dps), plain=_num_str(value, dps),
           csv_header=["re", "im"], csv_rows=[_csv_cells(value, dps)])
 

@@ -33,7 +33,7 @@ from goldencalc.calculus import (
     jackson_antiderivative,
     taylor_reconstruct,
 )
-from goldencalc.core import DomainError, ZPhi, fib_exact
+from goldencalc.core import MIN_DPS, DomainError, ZPhi, fib_exact
 
 
 def df_quotient(f, x, dps=40):
@@ -245,6 +245,174 @@ class TestAntiderivative:
             raise RuntimeError("integrand blew up")
         with pytest.raises(RuntimeError):
             jackson_antiderivative(bad, 1.0)
+
+
+def _reference_series(sign, k, x, dps, shift=0):
+    """sum_n sign(n+shift) k^(n+shift) x^n / F_n! at dps + 30.
+
+    Summed until the ratio |kx| / F_(n+1) is below 1 and a term is below
+    10^-(dps+40), so the rest is far below the digits checked.
+    """
+    with mp.workdps(dps + 30):
+        kx = mp.mpf(k.numerator) / k.denominator * mp.mpmathify(x)
+        total, term = mp.mpf(0), (mp.mpf(k.numerator) / k.denominator) ** shift
+        tiny = mp.mpf(10) ** -(dps + 40)
+        a, b = 0, 1  # F_n, F_(n+1)
+        for n in range(400):
+            total += sign(n + shift) * term
+            a, b = b, a + b
+            term = term * kx / a
+            if a > abs(kx) and abs(term) < tiny:
+                return total
+        raise AssertionError("reference series did not settle")
+
+
+def _reference_antiderivative(coeffs, x, dps):
+    """Grid closed form (1-Q) x sum_n a_n (x/phi)^n / (1 - Q^(n+1)), Q = -1/phi^2."""
+    with mp.workdps(dps + 30):
+        phi = (1 + mp.sqrt(5)) / 2
+        q, xv = -1 / phi ** 2, mp.mpf(x)
+        return (1 - q) * xv * mp.fsum(a * (xv / phi) ** n / (1 - q ** (n + 1))
+                                      for n, a in enumerate(coeffs))
+
+
+def _reference_workdps(ref, x, dps):
+    with mp.workdps(dps + 30):
+        return ref(x, dps)
+
+
+_ONE = lambda n: 1
+_BIG_E = lambda n: (1, 1, -1, -1)[n % 4]  # (-1)^(n(n-1)/2)
+
+
+def _conformance_entries():
+    """name -> (library call (x, dps), reference (x, dps))."""
+    entries = {
+        "golden_exp small_e": (lambda x, p: golden_exp(x, "small_e", precision=p),
+                               lambda x, p: _reference_series(_ONE, Fraction(1), x, p)),
+        "golden_exp big_E": (lambda x, p: golden_exp(x, "big_E", precision=p),
+                             lambda x, p: _reference_series(_BIG_E, Fraction(1), x, p)),
+    }
+    # cos_F, sin_F: real and imaginary parts of e_F^{ix};
+    # Cosh_F, Sinh_F: half sum and half difference of E_F^{x} and E_F^{-x}
+    e_ix = lambda x, p: _reference_series(_ONE, Fraction(1), mp.mpc(0, x), p)
+    e_pm = lambda x, p, sgn: (_reference_series(_BIG_E, Fraction(1), x, p)
+                              + sgn * _reference_series(_BIG_E, Fraction(-1), x, p)) / 2
+    for kind, ref in (("cos_F", lambda x, p: e_ix(x, p).real),
+                      ("sin_F", lambda x, p: e_ix(x, p).imag),
+                      ("Cosh_F", lambda x, p: e_pm(x, p, 1)),
+                      ("Sinh_F", lambda x, p: e_pm(x, p, -1))):
+        entries[f"golden_trig {kind}"] = (
+            lambda x, p, kind=kind: golden_trig(x, kind, precision=p),
+            lambda x, p, ref=ref: _reference_workdps(ref, x, p))
+    for kind, sign in (("small_e", _ONE), ("big_E", _BIG_E)):
+        for k in (Fraction(2), Fraction(3), Fraction(-1), Fraction(-2), Fraction(1, 2)):
+            for shift in (0, 1):
+                def call(x, p, kind=kind, k=k, shift=shift):
+                    series = golden_exp_series(kind, k)
+                    return (series.derived() if shift else series).evaluate(x, precision=p)
+                reference = lambda x, p, sign=sign, k=k, shift=shift: \
+                    _reference_series(sign, k, x, p, shift)
+                entries[f"golden_exp_series {kind} k={k}" + " derived" * shift] = (call, reference)
+    for degree in range(5):
+        coeffs = tuple(Fraction((-1) ** i * (i + 2), i + 1) for i in range(degree + 1))
+        entries[f"jackson_antiderivative degree {degree}"] = (
+            lambda x, p, c=coeffs: jackson_antiderivative(UnivarPoly(coeffs=c), x, precision=p),
+            lambda x, p, c=coeffs: _reference_antiderivative(c, x, p))
+    return entries
+
+
+class TestConformance:
+    """Each analytic entry point against an independent mpmath sum at dps + 30.
+
+    Every result must agree to 10^-dps * max(|ref|, 1), the floor perfbench's
+    digits check uses, over signed x = ±10^(e/4), e = -12..8.
+    """
+
+    ENTRIES = _conformance_entries()
+    EXPONENTS = range(-12, 9)
+
+    @pytest.mark.parametrize("dps", [34, 60, 100])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_requested_digits(self, entry, dps):
+        call, reference = self.ENTRIES[entry]
+        misses = []
+        for e in self.EXPONENTS:
+            for sign in (1, -1):
+                with mp.workdps(dps + 30):
+                    x = sign * mp.mpf(10) ** (mp.mpf(e) / 4)
+                got = call(x, dps)
+                value = got.value if hasattr(got, "value") else got
+                ref = reference(x, dps)
+                with mp.workdps(dps + 30):
+                    err = abs(value - ref) / max(abs(ref), 1)
+                    if err > mp.mpf(10) ** -dps:
+                        misses.append((mp.nstr(x, 6), mp.nstr(err, 3)))
+                if hasattr(got, "tail_bound"):
+                    assert got.tail_bound <= mp.mpf(10) ** -dps * max(abs(got.value), 1)
+        assert not misses, f"{entry} at {dps} digits: {misses}"
+
+    @pytest.mark.parametrize("x", [2, -2, 5, 50, 0.5, 3j])
+    @pytest.mark.parametrize("n_terms", [1, 3, 8, 12])
+    def test_tail_bound_covers_capped_sum(self, x, n_terms):
+        calls = {
+            "small_e": lambda n: golden_exp(x, "small_e", n_terms=n),
+            "big_E": lambda n: golden_exp(x, "big_E", n_terms=n),
+            "sin_F": lambda n: golden_trig(x, "sin_F", n_terms=n),
+            "k=-3 derived":
+                lambda n: golden_exp_series("small_e", -3).derived().evaluate(x, n_terms=n),
+        }
+        for name, call in calls.items():
+            capped, full = call(n_terms), call(500)
+            with mp.workdps(60):
+                assert abs(capped.value - full.value) <= capped.tail_bound, name
+
+
+    def test_no_finite_bound_far_from_convergence(self):
+        # the ratio |x| / F_(n+1) stays above 1/2 for hundreds of terms past the cap
+        assert golden_exp(mp.mpf("1e1000"), n_terms=10).tail_bound == mp.inf
+
+
+class TestCallableGrid:
+    """The geometric-grid sum, which only callables take."""
+
+    @pytest.mark.parametrize("dps", [34, 60])
+    def test_square_matches_closed_form(self, dps):
+        for x in (0.5, -1.25, 3.0):
+            got = jackson_antiderivative(lambda t: t ** 2, x, precision=dps)
+            with mp.workdps(dps + 30):
+                exact = mp.mpf(x) ** 3 / 2
+                assert abs(got - exact) <= mp.mpf(10) ** -dps * max(abs(exact), 1)
+
+    def test_term_cap_refused(self):
+        with pytest.raises(DomainError):
+            jackson_antiderivative(lambda t: t ** 2, 1.0, n_terms=5)
+
+
+class TestPrecisionGate:
+    """Every branch that evaluates refuses a precision below MIN_DPS."""
+
+    POLY = UnivarPoly(coeffs=(0, 0, 1))
+    CALLS = {
+        "golden_derivative_poly": lambda p: golden_derivative(TestPrecisionGate.POLY, 2, precision=p),
+        "golden_derivative_callable": lambda p: golden_derivative(lambda t: t * t, 2, precision=p),
+        "golden_derivative_series": lambda p: golden_derivative(golden_exp_series(), 1, precision=p),
+        "is_golden_periodic": lambda p: is_golden_periodic(lambda t: 3, [1.0], precision=p),
+        "golden_exp": lambda p: golden_exp(1, precision=p),
+        "golden_trig": lambda p: golden_trig(1, "Cosh_F", precision=p),
+        "jackson_antiderivative_poly":
+            lambda p: jackson_antiderivative(TestPrecisionGate.POLY, 1, precision=p),
+        "jackson_antiderivative_callable": lambda p: jackson_antiderivative(lambda t: t, 1, precision=p),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused_below_bound(self, call):
+        with pytest.raises(DomainError, match="precision"):
+            self.CALLS[call](MIN_DPS - 1)
+        self.CALLS[call](MIN_DPS)
+
+    def test_exact_derivative_needs_no_precision(self):
+        assert golden_derivative(self.POLY, precision=MIN_DPS - 1).coeffs == (0, 1)
 
 
 class TestNonFiniteArguments:

@@ -79,6 +79,22 @@ class TestDispatch:
             code, record = run_command(argv)
             assert code == EXIT_DOMAIN and record is None, argv
 
+    @pytest.mark.parametrize("argv", [
+        ["deriv", "0,0,1", "--x", "2"], ["integrate", "0,0,1", "--x", "1"], ["exp", "1"],
+        ["trig", "1", "--kind", "Cosh_F"],
+    ])
+    def test_precision_below_bound_is_domain_error(self, argv, capsys):
+        code, record = run_command(["--precision", "15"] + argv)
+        assert code == EXIT_DOMAIN and record is None
+        assert capsys.readouterr().err == "domain error: precision must be at least 16 digits\n"
+
+    def test_exact_derivative_at_any_precision(self):
+        assert payload(["--precision", "15", "deriv", "0,0,1"]) == "0,1\n"
+
+    def test_integrate_has_no_term_count(self):
+        code, _ = run_command(["integrate", "0,0,1", "--x", "1", "--terms", "5"])
+        assert code == EXIT_USAGE
+
     @pytest.mark.parametrize("argv,message", [
         (["fibx", "1", "nan"], "Re z and Im z must be finite"),
         (["fibx", "nan"], "Re z and Im z must be finite"),
@@ -273,8 +289,9 @@ _VERIFY_STATUSES = [
 class TestOutputContract:
     """Full payloads of exact commands, pinned; a dict stands for its JSON rendering.
 
-    The series commands (exp, trig, integrate) are left out: their last digits
-    depend on the fixed series stopping ratio, which is still to be fixed.
+    The series commands (exp, trig, integrate) are pinned too, now that each
+    series stops on a proven tail bound at the requested precision; their
+    digits were checked against independent mpmath sums at 120 digits.
     """
 
     @pytest.mark.parametrize("argv,expected", [
@@ -311,6 +328,45 @@ class TestOutputContract:
         if isinstance(expected, dict):
             expected = json.dumps(expected, indent=2, sort_keys=True) + "\n"
         assert payload(argv) == expected
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["exp", "1"],
+         "(3.70450289915406748719754896618188 + 0.0j) (terms used: 20, tail bound: 2.06335e-37)\n"),
+        (["exp", "1", "--format", "json"],
+         {"command": "exp", "params": {"kind": "small_e", "terms": 120, "x": "1"}, "precision": 34,
+          "tail_bound": "2.063347370101583290735464927864537e-37", "terms_used": 20,
+          "value": {"im": "0.0", "re": "3.70450289915406748719754896618188"}}),
+        (["exp", "1", "--format", "csv"],
+         "re,im,terms_used,tail_bound\n"
+         "3.70450289915406748719754896618188,0.0,20,2.063347370101583290735464927864537e-37\n"),
+        (["--precision", "60", "exp", "1"],
+         "(3.70450289915406748719754896618187978517783483136062816921615 + 0.0j)"
+         " (terms used: 26, tail bound: 8.79478e-65)\n"),
+        (["--precision", "60", "exp", "1", "--format", "json"],
+         {"command": "exp", "params": {"kind": "small_e", "terms": 120, "x": "1"}, "precision": 60,
+          "tail_bound": "8.7947821443939560197467366967342405188845787975995927717343e-65",
+          "terms_used": 26,
+          "value": {"im": "0.0",
+                    "re": "3.70450289915406748719754896618187978517783483136062816921615"}}),
+        (["--precision", "60", "exp", "1", "--format", "csv"],
+         "re,im,terms_used,tail_bound\n"
+         "3.70450289915406748719754896618187978517783483136062816921615,0.0,26,"
+         "8.7947821443939560197467366967342405188845787975995927717343e-65\n"),
+        (["trig", "0.7", "--kind", "Cosh_F"], "(0.5495273421230914109953555918781842 + 0.0j)\n"),
+        (["trig", "0.7", "--kind", "Cosh_F", "--format", "json"],
+         {"command": "trig", "params": {"kind": "Cosh_F", "terms": 120, "x": "0.7"}, "precision": 34,
+          "tail_bound": "1.591119909249641510546190806601102e-36", "terms_used": 19,
+          "value": {"im": "0.0", "re": "0.5495273421230914109953555918781842"}}),
+        (["trig", "0.7", "--kind", "Cosh_F", "--format", "csv"],
+         "re,im\n0.5495273421230914109953555918781842,0.0\n"),
+        (["integrate", "0,0,1", "--x", "1"], "(0.5 + 0.0j)\n"),
+        (["integrate", "0,0,1", "--x", "1", "--format", "json"],
+         {"command": "integrate", "params": {"coeffs": "0,0,1", "x": "1"}, "precision": 34,
+          "value": {"im": "0.0", "re": "0.5"}}),
+        (["integrate", "0,0,1", "--x", "1", "--format", "csv"], "re,im\n0.5,0.0\n"),
+    ])
+    def test_series_payload(self, argv, expected):
+        self.test_payload(argv, expected)
 
     def test_verify_csv_statuses(self):
         lines = payload(["--format", "csv", "verify"]).splitlines()
