@@ -30,10 +30,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import sqrt
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import mpmath
-import numpy as np
 from mpmath import mp
 
 from .core import (
@@ -48,6 +47,9 @@ from .core import (
     fib_range,
 )
 from .oscillator import _I_POWERS, WeightedShift, _Checked, _diagonal_view, _freeze
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_J = 25
 

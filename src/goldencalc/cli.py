@@ -16,15 +16,17 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import click
 import mpmath
-import numpy as np
 from mpmath import mp
 
 from . import angular, binomials, calculus, core, oscillator, verify
 from .core import DEFAULT_DPS, DomainError, ZPhi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -389,8 +391,7 @@ def ratios(ctx, n_max: int) -> None:
 
 
 def _matrix_json(mat: np.ndarray, dps: int) -> list:
-    return [[_json_scalar(complex(mat[r, c]), dps) for c in range(mat.shape[1])]
-            for r in range(mat.shape[0])]
+    return [[_json_scalar(v, dps) for v in row] for row in mat.tolist()]
 
 
 @cli.command(cls=CommonCommand)
@@ -400,6 +401,7 @@ def _matrix_json(mat: np.ndarray, dps: int) -> list:
 @click.pass_context
 def angmom(ctx, j_str: str, variant: str) -> None:
     """Deformed angular-momentum matrices and diagnostics at spin j."""
+    import numpy as np
     try:
         j = Fraction(j_str)
     except (ValueError, ZeroDivisionError):
@@ -430,18 +432,10 @@ def angmom(ctx, j_str: str, variant: str) -> None:
         plain_lines.append(
             f"tilde j={j}: anti-commutator residual {trep.anticommutator_residual:.3e}, "
             f"Casimir form difference {trep.casimir_form_difference:.3e}")
-    values = {
-        "j_plus": _matrix_json(rep.j_plus, dps),
-        "j_minus": _matrix_json(rep.j_minus, dps),
-        "j_z": _matrix_json(rep.j_z, dps),
-    }
-    rows = []
-    for name, mat in (("j_plus", rep.j_plus), ("j_minus", rep.j_minus), ("j_z", rep.j_z)):
-        for r in range(mat.shape[0]):
-            for c in range(mat.shape[1]):
-                if mat[r, c] != 0:
-                    cells = _csv_cells(complex(mat[r, c]), dps)
-                    rows.append([name, str(r), str(c)] + cells)
+    mats = {"j_plus": rep.j_plus, "j_minus": rep.j_minus, "j_z": rep.j_z}
+    values = {name: _matrix_json(mat, dps) for name, mat in mats.items()}
+    rows = [[name, str(r), str(c)] + _csv_cells(complex(v), dps)
+            for name, mat in mats.items() for (r, c), v in np.ndenumerate(mat) if v != 0]
     _emit(ctx, "angmom", {"j": j_str, "variant": variant},
           values=values, json_extra=extra, plain="\n".join(plain_lines),
           csv_header=["operator", "row", "col", "re", "im"], csv_rows=rows)

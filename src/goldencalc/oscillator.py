@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import sqrt
+from typing import TYPE_CHECKING
 
 import mpmath
-import numpy as np
 from mpmath import mp
 
 from .core import (
@@ -43,6 +43,9 @@ from .core import (
     fib_range,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 MAX_LADDER_DIM = 200
 MAX_SPECTRUM_INDEX = 10**3
 
@@ -57,6 +60,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_view(values) -> np.ndarray:
+    import numpy as np
     return _freeze(np.diag(np.array([complex(v) for v in values], dtype=np.complex128)))
 
 
@@ -86,6 +90,7 @@ class WeightedShift:
 
     def raising(self) -> np.ndarray:
         """Dense complex matrix of R."""
+        import numpy as np
         roots = [cmath.sqrt(s) if isinstance(s, complex) else sqrt(s) for s in self.sq]
         entries = [_I_POWERS[t % 4] * w if t % 4 else w for w, t in zip(roots, self.turns)]
         return np.diag(np.array(entries, dtype=np.complex128), -1)
@@ -300,6 +305,7 @@ class NonlinearMap:
 def nonlinear_map(dim: int) -> NonlinearMap:
     _require(isinstance(dim, int) and dim >= 2, "dimension must be an integer >= 2")
     _require(dim <= MAX_LADDER_DIM, f"dimension must not exceed {MAX_LADDER_DIM}")
+    import numpy as np
     fibs = fib_range(0, dim)  # F_0 .. F_dim
     scale_next = np.array([sqrt(fibs[n + 1] / (n + 1)) for n in range(dim)],
                           dtype=np.complex128)

@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-import numpy as np
 from mpmath import mp
 
 from . import angular, calculus, core, oscillator
@@ -423,20 +422,19 @@ def _summation_formula(ctx: SuiteContext):
         "k in {1, 1/2, 2}, sampled x, series and difference-quotient routes",
         "k in {1, 1/2, 2}, x in {0.3, 0.7, 1.1}, both routes", tols=(1e-8, 1e-10))
 def _exp_eigenrelations(ctx: SuiteContext):
+    dps = ctx.precision
     for k in (Fraction(1), Fraction(1, 2), Fraction(2)):
-        series_e, series_E = calculus.golden_exp_series("small_e", k), calculus.golden_exp_series("big_E", k)
-        shifted_e, shifted_E = series_e.derived(), series_E.derived()
-        fe = (lambda kk: lambda t: calculus.golden_exp(kk * t, "small_e").value)(k)
-        fE = (lambda kk: lambda t: calculus.golden_exp(kk * t, "big_E").value)(k)
-        for text in ("0.3", "0.7", "1.1"):
-            x = mp.mpf(text)
-            case = f"(k={k}, x={text})"
-            # exact coefficient-shift route
-            yield case, abs(shifted_e.evaluate(x).value - k * series_e.evaluate(x).value)
-            yield case, abs(shifted_E.evaluate(x).value - k * series_E.evaluate(-x).value)
-            # numeric difference-quotient route
-            yield case, abs(calculus.golden_derivative(fe, x) - k * fe(x))
-            yield case, abs(calculus.golden_derivative(fE, x) - k * fE(-x))
+        for kind, sign in (("small_e", 1), ("big_E", -1)):  # E_F(kx) derives to k E_F(-kx)
+            series = calculus.golden_exp_series(kind, k)
+            f = lambda t: calculus.golden_exp(k * t, kind, precision=dps).value
+            for text in ("0.3", "0.7", "1.1"):
+                x = mp.mpf(text)
+                case = f"(k={k}, x={text})"
+                # exact coefficient-shift route
+                yield case, abs(series.derived().evaluate(x, precision=dps).value
+                                - k * series.evaluate(sign * x, precision=dps).value)
+                # numeric difference-quotient route
+                yield case, abs(calculus.golden_derivative(f, x, precision=dps) - k * f(sign * x))
 
 
 @_suite("calculus.binomial-derivative",
@@ -482,6 +480,7 @@ def _diagonal_identities(ctx: SuiteContext):
         "n < dim = 12", "states built by repeated raising at dim 12", tols=(1e-12, 1e-13),
         supports_fault=True)
 def _fock_normalization(ctx: SuiteContext):
+    import numpy as np
     dim = 12
     b_dag = oscillator.build_ladder(dim).b_dag.copy()
     if ctx.fault:
@@ -576,6 +575,7 @@ def _relabeling(ctx: SuiteContext):
         "j <= 6 (standard), j <= 5 (tilde)",
         "standard adjoint exact; tilde deviation confined to unit phases", tols=(1e-12, 1e-13))
 def _hermiticity(ctx: SuiteContext):
+    import numpy as np
     for j in _half_spins(6):
         rep = angular.build_suF2(j)
         yield f"standard j={j}", float(np.max(np.abs(rep.j_minus - rep.j_plus.conj().T)))

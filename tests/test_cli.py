@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import goldencalc
 from goldencalc.binomials import fibonomial
 from goldencalc.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run_command
 from goldencalc.core import fib_exact
@@ -286,6 +290,10 @@ _VERIFY_STATUSES = [
 ]
 
 
+def _real_matrix(rows):
+    return [[{"im": "0.0", "re": re} for re in row] for row in rows]
+
+
 class TestOutputContract:
     """Full payloads of exact commands, pinned; a dict stands for its JSON rendering.
 
@@ -368,6 +376,62 @@ class TestOutputContract:
     def test_series_payload(self, argv, expected):
         self.test_payload(argv, expected)
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["angmom", "--j", "1"],
+         "variant standard_F, j = 1\n"
+         "J+ =\n[[0.+0.j 0.+0.j 0.+0.j]\n [1.+0.j 0.+0.j 0.+0.j]\n [0.+0.j 1.+0.j 0.+0.j]]\n"
+         "J- =\n[[0.+0.j 1.+0.j 0.+0.j]\n [0.+0.j 0.+0.j 1.+0.j]\n [0.+0.j 0.+0.j 0.+0.j]]\n"
+         "Jz =\n[[-1.+0.j  0.+0.j  0.+0.j]\n [ 0.+0.j  0.+0.j  0.+0.j]\n"
+         " [ 0.+0.j  0.+0.j  1.+0.j]]\n"
+         "Casimir eigenvalue = -1+0j (form difference 0.000e+00)\n"),
+        (["angmom", "--j", "1", "--format", "json"],
+         {"casimir_eigenvalue": {"im": "0.0", "re": "-1.0"}, "casimir_form_difference": 0.0,
+          "command": "angmom", "params": {"j": "1", "variant": "standard"}, "precision": 34,
+          "values": {"j_minus": _real_matrix([["0.0", "1.0", "0.0"], ["0.0", "0.0", "1.0"],
+                                              ["0.0", "0.0", "0.0"]]),
+                     "j_plus": _real_matrix([["0.0", "0.0", "0.0"], ["1.0", "0.0", "0.0"],
+                                             ["0.0", "1.0", "0.0"]]),
+                     "j_z": _real_matrix([["-1.0", "0.0", "0.0"], ["0.0", "0.0", "0.0"],
+                                          ["0.0", "0.0", "1.0"]])}}),
+        (["angmom", "--j", "1", "--format", "csv"],
+         "operator,row,col,re,im\nj_plus,1,0,1.0,0.0\nj_plus,2,1,1.0,0.0\n"
+         "j_minus,0,1,1.0,0.0\nj_minus,1,2,1.0,0.0\nj_z,0,0,-1.0,0.0\nj_z,2,2,1.0,0.0\n"),
+        (["angmom", "--j", "2", "--variant", "tilde"],
+         "variant tilde_F, j = 2\n"
+         "J+ =\n"
+         "[[ 0.      +0.j        0.      +0.j        0.      +0.j\n"
+         "   0.      +0.j        0.      +0.j      ]\n"
+         " [ 0.      +1.732051j  0.      +0.j        0.      +0.j\n"
+         "   0.      +0.j        0.      +0.j      ]\n"
+         " [ 0.      +0.j       -1.414214+0.j        0.      +0.j\n"
+         "   0.      +0.j        0.      +0.j      ]\n"
+         " [ 0.      +0.j        0.      +0.j        0.      -1.414214j\n"
+         "   0.      +0.j        0.      +0.j      ]\n"
+         " [ 0.      +0.j        0.      +0.j        0.      +0.j\n"
+         "   1.732051+0.j        0.      +0.j      ]]\n"
+         "J- =\n"
+         "[[ 0.      +0.j        0.      +1.732051j  0.      +0.j\n"
+         "   0.      +0.j        0.      +0.j      ]\n"
+         " [ 0.      +0.j        0.      +0.j       -1.414214+0.j\n"
+         "   0.      +0.j        0.      +0.j      ]\n"
+         " [ 0.      +0.j        0.      +0.j        0.      +0.j\n"
+         "   0.      -1.414214j  0.      +0.j      ]\n"
+         " [ 0.      +0.j        0.      +0.j        0.      +0.j\n"
+         "   0.      +0.j        1.732051+0.j      ]\n"
+         " [ 0.      +0.j        0.      +0.j        0.      +0.j\n"
+         "   0.      +0.j        0.      +0.j      ]]\n"
+         "Jz =\n"
+         "[[-2.+0.j  0.+0.j  0.+0.j  0.+0.j  0.+0.j]\n"
+         " [ 0.+0.j -1.+0.j  0.+0.j  0.+0.j  0.+0.j]\n"
+         " [ 0.+0.j  0.+0.j  0.+0.j  0.+0.j  0.+0.j]\n"
+         " [ 0.+0.j  0.+0.j  0.+0.j  1.+0.j  0.+0.j]\n"
+         " [ 0.+0.j  0.+0.j  0.+0.j  0.+0.j  2.+0.j]]\n"
+         "tilde j=2: anti-commutator residual 0.000e+00, Casimir form difference 0.000e+00\n"),
+    ])
+    def test_angmom_payload(self, argv, expected):
+        # the one command whose output numpy formats (array_str for plain, the matrices for json/csv)
+        self.test_payload(argv, expected)
+
     def test_verify_csv_statuses(self):
         lines = payload(["--format", "csv", "verify"]).splitlines()
         assert [tuple(line.split(",")[:2]) for line in lines] == \
@@ -410,3 +474,51 @@ class TestBigIntegers:
 
     def test_largest_fibonacci_index(self):
         assert payload(["fib", "1000000"]) == _unlimited_str(fib_exact(10**6)) + "\n"
+
+
+def _run_child(script: str, *args: str) -> None:
+    """Run script in a fresh interpreter that imports this checkout's goldencalc."""
+    src = str(Path(goldencalc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestImportCost:
+    """numpy loads only where a dense matrix is built, never for the scalar commands."""
+
+    NUMPY_FREE = [
+        ["fib", "7"], ["fibx", "2.5", "1"], ["fibonomial", "5", "2"], ["binom", "6"],
+        ["poly", "3", "--a", "1/2"], ["deriv", "0,0,1", "--x", "2"], ["exp", "1"],
+        ["trig", "0.7", "--kind", "Cosh_F"], ["integrate", "0,0,1", "--x", "1"], ["limit", "1"],
+        ["spectrum", "--n-max", "10"], ["ratios", "--n-max", "5"],
+        ["invert-n", "55", "--parity", "even"],
+        ["plot-data", "casimir_ratios", "--n-max", "5", "--output", "OUTPUT"],
+    ]
+
+    def test_scalar_commands_never_load_numpy(self, tmp_path):
+        argvs = [[str(tmp_path / "plot.csv") if a == "OUTPUT" else a for a in argv]
+                 for argv in self.NUMPY_FREE]
+        _run_child(
+            "import json, sys\n"
+            "import goldencalc\n"
+            "assert 'numpy' not in sys.modules, 'import goldencalc'\n"
+            "from goldencalc import cli\n"
+            "assert 'numpy' not in sys.modules, 'import goldencalc.cli'\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code, record = cli.run_command(argv)\n"
+            "    assert code == 0 and record is not None, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n",
+            json.dumps(argvs))
+        assert (tmp_path / "plot.csv").read_text().startswith("n,value\n")
+
+    def test_angmom_loads_numpy(self):
+        _run_child(
+            "import sys\n"
+            "from goldencalc import cli\n"
+            "assert 'numpy' not in sys.modules\n"
+            "code, record = cli.run_command(['angmom', '--j', '1'])\n"
+            "assert code == 0 and record.payload.startswith('variant standard_F'), code\n"
+            "assert 'numpy' in sys.modules\n")

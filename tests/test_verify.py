@@ -183,3 +183,9 @@ class TestHarness:
     def test_precision_below_bound_rejected(self):
         with pytest.raises(DomainError, match="at least 16 digits"):
             verify_all(precision=15)
+
+    @pytest.mark.parametrize("precision", [60, 100])
+    def test_exp_eigenrelations_follows_precision(self, precision):
+        (entry,) = verify_all(only=["calculus.exp-eigenrelations"], precision=precision).entries
+        assert entry.status == "pass"
+        assert entry.max_residual <= 10.0 ** -(precision - 2)
