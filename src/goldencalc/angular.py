@@ -16,8 +16,8 @@ Three constructions on the (2j+1)-dimensional state lattice |j, m>:
                   the double-boson operator ordering, with (-1)^{1/2} = i.
 
 Each J+ is a WeightedShift and J- its transpose, so [J+, J-], {Jt+, Jt-}
-and the Casimir forms are exact diagonals; only F at half-integer arguments
-is inexact (the analytic extension at DEFAULT_DPS digits).
+and the Casimir forms are exact diagonals, checked exactly at every j: F at
+a half-integer m enters only as 5 F_m F_{m+1} = L_{2m+1} - i^{2m} (L Lucas).
 
 Half-integer j is supported throughout (j-m is always an integer on the
 lattice); phase-bearing results at half-integer j are convention-dependent
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import sqrt
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Callable, Literal
 
 import mpmath
 from mpmath import mp
@@ -40,10 +40,9 @@ from .core import (
     MAX_RATIO_INDEX,
     MIN_DPS,
     DomainError,
-    _PHI,
+    ZPhi,
     _require,
     fib_exact,
-    fib_extended,
     fib_range,
 )
 from .oscillator import _I_POWERS, WeightedShift, _Checked, _diagonal_view, _freeze
@@ -68,47 +67,49 @@ def _m_values(j: Fraction) -> list[Fraction]:
     return [m - j for m in range(int(2 * j) + 1)]
 
 
-@lru_cache(maxsize=None)
-def _fib_at(m: Fraction) -> int | mpmath.mpc:
-    """F_m: exact integer for integer m, analytic extension (an mpc) otherwise.
-
-    Memoised: every argument lies within a few units of [-2 MAX_J, 2 MAX_J].
-    """
-    if m.denominator == 1:
-        return fib_exact(int(m))
-    return fib_extended(float(m), DEFAULT_DPS).value
-
-
 def _half_power(exponent: Fraction | int) -> int | complex:
     """(-1)**exponent on the principal branch exp(i*pi*exponent), for 2*exponent integral."""
     return _I_POWERS[int(2 * exponent) % 4]
 
 
-def _casimir_forms(jf: Fraction, shift: WeightedShift, tilde: bool) -> tuple[list, list]:
-    """The two written Casimir forms of a variant, as their diagonals.
+def _fib_table(n: int) -> Callable[[int], int]:
+    """k -> F_k for |k| <= n + 2, read from one table."""
+    table = fib_range(-n - 2, n + 2)
+    return lambda k: table[k + n + 2]
+
+
+def _fifth(value: int | complex) -> int | complex:
+    """A five-fold value divided by 5: exact for an int, rounded once per part for a complex."""
+    return value // 5 if isinstance(value, int) else value / 5
+
+
+def _casimir_forms(jf: Fraction, shift: WeightedShift, tilde: bool) -> tuple[list, list, list]:
+    """Five times the diagonals of the two written Casimir forms and of their closed form.
 
     standard_F:  form1 = (-1)^{-Jz} (F_{Jz} F_{Jz+1} + (-1)^{-N2} J- J+)
                  form2 = (-1)^{-Jz} (-F_{Jz} F_{Jz-1} + (-1)^{-N2} J+ J-)
+                 closed = (-1)^{-j} F_j F_{j+1}
     tilde_F:     form1 = (-1)^{Jz} (F_{Jz} F_{Jz+1} - Jt- Jt+)
                  form2 = (-1)^{Jz} (Jt+ Jt- - F_{Jz} F_{Jz-1})
+                 closed = (-1)^m F_m F_{m+1} + (-1)^j F_{j-m} F_{j+m+1} at state m
 
-    with N2 = j - Jz.  Entries are integers at integer j; at half-integer j
-    they are mpc values computed at DEFAULT_DPS digits.
+    with N2 = j - Jz.  Binet's formula with (-1)^m = exp(i*pi*m) gives
+    5 F_m F_{m+1} = L_{2m+1} - i^{2m} whenever 2m is integral: an int, or a complex
+    with integral parts.  Up to MAX_J every part is below 2^40, so all three are exact.
     """
-    form1, form2 = [], []
-    with mp.workdps(DEFAULT_DPS):
-        for m, up_down, down_up in zip(_m_values(jf), *shift.products()):
-            z = _half_power(m if tilde else -m)
-            c1, c2 = (-1, 1) if tilde else (_half_power(m - jf),) * 2
-            form1.append(z * (_fib_at(m) * _fib_at(m + 1) + c1 * down_up))
-            form2.append(z * (c2 * up_down - _fib_at(m) * _fib_at(m - 1)))
-    return form1, form2
-
-
-def _max_gap(xs, ys) -> float:
-    """max |x - y| over paired entries, at DEFAULT_DPS digits."""
-    with mp.workdps(DEFAULT_DPS):
-        return max((float(abs(x - y)) for x, y in zip(xs, ys)), default=0.0)
+    n = int(2 * jf)
+    fib = _fib_table(n)
+    # keyed by t = 2m for m = -j-1 .. j, with L_{2m+1} = F_{2m} + F_{2m+2}
+    five = {t: fib(t) + fib(t + 2) - _I_POWERS[t % 4] for t in range(-n - 2, n + 1, 2)}
+    form1, form2, closed = [], [], []
+    for t, m, up_down, down_up in zip(range(-n, n + 1, 2), _m_values(jf), *shift.products()):
+        z = _half_power(m if tilde else -m)
+        c1, c2 = (-1, 1) if tilde else (_half_power(m - jf),) * 2
+        form1.append(z * (five[t] + 5 * c1 * down_up))
+        form2.append(z * (5 * c2 * up_down - five[t - 2]))
+        closed.append(z * five[t] + _half_power(jf) * 5 * fib((n - t) // 2) * fib((n + t) // 2 + 1)
+                      if tilde else _half_power(-jf) * five[n])
+    return form1, form2, closed
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,8 @@ class AngularRep:
     def casimir(self) -> np.ndarray | None:
         if self.variant == "symmetric_iphi":
             return None
-        return _diagonal_view(_casimir_forms(self.j, self.shift, self.variant == "tilde_F")[0])
+        form1 = _casimir_forms(self.j, self.shift, self.variant == "tilde_F")[0]
+        return _diagonal_view(map(_fifth, form1))
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +178,13 @@ def casimir_suF2(j, tol: float = 1e-10) -> CasimirResult:
     (-1)^{-j} F_j F_{j+1} (principal phase for half-integer j).
     """
     jf = _validate_j(j)
-    form1, form2 = _casimir_forms(jf, build_suF2(jf).shift, tilde=False)
-    diff = _max_gap(form1, form2)
-    with mp.workdps(DEFAULT_DPS):
-        eig = _half_power(-jf) * _fib_at(jf) * _fib_at(jf + 1)
-    dev = _max_gap(form1, [eig] * len(form1))
+    form1, form2, closed = _casimir_forms(jf, build_suF2(jf).shift, tilde=False)
+    diff = max(abs(x - y) for x, y in zip(form1, form2)) / 5
     if diff > tol:
         raise DomainError(f"Casimir forms disagree at j={jf}: max difference {diff:.3e}")
-    return CasimirResult(j=jf, matrix=_diagonal_view(form1), eigenvalue=complex(eig),
-                         form_difference=diff, eigenvalue_deviation=dev)
+    return CasimirResult(j=jf, matrix=_diagonal_view(map(_fifth, form1)),
+                         eigenvalue=complex(_fifth(closed[0])), form_difference=diff,
+                         eigenvalue_deviation=max(abs(x - y) for x, y in zip(form1, closed)) / 5)
 
 
 def casimir_ratio(j_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
@@ -257,10 +257,11 @@ def double_boson_action(n1: int, n2: int, which: Literal["plus", "minus", "z"]):
     Returns (amplitude, new_state).  Raising with n2 = 0 or lowering with
     n1 = 0 annihilates: amplitude 0 with the state unchanged (an F_0 factor,
     not an error).  Relabeling n1 = j+m, n2 = j-m reproduces the |j, m>
-    ladder amplitudes exactly.
+    ladder amplitudes exactly, so n1 + n2 = 2j is at most 2 MAX_J.
     """
     _require(isinstance(n1, int) and n1 >= 0, "n1 must be a non-negative integer")
     _require(isinstance(n2, int) and n2 >= 0, "n2 must be a non-negative integer")
+    _require(n1 + n2 <= 2 * MAX_J, f"n1 + n2 must not exceed {2 * MAX_J}")
     if which == "plus":
         if n2 == 0:
             return 0.0, (n1, n2)
@@ -278,9 +279,15 @@ def double_boson_action(n1: int, n2: int, which: Literal["plus", "minus", "z"]):
 # symmetric_iphi
 # ---------------------------------------------------------------------------
 
+def _phi_gap(fib: Callable[[int], int], n: int) -> float:
+    """phi^n - phi^{-n} = (F_{n-1} - F_{-n-1}) + (F_n - F_{-n}) phi in Z[phi], as a float."""
+    return float(ZPhi(fib(n - 1) - fib(-n - 1), fib(n) - fib(-n)))
+
+
 def symmetric_basic_number(n: int) -> complex:
-    """[n] with bases (i*phi, i/phi): i^{n-1} (phi^n - phi^{-n})."""
-    return (1j) ** (n - 1) * (_PHI ** n - _PHI ** (-n))
+    """[n] with bases (i*phi, i/phi): i^{n-1} (phi^n - phi^{-n}), for |n| <= 2 MAX_J + 1."""
+    _require(abs(n) <= 2 * MAX_J + 1, f"|n| must not exceed {2 * MAX_J + 1}")
+    return (1j) ** (n - 1) * _phi_gap(fib_exact, n)
 
 
 def build_symmetric(j) -> AngularRep:
@@ -293,8 +300,9 @@ def build_symmetric(j) -> AngularRep:
     verify_symmetric and reported, not asserted.
     """
     jf = _validate_j(j)
-    sq = tuple(symmetric_basic_number(int(jf - m)) * symmetric_basic_number(int(jf + m + 1))
-               for m in _m_values(jf)[:-1])
+    fib = _fib_table(int(2 * jf))
+    basic = [(1j) ** (a - 1) * _phi_gap(fib, a) for a in range(int(2 * jf) + 2)]  # [0] .. [2j+1]
+    sq = tuple(x * y for x, y in zip(basic[-2:0:-1], basic[1:-1]))  # [j-m][j+m+1], m < j
     return AngularRep(j=jf, variant="symmetric_iphi",
                       shift=WeightedShift(sq, (0,) * len(sq)))
 
@@ -322,15 +330,11 @@ def verify_symmetric(j) -> SymmetricReport:
     O(1) and is reported as a diagnostic.
     """
     jf = _validate_j(j)
-    shift = build_symmetric(jf).shift
-    ms = _m_values(jf)
-    comm = [complex(up_down - down_up) for up_down, down_up in zip(*shift.products())]
-    target_plain = [_PHI ** float(2 * m) - _PHI ** float(-2 * m) for m in ms]
-    # second written form of the same diagonal
-    target_phase = [symmetric_basic_number(int(2 * m)) * _half_power(Fraction(1, 2) - m)
-                    for m in ms]
-    return SymmetricReport(j=jf, residual_plain=_max_gap(comm, target_plain),
-                           residual_phase_form=_max_gap(comm, target_phase),
+    fib = _fib_table(int(2 * jf))
+    comm = [complex(a - b) for a, b in zip(*build_symmetric(jf).shift.products())]
+    # both written forms are the same number: [2m] i^{1-2m} = phi^{2m} - phi^{-2m}
+    residual = max(abs(c - _phi_gap(fib, int(2 * m))) for c, m in zip(comm, _m_values(jf)))
+    return SymmetricReport(j=jf, residual_plain=residual, residual_phase_form=residual,
                            commutator_diagonal=tuple(comm))
 
 
@@ -363,19 +367,19 @@ def tilde_casimir_forms(jf: Fraction, shift: WeightedShift) -> tuple[list, list]
     form1 = (-1)^{Jz} (F_{Jz} F_{Jz+1} - Jt- Jt+)
     form2 = (-1)^{Jz} (Jt+ Jt- - F_{Jz} F_{Jz-1})
 
-    On an integer-j representation both are the constant (-1)^j F_j F_{j+1};
-    the per-state eigenvalue is
+    On an integer-j representation both are the constant int (-1)^j F_j F_{j+1}
+    (complex entries at half-integer j); the per-state eigenvalue is
     (-1)^m F_m F_{m+1} + (-1)^j F_{j-m} F_{j+m+1}
     = (-1)^j F_{j-m+1} F_{j+m} - (-1)^m F_m F_{m-1}.
     """
-    return _casimir_forms(jf, shift, tilde=True)
+    return tuple([_fifth(v) for v in form] for form in _casimir_forms(jf, shift, True)[:2])
 
 
-def tilde_eigenvalue(jf: Fraction, m: Fraction) -> int | mpmath.mpc:
-    """Closed-form tilde Casimir eigenvalue at state (j, m)."""
-    with mp.workdps(DEFAULT_DPS):
-        return (_half_power(m) * _fib_at(m) * _fib_at(m + 1)
-                + _half_power(jf) * _fib_at(jf - m) * _fib_at(jf + m + 1))
+def tilde_eigenvalue(jf: Fraction, m: Fraction) -> int | complex:
+    """Closed-form tilde Casimir eigenvalue at state (j, m); an int at integer j."""
+    jf, m = _validate_j(jf), Fraction(m)
+    _require(abs(m) <= jf and (jf - m).denominator == 1, "m must be one of -j, -j+1, ..., j")
+    return _fifth(_casimir_forms(jf, build_tilde(jf).shift, True)[2][int(jf + m)])
 
 
 @dataclass(frozen=True)
@@ -403,9 +407,9 @@ def verify_tilde(j, tol: float = 1e-10) -> TildeReport:
     ms = _m_values(jf)
     anti = [float(abs(up_down + down_up - fib_exact(int(2 * m))))
             for m, up_down, down_up in zip(ms, *shift.products())]
-    form1, form2 = tilde_casimir_forms(jf, shift)
-    form_diff = _max_gap(form1, form2)
-    eig = [_max_gap([value], [tilde_eigenvalue(jf, m)]) for m, value in zip(ms, form1)]
+    form1, form2, closed = _casimir_forms(jf, shift, tilde=True)
+    form_diff = max(abs(x - y) for x, y in zip(form1, form2)) / 5
+    eig = [abs(x - y) / 5 for x, y in zip(form1, closed)]
 
     failures = [f"anti-commutator at (j={jf}, m={m}): deviation {dev:.3e}"
                 for m, dev in zip(ms, anti) if dev > tol]

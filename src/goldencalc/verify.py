@@ -533,25 +533,21 @@ def _half_spins(j_max: int) -> list[Fraction]:
 @_suite("angular.casimir-forms",
         "both written Casimir forms coincide with eigenvalue (-1)^(-j) F(j) F(j+1)",
         "j <= 6 in half-integer steps",
-        "both written forms and the closed eigenvalue, j <= 6 (half-integer steps)",
-        tols=(1e-12, 5e-13))
+        "both written forms and the closed eigenvalue, j <= 6 (half-integer steps)")
 def _casimir_forms(ctx: SuiteContext):
     for j in _half_spins(6):
-        res = angular.casimir_suF2(j, tol=ctx.tol)
+        res = angular.casimir_suF2(j)
         yield f"j={j}", max(res.form_difference, res.eigenvalue_deviation)
 
 
 @_suite("angular.tilde-anticommutator",
         "{Jt+, Jt-} = diag(F(2m)), off-diagonal zero; both tilde Casimir forms agree",
-        "j <= 5 in half-integer steps", "diagonal F_{2m} with vanishing off-diagonal, j <= 5",
-        tols=(1e-10, 1e-12))
+        "j <= 5 in half-integer steps", "diagonal F_{2m} with vanishing off-diagonal, j <= 5")
 def _tilde_anticommutator(ctx: SuiteContext):
     for j in _half_spins(5):
-        rep = angular.verify_tilde(j, tol=ctx.tol)
+        rep = angular.verify_tilde(j)
         yield f"j={j}", max(rep.anticommutator_residual, rep.offdiagonal_max)
-        # the tilde Casimir forms count where verify_tilde finds them out of tolerance
-        yield (f"Casimir forms at j={j}",
-               0.0 if rep.passed else max(rep.casimir_form_difference, rep.casimir_eigenvalue_deviation))
+        yield f"Casimir forms at j={j}", max(rep.casimir_form_difference, rep.casimir_eigenvalue_deviation)
 
 
 @_suite("angular.relabeling",

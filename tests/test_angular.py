@@ -143,6 +143,12 @@ class TestDoubleBoson:
         with pytest.raises(DomainError):
             double_boson_action(-1, 0, "plus")
 
+    def test_total_occupation_bounded_by_largest_spin(self):
+        assert double_boson_action(25, 25, "plus")[1] == (26, 24)
+        for n1, n2, which in [(800, 800, "plus"), (26, 25, "minus"), (0, 51, "z")]:
+            with pytest.raises(DomainError, match="must not exceed 50"):
+                double_boson_action(n1, n2, which)
+
 
 class TestSymmetricVariant:
     def test_basic_numbers(self):
@@ -150,11 +156,23 @@ class TestSymmetricVariant:
         # [2] = i (phi^2 - phi^-2) = i sqrt(5)
         assert symmetric_basic_number(2) == pytest.approx(1j * sqrt(5))
 
+    def test_basic_number_range(self):
+        # odd n: i^(n-1) L_n, an exact integer
+        assert symmetric_basic_number(51) == -45537549124
+        for n in (52, -52, 2000):
+            with pytest.raises(DomainError, match="must not exceed 51"):
+                symmetric_basic_number(n)
+
     def test_commutator_residual_reported(self):
         rep = verify_symmetric(1)
         # the natural construction misses the target by the unit phase i^{2j-1}
         assert rep.residual_plain > 1.0
         assert rep.residual_plain == pytest.approx(abs(1j - 1) * sqrt(5), rel=1e-9)
+
+    def test_both_written_targets_are_one_number(self):
+        for j in (Fraction(1, 2), 1, Fraction(7, 2), 25):
+            rep = verify_symmetric(j)
+            assert rep.residual_phase_form == rep.residual_plain
 
     def test_z_commutators_still_hold(self):
         rep = build_symmetric(2)
@@ -210,6 +228,17 @@ class TestTildeVariant:
         # constant on the representation: (-1)^j F_j F_{j+1}
         assert np.allclose(np.real(form1), fib_exact(2) * fib_exact(3))
 
+    def test_casimir_values_exact(self):
+        # ints at integer j, complex numbers at half-integer j
+        from goldencalc.angular import tilde_casimir_forms, tilde_eigenvalue
+        form1, form2 = tilde_casimir_forms(Fraction(2), build_tilde(2).shift)
+        assert form1 == form2 == [fib_exact(2) * fib_exact(3)] * 5
+        assert all(type(v) is int for v in form1) and type(tilde_eigenvalue(2, 1)) is int
+        # (-1)^(1/2) F_(1/2) F_(3/2) + (-1)^(3/2) F_1 F_3 = i (L_2 - i) / 5 - 2i
+        assert tilde_eigenvalue(Fraction(3, 2), Fraction(1, 2)) == complex(0.2, -1.4)
+        with pytest.raises(DomainError):
+            tilde_eigenvalue(Fraction(3, 2), 1)
+
     def test_hermiticity_broken_by_phases_only(self):
         rep = build_tilde(3)
         adjoint = rep.j_plus.conj().T
@@ -249,6 +278,25 @@ class TestWholeDomain:
     def test_reports_pass_at_default_tolerance(self, j):
         assert verify_commutators(j).passed
         assert verify_tilde(j).passed
+
+    @pytest.mark.parametrize("j", SPINS, ids=str)
+    def test_casimir_forms_exact(self, j):
+        result, tilde = casimir_suF2(j), verify_tilde(j)
+        assert result.form_difference == result.eigenvalue_deviation == 0.0
+        assert tilde.casimir_form_difference == tilde.casimir_eigenvalue_deviation == 0.0
+        with mp.workdps(50):
+            ref = mp.expjpi(-mp.mpf(j.numerator) / j.denominator) * _binet(j) * _binet(j + 1)
+            ref = mp.chop(ref, mp.mpf(10) ** -40)
+        assert result.eigenvalue == complex(ref)
+
+    def test_neighbour_product_closed_form(self):
+        """5 F_m F_(m+1) = L_(2m+1) - i^(2m) against Binet, every 2m the Casimir forms read."""
+        for twice_m in range(-52, 53):
+            m = Fraction(twice_m, 2)
+            closed = fib_exact(twice_m) + fib_exact(twice_m + 2) - 1j ** (twice_m % 4)
+            with mp.workdps(50):
+                binet = 5 * _binet(m) * _binet(m + 1)
+                assert abs(binet - closed) <= mp.mpf(10) ** -40 * max(abs(binet), 1)
 
     @pytest.mark.parametrize("j", SPINS, ids=str)
     def test_casimir_eigenvalue(self, j):

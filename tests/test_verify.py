@@ -180,6 +180,10 @@ class TestHarness:
         assert type(residual) is float
         assert residual == 0.0 if suite.default_tol is None else residual <= suite.default_tol
 
+    def test_angular_casimir_suites_are_exact(self):
+        tols = {s.id: (s.default_tol, s.strict_tol) for s in SUITES}
+        assert tols["angular.casimir-forms"] == tols["angular.tilde-anticommutator"] == (None, None)
+
     def test_precision_below_bound_rejected(self):
         with pytest.raises(DomainError, match="at least 16 digits"):
             verify_all(precision=15)
