@@ -387,9 +387,9 @@ def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
         yv = mpmath.mpmathify(y)
         _require(mp.isfinite(yv), "argument must be finite")
         scale = yv / mp.power(mp.phi, n)
-        total = mp.mpc(0)
-        power = mp.mpc(1)
-        for k, c in enumerate(fibonomial_row(n)):
-            total += _half_triangle_sign(k) * mp.mpf(c) * power
-            power *= scale
-        return total
+        # Horner from the int 0 keeps a real argument in mpf arithmetic.
+        row = fibonomial_row(n)
+        total = 0
+        for k in range(n, -1, -1):
+            total = total * scale + _half_triangle_sign(k) * row[k]
+        return mp.mpc(total)

@@ -5,7 +5,8 @@ the roots of x**2 - x - 1:
 
     F_n = (phi**n - phi'**n) / (phi - phi'),   phi = (1+sqrt(5))/2,  phi' = -1/phi.
 
-This module provides the exact integer side (fast-doubling Fibonacci, the
+This module provides the exact integer side (Fibonacci numbers by doubling
+the pair (F_n, L_n) with the Lucas numbers L_n = phi**n + phi'**n, the
 quadratic ring Z[phi]) and the analytic side (the complex extension F_z with
 (-1)**z read as exp(i*pi*z) on the principal branch), plus higher Fibonacci
 numbers and the golden-ratio convergents.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isqrt, lcm
 
 import mpmath
 from mpmath import mp
@@ -41,37 +42,53 @@ def _require(condition: bool, message: str) -> None:
 # Exact integer Fibonacci values
 # ---------------------------------------------------------------------------
 
-def fib_exact(n: int) -> int:
-    """Exact F_n for any signed index, via fast doubling.
-
-    Negative indices use F_{-n} = (-1)**(n+1) * F_n.
-    """
+def _check_index(n: int) -> None:
     _require(isinstance(n, int), "Fibonacci index must be an integer")
     _require(abs(n) <= MAX_FIB_INDEX, f"|n| must not exceed {MAX_FIB_INDEX}")
+
+
+def _fib_lucas(n: int) -> tuple[int, int]:
+    """(F_n, L_n) for any signed n by Lucas-pair doubling, two multiplies a bit.
+
+    Walks the bits of |n| from the top: F_2k = F_k L_k, L_2k = L_k**2 - 2(-1)**k,
+    and a set bit steps k -> k+1 by F_(k+1) = (F_k + L_k)/2, L_(k+1) = (5F_k + L_k)/2.
+    Negative indices use F_(-n) = (-1)**(n+1) F_n and L_(-n) = (-1)**n L_n.
+    """
+    m = abs(n)
+    f, lucas, k_odd = 0, 2, False  # (F_0, L_0)
+    for bit in bin(m)[2:]:
+        f, lucas = f * lucas, lucas * lucas + (2 if k_odd else -2)
+        k_odd = bit == "1"
+        if k_odd:
+            f, lucas = (f + lucas) >> 1, (5 * f + lucas) >> 1
     if n < 0:
-        f = _fib_pair(-n)[0]
-        return f if n % 2 == 1 else -f
-    return _fib_pair(n)[0]
+        return (f, -lucas) if m & 1 else (-f, lucas)
+    return f, lucas
 
 
-def _fib_pair(n: int) -> tuple[int, int]:
-    """(F_n, F_{n+1}) for n >= 0 in O(log n) big-integer multiplies."""
-    if n == 0:
-        return 0, 1
-    a, b = _fib_pair(n >> 1)
-    c = a * (2 * b - a)
-    d = a * a + b * b
+def fib_exact(n: int) -> int:
+    """Exact F_n for any signed index, via Lucas-pair doubling.
+
+    The walk stops at k = |n| // 2, and one multiply finishes it:
+    F_2k = F_k L_k and F_(2k+1) = F_(k+1) L_k - (-1)**k.
+    Negative indices use F_(-n) = (-1)**(n+1) * F_n.
+    """
+    _check_index(n)
+    k = abs(n) >> 1
+    f, lucas = _fib_lucas(k)
     if n & 1:
-        return d, c + d
-    return c, d
+        return ((f + lucas) >> 1) * lucas + (1 if k & 1 else -1)
+    return -f * lucas if n < 0 else f * lucas
 
 
 def fib_range(lo: int, hi: int) -> list[int]:
-    """[F_lo, ..., F_hi] by the linear recurrence (cheaper than repeated doubling)."""
+    """[F_lo, ..., F_hi] by the linear recurrence, started from one (F_lo, L_lo) walk."""
     _require(lo <= hi, "empty index range")
-    if hi > MAX_FIB_INDEX:  # checked before the loop; fib_exact only sees lo and lo + 1
+    _check_index(lo)
+    if hi > MAX_FIB_INDEX:
         raise DomainError(f"|n| must not exceed {MAX_FIB_INDEX}")
-    a, b = fib_exact(lo), fib_exact(lo + 1)
+    a, lucas = _fib_lucas(lo)
+    b = (a + lucas) >> 1  # F_(lo+1)
     out = [a]
     for _ in range(lo, hi):
         a, b = b, a + b
@@ -83,7 +100,6 @@ def fib_range(lo: int, hi: int) -> list[int]:
 # The field Q(phi) and its ring of integers Z[phi]
 # ---------------------------------------------------------------------------
 
-_PHI = (1 + sqrt(5.0)) / 2
 _new = object.__new__  # looked up once: _element builds every ring product
 
 
@@ -223,7 +239,26 @@ class QPhi:
         return value(self._a) + value(self._b) * mp.phi
 
     def __float__(self) -> float:
-        return self._a + self._b * _PHI
+        """The double nearest to a + b*phi."""
+        a, b = self._a, self._b
+        if not b:
+            return float(a)
+        # a + b*phi = (p + q*sqrt(5)) / den with integers p, q and den > 0. For
+        # q != 0 the value is irrational, so no double lies exactly halfway: an
+        # isqrt bracket of q*sqrt(5)*2**s closes on one double as s grows.
+        d = lcm(a.denominator, b.denominator)
+        q = b.numerator * (d // b.denominator)
+        p = 2 * a.numerator * (d // a.denominator) + q
+        den = 2 * d
+        s = 64
+        while True:
+            r = isqrt(5 * q * q << 2 * s)  # floor(|q| sqrt(5) 2**s)
+            lo = (p << s) + (r if q > 0 else -r - 1)
+            scaled = den << s
+            x = lo / scaled
+            if x == (lo + 1) / scaled:
+                return x
+            s *= 2
 
 
 class ZPhi(QPhi):
@@ -270,8 +305,9 @@ class ZPhi(QPhi):
 
 def phi_power_exact(n: int) -> ZPhi:
     """phi**n as the exact ring element F_{n-1} + F_n * phi, any signed n."""
-    _require(abs(n) <= MAX_FIB_INDEX, f"|n| must not exceed {MAX_FIB_INDEX}")
-    return ZPhi(fib_exact(n - 1), fib_exact(n))
+    _check_index(n)
+    f, lucas = _fib_lucas(n)
+    return ZPhi((lucas - f) >> 1, f)  # F_(n-1) = (L_n - F_n)/2
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,9 @@ def invert_number(fib_value: int, parity: str, precision: int = DEFAULT_DPS) -> 
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
     _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    digits = max(precision, len(str(fib_value)) + GUARD_DPS)
+    # bit_length * 0.30103 bounds the decimal length from above without str(),
+    # which refuses ints past the interpreter's int-to-str digit limit.
+    digits = max(precision, fib_value.bit_length() * 30103 // 100000 + 1 + GUARD_DPS)
     with mp.workdps(digits):
         F = mp.mpf(fib_value)
         radicand = 5 * F ** 2 / 4 + (1 if parity == "even" else -1)

@@ -270,6 +270,18 @@ class TestRemarkableLimit:
         rhs = jackson_exp(golden_base(), 1, 80)
         assert abs(lhs - rhs) < 1e-6
 
+    @pytest.mark.parametrize("y", [1, -3, 2.25, 0.5 + 2j])
+    @pytest.mark.parametrize("n", [1, 40, 200])
+    def test_matches_term_sum(self, y, n):
+        # Reference: the expansion sum_k s_k [n k]_F (y/phi^n)^k, term by term at 80 digits.
+        with mp.workdps(80):
+            scale = mp.mpmathify(y) / mp.phi ** n
+            ref = mp.fsum((-1 if k * (k - 1) // 2 % 2 else 1) * c * scale ** k
+                          for k, c in enumerate(fibonomial_row(n)))
+        lhs = remarkable_limit_lhs(y, n)
+        assert isinstance(lhs, mp.mpc)
+        assert abs(lhs - ref) <= mp.mpf(10) ** -40 * max(1, abs(ref))
+
     def test_guard(self):
         with pytest.raises(DomainError):
             remarkable_limit_lhs(1.0, 201)

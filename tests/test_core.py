@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from mpmath import mp
 from goldencalc.angular import casimir_ratio
 from goldencalc.binomials import golden_base
 from goldencalc.core import (
+    MAX_FIB_INDEX,
     DomainError,
     GoldenValue,
     QPhi,
@@ -326,3 +329,115 @@ class TestRealArgumentLaws:
         fx1 = fib_extended(x - 1).value
         fx2 = fib_extended(x - 2).value
         assert abs(fx - fx1 - fx2) < 1e-10
+
+
+def fib_pair_recursive(n: int) -> tuple[int, int]:
+    """Reference: (F_n, F_(n+1)) for n >= 0 by the classic recursive fast doubling."""
+    if n == 0:
+        return 0, 1
+    a, b = fib_pair_recursive(n >> 1)
+    c = a * (2 * b - a)
+    d = a * a + b * b
+    if n & 1:
+        return d, c + d
+    return c, d
+
+
+def fib_doubling_reference(n: int) -> int:
+    f = fib_pair_recursive(abs(n))[0]
+    return -f if n < 0 and n % 2 == 0 else f
+
+
+# 20 log-spaced magnitudes from 1 to 10**6, each with both signs.
+LOG_SPACED = sorted({round(10 ** (6 * i / 19)) for i in range(20)} | {MAX_FIB_INDEX})
+SIGNED_LOG_SPACED = [s * n for n in LOG_SPACED for s in (1, -1)]
+
+
+class TestLucasDoubling:
+    """fib_exact, phi_power_exact and fib_range over the whole index domain."""
+
+    def test_every_index_near_zero(self):
+        # The recurrence run up from (F_0, F_1) and down from (F_0, F_-1).
+        forward = [0, 1]
+        while len(forward) <= 5000:
+            forward.append(forward[-1] + forward[-2])
+        backward = [0, 1]  # backward[n] = F_(-n), since F_(k-1) = F_(k+1) - F_k
+        while len(backward) <= 5000:
+            backward.append(backward[-2] - backward[-1])
+        for n in range(0, 5001):
+            assert fib_exact(n) == forward[n], n
+            assert fib_exact(-n) == backward[n], -n
+
+    @pytest.mark.parametrize("n", SIGNED_LOG_SPACED)
+    def test_matches_recursive_doubling(self, n):
+        assert fib_exact(n) == fib_doubling_reference(n)
+
+    def test_phi_power_is_ring_power(self):
+        phi = ZPhi.phi()
+        for n in range(-500, 501):
+            assert phi_power_exact(n) == phi ** n, n
+
+    @pytest.mark.parametrize("lo", range(-50, 51))
+    def test_fib_range_start(self, lo):
+        assert fib_range(lo, lo) == [fib_linear(lo)]
+        assert fib_range(lo, lo + 12) == [fib_linear(k) for k in range(lo, lo + 13)]
+
+    def test_range_and_powers_reach_the_bound(self):
+        top = fib_exact(MAX_FIB_INDEX)
+        bottom, next_up = fib_exact(-MAX_FIB_INDEX), fib_exact(1 - MAX_FIB_INDEX)
+        assert fib_range(MAX_FIB_INDEX, MAX_FIB_INDEX) == [top]
+        assert fib_range(-MAX_FIB_INDEX, 1 - MAX_FIB_INDEX) == [bottom, next_up]
+        # phi^-N = F_(-N-1) + F_(-N) phi, and F_(-N-1) = F_(1-N) - F_(-N).
+        assert phi_power_exact(-MAX_FIB_INDEX) == ZPhi(next_up - bottom, bottom)
+
+    @pytest.mark.parametrize("call", [
+        lambda: fib_exact(MAX_FIB_INDEX + 1),
+        lambda: fib_exact(-MAX_FIB_INDEX - 1),
+        lambda: phi_power_exact(MAX_FIB_INDEX + 1),
+        lambda: phi_power_exact(-MAX_FIB_INDEX - 1),
+        lambda: fib_range(MAX_FIB_INDEX, MAX_FIB_INDEX + 1),
+        lambda: fib_range(-MAX_FIB_INDEX - 1, 0),
+        lambda: fib_exact(2.0),
+        lambda: phi_power_exact(2.5),
+        lambda: fib_range(0.5, 3),
+    ], ids=["fib-above", "fib-below", "power-above", "power-below", "range-above",
+            "range-below", "fib-float", "power-float", "range-float"])
+    def test_outside_refused(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+
+def nearest_double(x: QPhi, dps: int = 80) -> float:
+    """Reference: the double nearest to a + b*phi, from an mpmath value at `dps` digits."""
+    with mp.workdps(dps):
+        value = (mp.mpf(x.a.numerator) / x.a.denominator
+                 + mp.mpf(x.b.numerator) / x.b.denominator * mp.phi)
+        return mpmath.libmp.to_float(value._mpf_, rnd=mpmath.libmp.round_nearest)
+
+
+class TestFloatConversion:
+    """float(QPhi) is the double nearest to a + b*phi."""
+
+    @pytest.mark.parametrize("n", range(-60, 61))
+    def test_symmetric_gaps(self, n):
+        # phi^n - phi^(-n); the sum a + b*phi rounded twice missed n = ±14, ±20, ±30, ±38.
+        x = phi_power_exact(n) - phi_power_exact(-n)
+        assert float(x) == nearest_double(x)
+
+    def test_random_field_elements(self):
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            x = QPhi(Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**4)),
+                     Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**4)))
+            assert float(x) == nearest_double(x), x
+
+    @pytest.mark.parametrize("n", [40, 200, 1000])
+    def test_cancelling_coordinates(self, n):
+        # phi^-n has coordinates near phi^n / sqrt(5) and a value near phi^-n.
+        x = phi_power_exact(-n)
+        assert float(x) == nearest_double(x, dps=n // 2 + 80)
+
+    def test_rational_elements(self):
+        assert float(QPhi(Fraction(1, 3))) == 1 / 3
+        assert float(ZPhi(-7, 0)) == -7.0
+        assert float(QPhi(0)) == 0.0

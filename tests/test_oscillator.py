@@ -156,6 +156,11 @@ class TestInvertNumber:
     def test_large_value(self):
         assert invert_number(fib_exact(301), "odd") == 301
 
+    @pytest.mark.parametrize("n", [30000, 30001])
+    def test_past_int_to_str_limit(self, n):
+        # F_30000 has 6270 digits, past the interpreter's default 4300-digit str() limit.
+        assert invert_number(fib_exact(n), "odd" if n % 2 else "even") == n
+
     def test_rejects_non_fibonacci(self):
         with pytest.raises(DomainError):
             invert_number(4, "even")
