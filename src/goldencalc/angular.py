@@ -19,9 +19,11 @@ Each J+ is a WeightedShift and J- its transpose, so [J+, J-], {Jt+, Jt-}
 and the Casimir forms are exact diagonals, checked exactly at every j: F at
 a half-integer m enters only as 5 F_m F_{m+1} = L_{2m+1} - i^{2m} (L Lucas).
 
-Half-integer j is supported throughout (j-m is always an integer on the
-lattice); phase-bearing results at half-integer j are convention-dependent
-(principal branch (-1)^x = exp(i*pi*x)).
+The per-state work is integer arithmetic on the lattice a = j - m = 0..n with
+n = 2j (t = 2m = n - 2a), reading every F_k from one table per spin, so
+half-integer j is supported throughout; a Fraction m appears only where it is
+rendered.  The phases (-1)^m, (-1)^{m-j} and (-1)^j are i^t, i^{t-n} and i^n on
+the principal branch (-1)^x = exp(i*pi*x), a convention at half-integer j.
 """
 
 from __future__ import annotations
@@ -33,14 +35,12 @@ from math import sqrt
 from typing import TYPE_CHECKING, Callable, Literal
 
 import mpmath
-from mpmath import mp
 
 from .core import (
     DEFAULT_DPS,
-    MAX_RATIO_INDEX,
-    MIN_DPS,
     DomainError,
     ZPhi,
+    _fib_quotients,
     _require,
     fib_exact,
     fib_range,
@@ -54,28 +54,25 @@ MAX_J = 25
 
 Variant = Literal["standard_F", "symmetric_iphi", "tilde_F"]
 
-def _validate_j(j) -> Fraction:
+def _lattice(j) -> tuple[Fraction, int, Callable[[int], int]]:
+    """The validated spin j, n = 2j, and k -> F_k for |k| <= n + 2 from one table."""
     jf = Fraction(j)
     _require(jf >= 0, "spin label j must be non-negative")
     _require((2 * jf).denominator == 1, "2j must be an integer")
     _require(jf <= MAX_J, f"spin label must not exceed {MAX_J}")
-    return jf
-
-
-def _m_values(j: Fraction) -> list[Fraction]:
-    """m = -j .. j ascending; basis index k = m + j."""
-    return [m - j for m in range(int(2 * j) + 1)]
-
-
-def _half_power(exponent: Fraction | int) -> int | complex:
-    """(-1)**exponent on the principal branch exp(i*pi*exponent), for 2*exponent integral."""
-    return _I_POWERS[int(2 * exponent) % 4]
-
-
-def _fib_table(n: int) -> Callable[[int], int]:
-    """k -> F_k for |k| <= n + 2, read from one table."""
+    n = int(2 * jf)
     table = fib_range(-n - 2, n + 2)
-    return lambda k: table[k + n + 2]
+    return jf, n, lambda k: table[k + n + 2]
+
+
+def _ladder(n: int, fib: Callable[[int], int], tilde: bool) -> WeightedShift:
+    """J+ of su_F(2) at n = 2j: the step from a = j - m has weight F_a F_{n-a+1}.
+
+    The tilde variant dresses that step with the phase i^{1-a}.
+    """
+    steps = range(n, 0, -1)  # a = n .. 1, i.e. m = -j .. j-1
+    turns = tuple((1 - a) % 4 for a in steps) if tilde else (0,) * n
+    return WeightedShift(tuple(fib(a) * fib(n - a + 1) for a in steps), turns)
 
 
 def _fifth(value: int | complex) -> int | complex:
@@ -83,7 +80,8 @@ def _fifth(value: int | complex) -> int | complex:
     return value // 5 if isinstance(value, int) else value / 5
 
 
-def _casimir_forms(jf: Fraction, shift: WeightedShift, tilde: bool) -> tuple[list, list, list]:
+def _casimir_forms(n: int, fib: Callable[[int], int], shift: WeightedShift,
+                   tilde: bool) -> tuple[list, list, list]:
     """Five times the diagonals of the two written Casimir forms and of their closed form.
 
     standard_F:  form1 = (-1)^{-Jz} (F_{Jz} F_{Jz+1} + (-1)^{-N2} J- J+)
@@ -96,19 +94,18 @@ def _casimir_forms(jf: Fraction, shift: WeightedShift, tilde: bool) -> tuple[lis
     with N2 = j - Jz.  Binet's formula with (-1)^m = exp(i*pi*m) gives
     5 F_m F_{m+1} = L_{2m+1} - i^{2m} whenever 2m is integral: an int, or a complex
     with integral parts.  Up to MAX_J every part is below 2^40, so all three are exact.
+    The states are t = 2m = -n .. n with n = 2j, and a = (n - t)/2 = j - m.
     """
-    n = int(2 * jf)
-    fib = _fib_table(n)
     # keyed by t = 2m for m = -j-1 .. j, with L_{2m+1} = F_{2m} + F_{2m+2}
     five = {t: fib(t) + fib(t + 2) - _I_POWERS[t % 4] for t in range(-n - 2, n + 1, 2)}
     form1, form2, closed = [], [], []
-    for t, m, up_down, down_up in zip(range(-n, n + 1, 2), _m_values(jf), *shift.products()):
-        z = _half_power(m if tilde else -m)
-        c1, c2 = (-1, 1) if tilde else (_half_power(m - jf),) * 2
+    for t, up_down, down_up in zip(range(-n, n + 1, 2), *shift.products()):
+        z = _I_POWERS[(t if tilde else -t) % 4]
+        c1, c2 = (-1, 1) if tilde else (_I_POWERS[(t - n) % 4],) * 2
         form1.append(z * (five[t] + 5 * c1 * down_up))
         form2.append(z * (5 * c2 * up_down - five[t - 2]))
-        closed.append(z * five[t] + _half_power(jf) * 5 * fib((n - t) // 2) * fib((n + t) // 2 + 1)
-                      if tilde else _half_power(-jf) * five[n])
+        closed.append(z * five[t] + _I_POWERS[n % 4] * 5 * fib((n - t) // 2) * fib((n + t) // 2 + 1)
+                      if tilde else _I_POWERS[-n % 4] * five[n])
     return form1, form2, closed
 
 
@@ -134,13 +131,14 @@ class AngularRep:
 
     @cached_property
     def j_z(self) -> np.ndarray:
-        return _diagonal_view(_m_values(self.j))
+        return _diagonal_view(m - self.j for m in range(int(2 * self.j) + 1))
 
     @cached_property
     def casimir(self) -> np.ndarray | None:
         if self.variant == "symmetric_iphi":
             return None
-        form1 = _casimir_forms(self.j, self.shift, self.variant == "tilde_F")[0]
+        _, n, fib = _lattice(self.j)
+        form1 = _casimir_forms(n, fib, self.shift, self.variant == "tilde_F")[0]
         return _diagonal_view(map(_fifth, form1))
 
 
@@ -155,9 +153,8 @@ def build_suF2(j) -> AngularRep:
     J_z = diag(m).  The Casimir matrix stored is the first of the two
     equivalent forms (see casimir_suF2).
     """
-    jf = _validate_j(j)
-    sq = tuple(fib_exact(int(jf - m)) * fib_exact(int(jf + m + 1)) for m in _m_values(jf)[:-1])
-    return AngularRep(j=jf, variant="standard_F", shift=WeightedShift(sq, (0,) * len(sq)))
+    jf, n, fib = _lattice(j)
+    return AngularRep(j=jf, variant="standard_F", shift=_ladder(n, fib, tilde=False))
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,8 @@ def casimir_suF2(j, tol: float = 1e-10) -> CasimirResult:
     Both written forms must agree; the common eigenvalue is
     (-1)^{-j} F_j F_{j+1} (principal phase for half-integer j).
     """
-    jf = _validate_j(j)
-    form1, form2, closed = _casimir_forms(jf, build_suF2(jf).shift, tilde=False)
+    jf, n, fib = _lattice(j)
+    form1, form2, closed = _casimir_forms(n, fib, _ladder(n, fib, tilde=False), tilde=False)
     diff = max(abs(x - y) for x, y in zip(form1, form2)) / 5
     if diff > tol:
         raise DomainError(f"Casimir forms disagree at j={jf}: max difference {diff:.3e}")
@@ -192,12 +189,7 @@ def casimir_ratio(j_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
 
     The sequence converges to -phi**2.
     """
-    _require(isinstance(j_max, int) and j_max >= 3, "j_max must be an integer >= 3")
-    _require(j_max <= MAX_RATIO_INDEX, f"j_max must not exceed {MAX_RATIO_INDEX}")
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    fibs = fib_range(1, j_max + 1)
-    with mp.workdps(precision):
-        return [-mp.mpf(fibs[jj]) / fibs[jj - 2] for jj in range(2, j_max + 1)]
+    return _fib_quotients("j_max", j_max, 3, precision, lo=1, step=2, sign=-1)
 
 
 @dataclass(frozen=True)
@@ -221,24 +213,25 @@ def verify_commutators(j, tol: float = 1e-12) -> CommutatorReport:
     diagonal ((-1)^{N2} F_{2Jz} and -(-1)^{N1} F_{-2Jz}), which agree through
     F_{-2m} = (-1)^{2m+1} F_{2m}.
     """
-    jf = _validate_j(j)
-    shift = build_suF2(jf).shift
-    ms = _m_values(jf)
+    jf, n, fib = _lattice(j)
+    shift = _ladder(n, fib, tilde=False)
     failures: list[str] = []
 
     ladder_res = 0.0
-    for m, up_down, down_up in zip(ms, *shift.products()):
+    for a, up_down, down_up in zip(range(n, -1, -1), *shift.products()):
+        t = n - 2 * a  # 2m
         lhs = up_down - down_up
-        expected = (-1 if int(jf - m) % 2 else 1) * fib_exact(int(2 * m))
+        expected = (-1 if a % 2 else 1) * fib(t)
         ladder_res = max(ladder_res, float(abs(lhs - expected)))
         if lhs != expected:
-            failures.append(f"exact identity at (j={jf}, m={m})")
-        # second written form: -(-1)^{n1} F_{-2m}
-        if lhs != -(-1 if int(jf + m) % 2 else 1) * fib_exact(int(-2 * m)):
-            failures.append(f"mirrored form at (j={jf}, m={m})")
+            failures.append(f"exact identity at (j={jf}, m={Fraction(t, 2)})")
+        # second written form: -(-1)^{n1} F_{-2m} with n1 = j + m = n - a
+        if lhs != -(-1 if (n - a) % 2 else 1) * fib(-t):
+            failures.append(f"mirrored form at (j={jf}, m={Fraction(t, 2)})")
     exact_ok = not failures
 
-    z_res = max(shift.step_defects(ms), default=0.0)
+    # levels k = m + j: the constant j cancels in [Jz, J+]
+    z_res = max(shift.step_defects(range(n + 1)), default=0.0)
     if z_res > tol:
         failures.append(f"[Jz,J±] residual {z_res:.3e}")
 
@@ -284,6 +277,13 @@ def _phi_gap(fib: Callable[[int], int], n: int) -> float:
     return float(ZPhi(fib(n - 1) - fib(-n - 1), fib(n) - fib(-n)))
 
 
+def _symmetric_ladder(n: int, fib: Callable[[int], int]) -> WeightedShift:
+    """J+ of symmetric_iphi at n = 2j: squared weights [j-m][j+m+1] for m < j."""
+    basic = [(1j) ** (a - 1) * _phi_gap(fib, a) for a in range(n + 2)]  # [0] .. [n+1]
+    sq = tuple(x * y for x, y in zip(basic[-2:0:-1], basic[1:-1]))
+    return WeightedShift(sq, (0,) * len(sq))
+
+
 def symmetric_basic_number(n: int) -> complex:
     """[n] with bases (i*phi, i/phi): i^{n-1} (phi^n - phi^{-n}), for |n| <= 2 MAX_J + 1."""
     _require(abs(n) <= 2 * MAX_J + 1, f"|n| must not exceed {2 * MAX_J + 1}")
@@ -299,12 +299,8 @@ def build_symmetric(j) -> AngularRep:
     variant; the target commutator relation is checked separately by
     verify_symmetric and reported, not asserted.
     """
-    jf = _validate_j(j)
-    fib = _fib_table(int(2 * jf))
-    basic = [(1j) ** (a - 1) * _phi_gap(fib, a) for a in range(int(2 * jf) + 2)]  # [0] .. [2j+1]
-    sq = tuple(x * y for x, y in zip(basic[-2:0:-1], basic[1:-1]))  # [j-m][j+m+1], m < j
-    return AngularRep(j=jf, variant="symmetric_iphi",
-                      shift=WeightedShift(sq, (0,) * len(sq)))
+    jf, n, fib = _lattice(j)
+    return AngularRep(j=jf, variant="symmetric_iphi", shift=_symmetric_ladder(n, fib))
 
 
 @dataclass(frozen=True)
@@ -329,11 +325,10 @@ def verify_symmetric(j) -> SymmetricReport:
     yields this diagonal times the unit phase i^{2j-1}, so the residual is
     O(1) and is reported as a diagnostic.
     """
-    jf = _validate_j(j)
-    fib = _fib_table(int(2 * jf))
-    comm = [complex(a - b) for a, b in zip(*build_symmetric(jf).shift.products())]
+    jf, n, fib = _lattice(j)
+    comm = [complex(a - b) for a, b in zip(*_symmetric_ladder(n, fib).products())]
     # both written forms are the same number: [2m] i^{1-2m} = phi^{2m} - phi^{-2m}
-    residual = max(abs(c - _phi_gap(fib, int(2 * m))) for c, m in zip(comm, _m_values(jf)))
+    residual = max(abs(c - _phi_gap(fib, t)) for c, t in zip(comm, range(-n, n + 1, 2)))
     return SymmetricReport(j=jf, residual_plain=residual, residual_phase_form=residual,
                            commutator_diagonal=tuple(comm))
 
@@ -355,10 +350,8 @@ def build_tilde(j) -> AngularRep:
     i^{1-(j-m)}.  This gives {Jt+, Jt-} = diag(F_{2m}) exactly.  The stored
     Casimir is (-1)^{Jz} (F_{Jz} F_{Jz+1} - Jt- Jt+); see tilde_casimir_forms.
     """
-    jf = _validate_j(j)
-    turns = tuple((1 - int(jf - m)) % 4 for m in _m_values(jf)[:-1])
-    shift = WeightedShift(build_suF2(jf).shift.sq, turns)  # the su_F(2) weights, phase-dressed
-    return AngularRep(j=jf, variant="tilde_F", shift=shift)
+    jf, n, fib = _lattice(j)
+    return AngularRep(j=jf, variant="tilde_F", shift=_ladder(n, fib, tilde=True))
 
 
 def tilde_casimir_forms(jf: Fraction, shift: WeightedShift) -> tuple[list, list]:
@@ -372,14 +365,15 @@ def tilde_casimir_forms(jf: Fraction, shift: WeightedShift) -> tuple[list, list]
     (-1)^m F_m F_{m+1} + (-1)^j F_{j-m} F_{j+m+1}
     = (-1)^j F_{j-m+1} F_{j+m} - (-1)^m F_m F_{m-1}.
     """
-    return tuple([_fifth(v) for v in form] for form in _casimir_forms(jf, shift, True)[:2])
+    _, n, fib = _lattice(jf)
+    return tuple([_fifth(v) for v in form] for form in _casimir_forms(n, fib, shift, True)[:2])
 
 
 def tilde_eigenvalue(jf: Fraction, m: Fraction) -> int | complex:
     """Closed-form tilde Casimir eigenvalue at state (j, m); an int at integer j."""
-    jf, m = _validate_j(jf), Fraction(m)
+    (jf, n, fib), m = _lattice(jf), Fraction(m)
     _require(abs(m) <= jf and (jf - m).denominator == 1, "m must be one of -j, -j+1, ..., j")
-    return _fifth(_casimir_forms(jf, build_tilde(jf).shift, True)[2][int(jf + m)])
+    return _fifth(_casimir_forms(n, fib, _ladder(n, fib, tilde=True), True)[2][int(jf + m)])
 
 
 @dataclass(frozen=True)
@@ -402,21 +396,21 @@ def verify_tilde(j, tol: float = 1e-10) -> TildeReport:
     in Z; a shift times its transpose has no off-diagonal part, so
     offdiagonal_max is 0.0.  Failures carry the offending (j, m) location.
     """
-    jf = _validate_j(j)
-    shift = build_tilde(jf).shift
-    ms = _m_values(jf)
-    anti = [float(abs(up_down + down_up - fib_exact(int(2 * m))))
-            for m, up_down, down_up in zip(ms, *shift.products())]
-    form1, form2, closed = _casimir_forms(jf, shift, tilde=True)
+    jf, n, fib = _lattice(j)
+    shift = _ladder(n, fib, tilde=True)
+    ts = range(-n, n + 1, 2)  # 2m
+    anti = [float(abs(up_down + down_up - fib(t)))
+            for t, up_down, down_up in zip(ts, *shift.products())]
+    form1, form2, closed = _casimir_forms(n, fib, shift, tilde=True)
     form_diff = max(abs(x - y) for x, y in zip(form1, form2)) / 5
     eig = [abs(x - y) / 5 for x, y in zip(form1, closed)]
 
-    failures = [f"anti-commutator at (j={jf}, m={m}): deviation {dev:.3e}"
-                for m, dev in zip(ms, anti) if dev > tol]
+    failures = [f"anti-commutator at (j={jf}, m={Fraction(t, 2)}): deviation {dev:.3e}"
+                for t, dev in zip(ts, anti) if dev > tol]
     if form_diff > tol:
         failures.append(f"Casimir forms differ by {form_diff:.3e} at j={jf}")
-    failures += [f"Casimir eigenvalue at (j={jf}, m={m}): deviation {dev:.3e}"
-                 for m, dev in zip(ms, eig) if dev > tol]
+    failures += [f"Casimir eigenvalue at (j={jf}, m={Fraction(t, 2)}): deviation {dev:.3e}"
+                 for t, dev in zip(ts, eig) if dev > tol]
     return TildeReport(j=jf, tol=tol, anticommutator_residual=max(anti),
                        offdiagonal_max=0.0, casimir_form_difference=form_diff,
                        casimir_eigenvalue_deviation=max(eig), failures=tuple(failures))

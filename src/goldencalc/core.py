@@ -83,10 +83,9 @@ def fib_exact(n: int) -> int:
 
 def fib_range(lo: int, hi: int) -> list[int]:
     """[F_lo, ..., F_hi] by the linear recurrence, started from one (F_lo, L_lo) walk."""
-    _require(lo <= hi, "empty index range")
     _check_index(lo)
-    if hi > MAX_FIB_INDEX:
-        raise DomainError(f"|n| must not exceed {MAX_FIB_INDEX}")
+    _check_index(hi)
+    _require(lo <= hi, "empty index range")
     a, lucas = _fib_lucas(lo)
     b = (a + lucas) >> 1  # F_(lo+1)
     out = [a]
@@ -374,11 +373,22 @@ def fib_higher_real(n: float, order: float, precision: int = DEFAULT_DPS) -> mpm
         return (big ** nn - small ** nn) / (big - small)
 
 
+def _fib_quotients(name: str, value: int, least: int, precision: int,
+                   lo: int, step: int = 1, sign: int = 1) -> list[mpmath.mpf]:
+    """sign F_(k+step)/F_k from one table for value - least + 2 consecutive k from lo.
+
+    `value` is the caller's argument `name`, an int in [least, MAX_RATIO_INDEX].
+    """
+    _require(isinstance(value, int), f"{name} must be an integer")
+    _require(value >= least, f"{name} must be at least {least}")
+    _require(value <= MAX_RATIO_INDEX, f"{name} must not exceed {MAX_RATIO_INDEX}")
+    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
+    count = value - least + 2
+    fibs = fib_range(lo, lo + count - 1 + step)
+    with mp.workdps(precision):
+        return [mp.mpf(sign * fibs[i + step]) / fibs[i] for i in range(count)]
+
+
 def ratio_sequence(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
     """Convergents r_n = F_{n+1}/F_n for n = 1..n_max; r_n -> phi."""
-    _require(n_max >= 2, "n_max must be at least 2")
-    _require(n_max <= MAX_RATIO_INDEX, f"n_max must not exceed {MAX_RATIO_INDEX}")
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    fibs = fib_range(1, n_max + 1)
-    with mp.workdps(precision):
-        return [mp.mpf(fibs[i + 1]) / fibs[i] for i in range(n_max)]
+    return _fib_quotients("n_max", n_max, 2, precision, lo=1)

@@ -34,10 +34,10 @@ from .core import (
     DEFAULT_DPS,
     GUARD_DPS,
     MAX_FIB_INDEX,
-    MAX_RATIO_INDEX,
     MIN_DPS,
     DomainError,
     ZPhi,
+    _fib_quotients,
     _require,
     fib_exact,
     fib_range,
@@ -244,12 +244,7 @@ def spectrum(n_max: int, hbar_omega: int | float | str | Fraction = 1) -> Spectr
 
 def energy_ratios(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
     """r_n = E_{n+1}/E_n = F_{n+3}/F_{n+2} for n = 0..n_max; r_n -> phi."""
-    _require(isinstance(n_max, int) and n_max >= 1, "n_max must be at least 1")
-    _require(n_max <= MAX_RATIO_INDEX, f"n_max must not exceed {MAX_RATIO_INDEX}")
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    fibs = fib_range(2, n_max + 3)
-    with mp.workdps(precision):
-        return [mp.mpf(fibs[n + 1]) / fibs[n] for n in range(n_max + 1)]
+    return _fib_quotients("n_max", n_max, 1, precision, lo=2)
 
 
 def hamiltonian(ladder: LadderSet, hbar_omega: float = 1.0) -> np.ndarray:
@@ -268,24 +263,25 @@ def invert_number(fib_value: int, parity: str, precision: int = DEFAULT_DPS) -> 
     under the radical for even n and -1 for odd n; the result is rounded to
     the nearest integer and the round trip F_n == fib_value is enforced.
     The F_1 = F_2 = 1 ambiguity resolves through the parity argument
-    (odd -> 1, even -> 2).
+    (odd -> 1, even -> 2).  The branch runs at precision + GUARD_DPS digits
+    whatever the size of F: for F = F_n its argument is exactly phi^n, as
+    sqrt(5 F_n^2/4 ± 1) = L_n/2 (L Lucas), so the logarithm is off by about
+    n 10^-(precision + GUARD_DPS), far below 1/2 for every n <= MAX_FIB_INDEX.
     """
     _require(isinstance(fib_value, int) and fib_value >= 1, "value must be a positive integer")
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
     _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    # bit_length * 0.30103 bounds the decimal length from above without str(),
-    # which refuses ints past the interpreter's int-to-str digit limit.
-    digits = max(precision, fib_value.bit_length() * 30103 // 100000 + 1 + GUARD_DPS)
-    with mp.workdps(digits):
+    with mp.workdps(precision + GUARD_DPS):
         F = mp.mpf(fib_value)
         radicand = 5 * F ** 2 / 4 + (1 if parity == "even" else -1)
         arg = mp.sqrt(5) / 2 * F + mp.sqrt(radicand)
         n = int(mp.nint(mp.log(arg) / mp.log(mp.phi)))
-    expected_parity = 0 if parity == "even" else 1
-    if n % 2 != expected_parity or fib_exact(n) != fib_value:
+    if n > MAX_FIB_INDEX or n % 2 != (parity == "odd") or fib_exact(n) != fib_value:
+        bits = fib_value.bit_length()  # str() refuses ints past the int-to-str digit limit
+        shown = fib_value if bits <= 4096 else f"a {bits}-bit integer"
         raise DomainError(
-            f"{fib_value} is not a Fibonacci number with {parity} index (round-trip failed)")
+            f"{shown} is not a Fibonacci number with {parity} index (round-trip failed)")
     return n
 
 

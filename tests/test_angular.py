@@ -299,6 +299,22 @@ class TestWholeDomain:
                 assert abs(binet - closed) <= mp.mpf(10) ** -40 * max(abs(binet), 1)
 
     @pytest.mark.parametrize("j", SPINS, ids=str)
+    def test_lattice_index(self, j):
+        """Weights, tilde turns and j_z state by state: the weights alone are a palindrome."""
+        fibs = [0, 1]
+        while len(fibs) < 2 * j + 2:
+            fibs.append(fibs[-1] + fibs[-2])  # F_0 .. F_(2j+1)
+        ms = [k - j for k in range(int(2 * j) + 1)]
+        weights = tuple(fibs[int(j - m)] * fibs[int(j + m + 1)] for m in ms[:-1])
+        assert build_suF2(j).shift.sq == weights
+        tilde = build_tilde(j).shift
+        assert tilde.sq == weights
+        assert tilde.turns == tuple((1 - int(j - m)) % 4 for m in ms[:-1])
+        for variant in ("standard_F", "symmetric_iphi", "tilde_F"):
+            j_z = build_representation(j, variant).j_z
+            assert np.array_equal(j_z, np.diag([complex(m) for m in ms]))
+
+    @pytest.mark.parametrize("j", SPINS, ids=str)
     def test_casimir_eigenvalue(self, j):
         result = casimir_suF2(j)
         if j.denominator == 1:

@@ -441,3 +441,17 @@ class TestFloatConversion:
         assert float(QPhi(Fraction(1, 3))) == 1 / 3
         assert float(ZPhi(-7, 0)) == -7.0
         assert float(QPhi(0)) == 0.0
+
+
+class TestNonIntegerArguments:
+    """A non-integer index or count is refused with DomainError, not a bare TypeError."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: fib_range(0, 2.5),
+        lambda: ratio_sequence(2.5),
+        lambda: energy_ratios(2.5),
+        lambda: casimir_ratio(3.5),
+    ], ids=["fib_range-hi", "ratio_sequence", "energy_ratios", "casimir_ratio"])
+    def test_refused(self, call):
+        with pytest.raises(DomainError, match="integer"):
+            call()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from goldencalc.binomials import fib_factorial
-from goldencalc.core import MAX_FIB_INDEX, DomainError, fib_exact, phi_value
+from goldencalc.core import MAX_FIB_INDEX, MIN_DPS, DomainError, fib_exact, phi_value
 from goldencalc.oscillator import (
     LadderSet,
     WeightedShift,
@@ -172,6 +172,36 @@ class TestInvertNumber:
     def test_rejects_bad_parity_label(self):
         with pytest.raises(DomainError):
             invert_number(13, "both")
+
+
+# log-spaced indices from 10^3.25 to 10^6, each with its odd or even neighbour below
+_LOG_SPACED = [n - d for n in sorted({round(10 ** (k / 4)) for k in range(13, 25)}) for d in (0, 1)]
+
+
+class TestInvertNumberWholeDomain:
+    """The plus branch at precision + GUARD_DPS digits, over the whole index domain."""
+
+    def test_every_small_index(self):
+        f, f_next = 1, 1  # F_1, F_2
+        for n in range(1, 3001):
+            assert invert_number(f, "odd" if n % 2 else "even") == n
+            f, f_next = f_next, f + f_next
+
+    @pytest.mark.parametrize("n", _LOG_SPACED)
+    def test_log_spaced_index(self, n):
+        value = fib_exact(n)
+        for precision in (MIN_DPS, 34):
+            assert invert_number(value, "odd" if n % 2 else "even", precision) == n
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_neighbours_of_largest_refused(self, delta):
+        with pytest.raises(DomainError, match="not a Fibonacci number"):
+            invert_number(fib_exact(MAX_FIB_INDEX) + delta, "even")
+
+    def test_index_past_bound_refused(self):
+        past = fib_exact(MAX_FIB_INDEX) + fib_exact(MAX_FIB_INDEX - 1)  # F_(MAX_FIB_INDEX + 1)
+        with pytest.raises(DomainError, match="not a Fibonacci number with odd index"):
+            invert_number(past, "odd")
 
 
 class TestNonlinearMap:
