@@ -159,13 +159,21 @@ def build_suF2(j) -> AngularRep:
 
 @dataclass(frozen=True)
 class CasimirResult:
-    """Casimir matrix, its theoretical eigenvalue, and self-consistency data."""
+    """Casimir diagonal, its theoretical eigenvalue, and self-consistency data.
+
+    `diagonal` holds the first written form state by state (ints at integer j);
+    `matrix` is its dense read-only view, built on first use.
+    """
 
     j: Fraction
-    matrix: np.ndarray
+    diagonal: tuple
     eigenvalue: complex
     form_difference: float
     eigenvalue_deviation: float
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _diagonal_view(self.diagonal)
 
 
 def casimir_suF2(j, tol: float = 1e-10) -> CasimirResult:
@@ -179,7 +187,7 @@ def casimir_suF2(j, tol: float = 1e-10) -> CasimirResult:
     diff = max(abs(x - y) for x, y in zip(form1, form2)) / 5
     if diff > tol:
         raise DomainError(f"Casimir forms disagree at j={jf}: max difference {diff:.3e}")
-    return CasimirResult(j=jf, matrix=_diagonal_view(map(_fifth, form1)),
+    return CasimirResult(j=jf, diagonal=tuple(map(_fifth, form1)),
                          eigenvalue=complex(_fifth(closed[0])), form_difference=diff,
                          eigenvalue_deviation=max(abs(x - y) for x, y in zip(form1, closed)) / 5)
 

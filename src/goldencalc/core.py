@@ -386,7 +386,7 @@ def _fib_quotients(name: str, value: int, least: int, precision: int,
     count = value - least + 2
     fibs = fib_range(lo, lo + count - 1 + step)
     with mp.workdps(precision):
-        return [mp.mpf(sign * fibs[i + step]) / fibs[i] for i in range(count)]
+        return [mp.fdiv(sign * fibs[i + step], fibs[i]) for i in range(count)]  # rounded once
 
 
 def ratio_sequence(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:

@@ -17,6 +17,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import sqrt
 from typing import Callable, Iterable
 
 from mpmath import mp
@@ -322,90 +323,93 @@ def _random_poly(rng: random.Random, max_deg: int = 6) -> UnivarPoly:
     coeffs = [rng.randint(-5, 5) for _ in range(deg + 1)]
     if coeffs[-1] == 0:
         coeffs[-1] = rng.choice([-3, -1, 1, 2]) if any(coeffs) else 1
-    return UnivarPoly(coeffs=tuple(Fraction(c) for c in coeffs))
-
-
-def _nonzero_x(rng: random.Random) -> float:
-    x = 0.0
-    while x == 0.0:
-        x = rng.uniform(-2, 2)
-    return x
+    return UnivarPoly(coeffs=tuple(coeffs))
 
 
 def _poly_product(f: UnivarPoly, g: UnivarPoly) -> UnivarPoly:
-    out = [Fraction(0)] * (f.degree + g.degree + 1)
+    out = [0] * (f.degree + g.degree + 1)
     for i, a in enumerate(f.coeffs):
         for k, b in enumerate(g.coeffs):
             out[i + k] += a * b
     return UnivarPoly(coeffs=tuple(out))
 
 
-def _leibnitz_samples(ctx: SuiteContext):
-    """20 seeded samples (case, D(fg)(x), Df(x), Dg(x), f(phi x), f(-x/phi), g(phi x), g(-x/phi))."""
-    phi = +mp.phi
-    for i in range(20):
-        f = _random_poly(ctx.rng)
-        g = _random_poly(ctx.rng)
-        x = mp.mpf(_nonzero_x(ctx.rng))
-        derivatives = [calculus.derive_poly(p).evaluate(x) for p in (_poly_product(f, g), f, g)]
-        yield (f"pair {i}", *derivatives, f.evaluate(phi * x), f.evaluate(-x / phi),
-               g.evaluate(phi * x), g.evaluate(-x / phi))
+def _scaled(h: UnivarPoly, step, q: int):
+    """q^d h(step/q) for h of degree d with integer coefficients: exact in Z[phi] when step is."""
+    total, q_power = 0, 1
+    for c in reversed(h.coeffs):
+        total, q_power = total * step + c * q_power, q_power * q
+    return total
 
 
-_LEIBNITZ_NOTES = "20 seeded polynomial pairs, degree <= 6, x in [-2, 2] \\ {0}"
+def _pair_samples(ctx: SuiteContext):
+    """Endless seeded (g, p, q), (D(fg)(x), Df(x), Dg(x), f(phi x), f(-x/phi), g(phi x), g(-x/phi)).
+
+    x is a nonzero float in [-2, 2], exactly p/q with q a power of 2.  Each value
+    h(u x) is scaled by q^deg(h): every product and quotient rule is homogeneous
+    in q, so on these values it is an equality in Z[phi].
+    """
+    units = (ZPhi.phi(), ZPhi.phi_conjugate())  # phi x and -x/phi = (1 - phi) x
+    while True:
+        f, g = _random_poly(ctx.rng), _random_poly(ctx.rng)
+        x = 0.0
+        while x == 0.0:
+            x = ctx.rng.uniform(-2, 2)
+        p, q = x.as_integer_ratio()
+        yield (g, p, q), (*(_scaled(calculus.derive_poly(h), p, q) for h in (_poly_product(f, g), f, g)),
+                          *(_scaled(h, p * u, q) for h in (f, g) for u in units))
+
+
+_LEIBNITZ_NOTES = "20 seeded polynomial pairs, degree <= 6, x in [-2, 2] \\ {0}, exact in Z[phi]"
 
 
 @_suite("calculus.leibnitz-rule-i", "D(fg)(x) = Df(x) g(phi x) + f(-x/phi) Dg(x)",
-        "20 seeded polynomial pairs, degree <= 6", _LEIBNITZ_NOTES, tols=(1e-10, 1e-12))
+        "20 seeded polynomial pairs, degree <= 6", _LEIBNITZ_NOTES)
 def _leibnitz_i(ctx: SuiteContext):
-    for case, dfg, df, dg, fp, fm, gp, gm in _leibnitz_samples(ctx):
-        yield case, abs(dfg - (df * gp + fm * dg))
+    for i, (_, (dfg, df, dg, fp, fm, gp, gm)) in zip(range(20), _pair_samples(ctx)):
+        yield f"pair {i}", dfg != df * gp + fm * dg
 
 
 @_suite("calculus.leibnitz-rule-ii",
         "D(fg)(x) = Df(x) g(-x/phi) + f(phi x) Dg(x), and the symmetric half-sum form",
-        "20 seeded polynomial pairs, degree <= 6", _LEIBNITZ_NOTES, tols=(1e-10, 1e-12))
+        "20 seeded polynomial pairs, degree <= 6", _LEIBNITZ_NOTES)
 def _leibnitz_ii(ctx: SuiteContext):
-    for case, dfg, df, dg, fp, fm, gp, gm in _leibnitz_samples(ctx):
-        yield case, abs(dfg - (df * gm + fp * dg))
-        yield f"symmetric {case}", abs(dfg - (df * (gp + gm) / 2 + dg * (fp + fm) / 2))
+    for i, (_, (dfg, df, dg, fp, fm, gp, gm)) in zip(range(20), _pair_samples(ctx)):
+        yield f"pair {i}", dfg != df * gm + fp * dg
+        yield f"symmetric pair {i}", 2 * dfg != df * (gp + gm) + dg * (fp + fm)
 
 
 @_suite("calculus.leibnitz-general-alpha",
         "the one-parameter interpolation of the product rule holds for every alpha",
-        "5 seeded alpha in [-2, 2], 20 polynomial pairs", _LEIBNITZ_NOTES, tols=(1e-10, 1e-12))
+        "5 seeded alpha in [-2, 2], 20 polynomial pairs", _LEIBNITZ_NOTES)
 def _leibnitz_alpha(ctx: SuiteContext):
-    alphas = [mp.mpf(ctx.rng.uniform(-2, 2)) for _ in range(5)]
-    for case, dfg, df, dg, fp, fm, gp, gm in _leibnitz_samples(ctx):
-        for k, a in enumerate(alphas):
-            yield f"{case}, alpha {k}", abs(dfg - ((a * fm + (1 - a) * fp) * dg
-                                                 + (a * gp + (1 - a) * gm) * df))
+    # alpha = a/b exactly; the rule is multiplied through by b
+    alphas = [ctx.rng.uniform(-2, 2).as_integer_ratio() for _ in range(5)]
+    for i, (_, (dfg, df, dg, fp, fm, gp, gm)) in zip(range(20), _pair_samples(ctx)):
+        for k, (a, b) in enumerate(alphas):
+            yield f"pair {i}, alpha {k}", b * dfg != ((a * fm + (b - a) * fp) * dg
+                                                    + (a * gp + (b - a) * gm) * df)
 
 
 @_suite("calculus.quotient-rules",
         "all three written quotient-rule forms agree with the direct derivative of f/g",
         "20 seeded pairs, denominator bounded away from zero",
-        "20 seeded pairs with |g(phi*x) g(-x/phi)| >= 1e-3", tols=(1e-10, 1e-12))
+        "20 seeded pairs with |g(phi*x) g(-x/phi)| >= 1e-3, exact in Z[phi]")
 def _quotient_rules(ctx: SuiteContext):
-    phi = +mp.phi
-    s5 = mp.sqrt(5)
+    # each form times sqrt(5) x g(phi x) g(-x/phi) (and q^(deg f + deg g)), sqrt(5) = 2 phi - 1
+    s5 = ZPhi(-1, 2)
     tried = 0
-    while tried < 20:
-        f = _random_poly(ctx.rng)
-        g = _random_poly(ctx.rng)
-        x = mp.mpf(_nonzero_x(ctx.rng))
-        gp, gm = g.evaluate(phi * x), g.evaluate(-x / phi)
-        den = gp * gm
-        if abs(den) < mp.mpf("1e-3"):
+    for (g, p, q), (_, df, dg, fp, fm, gp, gm) in _pair_samples(ctx):
+        # g(-x/phi) is the Galois conjugate of g(phi x), so their product is gp's norm
+        if 1000 * abs(gp.norm) < q ** (2 * g.degree):
             continue
         tried += 1
-        df_x = calculus.derive_poly(f).evaluate(x)
-        dg_x = calculus.derive_poly(g).evaluate(x)
-        fp, fm = f.evaluate(phi * x), f.evaluate(-x / phi)
-        direct = (fp / gp - fm / gm) / (s5 * x)
-        for form in ((df_x * gp - dg_x * fp) / den, (df_x * gm - dg_x * fm) / den,
-                     (df_x * (gm + gp) - dg_x * (fm + fp)) / (2 * den)):
-            yield f"pair {tried}", abs(direct - form)
+        direct = fp * gm - fm * gp
+        for form in (s5 * p * (df * gp - dg * fp), s5 * p * (df * gm - dg * fm)):
+            yield f"pair {tried}", direct != form
+        yield f"pair {tried}", 2 * direct != s5 * p * (df * (gm + gp) - dg * (fm + fp))
+        if tried == 20:
+            return
 
 
 @_suite("calculus.summation-formula", "sum F(n)/n! = e^(1/2) sinh(sqrt(5)/2) / (sqrt(5)/2)",
@@ -480,16 +484,13 @@ def _diagonal_identities(ctx: SuiteContext):
         "n < dim = 12", "states built by repeated raising at dim 12", tols=(1e-12, 1e-13),
         supports_fault=True)
 def _fock_normalization(ctx: SuiteContext):
-    import numpy as np
-    dim = 12
-    b_dag = oscillator.build_ladder(dim).b_dag.copy()
+    sq = oscillator.build_ladder(12).shift.sq  # F_1 .. F_11
     if ctx.fault:
-        b_dag[1, 0] += 1e-6
-    vec = np.zeros(dim, dtype=np.complex128)
-    vec[0] = 1.0
-    for n in range(1, dim):
-        vec = b_dag @ vec
-        yield f"n={n}", abs(float(np.linalg.norm(vec)) / np.sqrt(float(fib_factorial(n))) - 1.0)
+        sq = (2,) + sq[1:]  # corrupt the weight F_1
+    norm2 = 1  # |(b+)^n vacuum|^2 is the product of the first n squared weights
+    for n, weight in enumerate(sq, start=1):
+        norm2 *= weight
+        yield f"n={n}", abs(Fraction(norm2, fib_factorial(n)) - 1)
 
 
 @_suite("oscillator.number-distinct",
@@ -502,13 +503,13 @@ def _number_distinct(ctx: SuiteContext):
 
 @_suite("oscillator.hamiltonian-diagonal",
         "H = (hw/2)(b+b + bb+) is diagonal with interior entries (hw/2) F(n+2)",
-        "dim 12, relative", "interior diagonal vs exact rational levels, dim 12", tols=(1e-12, 1e-13))
+        "dim 12, exact", "interior diagonal vs exact rational levels, dim 12")
 def _hamiltonian_diagonal(ctx: SuiteContext):
     dim = 12
     # b+b and bb+ are exact diagonals of the ladder's shift, so H has no off-diagonal part
     h = [Fraction(bdb + bbd, 2) for bdb, bbd in zip(*oscillator.build_ladder(dim).shift.products())]
     for n, energy in oscillator.spectrum(dim - 2, 1).levels:
-        yield f"n={n}", abs(h[n] - energy) / energy
+        yield f"n={n}", h[n] != energy
 
 
 # ---------------------------------------------------------------------------
@@ -556,32 +557,27 @@ def _tilde_anticommutator(ctx: SuiteContext):
         "occupation-pair amplitudes equal the |j, m> matrix elements, j <= 6")
 def _relabeling(ctx: SuiteContext):
     for j in _half_spins(6):
-        rep = angular.build_suF2(j)
+        sq = angular.build_suF2(j).shift.sq  # J+ from m to m+1 has weight sqrt(sq[k])
         ms = [m - j for m in range(int(2 * j) + 1)]
         for k, (m, m_up) in enumerate(zip(ms, ms[1:])):
             amp, state = angular.double_boson_action(int(j + m), int(j - m), "plus")
             yield (f"raising (j={j}, m={m})",
-                   amp != rep.j_plus[k + 1, k].real or state != (int(j + m) + 1, int(j - m) - 1))
+                   amp != sqrt(sq[k]) or state != (int(j + m) + 1, int(j - m) - 1))
             amp, _ = angular.double_boson_action(int(j + m_up), int(j - m_up), "minus")
-            yield f"lowering (j={j}, m={m_up})", amp != rep.j_minus[k, k + 1].real
+            yield f"lowering (j={j}, m={m_up})", amp != sqrt(sq[k])
 
 
 @_suite("angular.hermiticity",
         "standard variant: (J+)^dagger = J- exactly; tilde variant deviates only by unit phases",
-        "j <= 6 (standard), j <= 5 (tilde)",
-        "standard adjoint exact; tilde deviation confined to unit phases", tols=(1e-12, 1e-13))
+        "j <= 6 (standard), j <= 5 (tilde)", "standard adjoint exact; tilde deviation confined to unit phases")
 def _hermiticity(ctx: SuiteContext):
-    import numpy as np
+    # J- is the transpose of J+ = i^turns sqrt(sq): with every sq >= 0 the adjoint is
+    # J- times i^(-2 turns), which is J- itself when every turn is even
     for j in _half_spins(6):
-        rep = angular.build_suF2(j)
-        yield f"standard j={j}", float(np.max(np.abs(rep.j_minus - rep.j_plus.conj().T)))
+        shift = angular.build_suF2(j).shift
+        yield f"standard j={j}", any(t % 2 or s < 0 for s, t in zip(shift.sq, shift.turns))
     for j in _half_spins(5):
-        rep = angular.build_tilde(j)
-        adjoint = rep.j_plus.conj().T
-        yield f"tilde magnitudes j={j}", float(np.max(np.abs(np.abs(adjoint) - np.abs(rep.j_minus))))
-        nz = np.abs(rep.j_minus) > 1e-9
-        ratios = adjoint[nz] / rep.j_minus[nz]
-        yield f"tilde phases j={j}", float(np.max(np.abs(np.abs(ratios) - 1.0))) if ratios.size else 0.0
+        yield f"tilde j={j}", any(s < 0 for s in angular.build_tilde(j).shift.sq)
 
 
 # ---------------------------------------------------------------------------

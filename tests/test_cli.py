@@ -496,6 +496,7 @@ class TestImportCost:
         ["spectrum", "--n-max", "10"], ["ratios", "--n-max", "5"],
         ["invert-n", "55", "--parity", "even"],
         ["plot-data", "casimir_ratios", "--n-max", "5", "--output", "OUTPUT"],
+        ["verify"], ["--precision", "100", "verify", "--profile", "strict"],
     ]
 
     def test_scalar_commands_never_load_numpy(self, tmp_path):

@@ -283,6 +283,20 @@ class TestRatioSequence:
         with pytest.raises(DomainError):
             ratio_sequence(1)
 
+    @pytest.mark.parametrize("precision", [16, 34, 60, 100])
+    def test_each_quotient_rounded_once(self, precision):
+        """Every value is its Fibonacci quotient correctly rounded, for all three sequences."""
+        fibs = fib_range(0, 1003)
+        with mp.workdps(precision):
+            prec = mp.prec
+        # (values, index of the first denominator, numerator offset, sign)
+        for values, lo, step, sign in ((ratio_sequence(1000, precision), 1, 1, 1),
+                                       (energy_ratios(1000, precision), 2, 1, 1),
+                                       (casimir_ratio(1000, precision), 1, 2, -1)):
+            for k, value in enumerate(values, start=lo):
+                rounded = mpmath.libmp.from_rational(sign * fibs[k + step], fibs[k], prec, "n")
+                assert value._mpf_ == rounded, (lo, step, k)
+
 
 class TestDomainBounds:
     @pytest.mark.parametrize("call", [

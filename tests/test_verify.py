@@ -12,6 +12,7 @@ import pytest
 from mpmath import mp
 
 import goldencalc.verify as verify
+from goldencalc.binomials import UnivarPoly
 from goldencalc.core import DomainError
 from goldencalc.verify import (
     DEFAULT_PRECISION,
@@ -104,6 +105,25 @@ class TestFaultInjection:
         assert bad[0].id == "oscillator.fock-normalization"
         assert bad[0].max_residual >= 1e-7
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_corrupted_derivative_fails_exact_calculus_suites(self, monkeypatch, seed):
+        """A Golden derivative that reads F_4 as F_4 + 1 fails all four product and quotient suites."""
+        derive = verify.calculus.derive_poly
+
+        def corrupted(f):
+            d = derive(f)
+            if f.degree < 4:
+                return d
+            coeffs = list(d.coeffs)
+            coeffs[3] += f.coeffs[4]  # x^4 -> (F_4 + 1) x^3
+            return UnivarPoly(coeffs=tuple(coeffs))
+
+        monkeypatch.setattr(verify.calculus, "derive_poly", corrupted)
+        report = verify_all(seed=seed, only=["calculus.leibnitz", "calculus.quotient-rules"])
+        assert [(e.id, e.status) for e in report.entries] == [
+            ("calculus.leibnitz-general-alpha", "fail"), ("calculus.leibnitz-rule-i", "fail"),
+            ("calculus.leibnitz-rule-ii", "fail"), ("calculus.quotient-rules", "fail")]
+
     def test_unknown_target_rejected(self):
         with pytest.raises(DomainError):
             verify_all(inject_fault="no.such-suite")
@@ -183,6 +203,10 @@ class TestHarness:
     def test_angular_casimir_suites_are_exact(self):
         tols = {s.id: (s.default_tol, s.strict_tol) for s in SUITES}
         assert tols["angular.casimir-forms"] == tols["angular.tilde-anticommutator"] == (None, None)
+        for suite_id in ("calculus.leibnitz-rule-i", "calculus.leibnitz-rule-ii",
+                         "calculus.leibnitz-general-alpha", "calculus.quotient-rules",
+                         "oscillator.hamiltonian-diagonal", "angular.hermiticity"):
+            assert tols[suite_id] == (None, None), suite_id
 
     def test_precision_below_bound_rejected(self):
         with pytest.raises(DomainError, match="at least 16 digits"):
