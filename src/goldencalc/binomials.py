@@ -345,10 +345,12 @@ def golden_base(precision: int = DEFAULT_DPS) -> mpmath.mpf:
 def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath.mpc:
     """Jackson q-exponential: sum_{k=0}^{n_terms} x^k / [k]_q!.
 
-    [k]_q = (q^k - 1)/(q - 1) = 1 + q + ... + q^{k-1}; q = 1 degenerates to
-    the classical exponential with [k]_q = k.  For q = -phi**2 the basic
-    factorial grows super-geometrically, so truncation error is bounded by
-    twice the first omitted term.
+    [k]_q = (q^k - 1)/(q - 1) = 1 + q + ... + q^{k-1} comes from its
+    recurrence [k]_q = 1 + q [k-1]_q, [0]_q = 0, so q = 1 gives [k]_q = k
+    exactly and the classical exponential.  Each term is the last one times
+    x / [k]_q, and a real q and x are summed in real arithmetic.  For
+    q = -phi**2 the basic factorial grows super-geometrically, so truncation
+    error is bounded by twice the first omitted term.
     """
     _require(isinstance(n_terms, int) and 1 <= n_terms <= MAX_SERIES_TERMS,
              f"term count must be in 1..{MAX_SERIES_TERMS}")
@@ -357,22 +359,15 @@ def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath
         qv = mpmath.mpmathify(q)
         xv = mpmath.mpmathify(x)
         _require(mp.isfinite(qv) and mp.isfinite(xv), "base and argument must be finite")
-        total = mp.mpc(1)
-        basic_fact = mp.mpf(1)
-        power = mp.mpc(1)
-        q_pow = mp.mpc(1)
+        total = term = mp.one
+        basic = mp.zero
         for k in range(1, n_terms + 1):
-            if qv == 1:
-                basic = mp.mpf(k)
-            else:
-                q_pow *= qv
-                basic = (q_pow - 1) / (qv - 1)
-            basic_fact *= basic
-            if basic_fact == 0:
+            basic = 1 + qv * basic
+            if basic == 0:
                 raise DomainError(f"basic factorial [{k}]_q! vanishes for q = {q}")
-            power *= xv
-            total += power / basic_fact
-        return total
+            term = term * xv / basic
+            total += term
+        return mp.mpc(total)
 
 
 def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:

@@ -234,12 +234,19 @@ def spectrum(n_max: int, hbar_omega: int | float | str | Fraction = 1) -> Spectr
     """Exact rational spectrum up to level n_max."""
     _require(isinstance(n_max, int) and n_max >= 0, "n_max must be a non-negative integer")
     _require(n_max <= MAX_SPECTRUM_INDEX, f"n_max must not exceed {MAX_SPECTRUM_INDEX}")
-    hw = Fraction(str(hbar_omega)) if isinstance(hbar_omega, float) else Fraction(hbar_omega)
+    try:
+        hw = Fraction(str(hbar_omega)) if isinstance(hbar_omega, float) else Fraction(hbar_omega)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        raise DomainError(f"hbar_omega must be a finite rational, not {hbar_omega!r}") from None
     _require(hw > 0, "hbar_omega must be positive")
-    fibs = fib_range(2, n_max + 2)  # F_2 .. F_{n_max+2}
-    levels = tuple((n, hw * fibs[n] / 2) for n in range(n_max + 1))
-    ratios = tuple(levels[n + 1][1] / levels[n][1] for n in range(n_max))
-    return SpectrumTable(hbar_omega=hw, levels=levels, ratios=ratios)
+    half = hw / 2
+    levels = tuple(enumerate(half * f for f in fib_range(2, n_max + 2)))  # F_2 .. F_{n_max+2}
+    # 1 + 1/r takes gcds against 1; levels[n+1]/levels[n] would run Euclid on consecutive F's.
+    ratios, r = [], Fraction(2)  # r_n = F_(n+3)/F_(n+2), r_(n+1) = 1 + 1/r_n
+    for _ in range(n_max):
+        ratios.append(r)
+        r = 1 + 1 / r
+    return SpectrumTable(hbar_omega=hw, levels=levels, ratios=tuple(ratios))
 
 
 def energy_ratios(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:

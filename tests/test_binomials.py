@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import mp, mpc
 
 from goldencalc.binomials import (
     BivarPoly,
@@ -253,6 +254,46 @@ class TestJacksonExp:
         # q = -1 gives [2]_q = 0
         with pytest.raises(DomainError):
             jackson_exp(-1, 1, 10)
+
+
+def jackson_closed_form(q, x, n_terms: int, precision: int):
+    """sum_k x^k / [k]_q! with [k]_q = (q^k - 1)/(q - 1) (k at q = 1), at 2p + 20 digits."""
+    with mp.workdps(2 * precision + 20):
+        q, x = mp.mpmathify(q), mp.mpmathify(x)
+        total = fact = mp.mpf(1)
+        for k in range(1, n_terms + 1):
+            fact *= k if q == 1 else (q ** k - 1) / (q - 1)
+            total += x ** k / fact
+        return total
+
+
+class TestJacksonExpConformance:
+    """The requested digits at every precision, for real and complex bases and arguments."""
+
+    BASES = ["golden", 2, 1, 0, 0.5, -0.5, 1 + 1j]
+    ARGS = [-5, -1.25, 0.3, 4.75, 2.5 - 1.5j, -4 + 3j]
+
+    @pytest.mark.parametrize("q", BASES, ids=[str(q) for q in BASES])
+    @pytest.mark.parametrize("precision", [16, 34, 60, 100])
+    def test_digits(self, precision, q):
+        qv = golden_base(precision) if q == "golden" else q
+        for x in self.ARGS:
+            for n_terms in (1, 2, 60, 200):
+                value = jackson_exp(qv, x, n_terms, precision)
+                assert isinstance(value, mpc)
+                ref = jackson_closed_form(qv, x, n_terms, precision)
+                with mp.workdps(2 * precision + 20):
+                    err = abs(value - ref)
+                    assert err <= mp.mpf(10) ** -precision * max(abs(ref), 1), (x, n_terms, err)
+
+    @pytest.mark.parametrize("q, k", [(-1, 2), (1j, 4)], ids=["-1", "1j"])
+    @pytest.mark.parametrize("x", [1, -2.5, 0.5j])
+    def test_vanishing_basic_number(self, q, k, x):
+        assert isinstance(jackson_exp(q, x, k - 1), mpc)
+        message = f"basic factorial [{k}]_q! vanishes for q = {q}"
+        for n_terms in (k, k + 1, 200):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                jackson_exp(q, x, n_terms)
 
 
 class TestRemarkableLimit:

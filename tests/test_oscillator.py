@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import sqrt
 
@@ -119,6 +120,37 @@ class TestSpectrum:
 
     def test_ratios_exact(self):
         assert spectrum(3, 1).ratios == (Fraction(2), Fraction(3, 2), Fraction(5, 3))
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 1000])
+    @pytest.mark.parametrize("arg, hw", [(1, Fraction(1)), (Fraction(7, 3), Fraction(7, 3)),
+                                         (0.1, Fraction(1, 10)), ("5/2", Fraction(5, 2))],
+                             ids=["1", "7/3", "0.1", "5/2"])
+    def test_exact_at_bound(self, n_max, arg, hw):
+        table = spectrum(n_max, arg)
+        assert table.hbar_omega == hw
+        assert len(table.levels) == n_max + 1 and len(table.ratios) == n_max
+        for n in range(n_max + 1):
+            assert table.levels[n] == (n, hw * fib_exact(n + 2) / 2)
+        for n in range(n_max):
+            assert table.ratios[n] == Fraction(fib_exact(n + 3), fib_exact(n + 2))
+
+
+class TestSpectrumArguments:
+    """A hbar_omega that is not a positive finite rational is refused with DomainError."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "1/0",
+                                       complex(1, 0), mp.inf, mp.nan, Decimal("Infinity"),
+                                       None, "abc"],
+                             ids=["nan", "inf", "-inf", "1/0", "complex", "mp.inf", "mp.nan",
+                                  "Decimal-inf", "None", "text"])
+    def test_refused(self, value):
+        with pytest.raises(DomainError, match="hbar_omega must be a finite rational"):
+            spectrum(3, value)
+
+    @pytest.mark.parametrize("value", [0, -1, 0.0, -0.5, "-3/2", Fraction(0)])
+    def test_not_positive(self, value):
+        with pytest.raises(DomainError, match="hbar_omega must be positive"):
+            spectrum(3, value)
 
 
 class TestEnergyRatios:
