@@ -176,16 +176,16 @@ class CasimirResult:
         return _diagonal_view(self.diagonal)
 
 
-def casimir_suF2(j, tol: float = 1e-10) -> CasimirResult:
+def casimir_suF2(j) -> CasimirResult:
     """Casimir of the standard_F representation.
 
-    Both written forms must agree; the common eigenvalue is
+    Both written forms must agree exactly; the common eigenvalue is
     (-1)^{-j} F_j F_{j+1} (principal phase for half-integer j).
     """
     jf, n, fib = _lattice(j)
     form1, form2, closed = _casimir_forms(n, fib, _ladder(n, fib, tilde=False), tilde=False)
     diff = max(abs(x - y) for x, y in zip(form1, form2)) / 5
-    if diff > tol:
+    if diff:
         raise DomainError(f"Casimir forms disagree at j={jf}: max difference {diff:.3e}")
     return CasimirResult(j=jf, diagonal=tuple(map(_fifth, form1)),
                          eigenvalue=complex(_fifth(closed[0])), form_difference=diff,
@@ -205,21 +205,20 @@ class CommutatorReport(_Checked):
     """Residuals of the ladder commutation relations at one spin."""
 
     j: Fraction
-    tol: float
     max_ladder_residual: float
     max_z_residual: float
     exact_identity_ok: bool
     failures: tuple[str, ...]
 
 
-def verify_commutators(j, tol: float = 1e-12) -> CommutatorReport:
+def verify_commutators(j) -> CommutatorReport:
     """Check [J+, J-] = diag((-1)^{j-m} F_{2m}) and [Jz, J±] = ±J±.
 
     The diagonal of [J+, J-] comes from the squared weights: at m it is
     F_{j+m} F_{j-m+1} - F_{j-m} F_{j+m+1}, the left-hand side of d'Ocagne's
     identity.  It is checked exactly in Z against both written forms of the
     diagonal ((-1)^{N2} F_{2Jz} and -(-1)^{N1} F_{-2Jz}), which agree through
-    F_{-2m} = (-1)^{2m+1} F_{2m}.
+    F_{-2m} = (-1)^{2m+1} F_{2m}.  Any nonzero difference fails.
     """
     jf, n, fib = _lattice(j)
     shift = _ladder(n, fib, tilde=False)
@@ -240,10 +239,10 @@ def verify_commutators(j, tol: float = 1e-12) -> CommutatorReport:
 
     # levels k = m + j: the constant j cancels in [Jz, J+]
     z_res = max(shift.step_defects(range(n + 1)), default=0.0)
-    if z_res > tol:
+    if z_res:
         failures.append(f"[Jz,J±] residual {z_res:.3e}")
 
-    return CommutatorReport(j=jf, tol=tol, max_ladder_residual=ladder_res,
+    return CommutatorReport(j=jf, max_ladder_residual=ladder_res,
                             max_z_residual=z_res, exact_identity_ok=exact_ok,
                             failures=tuple(failures))
 
@@ -389,7 +388,6 @@ class TildeReport(_Checked):
     """Anti-commutator and Casimir diagnostics for the tilde variant."""
 
     j: Fraction
-    tol: float
     anticommutator_residual: float
     offdiagonal_max: float
     casimir_form_difference: float
@@ -397,12 +395,13 @@ class TildeReport(_Checked):
     failures: tuple[str, ...]
 
 
-def verify_tilde(j, tol: float = 1e-10) -> TildeReport:
+def verify_tilde(j) -> TildeReport:
     """Check {Jt+, Jt-} = diag(F_{2m}) and the two Casimir forms.
 
     The anti-commutator is the sum of the two diagonals of the shift, checked
     in Z; a shift times its transpose has no off-diagonal part, so
-    offdiagonal_max is 0.0.  Failures carry the offending (j, m) location.
+    offdiagonal_max is 0.0.  Any nonzero difference fails, and each failure
+    carries the offending (j, m) location.
     """
     jf, n, fib = _lattice(j)
     shift = _ladder(n, fib, tilde=True)
@@ -414,12 +413,12 @@ def verify_tilde(j, tol: float = 1e-10) -> TildeReport:
     eig = [abs(x - y) / 5 for x, y in zip(form1, closed)]
 
     failures = [f"anti-commutator at (j={jf}, m={Fraction(t, 2)}): deviation {dev:.3e}"
-                for t, dev in zip(ts, anti) if dev > tol]
-    if form_diff > tol:
+                for t, dev in zip(ts, anti) if dev]
+    if form_diff:
         failures.append(f"Casimir forms differ by {form_diff:.3e} at j={jf}")
     failures += [f"Casimir eigenvalue at (j={jf}, m={Fraction(t, 2)}): deviation {dev:.3e}"
-                 for t, dev in zip(ts, eig) if dev > tol]
-    return TildeReport(j=jf, tol=tol, anticommutator_residual=max(anti),
+                 for t, dev in zip(ts, eig) if dev]
+    return TildeReport(j=jf, anticommutator_residual=max(anti),
                        offdiagonal_max=0.0, casimir_form_difference=form_diff,
                        casimir_eigenvalue_deviation=max(eig), failures=tuple(failures))
 

@@ -23,11 +23,11 @@ from mpmath import mp
 
 from .core import (
     DEFAULT_DPS,
-    GUARD_DPS,
-    MIN_DPS,
     DomainError,
     QPhi,
     ZPhi,
+    _at_precision,
+    _finite,
     _require,
     fib_range,
     phi_power_exact,
@@ -337,8 +337,7 @@ def noncomm_expected_coefficient(n: int, k: int) -> ZPhi:
 
 def golden_base(precision: int = DEFAULT_DPS) -> mpmath.mpf:
     """-phi**2, the Jackson base reached by the large-n Golden binomial limit."""
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    with mp.workdps(precision):
+    with _at_precision(precision, guard=0):
         return -(mp.phi ** 2)
 
 
@@ -354,11 +353,8 @@ def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath
     """
     _require(isinstance(n_terms, int) and 1 <= n_terms <= MAX_SERIES_TERMS,
              f"term count must be in 1..{MAX_SERIES_TERMS}")
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    with mp.workdps(precision + GUARD_DPS):
-        qv = mpmath.mpmathify(q)
-        xv = mpmath.mpmathify(x)
-        _require(mp.isfinite(qv) and mp.isfinite(xv), "base and argument must be finite")
+    with _at_precision(precision):
+        qv, xv = _finite(q, "base"), _finite(x, "argument")
         total = term = mp.one
         basic = mp.zero
         for k in range(1, n_terms + 1):
@@ -377,10 +373,8 @@ def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
     """
     _require(isinstance(n, int) and 1 <= n <= MAX_SERIES_TERMS,
              f"degree must be in 1..{MAX_SERIES_TERMS}")
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    with mp.workdps(precision + GUARD_DPS):
-        yv = mpmath.mpmathify(y)
-        _require(mp.isfinite(yv), "argument must be finite")
+    with _at_precision(precision):
+        yv = _finite(y, "argument")
         scale = yv / mp.power(mp.phi, n)
         # Horner from the int 0 keeps a real argument in mpf arithmetic.
         row = fibonomial_row(n)

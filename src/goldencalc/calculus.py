@@ -24,9 +24,9 @@ from mpmath import mp
 
 from .core import (
     DEFAULT_DPS,
-    GUARD_DPS,
-    MIN_DPS,
     DomainError,
+    _at_precision,
+    _finite,
     _require,
     fib_exact,
 )
@@ -75,19 +75,16 @@ def golden_derivative(f, x=None, precision: int = DEFAULT_DPS):
         d = derive_poly(f)
         if x is None:
             return d
-        _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-        _require(mp.isfinite(x), "evaluation point must be finite")
-        return d.evaluate(x)
+        with _at_precision(precision):
+            return d.evaluate(_finite(x, "evaluation point"))
     if isinstance(f, GoldenSeries):
         d = f.derived()
         return d if x is None else d.evaluate(x, precision=precision).value
     if callable(f):
         if x is None:
             raise DomainError("a bare callable needs an evaluation point x")
-        _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-        with mp.workdps(precision + GUARD_DPS):
-            xv = mpmath.mpmathify(x)
-            _require(mp.isfinite(xv), "evaluation point must be finite")
+        with _at_precision(precision):
+            xv = _finite(x, "evaluation point")
             if xv == 0:
                 raise DomainError(
                     "difference quotient is singular at x = 0; supply a polynomial or series form")
@@ -152,8 +149,8 @@ class GoldenSeries:
     Term n is at most u_n = |k|^(n+shift) |x|^n / F_n!, and u_(m+1) / u_m =
     |kx| / F_(m+1).  Once F_(n+1) >= 2|kx|, terms n, n+1, ... sum to at most
     2 u_n; `evaluate` stops at the first such n with 2 u_n <= 10^-precision *
-    max(|sum|, 1) and returns 2 u_n as `tail_bound`.  The GUARD_DPS extra
-    digits cover rounding: for |kx| <= 10^5 no term of e_F, E_F, cos_F or
+    max(|sum|, 1) and returns 2 u_n as `tail_bound`.  The guard digits
+    cover rounding: for |kx| <= 10^5 no term of e_F, E_F, cos_F or
     sin_F exceeds 10^6 max(|sum|, 1).
     """
 
@@ -171,11 +168,9 @@ class GoldenSeries:
 
     def evaluate(self, x, n_terms: int = MAX_EXP_TERMS, precision: int = DEFAULT_DPS) -> SeriesValue:
         _require(1 <= n_terms <= MAX_EXP_TERMS, f"term count must be in 1..{MAX_EXP_TERMS}")
-        _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-        with mp.workdps(precision + GUARD_DPS):
-            xv = mpmath.mpmathify(x)
-            _require(mp.isfinite(xv), "series argument must be finite")
-            kv = mpmath.mpmathify(self.k)
+        with _at_precision(precision):
+            xv = _finite(x, "series argument")
+            kv = _finite(self.k, "series parameter k")
             kx, t = kv * xv, kv ** self.shift  # t = k^(n+shift) x^n / F_n!, so u_n = |t|
             need = int(mp.ceil(2 * abs(kx)))  # ratios from term n on are <= 1/2 once F_(n+1) >= need
             tol, skipped, total = None, 0, mp.zero
@@ -251,12 +246,11 @@ def f_oscillator_solution(k, kind: OscKind, A, B, t, n_terms: int = 120,
     """
     exp_kind = {"hyperbolic": "small_e", "elliptic": "big_E"}.get(kind)
     _require(exp_kind is not None, f"unknown oscillator kind {kind!r}")
-    with mp.workdps(precision + GUARD_DPS):
-        kv = mpmath.mpmathify(k)
-        tv = mpmath.mpmathify(t)
+    with _at_precision(precision):
+        av, bv, kv, tv = _finite(A, "A"), _finite(B, "B"), _finite(k, "k"), _finite(t, "t")
         up = golden_exp(kv * tv, exp_kind, n_terms=n_terms, precision=precision).value
         down = golden_exp(-kv * tv, exp_kind, n_terms=n_terms, precision=precision).value
-        return mpmath.mpmathify(A) * up + mpmath.mpmathify(B) * down
+        return av * up + bv * down
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +268,8 @@ def jackson_antiderivative(g, x, n_terms: int = 200, precision: int = DEFAULT_DP
     than a proven bound; if `n_terms` runs out first, it is a DomainError.
     """
     _require(1 <= n_terms <= MAX_EXP_TERMS, f"term count must be in 1..{MAX_EXP_TERMS}")
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    with mp.workdps(precision + GUARD_DPS):
-        xv = mpmath.mpmathify(x)
-        _require(mp.isfinite(xv), "antiderivative argument must be finite")
+    with _at_precision(precision):
+        xv = _finite(x, "antiderivative argument")
         if xv == 0:
             raise DomainError("antiderivative representation needs x != 0")
         if isinstance(g, UnivarPoly):
@@ -316,16 +308,15 @@ def is_golden_periodic(f, samples: Sequence[float], tol: float = 1e-10,
     Functions annihilated by D_F satisfy this dilation identity; the model
     example is sin(pi * ln|x| / ln phi).
     """
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    _require(len(samples) > 0, "sample list must be nonempty")
-    _require(all(s != 0 for s in samples), "samples must be nonzero")
-    with mp.workdps(precision + GUARD_DPS):
+    with _at_precision(precision):
+        _require(len(samples) > 0, "sample list must be nonempty")
+        xs = [_finite(s, "sample") for s in samples]
+        _require(all(xs), "samples must be nonzero")
         phi = +mp.phi
         worst = mp.mpf(0)
         worst_x = samples[0]
         ok = True
-        for s in samples:
-            xv = mpmath.mpmathify(s)
+        for s, xv in zip(samples, xs):
             up = f(phi * xv)
             dev = abs(up - f(-xv / phi)) / (1 + abs(up))
             if dev > worst:

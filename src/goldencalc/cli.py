@@ -23,7 +23,7 @@ import mpmath
 from mpmath import mp
 
 from . import angular, binomials, calculus, core, oscillator, verify
-from .core import DEFAULT_DPS, DomainError, ZPhi
+from .core import DEFAULT_DPS, DomainError, ZPhi, _at_precision
 
 if TYPE_CHECKING:
     import numpy as np
@@ -143,7 +143,7 @@ def _write_file(path: str, content: str) -> None:
 
 def _real(ctx: click.Context, text: str) -> mpmath.mpf:
     """A real command argument, parsed at the command's precision."""
-    with mp.workdps(ctx.obj["precision"]):
+    with _at_precision(ctx.obj["precision"], guard=0):
         try:
             return mp.mpf(text)
         except ValueError:
@@ -230,7 +230,7 @@ def fib(ctx, n: int) -> None:
 def fibx(ctx, re: str, im: str) -> None:
     """Analytic Fibonacci value F_z at complex z = RE + IM*i."""
     dps = ctx.obj["precision"]
-    with mp.workdps(dps):
+    with _at_precision(dps, guard=0):
         z = mp.mpc(_real(ctx, re), _real(ctx, im))
     gv = core.fib_extended(z, dps)
     _emit(ctx, "fibx", {"re": re, "im": im},
@@ -300,8 +300,7 @@ def deriv(ctx, coeffs: str, x_at: str | None) -> None:
     p = _parse_coeffs(coeffs)
     dps = ctx.obj["precision"]
     if x_at is not None:
-        with mp.workdps(dps):
-            value = calculus.golden_derivative(p, _real(ctx, x_at), precision=dps)
+        value = calculus.golden_derivative(p, _real(ctx, x_at), precision=dps)
         _emit(ctx, "deriv", {"coeffs": coeffs, "x": x_at},
               value=_json_scalar(value, dps), plain=_num_str(value, dps),
               csv_header=["value"], csv_rows=[_csv_cells(value, dps)])
@@ -461,7 +460,7 @@ def invert_n(ctx, fib_value: int, parity: str) -> None:
 def limit(ctx, y: str, n: int) -> None:
     """Finite Golden-binomial value (1 + y/phi^n)_F^n vs its Jackson-exponential limit."""
     dps = ctx.obj["precision"]
-    with mp.workdps(dps):
+    with _at_precision(dps, guard=0):
         yv = _real(ctx, y)
         lhs = binomials.remarkable_limit_lhs(yv, n, dps)
         rhs = binomials.jackson_exp(binomials.golden_base(dps), yv / mp.sqrt(5),

@@ -38,6 +38,25 @@ def _require(condition: bool, message: str) -> None:
         raise DomainError(message)
 
 
+def _at_precision(precision: int, guard: int = GUARD_DPS):
+    """mpmath's context at `precision` + `guard` digits, once `precision` is an int >= MIN_DPS.
+
+    Every analytic entry point enters its precision here, so that the bound
+    and the guard digits are set in one place.
+    """
+    _require(isinstance(precision, int) and not isinstance(precision, bool),
+             f"precision must be an integer number of digits, not {precision!r}")
+    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
+    return mp.workdps(precision + guard)
+
+
+def _finite(value, what: str):
+    """`value` as an mpmath number at the current precision; NaN and infinities are refused."""
+    v = mpmath.mpmathify(value)
+    _require(mp.isfinite(v), f"{what} must be finite")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Exact integer Fibonacci values
 # ---------------------------------------------------------------------------
@@ -315,8 +334,7 @@ def phi_power_exact(n: int) -> ZPhi:
 
 def phi_value(precision: int = DEFAULT_DPS) -> tuple[mpmath.mpf, mpmath.mpf]:
     """(phi, phi') to `precision` decimal digits; phi' = -1/phi."""
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    with mp.workdps(precision):
+    with _at_precision(precision, guard=0):
         phi = +mp.phi
         return phi, 1 - phi
 
@@ -339,10 +357,8 @@ def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> Gold
     phi**z is exp(z*log(phi)) on the principal branch; the sign base is read
     as (-1)**z = exp(i*pi*z). At integer z this reproduces fib_exact(z).
     """
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    with mp.workdps(precision + GUARD_DPS):
-        zc = mp.mpc(z)
-        _require(mp.isfinite(zc), "Re z and Im z must be finite")
+    with _at_precision(precision):
+        zc = _finite(mp.mpc(z), "Re z and Im z")
         _require(abs(zc.real) <= MAX_EXTENDED_ARG and abs(zc.imag) <= MAX_EXTENDED_ARG,
                  f"|Re z| and |Im z| must not exceed {MAX_EXTENDED_ARG:g}")
         value = (mp.power(mp.phi, zc) - mp.exp(1j * mp.pi * zc) * mp.power(mp.phi, -zc)) / mp.sqrt(5)
@@ -360,17 +376,15 @@ def fib_higher(n: int, m: int) -> Fraction:
 
 
 def fib_higher_real(n: float, order: float, precision: int = DEFAULT_DPS) -> mpmath.mpc:
-    """F_n^(r) at real order r: the two-base number with bases phi**r, phi'**r.
+    """F_n^(r) = F_(rn) / F_r at real order r != 0, both values from fib_extended.
 
-    phi'**r is exp(i*pi*r) * phi**-r on the principal branch.
+    This reads the power Q**n of the second base Q = phi'**r as
+    exp(i*pi*r*n) * phi**(-r*n), the branch fib_extended takes for (-1)**z.
     """
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    with mp.workdps(precision + GUARD_DPS):
-        r = mp.mpf(order)
-        nn = mp.mpf(n)
-        big = mp.power(mp.phi, r)
-        small = mp.exp(1j * mp.pi * r) * mp.power(mp.phi, -r)
-        return (big ** nn - small ** nn) / (big - small)
+    with _at_precision(precision):
+        nn, r = _finite(n, "index n"), _finite(order, "order r")
+        _require(r != 0, "order r must be nonzero (F_0 = 0 denominator)")
+        return fib_extended(r * nn, precision).value / fib_extended(r, precision).value
 
 
 def _fib_quotients(name: str, value: int, least: int, precision: int,
@@ -382,10 +396,9 @@ def _fib_quotients(name: str, value: int, least: int, precision: int,
     _require(isinstance(value, int), f"{name} must be an integer")
     _require(value >= least, f"{name} must be at least {least}")
     _require(value <= MAX_RATIO_INDEX, f"{name} must not exceed {MAX_RATIO_INDEX}")
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
     count = value - least + 2
-    fibs = fib_range(lo, lo + count - 1 + step)
-    with mp.workdps(precision):
+    with _at_precision(precision, guard=0):
+        fibs = fib_range(lo, lo + count - 1 + step)
         return [mp.fdiv(sign * fibs[i + step], fibs[i]) for i in range(count)]  # rounded once
 
 

@@ -32,11 +32,10 @@ from mpmath import mp
 
 from .core import (
     DEFAULT_DPS,
-    GUARD_DPS,
     MAX_FIB_INDEX,
-    MIN_DPS,
     DomainError,
     ZPhi,
+    _at_precision,
     _fib_quotients,
     _require,
     fib_exact,
@@ -143,18 +142,17 @@ class OscillatorAlgebraReport(_Checked):
     """Max-entry residuals of the defining operator identities."""
 
     dim: int
-    tol: float
     residuals: dict[str, float]
     failures: tuple[str, ...]
 
 
-def verify_oscillator_algebra(dim: int, tol: float = 1e-12,
-                              ladder: LadderSet | None = None) -> OscillatorAlgebraReport:
+def verify_oscillator_algebra(dim: int, ladder: LadderSet | None = None) -> OscillatorAlgebraReport:
     """Check the deformed commutation relations on the interior states.
 
     b+b and bb+ are exact diagonals of the ladder's shift: every identity is
     checked below the truncated top state, in Z[phi] or Z, with residuals
-    the largest magnitude of an exact difference (0.0 for a true ladder):
+    the largest magnitude of an exact difference (0.0 for a true ladder).
+    Any nonzero difference fails, however small its magnitude:
 
       * b b+ - phi b+ b = (-1/phi)^N
       * b b+ + (1/phi) b+ b = phi^N
@@ -185,10 +183,9 @@ def verify_oscillator_algebra(dim: int, tol: float = 1e-12,
     for name, values in diffs.items():
         mags = [abs(float(v)) for v in values]
         residuals[name] = max(mags)
-        if residuals[name] > tol:
+        if any(values):
             failures.append(f"{name} at state {mags.index(residuals[name])}: {residuals[name]:.3e}")
-    return OscillatorAlgebraReport(dim=d, tol=tol, residuals=residuals,
-                                   failures=tuple(failures))
+    return OscillatorAlgebraReport(dim=d, residuals=residuals, failures=tuple(failures))
 
 
 def diagonal_identities_exact(n_max: int = 100) -> bool:
@@ -270,16 +267,15 @@ def invert_number(fib_value: int, parity: str, precision: int = DEFAULT_DPS) -> 
     under the radical for even n and -1 for odd n; the result is rounded to
     the nearest integer and the round trip F_n == fib_value is enforced.
     The F_1 = F_2 = 1 ambiguity resolves through the parity argument
-    (odd -> 1, even -> 2).  The branch runs at precision + GUARD_DPS digits
-    whatever the size of F: for F = F_n its argument is exactly phi^n, as
-    sqrt(5 F_n^2/4 ± 1) = L_n/2 (L Lucas), so the logarithm is off by about
-    n 10^-(precision + GUARD_DPS), far below 1/2 for every n <= MAX_FIB_INDEX.
+    (odd -> 1, even -> 2).  The branch runs at precision plus the guard
+    digits whatever the size of F: for F = F_n its argument is exactly phi^n,
+    as sqrt(5 F_n^2/4 ± 1) = L_n/2 (L Lucas), so the logarithm is off by about
+    n units in the last working digit, far below 1/2 for every n <= MAX_FIB_INDEX.
     """
     _require(isinstance(fib_value, int) and fib_value >= 1, "value must be a positive integer")
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    with mp.workdps(precision + GUARD_DPS):
+    with _at_precision(precision):
         F = mp.mpf(fib_value)
         radicand = 5 * F ** 2 / 4 + (1 if parity == "even" else -1)
         arg = mp.sqrt(5) / 2 * F + mp.sqrt(radicand)

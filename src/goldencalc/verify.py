@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 from mpmath import mp
 
 from . import angular, calculus, core, oscillator
-from .core import MIN_DPS, DomainError, ZPhi, fib_exact, fib_range, phi_power_exact
+from .core import DomainError, ZPhi, _at_precision, fib_exact, fib_range, phi_power_exact
 from .binomials import (
     BivarPoly,
     UnivarPoly,
@@ -113,7 +113,7 @@ class Suite:
     def runner(self, ctx: SuiteContext) -> tuple[bool, float | None, str]:
         """Run every case at the context's precision: (ok, max residual, notes)."""
         worst = 0
-        with mp.workdps(ctx.precision):
+        with _at_precision(ctx.precision, guard=0):
             for case, residual in self.cases(ctx):
                 if self.default_tol is not None:
                     worst = max(worst, residual)
@@ -182,10 +182,15 @@ def _multiplication_law(ctx: SuiteContext):
         "pairs (4,2), (6,3), (6,2)", tols=(1e-10, 1e-12))
 def _division_law(ctx: SuiteContext):
     for (m, n) in ((4, 2), (6, 3), (6, 2)):
-        r = Fraction(m, n)
-        lhs = core.fib_extended(float(r), ctx.precision).value
-        rhs = fib_exact(m) / core.fib_higher_real(n, float(r), ctx.precision)
-        yield f"(m={m}, n={n})", abs(lhs - rhs)
+        r = mp.mpf(m) / n
+        # F^(r)_k by h_(k+1) = L h_k - s h_(k-1), h_0 = 0, h_1 = 1: bases phi^r and s phi^-r
+        s = mp.exp(1j * mp.pi * r)
+        lucas = mp.power(mp.phi, r) + s * mp.power(mp.phi, -r)
+        h_prev, h = 0, 1
+        for _ in range(n - 1):
+            h_prev, h = h, lucas * h - s * h_prev
+        lhs = core.fib_extended(r, ctx.precision).value
+        yield f"(m={m}, n={n})", abs(lhs - fib_exact(m) / h)
 
 
 @_suite("core.lucas-combinations",
@@ -657,8 +662,7 @@ def verify_all(profile: str = "default", seed: int = 0,
     """
     if profile not in ("default", "strict"):
         raise DomainError("profile must be 'default' or 'strict'")
-    if precision < MIN_DPS:
-        raise DomainError(f"precision must be at least {MIN_DPS} digits")
+    _at_precision(precision, guard=0)  # refuses a bad precision before any suite runs
     selected = matching_suites(only)
     if not selected:
         raise DomainError(f"no verification suites match {only!r}")

@@ -93,7 +93,7 @@ def test_criterion_3_golden_ratio_limits():
 
 
 def test_criterion_4_oscillator_algebra():
-    report = verify_oscillator_algebra(12, 1e-12)
+    report = verify_oscillator_algebra(12)
     assert report.passed, report.failures
     four = ("deformed_commutator_minus", "deformed_commutator_plus",
             "number_raises", "number_lowers")
@@ -225,12 +225,12 @@ def test_criterion_9_angular_momentum():
     worst_cas = 0.0
     for twice_j in range(1, 13):
         j = Fraction(twice_j, 2)
-        res = casimir_suF2(j, tol=1e-12)
+        res = casimir_suF2(j)
         worst_cas = max(worst_cas, res.form_difference, res.eigenvalue_deviation)
     assert worst_cas < 1e-12
     worst_anti = 0.0
     for twice_j in range(1, 11):
-        rep = verify_tilde(Fraction(twice_j, 2), 1e-10)
+        rep = verify_tilde(Fraction(twice_j, 2))
         assert rep.passed, rep.failures
         worst_anti = max(worst_anti, rep.anticommutator_residual)
     assert worst_anti < 1e-10

@@ -103,7 +103,7 @@ class TestCommutators:
 
     def test_matrix_residuals(self):
         for j in (1, 2, 5, Fraction(7, 2)):
-            rep = verify_commutators(j, 1e-12)
+            rep = verify_commutators(j)
             assert rep.passed
             assert rep.max_ladder_residual < 1e-12
 
@@ -207,7 +207,7 @@ class TestTildeVariant:
 
     def test_full_reports(self):
         for twice_j in range(1, 11):
-            rep = verify_tilde(Fraction(twice_j, 2), 1e-10)
+            rep = verify_tilde(Fraction(twice_j, 2))
             assert rep.passed, rep.failures
 
     def test_casimir_eigenvalue_closed_form(self):

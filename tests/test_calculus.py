@@ -33,7 +33,20 @@ from goldencalc.calculus import (
     jackson_antiderivative,
     taylor_reconstruct,
 )
-from goldencalc.core import MIN_DPS, DomainError, ZPhi, fib_exact
+from goldencalc.angular import casimir_ratio
+from goldencalc.binomials import golden_base
+from goldencalc.core import (
+    MIN_DPS,
+    DomainError,
+    ZPhi,
+    fib_exact,
+    fib_extended,
+    fib_higher_real,
+    phi_value,
+    ratio_sequence,
+)
+from goldencalc.oscillator import energy_ratios, invert_number
+from goldencalc.verify import verify_all
 
 
 def df_quotient(f, x, dps=40):
@@ -390,10 +403,24 @@ class TestCallableGrid:
 
 
 class TestPrecisionGate:
-    """Every branch that evaluates refuses a precision below MIN_DPS."""
+    """Every analytic entry point refuses a precision that is not an int >= MIN_DPS."""
 
     POLY = UnivarPoly(coeffs=(0, 0, 1))
     CALLS = {
+        "phi_value": lambda p: phi_value(p),
+        "fib_extended": lambda p: fib_extended(0.5, p),
+        "fib_higher_real": lambda p: fib_higher_real(0.5, 1, p),
+        "ratio_sequence": lambda p: ratio_sequence(5, p),
+        "energy_ratios": lambda p: energy_ratios(5, p),
+        "casimir_ratio": lambda p: casimir_ratio(5, p),
+        "invert_number": lambda p: invert_number(55, "even", p),
+        "golden_base": lambda p: golden_base(p),
+        "jackson_exp": lambda p: jackson_exp(2, 1, precision=p),
+        "remarkable_limit_lhs": lambda p: remarkable_limit_lhs(1, 5, precision=p),
+        "GoldenSeries.evaluate": lambda p: golden_exp_series("big_E", 2).evaluate(1, precision=p),
+        "f_oscillator_solution":
+            lambda p: f_oscillator_solution(1, "hyperbolic", 1, 1, 0.5, precision=p),
+        "verify_all": lambda p: verify_all(only=["core.lucas-combinations"], precision=p),
         "golden_derivative_poly": lambda p: golden_derivative(TestPrecisionGate.POLY, 2, precision=p),
         "golden_derivative_callable": lambda p: golden_derivative(lambda t: t * t, 2, precision=p),
         "golden_derivative_series": lambda p: golden_derivative(golden_exp_series(), 1, precision=p),
@@ -411,8 +438,30 @@ class TestPrecisionGate:
             self.CALLS[call](MIN_DPS - 1)
         self.CALLS[call](MIN_DPS)
 
+    @pytest.mark.parametrize("precision", [34.5, True, "40", None, float("inf")],
+                             ids=["fractional", "bool", "str", "None", "inf"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused_unless_an_int(self, call, precision):
+        with pytest.raises(DomainError, match="precision"):
+            self.CALLS[call](precision)
+
     def test_exact_derivative_needs_no_precision(self):
         assert golden_derivative(self.POLY, precision=MIN_DPS - 1).coeffs == (0, 1)
+
+    # D_F (1/3 + 2/7 x + 5/11 x^2 + 1/13 x^3) = 2/7 + 5/11 x + 2/13 x^2, exactly
+    CUBIC = UnivarPoly(coeffs=(Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(1, 13)))
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), Fraction(-7, 4), Fraction(3)])
+    @pytest.mark.parametrize("dps", [16, 34, 60, 100])
+    def test_polynomial_point_at_requested_digits(self, dps, x):
+        got = golden_derivative(self.CUBIC, float(x), precision=dps)
+        exact = Fraction(2, 7) + Fraction(5, 11) * x + Fraction(2, 13) * x * x
+        with mp.workdps(dps + 30):
+            ref = mp.mpf(exact.numerator) / exact.denominator
+            assert abs(got - ref) <= mp.mpf(10) ** -dps * abs(ref)
+
+    def test_polynomial_point_from_a_string(self):
+        assert golden_derivative(self.POLY, "0.5") == 0.5  # D_F x^2 = F_2 x
 
 
 class TestNonFiniteArguments:
@@ -426,6 +475,12 @@ class TestNonFiniteArguments:
         "remarkable_limit_lhs": lambda v: remarkable_limit_lhs(v, 5),
         "golden_derivative": lambda v: golden_derivative(lambda t: t, v),
         "golden_derivative_poly": lambda v: golden_derivative(UnivarPoly(coeffs=(0, 0, 1)), v),
+        "GoldenSeries k": lambda v: golden_exp_series("small_e", v).evaluate(1),
+        "f_oscillator_solution A": lambda v: f_oscillator_solution(1, "hyperbolic", v, 1, 0.5),
+        "f_oscillator_solution B": lambda v: f_oscillator_solution(1, "hyperbolic", 1, v, 0.5),
+        "f_oscillator_solution k": lambda v: f_oscillator_solution(v, "elliptic", 1, 1, 0.5),
+        "f_oscillator_solution t": lambda v: f_oscillator_solution(1, "elliptic", 1, 1, v),
+        "is_golden_periodic": lambda v: is_golden_periodic(lambda t: t, [v]),
     }
 
     @pytest.mark.parametrize("value", [mp.inf, -mp.inf, mp.nan], ids=["inf", "-inf", "nan"])

@@ -260,6 +260,58 @@ class TestFibHigher:
         assert abs(fib_higher_real(2, 2.0) - 3) < 1e-20  # F_4 / F_2
 
 
+class TestFibHigherRealConformance:
+    """F^(r)_n against its two-base closed form, computed here at 2p + 20 digits.
+
+    The closed form (phi^(rn) - exp(i pi r n) phi^(-rn)) / (phi^r - exp(i pi r) phi^(-r))
+    reads the power of the second base on the branch fib_extended takes.
+    """
+
+    ORDERS = (-1, 1, 2, 3, 0.5, 1.5, 0.3)
+    INDICES = (-1.5, -0.5, 0.5, 1, 2.5, 3)
+
+    @pytest.mark.parametrize("dps", [16, 20, 34, 35, 60, 100])
+    def test_requested_digits(self, dps):
+        misses = []
+        for r in self.ORDERS:
+            for n in self.INDICES:
+                got = fib_higher_real(n, r, dps)
+                with mp.workdps(2 * dps + 20):
+                    rr, rn = mp.mpf(r), mp.mpf(r) * n
+                    ref = ((mp.power(mp.phi, rn) - mp.exp(1j * mp.pi * rn) * mp.power(mp.phi, -rn))
+                           / (mp.power(mp.phi, rr) - mp.exp(1j * mp.pi * rr) * mp.power(mp.phi, -rr)))
+                    err = abs(got - ref) / max(abs(ref), 1)
+                    if err > mp.mpf(10) ** -dps:
+                        misses.append((r, n, mp.nstr(err, 3)))
+        assert not misses, f"at {dps} digits: {misses}"
+
+    @pytest.mark.parametrize("dps", [16, 20, 34, 35, 60, 100])
+    def test_first_order_is_the_extension(self, dps):
+        # F^(1)_n = F_n: at n = 1/2 the value is 0.56886 - 0.35158i, not its conjugate
+        got = fib_higher_real(0.5, 1, dps)
+        assert got.imag < 0
+        with mp.workdps(dps + 10):
+            assert abs(got - fib_extended(0.5, dps).value) <= mp.mpf(10) ** -dps
+
+    def test_even_order_at_half_index(self):
+        assert abs(fib_higher_real(0.5, 2) - 1) < mp.mpf(10) ** -34  # F_1 / F_2
+
+    def test_zero_order_refused(self):
+        with pytest.raises(DomainError, match="order r must be nonzero"):
+            fib_higher_real(3, 0)
+
+    def test_order_times_index_in_the_extension_domain(self):
+        with pytest.raises(DomainError, match="must not exceed 1000"):
+            fib_higher_real(3, 600.0)
+
+    @pytest.mark.parametrize("value", [mp.nan, mp.inf], ids=["nan", "inf"])
+    def test_non_finite_refused(self, value):
+        with pytest.raises(DomainError, match="must be finite"):
+            fib_higher_real(value, 1)
+        with pytest.raises(DomainError, match="must be finite"):
+            fib_higher_real(1, value)
+
+
 class TestRatioSequence:
     def test_first_values(self):
         seq = ratio_sequence(3)

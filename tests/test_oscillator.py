@@ -69,19 +69,19 @@ class TestBuildLadder:
 
 class TestAlgebraVerification:
     def test_dim_12_within_tolerance(self):
-        report = verify_oscillator_algebra(12, 1e-12)
+        report = verify_oscillator_algebra(12)
         assert report.passed
         assert max(report.residuals.values()) < 1e-12
 
     def test_minimal_dimension(self):
-        assert verify_oscillator_algebra(3, 1e-12).passed
+        assert verify_oscillator_algebra(3).passed
 
     def test_corrupted_entry_detected(self):
         shift = build_ladder(10).shift
         sq = list(shift.sq)
         sq[1] += 1  # F_2 + 1
         bad = LadderSet(WeightedShift(tuple(sq), shift.turns))
-        report = verify_oscillator_algebra(10, 1e-12, ladder=bad)
+        report = verify_oscillator_algebra(10, ladder=bad)
         assert not report.passed
         assert max(report.residuals.values()) >= 1e-7
 
