@@ -61,6 +61,7 @@ from .binomials import (
     golden_polynomial,
     jackson_exp,
     noncomm_expand,
+    remarkable_limit,
     remarkable_limit_lhs,
 )
 from .oscillator import (

@@ -151,18 +151,6 @@ class BivarPoly:
             parts.append(f"({c}){mono}" if mono else f"({c})")
         return " + ".join(parts)
 
-    def __add__(self, other: BivarPoly) -> BivarPoly:
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return BivarPoly(out)
-
-    def __neg__(self) -> BivarPoly:
-        return BivarPoly({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other: BivarPoly) -> BivarPoly:
-        return self + (-other)
-
     def __mul__(self, other: BivarPoly | object) -> BivarPoly:
         if isinstance(other, BivarPoly):
             out: dict[tuple[int, int], object] = {}
@@ -382,3 +370,14 @@ def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
         for k in range(n, -1, -1):
             total = total * scale + _half_triangle_sign(k) * row[k]
         return mp.mpc(total)
+
+
+def remarkable_limit(y, n: int, precision: int = DEFAULT_DPS) -> tuple[mpmath.mpc, mpmath.mpc, mpmath.mpf]:
+    """(1 + y/phi^n)_F^n, the n-term e_{-phi^2}(y/sqrt(5)) and their distance.
+
+    All three keep the guard digits, so the distance is not the rounding of either value.
+    """
+    with _at_precision(precision):
+        finite = remarkable_limit_lhs(y, n, precision)
+        jackson = jackson_exp(-(mp.phi ** 2), _finite(y, "argument") / mp.sqrt(5), n, precision)
+        return finite, jackson, abs(finite - jackson)

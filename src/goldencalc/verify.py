@@ -8,7 +8,7 @@ fixes an ambiguous convention, and they verify that the deviation is exactly
 the documented one.  A known-deviation entry is never reported as "pass".
 
 Suites are pure and independent; randomized ones draw from a seeded
-generator, so a whole run is reproducible from (profile, seed).
+generator, so a whole run is reproducible from (precision, seed).
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import sqrt
 from typing import Callable, Iterable
 
+import mpmath
 from mpmath import mp
 
 from . import angular, calculus, core, oscillator
@@ -60,7 +62,7 @@ class ReportEntry:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    profile: str
+    precision: int
     seed: int
     entries: tuple[ReportEntry, ...]
     diagnostics: tuple[str, ...]
@@ -85,9 +87,8 @@ class VerificationReport:
 
 @dataclass
 class SuiteContext:
-    tol: float | None
+    tol: float | mpmath.mpf | None
     rng: random.Random
-    fault: bool = False
     precision: int = DEFAULT_PRECISION
 
 
@@ -97,18 +98,24 @@ class Suite:
 
     `cases(ctx)` yields (case, residual) pairs.  An exact suite (no
     tolerance) fails at the first case whose residual is nonzero or true; a
-    toleranced suite passes when its worst residual is within the tolerance.
+    toleranced suite passes when its worst residual is within `tolerance(precision)`.
     """
 
     id: str
     statement: str
     range_desc: str
     default_tol: float | None
-    strict_tol: float | None
     kind: str  # "invariant" | "known-deviation"
     cases: Callable[[SuiteContext], Iterable[tuple[object, object]]]
     notes: str
-    supports_fault: bool = False
+
+    def tolerance(self, precision: int):
+        """The tolerance at `precision`: an invariant's residual is rounding, so `default_tol` scales
+        by 10^(DEFAULT_PRECISION - precision); a known deviation compares with a printed value."""
+        if self.default_tol is None or self.kind == "known-deviation":
+            return self.default_tol
+        # scaled in decimal, so that the report's float is the double nearest the tolerance
+        return mpmath.mpmathify(Decimal(repr(self.default_tol)).scaleb(DEFAULT_PRECISION - precision))
 
     def runner(self, ctx: SuiteContext) -> tuple[bool, float | None, str]:
         """Run every case at the context's precision: (ok, max residual, notes)."""
@@ -116,23 +123,23 @@ class Suite:
         with _at_precision(ctx.precision, guard=0):
             for case, residual in self.cases(ctx):
                 if self.default_tol is not None:
-                    worst = max(worst, residual)
+                    worst = max(worst, mpmath.mpmathify(residual))
                 elif residual:
                     return False, None, f"failed at {case}"
         if self.default_tol is None:
             return True, 0.0, self.notes
-        return float(worst) <= ctx.tol, float(worst), self.notes
+        # compared before either becomes a float, which underflows to 0.0 past ~320 digits
+        return worst <= ctx.tol, float(worst), self.notes
 
 
 _REGISTRY: list[Suite] = []
 
 
 def _suite(id: str, statement: str, range_desc: str, notes: str, *,
-           tols: tuple[float | None, float | None] = (None, None),
-           kind: str = "invariant", supports_fault: bool = False):
+           tol: float | None = None, kind: str = "invariant"):
     """Register the decorated case generator as a suite, in definition order."""
     def register(cases):
-        _REGISTRY.append(Suite(id, statement, range_desc, *tols, kind, cases, notes, supports_fault))
+        _REGISTRY.append(Suite(id, statement, range_desc, tol, kind, cases, notes))
         return cases
     return register
 
@@ -179,7 +186,7 @@ def _multiplication_law(ctx: SuiteContext):
 
 
 @_suite("core.division-law", "F(m/n) = F(m) / F^(m/n)(n)", "(m, n) in {(4,2), (6,3), (6,2)}",
-        "pairs (4,2), (6,3), (6,2)", tols=(1e-10, 1e-12))
+        "pairs (4,2), (6,3), (6,2)", tol=1e-32)
 def _division_law(ctx: SuiteContext):
     for (m, n) in ((4, 2), (6, 3), (6, 2)):
         r = mp.mpf(m) / n
@@ -205,7 +212,7 @@ def _lucas_combinations(ctx: SuiteContext):
 
 
 @_suite("core.real-addition", "F(x+y) = phi^x F(y) + (-1/phi)^y F(x) for real x, y",
-        "20 seeded pairs in [-5, 5]", "20 seeded pairs in [-5, 5]", tols=(1e-10, 1e-12))
+        "20 seeded pairs in [-5, 5]", "20 seeded pairs in [-5, 5]", tol=1e-31)
 def _real_addition(ctx: SuiteContext):
     phi = +mp.phi
     for i in range(20):
@@ -217,7 +224,7 @@ def _real_addition(ctx: SuiteContext):
 
 
 @_suite("core.real-recurrence", "F(x) = F(x-1) + F(x-2) for real x",
-        "20 seeded arguments in [-5, 5]", "20 seeded arguments in [-5, 5]", tols=(1e-10, 1e-12))
+        "20 seeded arguments in [-5, 5]", "20 seeded arguments in [-5, 5]", tol=1e-32)
 def _real_recurrence(ctx: SuiteContext):
     for i in range(20):
         x = mp.mpf(ctx.rng.uniform(-5, 5))
@@ -418,18 +425,23 @@ def _quotient_rules(ctx: SuiteContext):
 
 
 @_suite("calculus.summation-formula", "sum F(n)/n! = e^(1/2) sinh(sqrt(5)/2) / (sqrt(5)/2)",
-        "40 series terms", "40-term sum against the closed hyperbolic form", tols=(1e-12, 1e-14))
+        "terms down to 10^-(precision+2)",
+        "sum to the first term below 10^-(precision+2) against the closed hyperbolic form", tol=1e-32)
 def _summation_formula(ctx: SuiteContext):
-    lhs = mp.mpf(0)
-    for n in range(41):
-        lhs += mp.mpf(fib_exact(n)) / mp.factorial(n)
+    # from n = 1 on the terms fall by F(n+1)/((n+1) F(n)) <= 2/(n+1), so the tail is below the last
+    smallest = mp.mpf(10) ** -(ctx.precision + 2)
+    lhs, term, n = mp.zero, mp.one, 0
+    while term >= smallest:
+        n += 1
+        term = mp.mpf(fib_exact(n)) / mp.factorial(n)
+        lhs += term
     rhs = mp.exp(mp.mpf(1) / 2) * mp.sinh(mp.sqrt(5) / 2) / (mp.sqrt(5) / 2)
-    yield "40 terms", abs(lhs - rhs)
+    yield f"{n} terms", abs(lhs - rhs)
 
 
 @_suite("calculus.exp-eigenrelations", "D e_F(kx) = k e_F(kx)  and  D E_F(kx) = k E_F(-kx)",
         "k in {1, 1/2, 2}, sampled x, series and difference-quotient routes",
-        "k in {1, 1/2, 2}, x in {0.3, 0.7, 1.1}, both routes", tols=(1e-8, 1e-10))
+        "k in {1, 1/2, 2}, x in {0.3, 0.7, 1.1}, both routes", tol=1e-32)
 def _exp_eigenrelations(ctx: SuiteContext):
     dps = ctx.precision
     for k in (Fraction(1), Fraction(1, 2), Fraction(2)):
@@ -486,16 +498,12 @@ def _diagonal_identities(ctx: SuiteContext):
 
 @_suite("oscillator.fock-normalization",
         "repeated raising builds unit-norm states: |(b+)^n vacuum| = sqrt(F(n)!)",
-        "n < dim = 12", "states built by repeated raising at dim 12", tols=(1e-12, 1e-13),
-        supports_fault=True)
+        "n < dim = 12", "states built by repeated raising at dim 12")
 def _fock_normalization(ctx: SuiteContext):
-    sq = oscillator.build_ladder(12).shift.sq  # F_1 .. F_11
-    if ctx.fault:
-        sq = (2,) + sq[1:]  # corrupt the weight F_1
-    norm2 = 1  # |(b+)^n vacuum|^2 is the product of the first n squared weights
-    for n, weight in enumerate(sq, start=1):
+    norm2 = 1  # |(b+)^n vacuum|^2 is the product of the first n squared weights F_1 .. F_n
+    for n, weight in enumerate(oscillator.build_ladder(12).shift.sq, start=1):
         norm2 *= weight
-        yield f"n={n}", abs(Fraction(norm2, fib_factorial(n)) - 1)
+        yield f"n={n}", norm2 != fib_factorial(n)
 
 
 @_suite("oscillator.number-distinct",
@@ -597,7 +605,7 @@ _PRINTED_GOLDEN_PI = complex(4.73068, 0.0939706)
         "library returns the 1/sqrt(5)-normalized F_pi; the published example value "
         "4.73068+0.0939706i is the unnormalized sqrt(5)*F_pi (reproduced to ~2e-6 when "
         "evaluated with the truncated constants 1.618 and 3.14)",
-        tols=(5e-3, 5e-3), kind="known-deviation")
+        tol=5e-3, kind="known-deviation")
 def _pi_extension_scale(ctx: SuiteContext):
     value = core.fib_extended(mp.pi, ctx.precision).value
     yield "F(pi)", abs(value * mp.sqrt(5) - mp.mpc(_PRINTED_GOLDEN_PI))
@@ -609,7 +617,7 @@ def _pi_extension_scale(ctx: SuiteContext):
         "the geometric-grid antiderivative fixes the ambiguous argument-shift notation by "
         "the round-trip contract: the Golden derivative of the antiderivative returns the "
         "integrand (checked on 1, x, x^2 at x in {0.5, 1, 2})",
-        tols=(1e-10, 1e-10), kind="known-deviation")
+        tol=1e-10, kind="known-deviation")
 def _antiderivative_convention(ctx: SuiteContext):
     for coeffs in ((Fraction(1),), (Fraction(0), Fraction(1)),
                    (Fraction(0), Fraction(0), Fraction(1))):
@@ -626,7 +634,7 @@ def _antiderivative_convention(ctx: SuiteContext):
         "the published odd-index inversion uses a minus before the radical, which lands on "
         "-n (it selects phi^-n); the implementation takes the plus branch, validated by the "
         "exact round trip through the integer Fibonacci path",
-        tols=(1e-9, 1e-9), kind="known-deviation")
+        tol=1e-9, kind="known-deviation")
 def _number_inversion_branch(ctx: SuiteContext):
     for n in (3, 5, 7, 9):
         F = mp.mpf(fib_exact(n))
@@ -647,40 +655,24 @@ def matching_suites(only=None) -> list[Suite]:
     return [s for s in SUITES if not only or s.id.startswith(tuple(only))]
 
 
-def verify_all(profile: str = "default", seed: int = 0,
-               only: list[str] | None = None,
-               inject_fault: str | None = None,
-               precision: int = DEFAULT_PRECISION,
-               tol_override: float | None = None) -> VerificationReport:
-    """Run every identity suite and assemble the report.
+def verify_all(seed: int = 0, only: list[str] | None = None,
+               precision: int = DEFAULT_PRECISION) -> VerificationReport:
+    """Run every identity suite at `precision` digits and assemble the report.
 
-    `profile` selects default or strict tolerances (`tol_override` replaces
-    both for tolerance-bearing suites); `only` filters by suite id prefix;
-    `inject_fault` perturbs a fault-capable suite to prove the harness
-    detects corruption.  Suites never abort the run: an exception becomes a
-    "fail" entry.
+    Each suite's tolerance follows from the precision (`Suite.tolerance`);
+    `only` filters by suite id prefix.  Suites never abort the run: an
+    exception becomes a "fail" entry.
     """
-    if profile not in ("default", "strict"):
-        raise DomainError("profile must be 'default' or 'strict'")
     _at_precision(precision, guard=0)  # refuses a bad precision before any suite runs
     selected = matching_suites(only)
     if not selected:
         raise DomainError(f"no verification suites match {only!r}")
-    if inject_fault is not None:
-        targets = [s for s in selected if s.id == inject_fault]
-        if not targets:
-            raise DomainError(f"unknown fault-injection target {inject_fault!r}")
-        if not targets[0].supports_fault:
-            raise DomainError(f"suite {inject_fault!r} does not support fault injection")
 
     entries: list[ReportEntry] = []
     diagnostics: list[str] = []
     for suite in selected:
-        tol = suite.default_tol if profile == "default" else suite.strict_tol
-        if tol is not None and tol_override is not None:
-            tol = tol_override
-        ctx = SuiteContext(tol=tol, rng=random.Random(seed),
-                           fault=(suite.id == inject_fault), precision=precision)
+        tol = suite.tolerance(precision)
+        ctx = SuiteContext(tol=tol, rng=random.Random(seed), precision=precision)
         try:
             ok, residual, notes = suite.runner(ctx)
         except Exception as exc:  # capture, never abort the run
@@ -688,7 +680,8 @@ def verify_all(profile: str = "default", seed: int = 0,
         status = ("known-deviation" if suite.kind == "known-deviation" else "pass") if ok else "fail"
         entries.append(ReportEntry(
             id=suite.id, statement=suite.statement, range=suite.range_desc,
-            tolerance=tol, max_residual=residual, status=status, notes=notes))
+            tolerance=None if tol is None else float(tol), max_residual=residual,
+            status=status, notes=notes))
     entries.sort(key=lambda e: e.id)
 
     # informative residual of the underdetermined symmetric construction
@@ -696,5 +689,5 @@ def verify_all(profile: str = "default", seed: int = 0,
         rep = angular.verify_symmetric(j)
         diagnostics.append(str(rep))
 
-    return VerificationReport(profile=profile, seed=seed,
+    return VerificationReport(precision=precision, seed=seed,
                               entries=tuple(entries), diagnostics=tuple(diagnostics))

@@ -255,7 +255,7 @@ def test_criterion_10_verifier():
     data = json.loads(record.payload)
     assert {"command", "params", "precision", "value"} <= set(data)
     body = data["value"]
-    assert {"profile", "seed", "entries", "summary", "diagnostics"} <= set(body)
+    assert {"precision", "seed", "entries", "summary", "diagnostics"} <= set(body)
     for entry in body["entries"]:
         assert set(entry) == {"id", "statement", "range", "tolerance",
                               "max_residual", "status", "notes"}

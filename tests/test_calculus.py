@@ -213,6 +213,35 @@ class TestGoldenTrig:
         assert abs(s - sh) < 1e-12
 
 
+class TestTermCap:
+    """A capped series sums terms 0 .. n_terms, and terms_used says so."""
+
+    X = mp.mpf(3)  # far from converged after 8 terms
+
+    # each series and its coefficients c_n, written out apart from the library's sign tables
+    SERIES = {
+        "golden_exp small_e": (lambda x, n, p: golden_exp(x, "small_e", n, p), lambda n: 1),
+        "golden_exp big_E": (lambda x, n, p: golden_exp(x, "big_E", n, p),
+                             lambda n: (-1) ** (n * (n - 1) // 2)),
+        "golden_trig cos_F": (lambda x, n, p: golden_trig(x, "cos_F", n, p),
+                              lambda n: 0 if n % 2 else (-1) ** (n // 2)),
+        "golden_trig sin_F": (lambda x, n, p: golden_trig(x, "sin_F", n, p),
+                              lambda n: (-1) ** (n // 2) if n % 2 else 0),
+        "GoldenSeries k=2, derived": (lambda x, n, p: GoldenSeries(lambda m: 1, 2, 1).evaluate(x, n, p),
+                                      lambda n: 2 ** (n + 1)),
+    }
+
+    @pytest.mark.parametrize("n_terms", [1, 3, 8])
+    @pytest.mark.parametrize("name", sorted(SERIES))
+    def test_capped_sum(self, name, n_terms):
+        evaluate, coefficient = self.SERIES[name]
+        sv = evaluate(self.X, n_terms, 60)
+        assert sv.terms_used == n_terms + 1
+        with mp.workdps(80):
+            explicit = sum(coefficient(n) * self.X ** n / fib_factorial(n) for n in range(sv.terms_used))
+        assert abs(sv.value - explicit) <= mp.mpf(10) ** -58 * max(abs(explicit), 1)
+
+
 class TestFOscillator:
     def test_initial_value(self):
         assert abs(f_oscillator_solution(1, "hyperbolic", 1, 0, 0) - 1) == 0

@@ -6,11 +6,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 import goldencalc
+from goldencalc import angular, oscillator
 from goldencalc.binomials import fibonomial
 from goldencalc.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run_command
 from goldencalc.core import fib_exact
@@ -176,7 +180,7 @@ class TestVerifyCommand:
         data = json.loads(record.payload)
         assert {"command", "params", "precision", "value"} <= set(data)
         report = data["value"]
-        assert {"profile", "seed", "entries", "summary", "diagnostics"} <= set(report)
+        assert {"precision", "seed", "entries", "summary", "diagnostics"} <= set(report)
         assert report["summary"]["fail"] == 0
         assert report["summary"]["known_deviation"] == 3
         for entry in report["entries"]:
@@ -207,9 +211,15 @@ class TestVerifyCommand:
         assert code == EXIT_DOMAIN and record is None
         assert capsys.readouterr().err.startswith("domain error: cannot write '/nonexistent-dir/x.json'")
 
-    def test_fault_injection_fails_with_exit_code(self):
-        code, record = run_command(["verify", "--profile", "strict",
-                                    "--inject-fault", "oscillator.fock-normalization"])
+    def test_fault_injection_fails_with_exit_code(self, monkeypatch):
+        build = oscillator.build_ladder
+
+        def corrupted(dim):  # the weight F_1 read as 2
+            ladder = build(dim)
+            return replace(ladder, shift=replace(ladder.shift, sq=(2,) + ladder.shift.sq[1:]))
+
+        monkeypatch.setattr(oscillator, "build_ladder", corrupted)
+        code, record = run_command(["verify", "--only", "oscillator.fock-normalization"])
         assert code == EXIT_VERIFY
         assert "fail 1" in record.payload.splitlines()[-1]
 
@@ -311,7 +321,7 @@ class TestOutputContract:
         (["limit", "1"],
          "finite:  (1.313425861129575856281587020050988 + 0.0j)\n"
          "jackson: (1.313425861129575856281587020050988 + 0.0j)\n"
-         "difference: 2.15486e-34\n"),
+         "difference: 2.14239e-34\n"),
         (["binom", "6"],
          "(1+0φ)x^6 + (8+0φ)x^5y + (-40+0φ)x^4y^2 + (-60+0φ)x^3y^3 + (40+0φ)x^2y^4"
          " + (8+0φ)xy^5 + (-1+0φ)y^6\n"),
@@ -437,6 +447,38 @@ class TestOutputContract:
         assert [tuple(line.split(",")[:2]) for line in lines] == \
             [("id", "status")] + _VERIFY_STATUSES
 
+    @pytest.mark.parametrize("j", ["1", "3/2", "2"])
+    def test_symmetric_commutator_residual(self, j):
+        data = json.loads(payload(["--format", "json", "angmom", "--j", j, "--variant", "symmetric"]))
+        assert data["commutator_residual"] == angular.verify_symmetric(Fraction(j)).residual_plain
+
+
+def _limit_reference(n: int):
+    """(1 + 1/phi^n)_F^n and its distance from the n-term e_{-phi^2}(1/sqrt(5)), at 400 digits."""
+    with mp.workdps(400):
+        phi = (1 + mp.sqrt(5)) / 2
+        finite = sum((-1) ** (k * (k - 1) // 2) * fibonomial(n, k) * phi ** (-n * k) for k in range(n + 1))
+        q, x = -phi ** 2, 1 / mp.sqrt(5)
+        jackson = term = mp.one
+        basic = mp.zero  # [k]_q = 1 + q [k-1]_q
+        for k in range(1, n + 1):
+            basic = 1 + q * basic
+            term = term * x / basic
+            jackson += term
+        return finite, abs(finite - jackson)
+
+
+class TestLimit:
+    @pytest.mark.parametrize("precision,n", [(16, 10), (16, 200), (34, 80), (60, 80), (100, 200)])
+    def test_difference_matches_reference(self, precision, n):
+        finite, diff = _limit_reference(n)
+        if diff < mp.mpf(10) ** -precision * max(abs(finite), 1):
+            expected = f"< 1e-{precision}"  # below the printed digits: only the bound is known
+        else:
+            expected = mp.nstr(diff, 6, strip_zeros=True)
+        lines = payload(["--precision", str(precision), "limit", "1", "--n", str(n)]).splitlines()
+        assert lines[-1] == f"difference: {expected}"
+
 
 def _unlimited_str(value: int) -> str:
     """str(value) with the interpreter's int-to-str digit limit lifted."""
@@ -496,7 +538,7 @@ class TestImportCost:
         ["spectrum", "--n-max", "10"], ["ratios", "--n-max", "5"],
         ["invert-n", "55", "--parity", "even"],
         ["plot-data", "casimir_ratios", "--n-max", "5", "--output", "OUTPUT"],
-        ["verify"], ["--precision", "100", "verify", "--profile", "strict"],
+        ["verify"], ["--precision", "100", "verify"],
     ]
 
     def test_scalar_commands_never_load_numpy(self, tmp_path):
