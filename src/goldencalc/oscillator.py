@@ -21,10 +21,11 @@ Z[phi] at any size, and the dense matrices are views built on first use.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import sqrt
+from math import inf, isfinite, sqrt
 from typing import TYPE_CHECKING
 
 import mpmath
@@ -227,23 +228,41 @@ class SpectrumTable:
     ratios: tuple[Fraction, ...]
 
 
+def _hbar_omega(value) -> Fraction:
+    try:
+        hw = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        raise DomainError(f"hbar_omega must be a finite rational, not {value!r}") from None
+    _require(hw > 0, "hbar_omega must be positive")
+    return hw
+
+
+# r_n = F_(n+3)/F_(n+2), shared by every spectrum call.  It grows by rebinding to a
+# longer tuple, never in place: racing callers at worst both do the work.
+_RATIOS: tuple[Fraction, ...] = (Fraction(2),)
+
+
 def spectrum(n_max: int, hbar_omega: int | float | str | Fraction = 1) -> SpectrumTable:
-    """Exact rational spectrum up to level n_max."""
+    """Exact rational spectrum up to level n_max.
+
+    Levels are exact quotients hbar_omega F_(n+2) / 2; ratios are sliced from one
+    per-process table of at most MAX_SPECTRUM_INDEX entries (~0.2 MB).
+    """
+    global _RATIOS
     _require(isinstance(n_max, int) and n_max >= 0, "n_max must be a non-negative integer")
     _require(n_max <= MAX_SPECTRUM_INDEX, f"n_max must not exceed {MAX_SPECTRUM_INDEX}")
-    try:
-        hw = Fraction(str(hbar_omega)) if isinstance(hbar_omega, float) else Fraction(hbar_omega)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
-        raise DomainError(f"hbar_omega must be a finite rational, not {hbar_omega!r}") from None
-    _require(hw > 0, "hbar_omega must be positive")
-    half = hw / 2
-    levels = tuple(enumerate(half * f for f in fib_range(2, n_max + 2)))  # F_2 .. F_{n_max+2}
-    # 1 + 1/r takes gcds against 1; levels[n+1]/levels[n] would run Euclid on consecutive F's.
-    ratios, r = [], Fraction(2)  # r_n = F_(n+3)/F_(n+2), r_(n+1) = 1 + 1/r_n
-    for _ in range(n_max):
-        ratios.append(r)
-        r = 1 + 1 / r
-    return SpectrumTable(hbar_omega=hw, levels=levels, ratios=tuple(ratios))
+    hw = _hbar_omega(hbar_omega)
+    num, den = hw.numerator, 2 * hw.denominator
+    levels = tuple(enumerate(Fraction(num * f, den) for f in fib_range(2, n_max + 2)))
+    ratios = _RATIOS
+    if len(ratios) < n_max:
+        # 1 + 1/r takes gcds against 1; Fraction(F_(n+3), F_(n+2)) would run Euclid on consecutive F's.
+        grown, r = list(ratios), ratios[-1]
+        while len(grown) < n_max:
+            r = 1 + 1 / r
+            grown.append(r)
+        _RATIOS = ratios = tuple(grown)
+    return SpectrumTable(hbar_omega=hw, levels=levels, ratios=ratios[:n_max])
 
 
 def energy_ratios(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
@@ -251,9 +270,16 @@ def energy_ratios(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
     return _fib_quotients("n_max", n_max, 1, precision, lo=2)
 
 
-def hamiltonian(ladder: LadderSet, hbar_omega: float = 1.0) -> np.ndarray:
-    """(hbar*omega/2)(b+b + bb+); diagonal with entries E_n on interior states."""
-    return hbar_omega / 2 * _diagonal_view(map(sum, zip(*ladder.shift.products())))
+def hamiltonian(ladder: LadderSet, hbar_omega: int | float | str | Fraction = 1.0) -> np.ndarray:
+    """(hbar*omega/2)(b+b + bb+); diagonal with entries E_n on interior states.
+
+    hbar_omega is read as in spectrum; the complex128 result scales by float(hbar_omega) / 2.
+    """
+    hw = _hbar_omega(hbar_omega)
+    scale = float(hw) / 2 if hw <= sys.float_info.max else inf
+    diagonal = list(map(sum, zip(*ladder.shift.products())))
+    _require(isfinite(scale * max(diagonal)), "hbar_omega overflows the Hamiltonian's float entries")
+    return scale * _diagonal_view(diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -565,3 +565,10 @@ class TestImportCost:
             "code, record = cli.run_command(['angmom', '--j', '1'])\n"
             "assert code == 0 and record.payload.startswith('variant standard_F'), code\n"
             "assert 'numpy' in sys.modules\n")
+
+    def test_import_builds_no_spectrum_ratios(self):
+        _run_child(
+            "from fractions import Fraction\n"
+            "import goldencalc.cli\n"
+            "from goldencalc import oscillator\n"
+            "assert oscillator._RATIOS == (Fraction(2),), len(oscillator._RATIOS)\n")

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 import pytest
@@ -12,9 +16,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+from goldencalc import oscillator
 from goldencalc.binomials import fib_factorial
 from goldencalc.core import MAX_FIB_INDEX, MIN_DPS, DomainError, fib_exact, phi_value
 from goldencalc.oscillator import (
+    MAX_SPECTRUM_INDEX,
     LadderSet,
     WeightedShift,
     build_ladder,
@@ -153,6 +159,68 @@ class TestSpectrumArguments:
             spectrum(3, value)
 
 
+SEED_RATIOS = (Fraction(2),)  # r_0 = F_3 / F_2, the table a fresh interpreter holds
+
+
+@pytest.fixture(scope="module")
+def reference_fibs():
+    return [fib_exact(k) for k in range(MAX_SPECTRUM_INDEX + 3)]
+
+
+def _assert_reference(table, n_max, hw, fibs):
+    assert table.hbar_omega == hw
+    assert table.levels == tuple((n, hw * fibs[n + 2] / 2) for n in range(n_max + 1))
+    assert table.ratios == tuple(Fraction(fibs[n + 3], fibs[n + 2]) for n in range(n_max))
+
+
+class TestSharedRatioTable:
+    """spectrum slices one per-process ratio table; its contents never depend on call order."""
+
+    SIZES = [0, 1, 2, 3, 17, 500, 999, 1000]
+    HBAR_OMEGAS = [(1, Fraction(1)), ("6/4", Fraction(3, 2)), (0.5, Fraction(1, 2)),
+                   (Fraction(7, 3), Fraction(7, 3)), (20, Fraction(20))]
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    @pytest.mark.parametrize("arg, hw", HBAR_OMEGAS, ids=["1", "6/4", "0.5", "7/3", "20"])
+    def test_any_call_order(self, monkeypatch, reference_fibs, order, arg, hw):
+        monkeypatch.setattr(oscillator, "_RATIOS", SEED_RATIOS)
+        sizes = {"ascending": sorted(self.SIZES), "descending": sorted(self.SIZES, reverse=True),
+                 "shuffled": random.Random(f"{order}{hw}").sample(self.SIZES, len(self.SIZES))}[order]
+        for n_max in sizes:
+            _assert_reference(spectrum(n_max, arg), n_max, hw, reference_fibs)
+            assert len(oscillator._RATIOS) <= MAX_SPECTRUM_INDEX
+        with pytest.raises(DomainError, match="n_max must not exceed"):
+            spectrum(MAX_SPECTRUM_INDEX + 1)
+        assert len(oscillator._RATIOS) == MAX_SPECTRUM_INDEX
+
+    def test_refusal_does_not_grow_the_table(self, monkeypatch):
+        monkeypatch.setattr(oscillator, "_RATIOS", SEED_RATIOS)
+        for n_max, hw in [(MAX_SPECTRUM_INDEX + 1, 1), (500, 0), (500, "x"), (-1, 1)]:
+            with pytest.raises(DomainError):
+                spectrum(n_max, hw)
+        assert oscillator._RATIOS == SEED_RATIOS
+
+    def test_concurrent_growth(self, monkeypatch, reference_fibs):
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the growth loop too
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(oscillator, "_RATIOS", SEED_RATIOS)
+                start = threading.Barrier(4)
+
+                def call(n_max):
+                    start.wait(timeout=60)
+                    return n_max, spectrum(n_max, "7/3")
+
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    results = list(pool.map(call, [1000, 500, 1000, 500], timeout=120))
+                for n_max, table in results:
+                    _assert_reference(table, n_max, Fraction(7, 3), reference_fibs)
+                assert len(oscillator._RATIOS) in (500, MAX_SPECTRUM_INDEX)
+        finally:
+            sys.setswitchinterval(old_interval)
+
+
 class TestEnergyRatios:
     def test_first_values(self):
         seq = energy_ratios(2)
@@ -282,6 +350,63 @@ class TestFockSpace:
         table = spectrum(10, 1)
         for n, energy in table.levels:
             assert abs(h[n, n].real - float(energy)) < 1e-12 * float(energy)
+
+
+def _hamiltonian_diagonal(dim: int) -> np.ndarray:
+    """diag(F_2, ..., F_dim, F_(dim-1)): b+b + bb+ on a ladder truncated at dim."""
+    return np.diag(np.array([fib_exact(n + 2) for n in range(dim - 1)] + [fib_exact(dim - 1)],
+                            dtype=np.complex128))
+
+
+class TestHamiltonianArguments:
+    """hamiltonian reads hbar_omega as spectrum does and always returns complex128."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "1/0",
+                                       complex(1, 0), mp.inf, Decimal("NaN"), None, "x"],
+                             ids=["nan", "inf", "-inf", "1/0", "complex", "mp.inf",
+                                  "Decimal-nan", "None", "text"])
+    def test_refused(self, value):
+        with pytest.raises(DomainError, match="hbar_omega must be a finite rational"):
+            hamiltonian(build_ladder(4), value)
+
+    @pytest.mark.parametrize("value", [0, 0.0, -2.0, "-3/2", Fraction(0)])
+    def test_not_positive(self, value):
+        with pytest.raises(DomainError, match="hbar_omega must be positive"):
+            hamiltonian(build_ladder(4), value)
+
+    @pytest.mark.parametrize("dim, value", [(4, 10**400), (4, "1e400"), (4, sys.float_info.max),
+                                            (200, 1e270)])
+    def test_float_overflow_refused(self, dim, value):
+        with pytest.raises(DomainError, match="overflows the Hamiltonian's float entries"):
+            hamiltonian(build_ladder(dim), value)
+
+    @pytest.mark.parametrize("value, scale", [(1, 0.5), ("6/4", 0.75), (Fraction(1, 3), 1 / 6),
+                                              (Fraction(7, 3), 7 / 6)],
+                             ids=["1", "6/4", "1/3", "7/3"])
+    def test_rationals_scale_in_float(self, value, scale):
+        h = hamiltonian(build_ladder(12), value)
+        assert h.dtype == np.complex128
+        assert h.tobytes() == (scale * _hamiltonian_diagonal(12)).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 12, 200])
+    def test_float_sweep_bit_identical(self, dim):
+        """Every finite positive float scales as x / 2 times the diagonal, or is refused."""
+        rng = random.Random(dim)
+        base = _hamiltonian_diagonal(dim)
+        top = float(fib_exact(dim))  # the largest entry
+        tiny, huge = 5e-324, sys.float_info.max
+        floats = [tiny, 2 * tiny, 1e-310, 0.1, 1 / 3, 2 / 3, 1.0, 2.0, 1e16 + 2, 1e250, huge]
+        floats += [float.fromhex(f"0x1.{rng.getrandbits(52):013x}p{rng.randint(-1074, 1023)}")
+                   for _ in range(1000)]
+        ladder = build_ladder(dim)
+        for x in floats:
+            if isfinite(x / 2 * top):
+                h = hamiltonian(ladder, x)
+                assert h.dtype == np.complex128
+                assert h.tobytes() == (x / 2 * base).tobytes(), x
+            else:
+                with pytest.raises(DomainError, match="overflows"):
+                    hamiltonian(ladder, x)
 
 
 class TestWholeDomain:
