@@ -29,6 +29,7 @@ from .core import (
     _at_precision,
     _finite,
     _require,
+    _term_count,
     fib_range,
     phi_power_exact,
 )
@@ -335,22 +336,29 @@ def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath
     [k]_q = (q^k - 1)/(q - 1) = 1 + q + ... + q^{k-1} comes from its
     recurrence [k]_q = 1 + q [k-1]_q, [0]_q = 0, so q = 1 gives [k]_q = k
     exactly and the classical exponential.  Each term is the last one times
-    x / [k]_q, and a real q and x are summed in real arithmetic.  For
-    q = -phi**2 the basic factorial grows super-geometrically, so truncation
-    error is bounded by twice the first omitted term.
+    x / [k]_q, and a real q and x are summed in real arithmetic.  The sum stops
+    early at a proven tail: once |[k]_q| >= 2|x| and [j]_q cannot shrink (q real
+    >= 1, or (|q| - 1) |[k]_q| >= 1, as |[j+1]_q| >= |q| |[j]_q| - 1), each later
+    ratio |x / [j]_q| is at most 1/2, so the terms after k sum to at most
+    |term_k|, and the first such k with |term_k| <= eps max(|sum|, 1) ends it.
+    Both need q real >= 1 or |q| > 1, where no [j]_q vanishes, so the stop never
+    skips the DomainError for a vanishing basic factorial.
     """
-    _require(isinstance(n_terms, int) and 1 <= n_terms <= MAX_SERIES_TERMS,
-             f"term count must be in 1..{MAX_SERIES_TERMS}")
+    _term_count(n_terms, MAX_SERIES_TERMS)
     with _at_precision(precision):
         qv, xv = _finite(q, "base"), _finite(x, "argument")
-        total = term = mp.one
-        basic = mp.zero
+        total, term, basic = mp.one, mp.one, mp.zero
+        x2, monotone, tol = 2 * abs(xv), mp.im(qv) == 0 and mp.re(qv) >= 1, None
         for k in range(1, n_terms + 1):
             basic = 1 + qv * basic
             if basic == 0:
                 raise DomainError(f"basic factorial [{k}]_q! vanishes for q = {q}")
             term = term * xv / basic
             total += term
+            if tol is None and abs(basic) >= x2 and (monotone or (abs(qv) - 1) * abs(basic) >= 1):
+                tol = mp.eps * max(abs(total) - abs(term), 1)  # |sum| stays above |total| - |term|
+            if tol is not None and abs(term) <= tol:
+                break
         return mp.mpc(total)
 
 

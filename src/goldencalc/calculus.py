@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import isqrt
 from typing import Callable, Literal, Sequence
 
 import mpmath
@@ -28,6 +29,7 @@ from .core import (
     _at_precision,
     _finite,
     _require,
+    _term_count,
     fib_exact,
 )
 from .binomials import MAX_FACTORIAL_INDEX, BivarPoly, UnivarPoly, _half_triangle_sign, _trim
@@ -144,14 +146,21 @@ class SeriesValue:
 
 @dataclass(frozen=True)
 class GoldenSeries:
-    """Series sum_n sign(n + shift) k^(n + shift) x^n / F_n!, with |sign| <= 1.
+    """Series sum_n sign(n + shift) k^(n + shift) x^n / F_n!, with sign(n) in {-1, 0, 1}.
 
-    Term n is at most u_n = |k|^(n+shift) |x|^n / F_n!, and u_(m+1) / u_m =
-    |kx| / F_(m+1).  Once F_(n+1) >= 2|kx|, terms n, n+1, ... sum to at most
-    2 u_n; `evaluate` stops at the first such n with 2 u_n <= 10^-precision *
-    max(|sum|, 1) and returns 2 u_n as `tail_bound`.  The guard digits
-    cover rounding: for |kx| <= 10^5 no term of e_F, E_F, cos_F or
-    sin_F exceeds 10^6 max(|sum|, 1).
+    Term n is t0 u_n, t0 = k^shift and u_n = (kx)^n / F_n!, so |u_(n+1) / u_n| =
+    |kx| / F_(n+1).  Once F_(n+1) >= 2|kx|, terms n, n+1, ... sum to at most
+    2|t0 u_n|; `evaluate` stops at the first such n with 2|t0 u_n| <=
+    10^-precision * max(|sum|, 1) and returns 2 |t0| |kx|^n / F_n! (in mpf) as
+    `tail_bound`.  It sums u_n 2^wp as an int pair (re, im): times the exact
+    mantissa of kx, shifted, floor-divided by F_n.  So term n is off by under 3
+    units of 2^-wp plus |kx| / F_n times the error of term n - 1, under 6 units
+    once the ratios are below 1/2, and growing terms keep their relative error
+    from the exact u_0 = 2^wp.  wp is the working precision + 8 bits + -log2 |u_m|
+    for the first m with a nonzero sign (sin_F at tiny x), capped where u_m
+    falls below 10^-precision / (2|t0|) and ends the sum; a term still growing
+    past 2^(wp + 4096) rescales the sum.  The guard digits cover rounding: for
+    |kx| <= 10^5 no term of e_F, E_F, cos_F or sin_F exceeds 10^6 max(|sum|, 1).
     """
 
     sign: Callable[[int], int]
@@ -167,32 +176,47 @@ class GoldenSeries:
         return GoldenSeries(self.sign, self.k, self.shift + 1)
 
     def evaluate(self, x, n_terms: int = MAX_EXP_TERMS, precision: int = DEFAULT_DPS) -> SeriesValue:
-        _require(1 <= n_terms <= MAX_EXP_TERMS, f"term count must be in 1..{MAX_EXP_TERMS}")
+        _term_count(n_terms, MAX_EXP_TERMS)
         with _at_precision(precision):
             xv = _finite(x, "series argument")
             kv = _finite(self.k, "series parameter k")
-            kx, t = kv * xv, kv ** self.shift  # t = k^(n+shift) x^n / F_n!, so u_n = |t|
-            need = int(mp.ceil(2 * abs(kx)))  # ratios from term n on are <= 1/2 once F_(n+1) >= need
-            tol, skipped, total = None, 0, mp.zero
-            fa, fb = 0, 1  # F_n, F_(n+1)
+            kx, t0 = kv * xv, kv ** self.shift  # term n is t0 u_n with u_n = kx^n / F_n!
+            if not t0:  # k = 0 and shift > 0: every term vanishes
+                return SeriesValue(value=mp.mpc(0), terms_used=0, tail_bound=mp.zero)
+            (a, ea), (b, eb) = [((-1) ** g * m, p) for g, m, p, _ in (kx.real._mpf_, kx.imag._mpf_)]
+            e = min(ea, eb, 0)
+            a, b, s = a << ea - e, b << eb - e, -e  # kx = (a + ib) / 2^s exactly
+            need = -(-isqrt(((a * a + b * b) << 2) - 1) - 1 >> s) if a or b else 0  # ceil(2|kx|)
+            m = next((n for n in range(n_terms + 1) if self.sign(n + self.shift)), 0)
+            low = m * (mp.mag(kx) - 2 - fib_exact(m).bit_length()) if m and kx else 0
+            deep = (10 ** precision).bit_length() + max(mp.mag(t0), m) + 4
+            wp = mp.prec + 8 + max(0, min(-low, deep))
+            re, im, sre, sim, skipped, tol, top = 1 << wp, 0, 0, 0, 0, None, wp + 4096
+            fa, fb, fact = 0, 1, 1  # F_n, F_(n+1), F_n!
             for n in count():
                 if n:
-                    fa, fb = fb, fa + fb
-                    t = t * kx / fa
+                    fa, fb, fact = fb, fa + fb, fact * fb
+                    re, im = ((re * a - im * b) >> s) // fa, ((re * b + im * a) >> s) // fa
+                    if fb < need and (d := max(re, -re, im, -im).bit_length() - top) > 0:
+                        re, im, sre, sim, wp = re >> d, im >> d, sre >> d, sim >> d, wp - d
+                        skipped = (skipped >> d) + 1
+                if n > n_terms and (fb >= need or need > fib_exact(n_terms + MAX_EXP_TERMS + 2)):
+                    break  # past F_(n_terms + MAX_EXP_TERMS + 2) no bound is finite
                 if fb >= need:
                     if tol is None:  # |sum| ends above |total| - 2|t|: one tolerance serves
-                        tol = mp.mpf(10) ** -precision * max(abs(total) - 2 * abs(t), 1) / 2
-                    if n > n_terms or abs(t) <= tol:
+                        rest = isqrt(sre * sre + sim * sim) - 2 * isqrt(re * re + im * im)
+                        one = min(mp.ldexp(1, wp) / abs(t0), mp.ldexp(2 * 10 ** precision, top))
+                        tol = (max(rest, int(one)) // (2 * 10 ** precision)) ** 2
+                    if re * re + im * im <= tol:
                         break
                 if n <= n_terms:
-                    total += self.sign(n + self.shift) * t
-                elif n <= n_terms + MAX_EXP_TERMS:  # past the cap: terms the bound must still count
-                    skipped += abs(t)
-                else:  # |kx| is too large for the ratios to reach 1/2: no finite bound
-                    skipped = mp.inf
-                    break
-            return SeriesValue(value=mp.mpc(total), terms_used=min(n, n_terms + 1),
-                               tail_bound=skipped + 2 * abs(t))
+                    sign = self.sign(n + self.shift)
+                    sre, sim = sre + sign * re, sim + sign * im
+                else:  # past the cap: terms the bound must still count
+                    skipped += isqrt(re * re + im * im) + 1
+            tail = mp.inf if fb < need else 2 * abs(kx) ** n / fact + mp.ldexp(skipped, -wp)
+            return SeriesValue(value=mp.mpc(mp.ldexp(sre, -wp), mp.ldexp(sim, -wp)) * t0,
+                               terms_used=min(n, n_terms + 1), tail_bound=abs(t0) * tail)
 
 
 ExpKind = Literal["small_e", "big_E"]
@@ -267,7 +291,7 @@ def jackson_antiderivative(g, x, n_terms: int = 200, precision: int = DEFAULT_DP
     term 0 that is at most 10^-precision * max(|sum|, 1), an estimate rather
     than a proven bound; if `n_terms` runs out first, it is a DomainError.
     """
-    _require(1 <= n_terms <= MAX_EXP_TERMS, f"term count must be in 1..{MAX_EXP_TERMS}")
+    _term_count(n_terms, MAX_EXP_TERMS)
     with _at_precision(precision):
         xv = _finite(x, "antiderivative argument")
         if xv == 0:

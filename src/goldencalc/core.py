@@ -50,6 +50,12 @@ def _at_precision(precision: int, guard: int = GUARD_DPS):
     return mp.workdps(precision + guard)
 
 
+def _term_count(n_terms: int, cap: int) -> None:
+    """Every series entry point's term cap: `n_terms` must be an int (not a bool) in 1..cap."""
+    _require(isinstance(n_terms, int) and not isinstance(n_terms, bool) and 1 <= n_terms <= cap,
+             f"term count must be an integer in 1..{cap}, not {n_terms!r}")
+
+
 def _finite(value, what: str):
     """`value` as an mpmath number at the current precision; NaN and infinities are refused."""
     v = mpmath.mpmathify(value)

@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf, isfinite, sqrt
+from math import inf, sqrt
 from typing import TYPE_CHECKING
 
 import mpmath
@@ -273,12 +273,14 @@ def energy_ratios(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
 def hamiltonian(ladder: LadderSet, hbar_omega: int | float | str | Fraction = 1.0) -> np.ndarray:
     """(hbar*omega/2)(b+b + bb+); diagonal with entries E_n on interior states.
 
-    hbar_omega is read as in spectrum; the complex128 result scales by float(hbar_omega) / 2.
+    hbar_omega is read as in spectrum; the complex128 result scales by float(hbar_omega) / 2,
+    which must be a normal double (a subnormal scale would drop the entries' low bits).
     """
     hw = _hbar_omega(hbar_omega)
     scale = float(hw) / 2 if hw <= sys.float_info.max else inf
+    _require(scale >= sys.float_info.min, "hbar_omega underflows the Hamiltonian's float entries")
     diagonal = list(map(sum, zip(*ladder.shift.products())))
-    _require(isfinite(scale * max(diagonal)), "hbar_omega overflows the Hamiltonian's float entries")
+    _require(scale * max(diagonal) < inf, "hbar_omega overflows the Hamiltonian's float entries")
     return scale * _diagonal_view(diagonal)
 
 

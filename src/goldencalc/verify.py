@@ -31,7 +31,7 @@ from .binomials import (
     UnivarPoly,
     _linear_factor,
     fib_factorial,
-    fibonomial as fibonomial_coeff,
+    fibonomial_row,
     golden_binomial,
     golden_binomial_roots,
     golden_polynomial,
@@ -257,9 +257,9 @@ def _root_structure(ctx: SuiteContext):
         "0 <= k <= n <= 100", "positive integers with mirror symmetry, n <= 100")
 def _symmetry_integrality(ctx: SuiteContext):
     for n in range(0, 101):
+        row = fibonomial_row(n)
         for k in range(0, n + 1):
-            c = fibonomial_coeff(n, k)
-            yield f"(n={n}, k={k})", c <= 0 or c != fibonomial_coeff(n, n - k)
+            yield f"(n={n}, k={k})", row[k] <= 0 or row[k] != row[n - k]
 
 
 # Published factorizations of P_n as n: (denominator, factors).  A length-3 factor

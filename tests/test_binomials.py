@@ -286,8 +286,31 @@ class TestJacksonExpConformance:
                     err = abs(value - ref)
                     assert err <= mp.mpf(10) ** -precision * max(abs(ref), 1), (x, n_terms, err)
 
+    # bases where the sum stops at a proven tail: [k]_q grows without bound and never vanishes
+    TAIL_BASES = {"1+1e-30": lambda: 1 + mp.mpf("1e-30"), "1.5": lambda: mp.mpf(1.5),
+                  "-phi^2": lambda: -(3 + mp.sqrt(5)) / 2}
+
+    @pytest.mark.parametrize("q", sorted(TAIL_BASES))
+    @pytest.mark.parametrize("precision", [16, 34, 60, 100])
+    def test_stop_at_proven_tail(self, precision, q):
+        with mp.workdps(2 * precision + 20):
+            qv = self.TAIL_BASES[q]()
+        for x in self.ARGS + [0, 20, -20]:
+            value = jackson_exp(qv, x, 200, precision)
+            ref = jackson_closed_form(qv, x, 200, precision)
+            with mp.workdps(2 * precision + 20):
+                err = abs(value - ref)
+                assert err <= mp.mpf(10) ** -precision * max(abs(ref), 1), (x, err)
+
+    def test_base_rounding_to_minus_one_refused(self):
+        # -1 - 1e-30 is -1 at 16 + 10 working digits, where [2]_q = 1 + q vanishes
+        with mp.workdps(60):
+            q = -1 - mp.mpf("1e-30")
+        with pytest.raises(DomainError, match=re.escape("basic factorial [2]_q! vanishes")):
+            jackson_exp(q, 1, 200, 16)
+
     @pytest.mark.parametrize("q, k", [(-1, 2), (1j, 4)], ids=["-1", "1j"])
-    @pytest.mark.parametrize("x", [1, -2.5, 0.5j])
+    @pytest.mark.parametrize("x", [1, -2.5, 0.5j, 0])
     def test_vanishing_basic_number(self, q, k, x):
         assert isinstance(jackson_exp(q, x, k - 1), mpc)
         message = f"basic factorial [{k}]_q! vanishes for q = {q}"

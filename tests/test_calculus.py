@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
+from itertools import count
 
 import mpmath
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from goldencalc import cli
 from goldencalc.binomials import (
+    MAX_SERIES_TERMS,
     UnivarPoly,
     fib_factorial,
     golden_binomial,
@@ -19,6 +23,7 @@ from goldencalc.binomials import (
     remarkable_limit_lhs,
 )
 from goldencalc.calculus import (
+    MAX_EXP_TERMS,
     MAX_TAYLOR_DEGREE,
     GoldenSeries,
     derive_bivar,
@@ -374,7 +379,7 @@ class TestConformance:
     ENTRIES = _conformance_entries()
     EXPONENTS = range(-12, 9)
 
-    @pytest.mark.parametrize("dps", [34, 60, 100])
+    @pytest.mark.parametrize("dps", [16, 34, 60, 100, 400])
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
     def test_requested_digits(self, entry, dps):
         call, reference = self.ENTRIES[entry]
@@ -412,7 +417,138 @@ class TestConformance:
 
     def test_no_finite_bound_far_from_convergence(self):
         # the ratio |x| / F_(n+1) stays above 1/2 for hundreds of terms past the cap
-        assert golden_exp(mp.mpf("1e1000"), n_terms=10).tail_bound == mp.inf
+        start = time.perf_counter()
+        sv = golden_exp(mp.mpf("1e1000"), n_terms=10)
+        assert time.perf_counter() - start < 1.0  # no term past the cap is built
+        assert sv.tail_bound == mp.inf and sv.terms_used == 11
+        ref = _independent_sum(_ONE, 1, mp.mpf("1e1000"), 34, n_terms=11)
+        with mp.workdps(100):
+            assert abs(sv.value - ref) <= mp.mpf(10) ** -34 * abs(ref)
+
+
+def _independent_sum(sign, k, x, dps, shift=0, n_terms=None):
+    """sum_n sign(n+shift) k^(n+shift) x^n / F_n! at 2 dps + 20 digits, each term from exact F_n!.
+
+    Sums the first n_terms terms, or else until F_(n+1) > 2|kx| and a term is
+    below 10^-(2 dps + 30) max(|sum|, 1).
+    """
+    with mp.workdps(2 * dps + 20):
+        k, x = mp.mpmathify(k), mp.mpmathify(x)
+        total, tiny = mp.mpf(0), mp.mpf(10) ** -(2 * dps + 30)
+        for n in count():
+            term = k ** (n + shift) * x ** n / fib_factorial(n)
+            total += sign(n + shift) * term
+            if n + 1 == n_terms or n_terms is None and fib_exact(n + 1) > 2 * abs(k * x) \
+                    and abs(term) < tiny * max(abs(total), 1):
+                return total
+
+
+_KINDS = {"small_e": _ONE, "big_E": _BIG_E,
+          "cos_F": lambda n: 0 if n % 2 else _BIG_E(n), "sin_F": lambda n: _BIG_E(n) if n % 2 else 0}
+
+
+def _public_call(kind, x, dps):
+    fn = golden_exp if kind in ("small_e", "big_E") else golden_trig
+    return fn(x, kind, precision=dps)
+
+
+class TestFixedPointKernel:
+    """GoldenSeries.evaluate against an independent sum at 2p + 20 digits, over its whole input range."""
+
+    @pytest.mark.parametrize("dps", [16, 34, 100])
+    @pytest.mark.parametrize("k", [1j, 1 + 2j], ids=["1j", "1+2j"])
+    def test_complex_k_and_x(self, k, dps):
+        for kind in ("small_e", "big_E"):
+            for shift in (0, 1):
+                for x in (0.3 + 0.4j, -1.5 + 2j, 3j, -0.001j, 2.5, -4 - 1j):
+                    series = golden_exp_series(kind, k)
+                    sv = (series.derived() if shift else series).evaluate(x, precision=dps)
+                    ref = _independent_sum(_KINDS[kind], k, x, dps, shift)
+                    with mp.workdps(2 * dps + 20):
+                        err = abs(sv.value - ref)
+                        assert err <= mp.mpf(10) ** -dps * max(abs(ref), 1), (kind, shift, x)
+                        assert sv.tail_bound <= mp.mpf(10) ** -dps * max(abs(sv.value), 1)
+
+    @pytest.mark.parametrize("dps", [16, 34, 60])
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_powers_of_ten(self, kind, dps):
+        """x = ±10^e, e = -40..5: the documented bound, and relative digits on the summed terms.
+
+        The summed terms of a series at |x| <= 1 keep their relative digits, so an odd
+        series such as sin_F is right to the last digit however small x is.
+        """
+        for e in range(-40, 6):
+            for sign in (1, -1):
+                with mp.workdps(2 * dps + 20):
+                    x = sign * mp.mpf(10) ** e
+                sv = _public_call(kind, x, dps)
+                full = _independent_sum(_KINDS[kind], 1, x, dps)
+                summed = _independent_sum(_KINDS[kind], 1, x, dps, n_terms=sv.terms_used)
+                with mp.workdps(2 * dps + 20):
+                    assert abs(sv.value - full) <= mp.mpf(10) ** -dps * max(abs(full), 1), x
+                    assert abs(summed - full) <= sv.tail_bound, x
+                    if e <= 0:
+                        assert abs(sv.value - summed) <= mp.mpf(10) ** -dps * abs(summed), x
+
+    def test_odd_series_at_tiny_argument(self):
+        assert cli.run_command(["--precision", "34", "trig", "1e-30", "--kind", "sin_F"])[1].payload \
+            == "(1.0e-30 + 0.0j)\n"
+        for dps in (34, 60):  # x^3 / 2 is below both floors; at 16 digits so is x itself
+            with mp.workdps(dps):
+                x = mp.mpf("-1e-30")
+            assert golden_trig(x, "sin_F", precision=dps).value == x
+
+    @pytest.mark.parametrize("k", [1, 2, -3, Fraction(1, 2), 1j])
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_zero_argument(self, kind, k):
+        for shift in (0, 1, 2, 3):
+            series = GoldenSeries(_KINDS[kind], k)
+            for _ in range(shift):
+                series = series.derived()
+            sv = series.evaluate(0)
+            with mp.workdps(60):
+                assert sv.value == _KINDS[kind](shift) * mp.mpmathify(k) ** shift, (kind, shift)
+            assert sv.terms_used == 1 and sv.tail_bound == 0
+
+    @pytest.mark.parametrize("re, im", [("1e30", "0"), ("0", "-3e40")], ids=["1e30", "-3e40j"])
+    def test_growth_past_4096_bits_rescales(self, re, im):
+        # the terms grow by ~7000 and ~12000 bits before they turn, so the sum is rescaled
+        x = mp.mpc(re, im)
+        sv = golden_exp(x, "small_e", n_terms=MAX_EXP_TERMS)
+        ref = _independent_sum(_ONE, 1, x, 34)
+        with mp.workdps(100):
+            assert abs(sv.value - ref) <= mp.mpf(10) ** -34 * abs(ref)
+
+    def test_zero_k(self):
+        # k^(n + shift) = 0 for every term once shift > 0: nothing is summed
+        sv = GoldenSeries(_ONE, 0, 1).evaluate(2.5)
+        assert (sv.value, sv.terms_used, sv.tail_bound) == (0, 0, 0)
+        assert GoldenSeries(_ONE, 0).evaluate(2.5).value == 1  # 0^0 = 1
+
+
+class TestTermCountGate:
+    """Every series entry point refuses a term count that is not an int in 1..cap."""
+
+    CALLS = {
+        "GoldenSeries.evaluate": (lambda n: golden_exp_series("big_E", 2).evaluate(1, n), MAX_EXP_TERMS),
+        "golden_exp": (lambda n: golden_exp(50, n_terms=n), MAX_EXP_TERMS),
+        "golden_trig": (lambda n: golden_trig(1, "sin_F", n_terms=n), MAX_EXP_TERMS),
+        "f_oscillator_solution":
+            (lambda n: f_oscillator_solution(1, "elliptic", 1, 1, 0.5, n_terms=n), MAX_EXP_TERMS),
+        "jackson_antiderivative":
+            (lambda n: jackson_antiderivative(UnivarPoly(coeffs=(1, 2)), 1, n_terms=n), MAX_EXP_TERMS),
+        "jackson_antiderivative_callable":
+            (lambda n: jackson_antiderivative(lambda t: t, 1, n_terms=n), MAX_EXP_TERMS),
+        "jackson_exp": (lambda n: jackson_exp(2, 1, n), MAX_SERIES_TERMS),
+    }
+
+    @pytest.mark.parametrize("bad", [2.5, True, "3", 0, "cap+1"])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_refused(self, call, bad):
+        fn, cap = self.CALLS[call]
+        with pytest.raises(DomainError, match="term count must be an integer"):
+            fn(cap + 1 if bad == "cap+1" else bad)
+        fn(cap)
 
 
 class TestCallableGrid:

@@ -380,6 +380,19 @@ class TestHamiltonianArguments:
         with pytest.raises(DomainError, match="overflows the Hamiltonian's float entries"):
             hamiltonian(build_ladder(dim), value)
 
+    @pytest.mark.parametrize("value", [5e-324, 1e-310, 1e-308, sys.float_info.min,
+                                       Fraction(1, 10**400), "1e-330"])
+    def test_subnormal_scale_refused(self, value):
+        # float(hbar_omega) / 2 below the smallest normal double: zero or lost low bits
+        with pytest.raises(DomainError, match="underflows the Hamiltonian's float entries"):
+            hamiltonian(build_ladder(4), value)
+
+    @pytest.mark.parametrize("dim", [4, 200])
+    def test_smallest_normal_scale_kept(self, dim):
+        h = hamiltonian(build_ladder(dim), 2 * sys.float_info.min)
+        assert h.tobytes() == (sys.float_info.min * _hamiltonian_diagonal(dim)).tobytes()
+        assert np.all(np.abs(np.diag(h)) >= sys.float_info.min)  # every entry stays normal
+
     @pytest.mark.parametrize("value, scale", [(1, 0.5), ("6/4", 0.75), (Fraction(1, 3), 1 / 6),
                                               (Fraction(7, 3), 7 / 6)],
                              ids=["1", "6/4", "1/3", "7/3"])
@@ -390,7 +403,10 @@ class TestHamiltonianArguments:
 
     @pytest.mark.parametrize("dim", [2, 12, 200])
     def test_float_sweep_bit_identical(self, dim):
-        """Every finite positive float scales as x / 2 times the diagonal, or is refused."""
+        """Every finite positive float scales as x / 2 times the diagonal, or is refused.
+
+        A scale x / 2 below the smallest normal double is refused as an underflow.
+        """
         rng = random.Random(dim)
         base = _hamiltonian_diagonal(dim)
         top = float(fib_exact(dim))  # the largest entry
@@ -400,7 +416,10 @@ class TestHamiltonianArguments:
                    for _ in range(1000)]
         ladder = build_ladder(dim)
         for x in floats:
-            if isfinite(x / 2 * top):
+            if x / 2 < sys.float_info.min:
+                with pytest.raises(DomainError, match="underflows"):
+                    hamiltonian(ladder, x)
+            elif isfinite(x / 2 * top):
                 h = hamiltonian(ladder, x)
                 assert h.dtype == np.complex128
                 assert h.tobytes() == (x / 2 * base).tobytes(), x
