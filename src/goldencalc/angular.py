@@ -34,8 +34,6 @@ from functools import cached_property
 from math import sqrt
 from typing import TYPE_CHECKING, Callable, Literal
 
-import mpmath
-
 from .core import (
     DEFAULT_DPS,
     DomainError,
@@ -48,6 +46,7 @@ from .core import (
 from .oscillator import _I_POWERS, WeightedShift, _Checked, _diagonal_view, _freeze
 
 if TYPE_CHECKING:
+    import mpmath
     import numpy as np
 
 MAX_J = 25

@@ -16,10 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Literal
-
-import mpmath
-from mpmath import mp
+from typing import TYPE_CHECKING, Iterator, Literal
 
 from .core import (
     DEFAULT_DPS,
@@ -33,6 +30,9 @@ from .core import (
     fib_range,
     phi_power_exact,
 )
+
+if TYPE_CHECKING:
+    import mpmath
 
 MAX_FACTORIAL_INDEX = 10**4
 MAX_FIBONOMIAL_INDEX = 300
@@ -326,7 +326,7 @@ def noncomm_expected_coefficient(n: int, k: int) -> ZPhi:
 
 def golden_base(precision: int = DEFAULT_DPS) -> mpmath.mpf:
     """-phi**2, the Jackson base reached by the large-n Golden binomial limit."""
-    with _at_precision(precision, guard=0):
+    with _at_precision(precision, guard=0) as mp:
         return -(mp.phi ** 2)
 
 
@@ -343,9 +343,13 @@ def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath
     |term_k|, and the first such k with |term_k| <= eps max(|sum|, 1) ends it.
     Both need q real >= 1 or |q| > 1, where no [j]_q vanishes, so the stop never
     skips the DomainError for a vanishing basic factorial.
+
+    Two known digit losses, with no retry at more working digits yet: near q = -1 the recurrence
+    cancels (q = -1 - 1e-30 is off by up to ~8e-15 relative at 34 digits), and at q = 1 + 1e-30,
+    x = -37.5 the alternating terms (up to ~1e15, sum ~5e-17) leave an error of ~2e-30 at 34 digits.
     """
     _term_count(n_terms, MAX_SERIES_TERMS)
-    with _at_precision(precision):
+    with _at_precision(precision) as mp:
         qv, xv = _finite(q, "base"), _finite(x, "argument")
         total, term, basic = mp.one, mp.one, mp.zero
         x2, monotone, tol = 2 * abs(xv), mp.im(qv) == 0 and mp.re(qv) >= 1, None
@@ -369,7 +373,7 @@ def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
     """
     _require(isinstance(n, int) and 1 <= n <= MAX_SERIES_TERMS,
              f"degree must be in 1..{MAX_SERIES_TERMS}")
-    with _at_precision(precision):
+    with _at_precision(precision) as mp:
         yv = _finite(y, "argument")
         scale = yv / mp.power(mp.phi, n)
         # Horner from the int 0 keeps a real argument in mpf arithmetic.
@@ -385,7 +389,7 @@ def remarkable_limit(y, n: int, precision: int = DEFAULT_DPS) -> tuple[mpmath.mp
 
     All three keep the guard digits, so the distance is not the rounding of either value.
     """
-    with _at_precision(precision):
+    with _at_precision(precision) as mp:
         finite = remarkable_limit_lhs(y, n, precision)
         jackson = jackson_exp(-(mp.phi ** 2), _finite(y, "argument") / mp.sqrt(5), n, precision)
         return finite, jackson, abs(finite - jackson)

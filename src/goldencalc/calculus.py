@@ -18,10 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import isqrt
-from typing import Callable, Literal, Sequence
-
-import mpmath
-from mpmath import mp
+from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 from .core import (
     DEFAULT_DPS,
@@ -33,6 +30,9 @@ from .core import (
     fib_exact,
 )
 from .binomials import MAX_FACTORIAL_INDEX, BivarPoly, UnivarPoly, _half_triangle_sign, _trim
+
+if TYPE_CHECKING:
+    import mpmath
 
 MAX_TAYLOR_DEGREE = 100
 MAX_EXP_TERMS = 500
@@ -85,7 +85,7 @@ def golden_derivative(f, x=None, precision: int = DEFAULT_DPS):
     if callable(f):
         if x is None:
             raise DomainError("a bare callable needs an evaluation point x")
-        with _at_precision(precision):
+        with _at_precision(precision) as mp:
             xv = _finite(x, "evaluation point")
             if xv == 0:
                 raise DomainError(
@@ -177,7 +177,7 @@ class GoldenSeries:
 
     def evaluate(self, x, n_terms: int = MAX_EXP_TERMS, precision: int = DEFAULT_DPS) -> SeriesValue:
         _term_count(n_terms, MAX_EXP_TERMS)
-        with _at_precision(precision):
+        with _at_precision(precision) as mp:
             xv = _finite(x, "series argument")
             kv = _finite(self.k, "series parameter k")
             kx, t0 = kv * xv, kv ** self.shift  # term n is t0 u_n with u_n = kx^n / F_n!
@@ -292,7 +292,7 @@ def jackson_antiderivative(g, x, n_terms: int = 200, precision: int = DEFAULT_DP
     than a proven bound; if `n_terms` runs out first, it is a DomainError.
     """
     _term_count(n_terms, MAX_EXP_TERMS)
-    with _at_precision(precision):
+    with _at_precision(precision) as mp:
         xv = _finite(x, "antiderivative argument")
         if xv == 0:
             raise DomainError("antiderivative representation needs x != 0")
@@ -332,7 +332,7 @@ def is_golden_periodic(f, samples: Sequence[float], tol: float = 1e-10,
     Functions annihilated by D_F satisfy this dilation identity; the model
     example is sin(pi * ln|x| / ln phi).
     """
-    with _at_precision(precision):
+    with _at_precision(precision) as mp:
         _require(len(samples) > 0, "sample list must be nonempty")
         xs = [_finite(s, "sample") for s in samples]
         _require(all(xs), "samples must be nonzero")

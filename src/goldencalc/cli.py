@@ -19,13 +19,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 import click
-import mpmath
-from mpmath import mp
 
 from . import angular, binomials, calculus, core, oscillator, verify
 from .core import DEFAULT_DPS, DomainError, ZPhi, _at_precision
 
 if TYPE_CHECKING:
+    import mpmath
     import numpy as np
 
 EXIT_OK = 0
@@ -77,7 +76,8 @@ def _num_str(v, dps: int) -> str:
         return str(v)
     if isinstance(v, Fraction):
         return _frac_str(v)
-    return mp.nstr(mpmath.mpmathify(v), dps, strip_zeros=True)
+    import mpmath
+    return mpmath.nstr(mpmath.mpmathify(v), dps, strip_zeros=True)
 
 
 def _json_scalar(v, dps: int):
@@ -88,7 +88,7 @@ def _json_scalar(v, dps: int):
         return _frac_str(v)
     if isinstance(v, ZPhi):
         return {"unit_part": v.a, "phi_part": v.b}
-    if isinstance(v, (complex, mpmath.mpc)) or (hasattr(v, "imag") and v.imag != 0):
+    if isinstance(v, complex) or hasattr(v, "_mpc_") or (hasattr(v, "imag") and v.imag != 0):
         return {"re": _num_str(v.real, dps), "im": _num_str(v.imag, dps)}
     if hasattr(v, "real"):  # float, mpf and the like
         return _num_str(v.real, dps)
@@ -143,7 +143,7 @@ def _write_file(path: str, content: str) -> None:
 
 def _real(ctx: click.Context, text: str) -> mpmath.mpf:
     """A real command argument, parsed at the command's precision."""
-    with _at_precision(ctx.obj["precision"], guard=0):
+    with _at_precision(ctx.obj["precision"], guard=0) as mp:
         try:
             return mp.mpf(text)
         except ValueError:
@@ -228,7 +228,7 @@ def fib(ctx, n: int) -> None:
 def fibx(ctx, re: str, im: str) -> None:
     """Analytic Fibonacci value F_z at complex z = RE + IM*i."""
     dps = ctx.obj["precision"]
-    with _at_precision(dps, guard=0):
+    with _at_precision(dps, guard=0) as mp:
         z = mp.mpc(_real(ctx, re), _real(ctx, im))
     gv = core.fib_extended(z, dps)
     _emit(ctx, "fibx", {"re": re, "im": im},
@@ -457,9 +457,10 @@ def invert_n(ctx, fib_value: int, parity: str) -> None:
 @click.pass_context
 def limit(ctx, y: str, n: int) -> None:
     """Finite Golden-binomial value (1 + y/phi^n)_F^n vs its Jackson-exponential limit."""
+    import mpmath
     dps = ctx.obj["precision"]
     lhs, rhs, diff = binomials.remarkable_limit(_real(ctx, y), n, dps)
-    noise = mp.mpf(10) ** -dps * max(abs(lhs), 1)  # below the printed digits: print the bound
+    noise = mpmath.mpf(10) ** -dps * max(abs(lhs), 1)  # below the printed digits: print the bound
     diff_text = f"< 1e-{dps}" if diff < noise else _num_str(diff, 6)
     _emit(ctx, "limit", {"y": y, "n": n},
           value={"finite": _json_scalar(lhs, dps), "jackson": _json_scalar(rhs, dps),
@@ -489,12 +490,12 @@ def verify_cmd(ctx, only: tuple[str, ...], report_path: str | None) -> None:
     summary = rep.summary
     plain_lines = [
         f"{e.status.upper():15s} {e.id:40s} "
-        + (f"residual {e.max_residual:.3e}" if e.max_residual is not None else "exact")
+        + (f"residual {float(e.max_residual):.3e}" if e.max_residual is not None else "exact")
         for e in rep.entries
     ]
     plain_lines.append(f"pass {summary['pass']}  fail {summary['fail']}  "
                        f"known-deviation {summary['known_deviation']}")
-    rows = [[e.id, e.status, "" if e.max_residual is None else repr(e.max_residual)]
+    rows = [[e.id, e.status, e.max_residual or ""]
             for e in rep.entries]
     _emit(ctx, "verify", params, value=report, plain="\n".join(plain_lines),
           csv_header=["id", "status", "max_residual"], csv_rows=rows)

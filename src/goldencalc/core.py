@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import TYPE_CHECKING
 
-import mpmath
-from mpmath import mp
+if TYPE_CHECKING:
+    import mpmath
 
 DEFAULT_DPS = 34
 MIN_DPS = 16
@@ -38,16 +39,26 @@ def _require(condition: bool, message: str) -> None:
         raise DomainError(message)
 
 
-def _at_precision(precision: int, guard: int = GUARD_DPS):
-    """mpmath's context at `precision` + `guard` digits, once `precision` is an int >= MIN_DPS.
+class _at_precision:
+    """`with _at_precision(p) as mp:` binds mpmath's context at p + `guard` digits, p an int >= MIN_DPS.
 
-    Every analytic entry point enters its precision here, so that the bound
-    and the guard digits are set in one place.
+    Every analytic entry point enters its precision here, so that the bound and the guard
+    digits are set in one place. mpmath loads here, after the checks: exact calls never load it.
     """
-    _require(isinstance(precision, int) and not isinstance(precision, bool),
-             f"precision must be an integer number of digits, not {precision!r}")
-    _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
-    return mp.workdps(precision + guard)
+
+    def __init__(self, precision: int, guard: int = GUARD_DPS) -> None:
+        _require(isinstance(precision, int) and not isinstance(precision, bool),
+                 f"precision must be an integer number of digits, not {precision!r}")
+        _require(precision >= MIN_DPS, f"precision must be at least {MIN_DPS} digits")
+        import mpmath
+        self.mp, self.dps = mpmath.mp, precision + guard
+
+    def __enter__(self):  # as mpmath's workdps: set the digits, restore the bits at exit
+        self.prec, self.mp.dps = self.mp.prec, self.dps
+        return self.mp
+
+    def __exit__(self, *exc) -> None:
+        self.mp.prec = self.prec
 
 
 def _term_count(n_terms: int, cap: int) -> None:
@@ -58,8 +69,9 @@ def _term_count(n_terms: int, cap: int) -> None:
 
 def _finite(value, what: str):
     """`value` as an mpmath number at the current precision; NaN and infinities are refused."""
+    import mpmath
     v = mpmath.mpmathify(value)
-    _require(mp.isfinite(v), f"{what} must be finite")
+    _require(mpmath.isfinite(v), f"{what} must be finite")
     return v
 
 
@@ -257,10 +269,9 @@ class QPhi:
 
     def to_mpf(self) -> mpmath.mpf:
         """Value a + b*phi at the current mpmath precision."""
-        def value(x: int | Fraction):
-            return x if isinstance(x, int) else mp.mpf(x.numerator) / x.denominator
-
-        return value(self._a) + value(self._b) * mp.phi
+        from mpmath import mpf, phi
+        a, b = (x if isinstance(x, int) else mpf(x.numerator) / x.denominator for x in (self._a, self._b))
+        return a + b * phi
 
     def __float__(self) -> float:
         """The double nearest to a + b*phi."""
@@ -340,7 +351,7 @@ def phi_power_exact(n: int) -> ZPhi:
 
 def phi_value(precision: int = DEFAULT_DPS) -> tuple[mpmath.mpf, mpmath.mpf]:
     """(phi, phi') to `precision` decimal digits; phi' = -1/phi."""
-    with _at_precision(precision, guard=0):
+    with _at_precision(precision, guard=0) as mp:
         phi = +mp.phi
         return phi, 1 - phi
 
@@ -363,7 +374,7 @@ def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> Gold
     phi**z is exp(z*log(phi)) on the principal branch; the sign base is read
     as (-1)**z = exp(i*pi*z). At integer z this reproduces fib_exact(z).
     """
-    with _at_precision(precision):
+    with _at_precision(precision) as mp:
         zc = _finite(mp.mpc(z), "Re z and Im z")
         _require(abs(zc.real) <= MAX_EXTENDED_ARG and abs(zc.imag) <= MAX_EXTENDED_ARG,
                  f"|Re z| and |Im z| must not exceed {MAX_EXTENDED_ARG:g}")
@@ -403,7 +414,7 @@ def _fib_quotients(name: str, value: int, least: int, precision: int,
     _require(value >= least, f"{name} must be at least {least}")
     _require(value <= MAX_RATIO_INDEX, f"{name} must not exceed {MAX_RATIO_INDEX}")
     count = value - least + 2
-    with _at_precision(precision, guard=0):
+    with _at_precision(precision, guard=0) as mp:
         fibs = fib_range(lo, lo + count - 1 + step)
         return [mp.fdiv(sign * fibs[i + step], fibs[i]) for i in range(count)]  # rounded once
 

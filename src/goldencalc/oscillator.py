@@ -28,9 +28,6 @@ from functools import cached_property
 from math import inf, sqrt
 from typing import TYPE_CHECKING
 
-import mpmath
-from mpmath import mp
-
 from .core import (
     DEFAULT_DPS,
     MAX_FIB_INDEX,
@@ -44,6 +41,7 @@ from .core import (
 )
 
 if TYPE_CHECKING:
+    import mpmath
     import numpy as np
 
 MAX_LADDER_DIM = 200
@@ -303,7 +301,7 @@ def invert_number(fib_value: int, parity: str, precision: int = DEFAULT_DPS) -> 
     _require(isinstance(fib_value, int) and fib_value >= 1, "value must be a positive integer")
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    with _at_precision(precision):
+    with _at_precision(precision) as mp:
         F = mp.mpf(fib_value)
         radicand = 5 * F ** 2 / 4 + (1 if parity == "even" else -1)
         arg = mp.sqrt(5) / 2 * F + mp.sqrt(radicand)

@@ -19,10 +19,7 @@ from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Iterable
-
-import mpmath
-from mpmath import mp
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import angular, calculus, core, oscillator
 from .core import DomainError, ZPhi, _at_precision, fib_exact, fib_range, phi_power_exact
@@ -39,6 +36,9 @@ from .binomials import (
     noncomm_expected_coefficient,
 )
 
+if TYPE_CHECKING:
+    import mpmath
+
 DEFAULT_PRECISION = core.DEFAULT_DPS
 
 
@@ -51,8 +51,8 @@ class ReportEntry:
     id: str
     statement: str
     range: str
-    tolerance: float | None
-    max_residual: float | None
+    tolerance: str | None  # decimal strings (`_decimal`), which keep their exponent past 1e-308
+    max_residual: str | None
     status: str  # "pass" | "fail" | "known-deviation"
     notes: str
 
@@ -114,22 +114,26 @@ class Suite:
         by 10^(DEFAULT_PRECISION - precision); a known deviation compares with a printed value."""
         if self.default_tol is None or self.kind == "known-deviation":
             return self.default_tol
-        # scaled in decimal, so that the report's float is the double nearest the tolerance
+        # scaled in decimal, so that the tolerance rounds once, from its decimal value
+        import mpmath
         return mpmath.mpmathify(Decimal(repr(self.default_tol)).scaleb(DEFAULT_PRECISION - precision))
 
-    def runner(self, ctx: SuiteContext) -> tuple[bool, float | None, str]:
-        """Run every case at the context's precision: (ok, max residual, notes)."""
+    def runner(self, ctx: SuiteContext) -> tuple[bool, str | None, str]:
+        """Run every case at the context's precision: (ok, max residual as `_decimal`, notes)."""
         worst = 0
-        with _at_precision(ctx.precision, guard=0):
+        with _at_precision(ctx.precision, guard=0) as mp:
             for case, residual in self.cases(ctx):
                 if self.default_tol is not None:
-                    worst = max(worst, mpmath.mpmathify(residual))
+                    worst = max(worst, mp.mpmathify(residual))
                 elif residual:
                     return False, None, f"failed at {case}"
-        if self.default_tol is None:
-            return True, 0.0, self.notes
-        # compared before either becomes a float, which underflows to 0.0 past ~320 digits
-        return worst <= ctx.tol, float(worst), self.notes
+        return self.default_tol is None or worst <= ctx.tol, _decimal(worst), self.notes
+
+
+def _decimal(x) -> str | None:
+    """`x` to 15 significant digits, from the mpf: a float would print 0.0 past ~1e-308."""
+    import mpmath
+    return None if x is None else mpmath.nstr(mpmath.mpmathify(x), 15)
 
 
 _REGISTRY: list[Suite] = []
@@ -188,6 +192,7 @@ def _multiplication_law(ctx: SuiteContext):
 @_suite("core.division-law", "F(m/n) = F(m) / F^(m/n)(n)", "(m, n) in {(4,2), (6,3), (6,2)}",
         "pairs (4,2), (6,3), (6,2)", tol=1e-32)
 def _division_law(ctx: SuiteContext):
+    from mpmath import mp
     for (m, n) in ((4, 2), (6, 3), (6, 2)):
         r = mp.mpf(m) / n
         # F^(r)_k by h_(k+1) = L h_k - s h_(k-1), h_0 = 0, h_1 = 1: bases phi^r and s phi^-r
@@ -214,6 +219,7 @@ def _lucas_combinations(ctx: SuiteContext):
 @_suite("core.real-addition", "F(x+y) = phi^x F(y) + (-1/phi)^y F(x) for real x, y",
         "20 seeded pairs in [-5, 5]", "20 seeded pairs in [-5, 5]", tol=1e-31)
 def _real_addition(ctx: SuiteContext):
+    from mpmath import mp
     phi = +mp.phi
     for i in range(20):
         x = mp.mpf(ctx.rng.uniform(-5, 5))
@@ -226,6 +232,7 @@ def _real_addition(ctx: SuiteContext):
 @_suite("core.real-recurrence", "F(x) = F(x-1) + F(x-2) for real x",
         "20 seeded arguments in [-5, 5]", "20 seeded arguments in [-5, 5]", tol=1e-32)
 def _real_recurrence(ctx: SuiteContext):
+    from mpmath import mp
     for i in range(20):
         x = mp.mpf(ctx.rng.uniform(-5, 5))
         f0, f1, f2 = (core.fib_extended(t, ctx.precision).value for t in (x, x - 1, x - 2))
@@ -428,6 +435,7 @@ def _quotient_rules(ctx: SuiteContext):
         "terms down to 10^-(precision+2)",
         "sum to the first term below 10^-(precision+2) against the closed hyperbolic form", tol=1e-32)
 def _summation_formula(ctx: SuiteContext):
+    from mpmath import mp
     # from n = 1 on the terms fall by F(n+1)/((n+1) F(n)) <= 2/(n+1), so the tail is below the last
     smallest = mp.mpf(10) ** -(ctx.precision + 2)
     lhs, term, n = mp.zero, mp.one, 0
@@ -443,6 +451,7 @@ def _summation_formula(ctx: SuiteContext):
         "k in {1, 1/2, 2}, sampled x, series and difference-quotient routes",
         "k in {1, 1/2, 2}, x in {0.3, 0.7, 1.1}, both routes", tol=1e-32)
 def _exp_eigenrelations(ctx: SuiteContext):
+    from mpmath import mp
     dps = ctx.precision
     for k in (Fraction(1), Fraction(1, 2), Fraction(2)):
         for kind, sign in (("small_e", 1), ("big_E", -1)):  # E_F(kx) derives to k E_F(-kx)
@@ -607,6 +616,7 @@ _PRINTED_GOLDEN_PI = complex(4.73068, 0.0939706)
         "evaluated with the truncated constants 1.618 and 3.14)",
         tol=5e-3, kind="known-deviation")
 def _pi_extension_scale(ctx: SuiteContext):
+    from mpmath import mp
     value = core.fib_extended(mp.pi, ctx.precision).value
     yield "F(pi)", abs(value * mp.sqrt(5) - mp.mpc(_PRINTED_GOLDEN_PI))
 
@@ -619,6 +629,7 @@ def _pi_extension_scale(ctx: SuiteContext):
         "integrand (checked on 1, x, x^2 at x in {0.5, 1, 2})",
         tol=1e-10, kind="known-deviation")
 def _antiderivative_convention(ctx: SuiteContext):
+    from mpmath import mp
     for coeffs in ((Fraction(1),), (Fraction(0), Fraction(1)),
                    (Fraction(0), Fraction(0), Fraction(1))):
         g = UnivarPoly(coeffs=coeffs)
@@ -636,6 +647,7 @@ def _antiderivative_convention(ctx: SuiteContext):
         "exact round trip through the integer Fibonacci path",
         tol=1e-9, kind="known-deviation")
 def _number_inversion_branch(ctx: SuiteContext):
+    from mpmath import mp
     for n in (3, 5, 7, 9):
         F = mp.mpf(fib_exact(n))
         minus_branch = mp.log(mp.sqrt(5) / 2 * F - mp.sqrt(5 * F ** 2 / 4 - 1)) / mp.log(mp.phi)
@@ -680,7 +692,7 @@ def verify_all(seed: int = 0, only: list[str] | None = None,
         status = ("known-deviation" if suite.kind == "known-deviation" else "pass") if ok else "fail"
         entries.append(ReportEntry(
             id=suite.id, statement=suite.statement, range=suite.range_desc,
-            tolerance=None if tol is None else float(tol), max_residual=residual,
+            tolerance=_decimal(tol), max_residual=residual,
             status=status, notes=notes))
     entries.sort(key=lambda e: e.id)
 

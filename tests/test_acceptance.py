@@ -202,7 +202,7 @@ def test_criterion_8_calculus_round_trips():
     sub = _va(only=["calculus.leibnitz", "calculus.quotient-rules",
                     "calculus.taylor-basis"])
     assert sub.summary["fail"] == 0
-    assert all(e.tolerance is None or e.tolerance <= 1e-10 for e in sub.entries)
+    assert all(e.tolerance is None or float(e.tolerance) <= 1e-10 for e in sub.entries)
     # exponential eigenrelation at 1e-8
     series = golden_exp_series("small_e", Fraction(3, 2))
     shifted = series.derived()

@@ -187,6 +187,16 @@ class TestVerifyCommand:
             assert {"id", "statement", "range", "tolerance", "max_residual",
                     "status", "notes"} == set(entry)
 
+    def test_json_margins_past_the_float_range(self):
+        report = json.loads(payload(["--precision", "400", "--format", "json", "verify",
+                                     "--only", "core.real-addition"]))["value"]
+        (entry,) = report["entries"]
+        assert entry["tolerance"] == "1.0e-397"
+        assert 0 < mp.mpf(entry["max_residual"]) <= mp.mpf("1e-397")
+        rows = payload(["--precision", "400", "--format", "csv", "verify",
+                        "--only", "core.real-addition"]).splitlines()
+        assert rows[1] == f"core.real-addition,pass,{entry['max_residual']}"
+
     def test_precision_below_bound_is_domain_error(self, capsys):
         code, record = run_command(["--precision", "15", "verify"])
         assert code == EXIT_DOMAIN and record is None
@@ -529,7 +539,7 @@ def _run_child(script: str, *args: str) -> None:
 
 
 class TestImportCost:
-    """numpy loads only where a dense matrix is built, never for the scalar commands."""
+    """numpy loads only where a dense matrix is built, mpmath only at the first analytic call."""
 
     NUMPY_FREE = [
         ["fib", "7"], ["fibx", "2.5", "1"], ["fibonomial", "5", "2"], ["binom", "6"],
@@ -565,6 +575,54 @@ class TestImportCost:
             "code, record = cli.run_command(['angmom', '--j', '1'])\n"
             "assert code == 0 and record.payload.startswith('variant standard_F'), code\n"
             "assert 'numpy' in sys.modules\n")
+
+    # the exact commands: integers, Fibonomials, Z[phi] and Q coefficients, no mpmath arithmetic
+    MPMATH_FREE = [
+        ["fib", "7"], ["fib", "-13"], ["fibonomial", "5", "2"], ["binom", "6"],
+        ["binom", "6", "--form", "expansion"], ["poly", "3", "--a", "1/2"], ["poly", "4"],
+        ["deriv", "1/3,2/7,5/11"], ["spectrum", "--n-max", "10"],
+        ["spectrum", "--n-max", "5", "--hbar-omega", "7/3"],
+        ["plot-data", "spectrum", "--n-max", "5", "--output", "OUTPUT"],
+    ]
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_exact_commands_never_load_mpmath(self, fmt, tmp_path):
+        argvs = [[str(tmp_path / "spectrum.csv") if a == "OUTPUT" else a for a in argv]
+                 for argv in self.MPMATH_FREE]
+        _run_child(
+            "import json, sys\n"
+            "import goldencalc\n"
+            "assert 'mpmath' not in sys.modules, 'import goldencalc'\n"
+            "from goldencalc import cli\n"
+            "assert 'mpmath' not in sys.modules, 'import goldencalc.cli'\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code, record = cli.run_command(['--format', sys.argv[2], *argv])\n"
+            "    assert code == 0 and record is not None, argv\n"
+            "    assert 'mpmath' not in sys.modules, argv\n",
+            json.dumps(argvs), fmt)
+        assert (tmp_path / "spectrum.csv").read_text().startswith("n,E_n\n")
+
+    @pytest.mark.parametrize("argv", [["exp", "1"], ["verify"]])
+    def test_analytic_commands_load_mpmath(self, argv):
+        _run_child(
+            "import json, sys\n"
+            "from goldencalc import cli\n"
+            "assert 'mpmath' not in sys.modules\n"
+            "code, record = cli.run_command(json.loads(sys.argv[1]))\n"
+            "assert code == 0 and record is not None, code\n"
+            "assert 'mpmath' in sys.modules\n",
+            json.dumps(argv))
+
+    def test_import_loads_every_layer(self):
+        # perfbench reads the seven layers from sys.modules after `import goldencalc, goldencalc.cli`
+        _run_child(
+            "import sys\n"
+            "import goldencalc\n"
+            "layers = ['core', 'binomials', 'calculus', 'oscillator', 'angular', 'verify']\n"
+            "missing = [m for m in layers if 'goldencalc.' + m not in sys.modules]\n"
+            "assert not missing, missing\n"
+            "import goldencalc.cli\n"
+            "assert 'goldencalc.cli' in sys.modules and 'mpmath' not in sys.modules\n")
 
     def test_import_builds_no_spectrum_ratios(self):
         _run_child(

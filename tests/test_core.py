@@ -118,6 +118,50 @@ class TestQPhi:
         assert QPhi(1, 2) + ZPhi(3, -2) == QPhi(4)
         assert QPhi(0, 1) ** -1 == QPhi(-1, 1)
 
+    @pytest.mark.parametrize("divisor", [3, -7, Fraction(-5, 7), QPhi(Fraction(1, 2), 3),
+                                         QPhi(0, Fraction(2, 9)), ZPhi(1, 1), ZPhi(2, -1),
+                                         ZPhi.inv_phi(), ZPhi(2, 0)])
+    def test_division_round_trips(self, divisor):
+        a = QPhi(Fraction(2, 3), Fraction(-1, 5))
+        quotient = a / divisor
+        assert type(quotient) is QPhi and quotient * divisor == a
+        assert float(quotient) == pytest.approx(float(a) / float(divisor), rel=1e-14)
+
+    def test_division_values(self):
+        assert QPhi(1) / ZPhi.phi() == ZPhi.inv_phi()  # the unit phi: 1/phi = phi - 1
+        assert QPhi(3, 6) / 3 == QPhi(1, 2) and QPhi(1, 1) / Fraction(1, 2) == QPhi(2, 2)
+        assert ZPhi(0, 1) / ZPhi(1, 1) == QPhi(-1, 1)  # phi / phi^2 = 1/phi = phi - 1
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), QPhi(0), ZPhi(0, 0)])
+    def test_division_by_zero(self, zero):
+        with pytest.raises(ZeroDivisionError):
+            QPhi(1, 2) / zero
+
+    def test_division_by_a_float_is_refused(self):
+        with pytest.raises(TypeError):
+            QPhi(1, 2) / 0.5
+
+    def test_to_mpf_at_sixty_digits(self):
+        x = QPhi(Fraction(2, 3), Fraction(-1, 5))
+        with mp.workdps(120):
+            exact = mp.mpf(2) / 3 - (1 + mp.sqrt(5)) / 10
+        with mp.workdps(60):
+            value = x.to_mpf()
+            assert type(value) is mpmath.mpf
+            assert abs(value - exact) <= mp.mpf(10) ** -59 * abs(exact)
+            assert QPhi(7).to_mpf() == 7 and ZPhi(0, 1).to_mpf() == +mp.phi
+
+    def test_to_mpf_through_polynomial_evaluation(self):
+        # Q(phi) coefficients at an mpf point: Horner calls to_mpf on each coefficient
+        from goldencalc.binomials import UnivarPoly
+        p = UnivarPoly(coeffs=(QPhi(Fraction(1, 2), 1), 3, QPhi(0, Fraction(-2, 7))))
+        with mp.workdps(120):
+            phi, x = (1 + mp.sqrt(5)) / 2, mp.mpf("0.3")
+            exact = (mp.mpf(1) / 2 + phi) + 3 * x - 2 * phi / 7 * x ** 2
+        with mp.workdps(60):
+            value = p.evaluate(mp.mpf("0.3"))
+            assert abs(value - exact) <= mp.mpf(10) ** -59 * abs(exact)
+
 
 ints = st.integers(-10**6, 10**6)
 fractions = st.fractions(max_denominator=50).filter(lambda f: f.denominator > 1)

@@ -177,7 +177,7 @@ class TestHarness:
         assert (entry.status, entry.max_residual, entry.notes) == ("fail", None, "failed at n=2")
         assert seen == [0, 1, 2]
 
-    def test_toleranced_suite_reports_worst_residual_as_float(self, monkeypatch):
+    def test_toleranced_suite_reports_worst_residual_as_decimal(self, monkeypatch):
         def cases(ctx):
             yield "mpf", mp.mpf("1e-20")
             yield "numpy", np.float64(3e-9)
@@ -188,8 +188,7 @@ class TestHarness:
                   cases, "three residual types"),))
         (entry,) = verify_all().entries
         assert entry.status == "fail" and entry.notes == "three residual types"
-        assert type(entry.max_residual) is float and entry.max_residual == 3e-9
-        assert entry.tolerance == 1e-10
+        assert (entry.max_residual, entry.tolerance) == ("3.0e-9", "1.0e-10")
 
     @pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.id)
     def test_every_suite_passes_its_runner(self, suite):
@@ -197,8 +196,8 @@ class TestHarness:
         ctx = SuiteContext(tol=suite.default_tol, rng=random.Random(0), precision=DEFAULT_PRECISION)
         ok, residual, notes = suite.runner(ctx)
         assert ok and notes == suite.notes, notes
-        assert type(residual) is float
-        assert residual == 0.0 if suite.default_tol is None else residual <= suite.default_tol
+        assert type(residual) is str
+        assert residual == "0.0" if suite.default_tol is None else mp.mpf(residual) <= suite.default_tol
 
     def test_angular_casimir_suites_are_exact(self):
         tols = {s.id: s.default_tol for s in SUITES}
@@ -216,7 +215,7 @@ class TestHarness:
     def test_exp_eigenrelations_follows_precision(self, precision):
         (entry,) = verify_all(only=["calculus.exp-eigenrelations"], precision=precision).entries
         assert entry.status == "pass"
-        assert entry.max_residual <= 10.0 ** -(precision - 2)
+        assert mp.mpf(entry.max_residual) <= 10.0 ** -(precision - 2)
 
 
 class TestScaledTolerances:
@@ -246,7 +245,7 @@ class TestScaledTolerances:
     def test_summation_formula_follows_precision(self, precision):
         (entry,) = verify_all(only=["calculus.summation-formula"], precision=precision).entries
         assert entry.status == "pass"
-        assert entry.max_residual <= 10.0 ** (2 - precision)
+        assert mp.mpf(entry.max_residual) <= 10.0 ** (2 - precision)
 
     @pytest.mark.parametrize("precision", [16, 34])
     def test_seeded_suites_pass_on_seeds_across_the_range(self, precision):
@@ -261,3 +260,29 @@ class TestScaledTolerances:
         assert addition.tolerance(400) == mp.mpf("1e-397")  # past the float range
         assert pi_scale.tolerance(400) == pi_scale.default_tol == 5e-3
         assert suites["oscillator.fock-normalization"].tolerance(400) is None
+
+
+class TestReportPastFloatRange:
+    """Tolerance and worst residual are decimal strings from the mpf, so they keep their
+    exponent where a float underflows to 0.0 (past ~1e-308)."""
+
+    @pytest.mark.parametrize("precision", [400, 1000])
+    def test_margins_keep_their_exponent(self, precision):
+        report = verify_all(only=["core.real-", "core.division-law", "calculus.exp-eigenrelations",
+                                  "calculus.summation-formula"], precision=precision)
+        assert {e.id: e.tolerance for e in report.entries} == {
+            "calculus.exp-eigenrelations": f"1.0e-{precision - 2}",
+            "calculus.summation-formula": f"1.0e-{precision - 2}",
+            "core.division-law": f"1.0e-{precision - 2}",
+            "core.real-addition": f"1.0e-{precision - 3}",
+            "core.real-recurrence": f"1.0e-{precision - 2}"}
+        for entry in report.entries:
+            residual = mp.mpf(entry.max_residual)
+            assert entry.status == "pass" and 0 < residual <= mp.mpf(entry.tolerance), entry
+            assert residual > mp.mpf(10) ** -(precision + 5), entry  # the rounding, not a zero
+            assert float(entry.max_residual) == 0.0  # what the float field used to print
+
+    def test_known_deviation_margins_are_decimal_strings(self):
+        (entry,) = verify_all(only=["core.pi-extension-scale"], precision=400).entries
+        assert entry.status == "known-deviation" and entry.tolerance == "0.005"
+        assert entry.max_residual.startswith("0.00326827302")
