@@ -39,6 +39,8 @@ from .core import (
     DomainError,
     ZPhi,
     _fib_quotients,
+    _integer,
+    _rational,
     _require,
     fib_exact,
     fib_range,
@@ -55,11 +57,9 @@ Variant = Literal["standard_F", "symmetric_iphi", "tilde_F"]
 
 def _lattice(j) -> tuple[Fraction, int, Callable[[int], int]]:
     """The validated spin j, n = 2j, and k -> F_k for |k| <= n + 2 from one table."""
-    jf = Fraction(j)
-    _require(jf >= 0, "spin label j must be non-negative")
-    _require((2 * jf).denominator == 1, "2j must be an integer")
-    _require(jf <= MAX_J, f"spin label must not exceed {MAX_J}")
-    n = int(2 * jf)
+    jf = _rational("spin label j", j)
+    _require(jf.denominator <= 2, "2j must be an integer")
+    n = _integer("2j", int(2 * jf), 0, 2 * MAX_J)
     table = fib_range(-n - 2, n + 2)
     return jf, n, lambda k: table[k + n + 2]
 
@@ -258,9 +258,8 @@ def double_boson_action(n1: int, n2: int, which: Literal["plus", "minus", "z"]):
     not an error).  Relabeling n1 = j+m, n2 = j-m reproduces the |j, m>
     ladder amplitudes exactly, so n1 + n2 = 2j is at most 2 MAX_J.
     """
-    _require(isinstance(n1, int) and n1 >= 0, "n1 must be a non-negative integer")
-    _require(isinstance(n2, int) and n2 >= 0, "n2 must be a non-negative integer")
-    _require(n1 + n2 <= 2 * MAX_J, f"n1 + n2 must not exceed {2 * MAX_J}")
+    _integer("n1", n1, 0, 2 * MAX_J)
+    _integer("n1 + n2", n1 + _integer("n2", n2, 0, 2 * MAX_J), 0, 2 * MAX_J)
     if which == "plus":
         if n2 == 0:
             return 0.0, (n1, n2)
@@ -292,7 +291,7 @@ def _symmetric_ladder(n: int, fib: Callable[[int], int]) -> WeightedShift:
 
 def symmetric_basic_number(n: int) -> complex:
     """[n] with bases (i*phi, i/phi): i^{n-1} (phi^n - phi^{-n}), for |n| <= 2 MAX_J + 1."""
-    _require(abs(n) <= 2 * MAX_J + 1, f"|n| must not exceed {2 * MAX_J + 1}")
+    _integer("n", n, -2 * MAX_J - 1, 2 * MAX_J + 1)
     return (1j) ** (n - 1) * _phi_gap(fib_exact, n)
 
 
@@ -377,7 +376,7 @@ def tilde_casimir_forms(jf: Fraction, shift: WeightedShift) -> tuple[list, list]
 
 def tilde_eigenvalue(jf: Fraction, m: Fraction) -> int | complex:
     """Closed-form tilde Casimir eigenvalue at state (j, m); an int at integer j."""
-    (jf, n, fib), m = _lattice(jf), Fraction(m)
+    (jf, n, fib), m = _lattice(jf), _rational("m", m)
     _require(abs(m) <= jf and (jf - m).denominator == 1, "m must be one of -j, -j+1, ..., j")
     return _fifth(_casimir_forms(n, fib, _ladder(n, fib, tilde=True), True)[2][int(jf + m)])
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import inf
 from typing import TYPE_CHECKING, Iterator, Literal
 
 from .core import (
@@ -25,8 +26,8 @@ from .core import (
     ZPhi,
     _at_precision,
     _finite,
-    _require,
-    _term_count,
+    _integer,
+    _rational,
     fib_range,
     phi_power_exact,
 )
@@ -43,8 +44,7 @@ MAX_SERIES_TERMS = 200
 
 def fib_factorial(n: int) -> int:
     """F_n! = F_1 * F_2 * ... * F_n, with F_0! = 1 (empty product)."""
-    _require(isinstance(n, int) and n >= 0, "factorial index must be a non-negative integer")
-    _require(n <= MAX_FACTORIAL_INDEX, f"factorial index must not exceed {MAX_FACTORIAL_INDEX}")
+    _integer("factorial index", n, 0, MAX_FACTORIAL_INDEX)
     out = 1
     for f in fib_range(1, n) if n >= 1 else []:
         out *= f
@@ -58,13 +58,7 @@ def fibonomial_row(n: int) -> tuple[int, ...]:
     step an exact division.  The most recent row is kept, so a caller that
     walks one row a coefficient at a time pays for it once.
     """
-    _require_upper_index(n)
-    return _fibonomial_row(n)
-
-
-def _require_upper_index(n: int) -> None:
-    _require(isinstance(n, int) and n >= 0, "upper index must be a non-negative integer")
-    _require(n <= MAX_FIBONOMIAL_INDEX, f"upper index must not exceed {MAX_FIBONOMIAL_INDEX}")
+    return _fibonomial_row(_integer("upper index", n, 0, MAX_FIBONOMIAL_INDEX))
 
 
 @lru_cache(maxsize=1)  # one row at n = 300 holds ~0.4 MB
@@ -86,11 +80,8 @@ def fibonomial(n: int, k: int) -> int:
     Read from the cached `fibonomial_row(n)`.  k outside [0, n] returns 0,
     matching the usual binomial-sum convention.
     """
-    _require_upper_index(n)
-    _require(isinstance(k, int), "lower index must be an integer")
-    if k < 0 or k > n:
-        return 0
-    return _fibonomial_row(n)[k]
+    _integer("upper index", n, 0, MAX_FIBONOMIAL_INDEX)
+    return _fibonomial_row(n)[k] if 0 <= _integer("lower index", k, -inf, inf) <= n else 0
 
 
 def _half_triangle_sign(k: int) -> int:
@@ -200,8 +191,7 @@ def golden_binomial(n: int, form: BinomialForm = "product") -> BivarPoly:
     Both forms produce the identical polynomial; the expansion coefficients
     are plain integers (vanishing phi-component).
     """
-    _require(isinstance(n, int) and n >= 0, "degree must be a non-negative integer")
-    _require(n <= MAX_BINOMIAL_DEGREE, f"degree must not exceed {MAX_BINOMIAL_DEGREE}")
+    _integer("degree", n, 0, MAX_BINOMIAL_DEGREE)
     if form == "product":
         poly = BivarPoly.one()
         for j in range(n):
@@ -221,6 +211,7 @@ def golden_binomial(n: int, form: BinomialForm = "product") -> BivarPoly:
 
 def golden_binomial_roots(n: int) -> list[ZPhi]:
     """The n zeros of (x+y)_F^n at x/y = -phi^{n-1-2j}, as exact ring elements."""
+    _integer("degree", n, 0, MAX_BINOMIAL_DEGREE)
     return [-(phi_power_exact(n - 1 - 2 * j)) if j % 2 == 0 else phi_power_exact(n - 1 - 2 * j)
             for j in range(n)]
 
@@ -268,9 +259,8 @@ def _trim(coeffs: list) -> tuple:
 
 def golden_polynomial(n: int, a: int | Fraction = 1) -> UnivarPoly:
     """P_n(x) = (x - a)_F^n / F_n!;  P_0 = 1.  Exact rational coefficients."""
-    _require(isinstance(n, int) and n >= 0, "degree must be a non-negative integer")
-    _require(n <= MAX_BINOMIAL_DEGREE, f"degree must not exceed {MAX_BINOMIAL_DEGREE}")
-    a = Fraction(a)
+    _integer("degree", n, 0, MAX_BINOMIAL_DEGREE)
+    a = _rational("a", a)
     fact = fib_factorial(n)
     coeffs = [Fraction(0)] * (n + 1)
     for k, c in enumerate(fibonomial_row(n)):
@@ -297,8 +287,7 @@ def noncomm_expand(n: int) -> NoncommWord:
     exactly in Z[phi] (powers of phi are units).  The resulting coefficients
     equal [n k]_F * (-1/phi)^{k(k-1)/2}.
     """
-    _require(isinstance(n, int) and n >= 0, "degree must be a non-negative integer")
-    _require(n <= MAX_NONCOMM_DEGREE, f"degree must not exceed {MAX_NONCOMM_DEGREE}")
+    _integer("degree", n, 0, MAX_NONCOMM_DEGREE)
     q = ZPhi.phi_conjugate()  # -1/phi = 1 - phi
     coeffs: dict[int, ZPhi] = {0: ZPhi(1, 0)}
     for m in range(n):
@@ -316,8 +305,9 @@ def noncomm_expand(n: int) -> NoncommWord:
 
 
 def noncomm_expected_coefficient(n: int, k: int) -> ZPhi:
-    """[n k]_F * (-1/phi)^{k(k-1)/2}, the closed form for noncomm_expand."""
-    return ZPhi.phi_conjugate() ** (k * (k - 1) // 2) * fibonomial(n, k)
+    """[n k]_F * (-1/phi)^{k(k-1)/2}, the closed form for noncomm_expand (0 for k outside 0..n)."""
+    c = fibonomial(n, k)  # refuses a bad n or k before the power
+    return ZPhi.phi_conjugate() ** (k * (k - 1) // 2) * c if c else ZPhi(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +338,7 @@ def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath
     cancels (q = -1 - 1e-30 is off by up to ~8e-15 relative at 34 digits), and at q = 1 + 1e-30,
     x = -37.5 the alternating terms (up to ~1e15, sum ~5e-17) leave an error of ~2e-30 at 34 digits.
     """
-    _term_count(n_terms, MAX_SERIES_TERMS)
+    _integer("term count", n_terms, 1, MAX_SERIES_TERMS)
     with _at_precision(precision) as mp:
         qv, xv = _finite(q, "base"), _finite(x, "argument")
         total, term, basic = mp.one, mp.one, mp.zero
@@ -371,8 +361,7 @@ def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
 
     As n grows this approaches the Jackson exponential e_{-phi^2}(y/sqrt(5)).
     """
-    _require(isinstance(n, int) and 1 <= n <= MAX_SERIES_TERMS,
-             f"degree must be in 1..{MAX_SERIES_TERMS}")
+    _integer("degree", n, 1, MAX_SERIES_TERMS)
     with _at_precision(precision) as mp:
         yv = _finite(y, "argument")
         scale = yv / mp.power(mp.phi, n)

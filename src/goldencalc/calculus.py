@@ -25,8 +25,8 @@ from .core import (
     DomainError,
     _at_precision,
     _finite,
+    _integer,
     _require,
-    _term_count,
     fib_exact,
 )
 from .binomials import MAX_FACTORIAL_INDEX, BivarPoly, UnivarPoly, _half_triangle_sign, _trim
@@ -101,7 +101,7 @@ def golden_taylor(f: UnivarPoly) -> list:
     """
     if not isinstance(f, UnivarPoly):
         raise DomainError("Taylor expansion requires a polynomial")
-    _require(f.degree <= MAX_TAYLOR_DEGREE, f"degree must not exceed {MAX_TAYLOR_DEGREE}")
+    _integer("degree", f.degree, 0, MAX_TAYLOR_DEGREE)
     out = []
     cur = f
     for _ in range(f.degree + 1):
@@ -112,10 +112,10 @@ def golden_taylor(f: UnivarPoly) -> list:
 
 def taylor_reconstruct(values: Sequence) -> UnivarPoly:
     """Rebuild the polynomial sum_n values[n] * x^n / F_n! from golden_taylor output."""
+    _integer("number of values", len(values), 0, MAX_FACTORIAL_INDEX + 1)
     coeffs = []
     fact, fn, fn1 = 1, 0, 1  # F_n!, F_n, F_{n+1} at n = 0
     for n, v in enumerate(values):
-        _require(n <= MAX_FACTORIAL_INDEX, f"factorial index must not exceed {MAX_FACTORIAL_INDEX}")
         if n:
             fact *= fn
         coeffs.append(Fraction(v) / fact if isinstance(v, (int, Fraction)) else v / fact)
@@ -176,7 +176,7 @@ class GoldenSeries:
         return GoldenSeries(self.sign, self.k, self.shift + 1)
 
     def evaluate(self, x, n_terms: int = MAX_EXP_TERMS, precision: int = DEFAULT_DPS) -> SeriesValue:
-        _term_count(n_terms, MAX_EXP_TERMS)
+        _integer("term count", n_terms, 1, MAX_EXP_TERMS)
         with _at_precision(precision) as mp:
             xv = _finite(x, "series argument")
             kv = _finite(self.k, "series parameter k")
@@ -291,7 +291,7 @@ def jackson_antiderivative(g, x, n_terms: int = 200, precision: int = DEFAULT_DP
     term 0 that is at most 10^-precision * max(|sum|, 1), an estimate rather
     than a proven bound; if `n_terms` runs out first, it is a DomainError.
     """
-    _term_count(n_terms, MAX_EXP_TERMS)
+    _integer("term count", n_terms, 1, MAX_EXP_TERMS)
     with _at_precision(precision) as mp:
         xv = _finite(x, "antiderivative argument")
         if xv == 0:

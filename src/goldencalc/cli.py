@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -76,8 +77,16 @@ def _num_str(v, dps: int) -> str:
         return str(v)
     if isinstance(v, Fraction):
         return _frac_str(v)
+    if isinstance(v, float):  # a double's own digits: the shortest round trip, and no -0.0
+        return repr(float(v) + 0.0)
     import mpmath
     return mpmath.nstr(mpmath.mpmathify(v), dps, strip_zeros=True)
+
+
+def _sci(text: str) -> str:
+    """A decimal string in the %.3e shape, read as a Decimal: past 1e-308 a float would print 0."""
+    mantissa, _, exponent = f"{Decimal(text):.3e}".partition("e")
+    return f"{mantissa}e{int(exponent) if float(mantissa) else 0:+03d}"  # a zero's exponent is 00
 
 
 def _json_scalar(v, dps: int):
@@ -490,7 +499,7 @@ def verify_cmd(ctx, only: tuple[str, ...], report_path: str | None) -> None:
     summary = rep.summary
     plain_lines = [
         f"{e.status.upper():15s} {e.id:40s} "
-        + (f"residual {float(e.max_residual):.3e}" if e.max_residual is not None else "exact")
+        + (f"residual {_sci(e.max_residual)}" if e.max_residual is not None else "exact")
         for e in rep.entries
     ]
     plain_lines.append(f"pass {summary['pass']}  fail {summary['fail']}  "

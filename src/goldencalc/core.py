@@ -61,10 +61,25 @@ class _at_precision:
         self.mp.prec = self.prec
 
 
-def _term_count(n_terms: int, cap: int) -> None:
-    """Every series entry point's term cap: `n_terms` must be an int (not a bool) in 1..cap."""
-    _require(isinstance(n_terms, int) and not isinstance(n_terms, bool) and 1 <= n_terms <= cap,
-             f"term count must be an integer in 1..{cap}, not {n_terms!r}")
+def _integer(name: str, value: int, lo: int | float, hi: int | float) -> int:
+    """`value`, an int but not a bool, in lo..hi: the gate of every index, size and count."""
+    if type(value) is int and lo <= value <= hi:  # the valid case in one comparison
+        return value
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{name} must be an integer, not {value!r}")
+    _require(value >= lo, f"{name} must be at least {lo}")
+    _require(value <= hi, f"{name} must not exceed {hi}")
+    return value
+
+
+def _rational(name: str, value) -> Fraction:
+    """`value` as a Fraction (a float read as its str), refusing bools, NaN and infinities."""
+    try:
+        if not isinstance(value, bool):
+            return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+        pass
+    raise DomainError(f"{name} must be a finite rational, not {value!r}")
 
 
 def _finite(value, what: str):
@@ -78,11 +93,6 @@ def _finite(value, what: str):
 # ---------------------------------------------------------------------------
 # Exact integer Fibonacci values
 # ---------------------------------------------------------------------------
-
-def _check_index(n: int) -> None:
-    _require(isinstance(n, int), "Fibonacci index must be an integer")
-    _require(abs(n) <= MAX_FIB_INDEX, f"|n| must not exceed {MAX_FIB_INDEX}")
-
 
 def _fib_lucas(n: int) -> tuple[int, int]:
     """(F_n, L_n) for any signed n by Lucas-pair doubling, two multiplies a bit.
@@ -110,7 +120,7 @@ def fib_exact(n: int) -> int:
     F_2k = F_k L_k and F_(2k+1) = F_(k+1) L_k - (-1)**k.
     Negative indices use F_(-n) = (-1)**(n+1) * F_n.
     """
-    _check_index(n)
+    _integer("n", n, -MAX_FIB_INDEX, MAX_FIB_INDEX)
     k = abs(n) >> 1
     f, lucas = _fib_lucas(k)
     if n & 1:
@@ -120,9 +130,8 @@ def fib_exact(n: int) -> int:
 
 def fib_range(lo: int, hi: int) -> list[int]:
     """[F_lo, ..., F_hi] by the linear recurrence, started from one (F_lo, L_lo) walk."""
-    _check_index(lo)
-    _check_index(hi)
-    _require(lo <= hi, "empty index range")
+    _integer("lo", lo, -MAX_FIB_INDEX, MAX_FIB_INDEX)
+    _integer("hi", hi, lo, MAX_FIB_INDEX)
     a, lucas = _fib_lucas(lo)
     b = (a + lucas) >> 1  # F_(lo+1)
     out = [a]
@@ -340,7 +349,7 @@ class ZPhi(QPhi):
 
 def phi_power_exact(n: int) -> ZPhi:
     """phi**n as the exact ring element F_{n-1} + F_n * phi, any signed n."""
-    _check_index(n)
+    _integer("n", n, -MAX_FIB_INDEX, MAX_FIB_INDEX)
     f, lucas = _fib_lucas(n)
     return ZPhi((lucas - f) >> 1, f)  # F_(n-1) = (L_n - F_n)/2
 
@@ -387,8 +396,8 @@ def fib_higher(n: int, m: int) -> Fraction:
 
     For integer n the quotient is an integer (F_m divides F_{m*n}).
     """
-    _require(isinstance(m, int) and m >= 1, "order m must be a positive integer (F_0 = 0 denominator)")
-    _require(abs(m * n) <= MAX_FIB_INDEX, f"|m*n| must not exceed {MAX_FIB_INDEX}")
+    bound = MAX_FIB_INDEX // _integer("m", m, 1, MAX_FIB_INDEX)  # m >= 1: F_0 = 0 is no denominator
+    _integer("n", n, -bound, bound)
     return Fraction(fib_exact(m * n), fib_exact(m))
 
 
@@ -410,10 +419,7 @@ def _fib_quotients(name: str, value: int, least: int, precision: int,
 
     `value` is the caller's argument `name`, an int in [least, MAX_RATIO_INDEX].
     """
-    _require(isinstance(value, int), f"{name} must be an integer")
-    _require(value >= least, f"{name} must be at least {least}")
-    _require(value <= MAX_RATIO_INDEX, f"{name} must not exceed {MAX_RATIO_INDEX}")
-    count = value - least + 2
+    count = _integer(name, value, least, MAX_RATIO_INDEX) - least + 2
     with _at_precision(precision, guard=0) as mp:
         fibs = fib_range(lo, lo + count - 1 + step)
         return [mp.fdiv(sign * fibs[i + step], fibs[i]) for i in range(count)]  # rounded once

@@ -35,6 +35,8 @@ from .core import (
     ZPhi,
     _at_precision,
     _fib_quotients,
+    _integer,
+    _rational,
     _require,
     fib_exact,
     fib_range,
@@ -130,8 +132,7 @@ class LadderSet:
 
 def build_ladder(dim: int) -> LadderSet:
     """The Golden ladder at truncation dim: b+|n> = sqrt(F_{n+1}) |n+1>."""
-    _require(isinstance(dim, int) and dim >= 2, "truncation dimension must be an integer >= 2")
-    _require(dim <= MAX_LADDER_DIM, f"truncation dimension must not exceed {MAX_LADDER_DIM}")
+    _integer("dim", dim, 2, MAX_LADDER_DIM)
     fibs = fib_range(1, dim - 1)  # F_1 .. F_{dim-1}
     return LadderSet(WeightedShift(tuple(fibs), (0,) * len(fibs)))
 
@@ -158,9 +159,8 @@ def verify_oscillator_algebra(dim: int, ladder: LadderSet | None = None) -> Osci
       * [N, b+] = b+  and  [N, b] = -b
       * the operator recurrence  F_{N+1} = F_N + F_{N-1}  (diagonal form)
     """
-    _require(dim >= 3, "need dimension >= 3 for a nontrivial interior")
     lad = ladder if ladder is not None else build_ladder(dim)
-    d = lad.dim
+    d = _integer("dim", lad.dim, 3, MAX_LADDER_DIM)  # 3: a nontrivial interior
     bdb, bbd = lad.shift.products()
     phi = ZPhi.phi()
     inv_phi = ZPhi.inv_phi()
@@ -193,7 +193,7 @@ def diagonal_identities_exact(n_max: int = 100) -> bool:
     Both identities are verified in Z[phi] for 0 <= n <= n_max; any failure
     raises (they are theorems, not tolerances).
     """
-    _require(n_max < MAX_FIB_INDEX, f"n_max must not exceed {MAX_FIB_INDEX - 1}")
+    _integer("n_max", n_max, 0, MAX_FIB_INDEX - 1)
     phi = ZPhi.phi()
     inv_phi = ZPhi.inv_phi()
     neg_inv_phi = ZPhi.phi_conjugate()
@@ -227,10 +227,7 @@ class SpectrumTable:
 
 
 def _hbar_omega(value) -> Fraction:
-    try:
-        hw = Fraction(str(value)) if isinstance(value, float) else Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
-        raise DomainError(f"hbar_omega must be a finite rational, not {value!r}") from None
+    hw = _rational("hbar_omega", value)
     _require(hw > 0, "hbar_omega must be positive")
     return hw
 
@@ -247,8 +244,7 @@ def spectrum(n_max: int, hbar_omega: int | float | str | Fraction = 1) -> Spectr
     per-process table of at most MAX_SPECTRUM_INDEX entries (~0.2 MB).
     """
     global _RATIOS
-    _require(isinstance(n_max, int) and n_max >= 0, "n_max must be a non-negative integer")
-    _require(n_max <= MAX_SPECTRUM_INDEX, f"n_max must not exceed {MAX_SPECTRUM_INDEX}")
+    _integer("n_max", n_max, 0, MAX_SPECTRUM_INDEX)
     hw = _hbar_omega(hbar_omega)
     num, den = hw.numerator, 2 * hw.denominator
     levels = tuple(enumerate(Fraction(num * f, den) for f in fib_range(2, n_max + 2)))
@@ -298,7 +294,7 @@ def invert_number(fib_value: int, parity: str, precision: int = DEFAULT_DPS) -> 
     as sqrt(5 F_n^2/4 ± 1) = L_n/2 (L Lucas), so the logarithm is off by about
     n units in the last working digit, far below 1/2 for every n <= MAX_FIB_INDEX.
     """
-    _require(isinstance(fib_value, int) and fib_value >= 1, "value must be a positive integer")
+    _integer("value", fib_value, 1, inf)
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
     with _at_precision(precision) as mp:
@@ -330,8 +326,7 @@ class NonlinearMap:
 
 
 def nonlinear_map(dim: int) -> NonlinearMap:
-    _require(isinstance(dim, int) and dim >= 2, "dimension must be an integer >= 2")
-    _require(dim <= MAX_LADDER_DIM, f"dimension must not exceed {MAX_LADDER_DIM}")
+    _integer("dim", dim, 2, MAX_LADDER_DIM)
     import numpy as np
     fibs = fib_range(0, dim)  # F_0 .. F_dim
     scale_next = np.array([sqrt(fibs[n + 1] / (n + 1)) for n in range(dim)],
@@ -343,5 +338,6 @@ def nonlinear_map(dim: int) -> NonlinearMap:
 
 def standard_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Undeformed boson matrices (a, a+) with entries sqrt(n)."""
+    _integer("dim", dim, 2, MAX_LADDER_DIM)
     a_dag = WeightedShift(tuple(range(1, dim)), (0,) * (dim - 1)).raising()
     return a_dag.T.copy(), a_dag

@@ -159,9 +159,11 @@ class TestSymmetricVariant:
     def test_basic_number_range(self):
         # odd n: i^(n-1) L_n, an exact integer
         assert symmetric_basic_number(51) == -45537549124
-        for n in (52, -52, 2000):
-            with pytest.raises(DomainError, match="must not exceed 51"):
+        for n in (52, 2000):
+            with pytest.raises(DomainError, match="n must not exceed 51"):
                 symmetric_basic_number(n)
+        with pytest.raises(DomainError, match="n must be at least -51"):
+            symmetric_basic_number(-52)
 
     def test_commutator_residual_reported(self):
         rep = verify_symmetric(1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import time
 from fractions import Fraction
 from itertools import count
@@ -546,7 +547,9 @@ class TestTermCountGate:
     @pytest.mark.parametrize("call", sorted(CALLS))
     def test_refused(self, call, bad):
         fn, cap = self.CALLS[call]
-        with pytest.raises(DomainError, match="term count must be an integer"):
+        range_messages = {0: "term count must be at least 1", "cap+1": f"term count must not exceed {cap}"}
+        message = range_messages.get(bad, f"term count must be an integer, not {bad!r}")
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             fn(cap + 1 if bad == "cap+1" else bad)
         fn(cap)
 

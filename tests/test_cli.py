@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from mpmath import mp
 
 import goldencalc
-from goldencalc import angular, oscillator
+from goldencalc import angular, cli, oscillator
 from goldencalc.binomials import fibonomial
 from goldencalc.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run_command
 from goldencalc.core import fib_exact
@@ -196,6 +197,15 @@ class TestVerifyCommand:
         rows = payload(["--precision", "400", "--format", "csv", "verify",
                         "--only", "core.real-addition"]).splitlines()
         assert rows[1] == f"core.real-addition,pass,{entry['max_residual']}"
+        plain = payload(["--precision", "400", "verify", "--only", "core.real-addition"]).splitlines()[0]
+        shown = Decimal(plain.split()[-1])  # 1.292e-399, not the 0.000e+00 a float would print
+        assert shown != 0 and abs(shown - Decimal(entry["max_residual"])) <= Decimal("5e-403")
+
+    @pytest.mark.parametrize("text, shown", [("0.0", "0.000e+00"), ("3.0e-9", "3.000e-09"),
+                                             ("1.29162309037008e-399", "1.292e-399"),
+                                             ("2.77555756156289e-17", "2.776e-17"), ("123.456", "1.235e+02")])
+    def test_plain_residual_shape(self, text, shown):
+        assert cli._sci(text) == shown
 
     def test_precision_below_bound_is_domain_error(self, capsys):
         code, record = run_command(["--precision", "15", "verify"])
@@ -457,6 +467,13 @@ class TestOutputContract:
         assert [tuple(line.split(",")[:2]) for line in lines] == \
             [("id", "status")] + _VERIFY_STATUSES
 
+    @pytest.mark.parametrize("precision", ["16", "34", "100"])
+    def test_angmom_floats_print_their_shortest_decimal(self, precision):
+        rows = payload(["--precision", precision, "--format", "csv", "angmom", "--j", "2"]).splitlines()
+        assert rows[1] == "j_plus,1,0,1.7320508075688772,0.0"  # sqrt(3) as a double, at any precision
+        data = json.loads(payload(["--precision", precision, "--format", "json", "angmom", "--j", "1/2"]))
+        assert data["casimir_eigenvalue"] == {"re": "-0.2", "im": "-0.6"}
+
     @pytest.mark.parametrize("j", ["1", "3/2", "2"])
     def test_symmetric_commutator_residual(self, j):
         data = json.loads(payload(["--format", "json", "angmom", "--j", j, "--variant", "symmetric"]))
@@ -583,6 +600,8 @@ class TestImportCost:
         ["deriv", "1/3,2/7,5/11"], ["spectrum", "--n-max", "10"],
         ["spectrum", "--n-max", "5", "--hbar-omega", "7/3"],
         ["plot-data", "spectrum", "--n-max", "5", "--output", "OUTPUT"],
+        ["angmom", "--j", "2"], ["--precision", "100", "angmom", "--j", "1/2", "--variant", "symmetric"],
+        ["angmom", "--j", "49/2", "--variant", "tilde"],
     ]
 
     @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
