@@ -45,7 +45,7 @@ from .core import (
     fib_exact,
     fib_range,
 )
-from .oscillator import _I_POWERS, WeightedShift, _Checked, _diagonal_view, _freeze
+from .oscillator import _I_POWERS, WeightedShift, _Checked, _diagonal_view, _freeze, _tally
 
 if TYPE_CHECKING:
     import mpmath
@@ -217,33 +217,24 @@ def verify_commutators(j) -> CommutatorReport:
     F_{j+m} F_{j-m+1} - F_{j-m} F_{j+m+1}, the left-hand side of d'Ocagne's
     identity.  It is checked exactly in Z against both written forms of the
     diagonal ((-1)^{N2} F_{2Jz} and -(-1)^{N1} F_{-2Jz}), which agree through
-    F_{-2m} = (-1)^{2m+1} F_{2m}.  Any nonzero difference fails.
+    F_{-2m} = (-1)^{2m+1} F_{2m}.  Every nonzero difference fails, with one
+    failure naming its (j, m); a [Jz, J±] defect is named by the lower state of its step.
     """
     jf, n, fib = _lattice(j)
     shift = _ladder(n, fib, tilde=False)
-    failures: list[str] = []
-
-    ladder_res = 0.0
+    exact, mirrored = [], []
     for a, up_down, down_up in zip(range(n, -1, -1), *shift.products()):
-        t = n - 2 * a  # 2m
-        lhs = up_down - down_up
-        expected = (-1 if a % 2 else 1) * fib(t)
-        ladder_res = max(ladder_res, float(abs(lhs - expected)))
-        if lhs != expected:
-            failures.append(f"exact identity at (j={jf}, m={Fraction(t, 2)})")
-        # second written form: -(-1)^{n1} F_{-2m} with n1 = j + m = n - a
-        if lhs != -(-1 if (n - a) % 2 else 1) * fib(-t):
-            failures.append(f"mirrored form at (j={jf}, m={Fraction(t, 2)})")
-    exact_ok = not failures
-
-    # levels k = m + j: the constant j cancels in [Jz, J+]
-    z_res = max(shift.step_defects(range(n + 1)), default=0.0)
-    if z_res:
-        failures.append(f"[Jz,J±] residual {z_res:.3e}")
-
-    return CommutatorReport(j=jf, max_ladder_residual=ladder_res,
-                            max_z_residual=z_res, exact_identity_ok=exact_ok,
-                            failures=tuple(failures))
+        t, lhs = n - 2 * a, up_down - down_up  # t = 2m; a = j - m and n - a = j + m
+        exact.append(lhs + fib(t) if a % 2 else lhs - fib(t))
+        mirrored.append(lhs - fib(-t) if (n - a) % 2 else lhs + fib(-t))
+    residuals, failures = _tally(
+        {"exact identity": exact, "mirrored form": mirrored,
+         "[Jz,J±]": shift.step_defects(range(n + 1))},  # levels k = m + j: the constant j cancels
+        lambda k: f"(j={jf}, m={Fraction(2 * k - n, 2)})")
+    return CommutatorReport(j=jf, max_ladder_residual=residuals["exact identity"],
+                            max_z_residual=residuals["[Jz,J±]"],
+                            exact_identity_ok=not (residuals["exact identity"] or residuals["mirrored form"]),
+                            failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +350,20 @@ def build_tilde(j) -> AngularRep:
     return AngularRep(j=jf, variant="tilde_F", shift=_ladder(n, fib, tilde=True))
 
 
-def tilde_casimir_forms(jf: Fraction, shift: WeightedShift) -> tuple[list, list]:
-    """Diagonals of the two written forms of the tilde Casimir.
+def tilde_casimir_forms(j) -> tuple[list, list]:
+    """Diagonals of the two written forms of the tilde Casimir on build_tilde(j).
 
     form1 = (-1)^{Jz} (F_{Jz} F_{Jz+1} - Jt- Jt+)
     form2 = (-1)^{Jz} (Jt+ Jt- - F_{Jz} F_{Jz-1})
 
-    On an integer-j representation both are the constant int (-1)^j F_j F_{j+1}
+    Each has 2j + 1 entries; at integer j both are the constant int (-1)^j F_j F_{j+1}
     (complex entries at half-integer j); the per-state eigenvalue is
     (-1)^m F_m F_{m+1} + (-1)^j F_{j-m} F_{j+m+1}
     = (-1)^j F_{j-m+1} F_{j+m} - (-1)^m F_m F_{m-1}.
     """
-    _, n, fib = _lattice(jf)
-    return tuple([_fifth(v) for v in form] for form in _casimir_forms(n, fib, shift, True)[:2])
+    _, n, fib = _lattice(j)
+    forms = _casimir_forms(n, fib, _ladder(n, fib, tilde=True), tilde=True)[:2]
+    return tuple([_fifth(v) for v in form] for form in forms)
 
 
 def tilde_eigenvalue(jf: Fraction, m: Fraction) -> int | complex:
@@ -394,31 +386,24 @@ class TildeReport(_Checked):
 
 
 def verify_tilde(j) -> TildeReport:
-    """Check {Jt+, Jt-} = diag(F_{2m}) and the two Casimir forms.
+    """Check {Jt+, Jt-} = diag(F_{2m}) and the two Casimir forms against their eigenvalue.
 
     The anti-commutator is the sum of the two diagonals of the shift, checked
     in Z; a shift times its transpose has no off-diagonal part, so
-    offdiagonal_max is 0.0.  Any nonzero difference fails, and each failure
-    carries the offending (j, m) location.
+    offdiagonal_max is 0.0.  Every nonzero difference fails, with one failure
+    naming its (j, m).
     """
     jf, n, fib = _lattice(j)
     shift = _ladder(n, fib, tilde=True)
-    ts = range(-n, n + 1, 2)  # 2m
-    anti = [float(abs(up_down + down_up - fib(t)))
-            for t, up_down, down_up in zip(ts, *shift.products())]
     form1, form2, closed = _casimir_forms(n, fib, shift, tilde=True)
-    form_diff = max(abs(x - y) for x, y in zip(form1, form2)) / 5
-    eig = [abs(x - y) / 5 for x, y in zip(form1, closed)]
-
-    failures = [f"anti-commutator at (j={jf}, m={Fraction(t, 2)}): deviation {dev:.3e}"
-                for t, dev in zip(ts, anti) if dev]
-    if form_diff:
-        failures.append(f"Casimir forms differ by {form_diff:.3e} at j={jf}")
-    failures += [f"Casimir eigenvalue at (j={jf}, m={Fraction(t, 2)}): deviation {dev:.3e}"
-                 for t, dev in zip(ts, eig) if dev]
-    return TildeReport(j=jf, anticommutator_residual=max(anti),
-                       offdiagonal_max=0.0, casimir_form_difference=form_diff,
-                       casimir_eigenvalue_deviation=max(eig), failures=tuple(failures))
+    residuals, failures = _tally(
+        {"anti-commutator": [u + d - fib(t) for t, u, d in zip(range(-n, n + 1, 2), *shift.products())],
+         "Casimir forms": [(x - y) / 5 for x, y in zip(form1, form2)],
+         "Casimir eigenvalue": [(x - y) / 5 for x, y in zip(form1, closed)]},
+        lambda k: f"(j={jf}, m={Fraction(2 * k - n, 2)})")
+    return TildeReport(j=jf, anticommutator_residual=residuals["anti-commutator"], offdiagonal_max=0.0,
+                       casimir_form_difference=residuals["Casimir forms"],
+                       casimir_eigenvalue_deviation=residuals["Casimir eigenvalue"], failures=failures)
 
 
 def build_representation(j, variant: Variant = "standard_F") -> AngularRep:

@@ -35,7 +35,7 @@ from .core import (
 if TYPE_CHECKING:
     import mpmath
 
-MAX_FACTORIAL_INDEX = 10**4
+MAX_FACTORIAL_INDEX = 10**3
 MAX_FIBONOMIAL_INDEX = 300
 MAX_BINOMIAL_DEGREE = 30
 MAX_NONCOMM_DEGREE = 12

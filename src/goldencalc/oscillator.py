@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, sqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .core import (
     DEFAULT_DPS,
@@ -107,6 +107,20 @@ class _Checked:
         return self.passed
 
 
+def _tally(diffs: dict[str, list], state: Callable[[int], str]) -> tuple[dict[str, float], tuple[str, ...]]:
+    """Each identity's largest |exact difference| (0.0 when all are zero), and one failure
+    naming the identity and `state(k)` for each nonzero k-th difference."""
+    residuals, failures = {}, []
+    for name, values in diffs.items():
+        residuals[name] = 0.0
+        if any(values):  # magnitudes only on failure: a passing check makes plain comparisons
+            mags = [abs(complex(v)) for v in values]
+            residuals[name] = max(mags)
+            failures += [f"{name} at {state(k)}: {mag:.3e}"
+                         for k, (v, mag) in enumerate(zip(values, mags)) if v]
+    return residuals, tuple(failures)
+
+
 @dataclass(frozen=True)
 class LadderSet:
     """b+ as a weighted shift with sq = (F_1, ..., F_{dim-1}); b, b_dag, n_op are dense views."""
@@ -146,70 +160,58 @@ class OscillatorAlgebraReport(_Checked):
     failures: tuple[str, ...]
 
 
-def verify_oscillator_algebra(dim: int, ladder: LadderSet | None = None) -> OscillatorAlgebraReport:
-    """Check the deformed commutation relations on the interior states.
+def _deformed_differences(bdb, bbd):
+    """(b b+ - phi b+b - (-1/phi)^n, b b+ + b+b / phi - phi^n) in Z[phi] on each state n.
+
+    bdb and bbd are the diagonals of b+b and b b+ from n = 0; with 1/phi = phi - 1 the
+    left-hand sides are y - x phi and (y - x) + x phi, the right-hand sides running ring products.
+    """
+    phi, neg_inv_phi = ZPhi.phi(), ZPhi.phi_conjugate()
+    minus_rhs = plus_rhs = ZPhi(1, 0)
+    for x, y in zip(bdb, bbd):
+        yield ZPhi(y, -x) - minus_rhs, ZPhi(y - x, x) - plus_rhs
+        minus_rhs = minus_rhs * neg_inv_phi
+        plus_rhs = plus_rhs * phi
+
+
+def verify_oscillator_algebra(dim: int) -> OscillatorAlgebraReport:
+    """Check the deformed commutation relations on the interior states of build_ladder(dim).
 
     b+b and bb+ are exact diagonals of the ladder's shift: every identity is
     checked below the truncated top state, in Z[phi] or Z, with residuals
     the largest magnitude of an exact difference (0.0 for a true ladder).
-    Any nonzero difference fails, however small its magnitude:
+    Every nonzero difference fails, however small its magnitude, with one
+    failure naming its state:
 
       * b b+ - phi b+ b = (-1/phi)^N
       * b b+ + (1/phi) b+ b = phi^N
       * [N, b+] = b+  and  [N, b] = -b
       * the operator recurrence  F_{N+1} = F_N + F_{N-1}  (diagonal form)
     """
-    lad = ladder if ladder is not None else build_ladder(dim)
-    d = _integer("dim", lad.dim, 3, MAX_LADDER_DIM)  # 3: a nontrivial interior
-    bdb, bbd = lad.shift.products()
-    phi = ZPhi.phi()
-    inv_phi = ZPhi.inv_phi()
-    neg_inv_phi = ZPhi.phi_conjugate()
-    minus, plus, recurrence = [], [], []
-    minus_rhs = plus_rhs = ZPhi(1, 0)
-    for n, f_prev in enumerate(fib_range(-1, d - 3)):  # F_{n-1} on the interior
-        minus.append(bbd[n] - phi * bdb[n] - minus_rhs)
-        plus.append(bbd[n] + inv_phi * bdb[n] - plus_rhs)
-        recurrence.append(bbd[n] - bdb[n] - f_prev)
-        minus_rhs = minus_rhs * neg_inv_phi
-        plus_rhs = plus_rhs * phi
-    steps = lad.shift.step_defects(range(d))
-    diffs = {"deformed_commutator_minus": minus, "deformed_commutator_plus": plus,
-             "number_raises": steps, "number_lowers": steps,
-             "fibonacci_recurrence": recurrence}
-    residuals: dict[str, float] = {}
-    failures: list[str] = []
-    for name, values in diffs.items():
-        mags = [abs(float(v)) for v in values]
-        residuals[name] = max(mags)
-        if any(values):
-            failures.append(f"{name} at state {mags.index(residuals[name])}: {residuals[name]:.3e}")
-    return OscillatorAlgebraReport(dim=d, residuals=residuals, failures=tuple(failures))
+    shift = build_ladder(_integer("dim", dim, 3, MAX_LADDER_DIM)).shift  # 3: a nontrivial interior
+    bdb, bbd = shift.products()
+    minus, plus = zip(*_deformed_differences(bdb, bbd[:-1]))  # the top state is truncated
+    steps = shift.step_defects(range(dim))
+    residuals, failures = _tally(
+        {"deformed_commutator_minus": minus, "deformed_commutator_plus": plus,
+         "number_raises": steps, "number_lowers": steps,
+         "fibonacci_recurrence": [y - x - f for x, y, f in zip(bdb, bbd, fib_range(-1, dim - 3))]},
+        "state {}".format)
+    return OscillatorAlgebraReport(dim=dim, residuals=residuals, failures=failures)
 
 
 def diagonal_identities_exact(n_max: int = 100) -> bool:
-    """Exact ring check of F_{n+1} - phi F_n = (-1/phi)^n and its twin.
+    """Exact ring check of F_{n+1} - phi F_n = (-1/phi)^n and F_{n+1} + F_n / phi = phi^n.
 
-    Both identities are verified in Z[phi] for 0 <= n <= n_max; any failure
-    raises (they are theorems, not tolerances).
+    These are the oscillator's deformed relations on |n>, where b+b = F_n and
+    b b+ = F_{n+1}; both are verified in Z[phi] for 0 <= n <= n_max, with n_max
+    at most MAX_SPECTRUM_INDEX.  Any failure raises (they are theorems, not tolerances).
     """
-    _integer("n_max", n_max, 0, MAX_FIB_INDEX - 1)
-    phi = ZPhi.phi()
-    inv_phi = ZPhi.inv_phi()
-    neg_inv_phi = ZPhi.phi_conjugate()
-    # F_n, F_{n+1} by the recurrence; the right-hand sides as running ring products.
-    fn, fn1 = 0, 1
-    minus_rhs = plus_rhs = ZPhi(1, 0)
-    for n in range(n_max + 1):
-        lhs_minus = ZPhi(fn1, 0) - phi * fn
-        if lhs_minus != minus_rhs:
-            raise ArithmeticError(f"deformed minus-identity fails at n={n}")
-        lhs_plus = ZPhi(fn1, 0) + inv_phi * fn
-        if lhs_plus != plus_rhs:
-            raise ArithmeticError(f"deformed plus-identity fails at n={n}")
-        fn, fn1 = fn1, fn + fn1
-        minus_rhs = minus_rhs * neg_inv_phi
-        plus_rhs = plus_rhs * phi
+    _integer("n_max", n_max, 0, MAX_SPECTRUM_INDEX)
+    fibs = fib_range(0, n_max + 1)
+    for n, (minus, plus) in enumerate(_deformed_differences(fibs, fibs[1:])):
+        if minus or plus:
+            raise ArithmeticError(f"deformed {'minus' if minus else 'plus'}-identity fails at n={n}")
     return True
 
 

@@ -585,8 +585,9 @@ def _relabeling(ctx: SuiteContext):
             amp, state = angular.double_boson_action(int(j + m), int(j - m), "plus")
             yield (f"raising (j={j}, m={m})",
                    amp != sqrt(sq[k]) or state != (int(j + m) + 1, int(j - m) - 1))
-            amp, _ = angular.double_boson_action(int(j + m_up), int(j - m_up), "minus")
-            yield f"lowering (j={j}, m={m_up})", amp != sqrt(sq[k])
+            amp, state = angular.double_boson_action(int(j + m_up), int(j - m_up), "minus")
+            yield (f"lowering (j={j}, m={m_up})",
+                   amp != sqrt(sq[k]) or state != (int(j + m), int(j - m)))
 
 
 @_suite("angular.hermiticity",

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp
 
+from goldencalc import angular
 from goldencalc.angular import (
     build_representation,
     build_suF2,
@@ -20,11 +21,14 @@ from goldencalc.angular import (
     casimir_suF2,
     double_boson_action,
     symmetric_basic_number,
+    tilde_casimir_forms,
+    tilde_eigenvalue,
     verify_commutators,
     verify_symmetric,
     verify_tilde,
 )
 from goldencalc.core import DomainError, fib_exact
+from goldencalc.oscillator import WeightedShift
 
 
 class TestBuildSuF2:
@@ -216,8 +220,7 @@ class TestTildeVariant:
         # both written forms agree; the second printed closed form holds
         from goldencalc.angular import tilde_casimir_forms, tilde_eigenvalue
         j = Fraction(2)
-        rep = build_tilde(j)
-        form1, form2 = tilde_casimir_forms(j, rep.shift)
+        form1, form2 = tilde_casimir_forms(j)
         ms = [m - j for m in range(int(2 * j) + 1)]
         for k, m in enumerate(ms):
             jj, mm = int(j), int(m)
@@ -233,7 +236,7 @@ class TestTildeVariant:
     def test_casimir_values_exact(self):
         # ints at integer j, complex numbers at half-integer j
         from goldencalc.angular import tilde_casimir_forms, tilde_eigenvalue
-        form1, form2 = tilde_casimir_forms(Fraction(2), build_tilde(2).shift)
+        form1, form2 = tilde_casimir_forms(Fraction(2))
         assert form1 == form2 == [fib_exact(2) * fib_exact(3)] * 5
         assert all(type(v) is int for v in form1) and type(tilde_eigenvalue(2, 1)) is int
         # (-1)^(1/2) F_(1/2) F_(3/2) + (-1)^(3/2) F_1 F_3 = i (L_2 - i) / 5 - 2i
@@ -280,6 +283,29 @@ class TestWholeDomain:
     def test_reports_pass_at_default_tolerance(self, j):
         assert verify_commutators(j).passed
         assert verify_tilde(j).passed
+
+    @pytest.mark.parametrize("j", SPINS, ids=str)
+    def test_tilde_casimir_forms_are_the_eigenvalue(self, j):
+        form1, form2 = tilde_casimir_forms(j)
+        ms = [m - j for m in range(int(2 * j) + 1)]
+        assert len(form1) == len(form2) == len(ms)
+        assert form1 == form2 == [tilde_eigenvalue(j, m) for m in ms]
+
+    @pytest.mark.parametrize("check", [verify_commutators, verify_tilde], ids=lambda f: f.__name__)
+    def test_corrupted_weight_names_its_states(self, monkeypatch, check):
+        ladder = angular._ladder
+
+        def corrupted(n, fib, tilde):
+            shift = ladder(n, fib, tilde)
+            sq = list(shift.sq)
+            sq[2] += 1  # the step from m = -1/2 to m = 1/2 at j = 5/2
+            return WeightedShift(tuple(sq), shift.turns)
+
+        monkeypatch.setattr(angular, "_ladder", corrupted)
+        report = check(Fraction(5, 2))
+        assert not report.passed
+        named = {f.split(" at ")[1].split(":")[0] for f in report.failures}
+        assert named == {"(j=5/2, m=-1/2)", "(j=5/2, m=1/2)"}
 
     @pytest.mark.parametrize("j", SPINS, ids=str)
     def test_casimir_forms_exact(self, j):

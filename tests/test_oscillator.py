@@ -82,14 +82,21 @@ class TestAlgebraVerification:
     def test_minimal_dimension(self):
         assert verify_oscillator_algebra(3).passed
 
-    def test_corrupted_entry_detected(self):
-        shift = build_ladder(10).shift
-        sq = list(shift.sq)
-        sq[1] += 1  # F_2 + 1
-        bad = LadderSet(WeightedShift(tuple(sq), shift.turns))
-        report = verify_oscillator_algebra(10, ladder=bad)
+    def test_corrupted_entry_detected(self, monkeypatch):
+        def bad_ladder(dim):
+            shift = build_ladder(dim).shift
+            sq = list(shift.sq)
+            sq[1] += 1  # F_2 + 1
+            return LadderSet(WeightedShift(tuple(sq), shift.turns))
+
+        monkeypatch.setattr(oscillator, "build_ladder", bad_ladder)
+        report = verify_oscillator_algebra(10)
         assert not report.passed
-        assert max(report.residuals.values()) >= 1e-7
+        # the weight of the step 1 -> 2 enters b b+ at state 1 and b+b at state 2
+        assert [f.split(":")[0] for f in report.failures] == [
+            f"{name} at state {n}" for name in ("deformed_commutator_minus", "deformed_commutator_plus",
+                                                "fibonacci_recurrence") for n in (1, 2)]
+        assert max(report.residuals.values()) == pytest.approx(1.6180339887498949)  # phi at state 2
 
     def test_exact_diagonal_identities(self):
         assert diagonal_identities_exact(100)
