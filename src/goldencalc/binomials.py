@@ -64,14 +64,18 @@ def fibonomial_row(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=1)  # one row at n = 300 holds ~0.4 MB
 def _fibonomial_row(n: int) -> tuple[int, ...]:
     # The full row is computed, never mirrored, so [n k] = [n n-k] stays a check.
-    fibs = fib_range(0, n)
-    row = [1]
+    return tuple(_fibonomial_steps(fib_range(0, n)))
+
+
+def _fibonomial_steps(fibs: list[int]) -> Iterator[int]:
+    """[n 0]_F, [n 1]_F, ..., [n n]_F from fibs = [F_0, ..., F_n], one exact division a step."""
+    n, c = len(fibs) - 1, 1
+    yield c
     for k in range(1, n + 1):
-        c, r = divmod(row[-1] * fibs[n - k + 1], fibs[k])
+        c, r = divmod(c * fibs[n - k + 1], fibs[k])
         if r:  # cannot happen: Fibonomials are integers
             raise ArithmeticError(f"Fibonomial ({n},{k}) is not an integer")
-        row.append(c)
-    return tuple(row)
+        yield c
 
 
 def fibonomial(n: int, k: int) -> int:
@@ -193,13 +197,15 @@ def golden_binomial(n: int, form: BinomialForm = "product") -> BivarPoly:
     """
     _integer("degree", n, 0, MAX_BINOMIAL_DEGREE)
     if form == "product":
-        poly = BivarPoly.one()
+        coeffs = [ZPhi(1, 0)]  # of x^(j-k) y^k after j factors
         for j in range(n):
             c = phi_power_exact(n - 1 - 2 * j)
             if j % 2:
                 c = -c
-            poly = poly * _linear_factor(c)
-        return poly
+            coeffs.append(c * coeffs[-1])
+            for k in range(j, 0, -1):
+                coeffs[k] = coeffs[k] + c * coeffs[k - 1]
+        return BivarPoly({(n - k, k): c for k, c in enumerate(coeffs)})
     if form == "expansion":
         coeffs = {
             (n - k, k): ZPhi(_half_triangle_sign(k) * c, 0)
@@ -357,19 +363,30 @@ def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath
 
 
 def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
-    """(1 + y/phi^n)_F^n by its finite Fibonomial expansion.
+    """(1 + y/phi^n)_F^n by its finite Fibonomial expansion sum_k s_k [n k]_F u^k, u = y/phi^n.
 
     As n grows this approaches the Jackson exponential e_{-phi^2}(y/sqrt(5)).
+    The sum runs forward over the row, built a step at a time, and stops early at a
+    proven tail: the ratio |t_(k+1) / t_k| = F_(n-k) |u| / F_(k+1) never increases with
+    k (F_(n-k) falls as F_(k+1) grows), so once it is at most 1/2 the terms after t_k sum
+    to at most |t_k|. As in jackson_exp, the first such k fixes the tolerance
+    eps max(|total| - |t_k|, 1), at most eps max(|sum|, 1), and the first term from
+    there on that is within it ends the sum.
     """
     _integer("degree", n, 1, MAX_SERIES_TERMS)
     with _at_precision(precision) as mp:
-        yv = _finite(y, "argument")
-        scale = yv / mp.power(mp.phi, n)
-        # Horner from the int 0 keeps a real argument in mpf arithmetic.
-        row = fibonomial_row(n)
-        total = 0
-        for k in range(n, -1, -1):
-            total = total * scale + _half_triangle_sign(k) * row[k]
+        u = _finite(y, "argument") / mp.power(mp.phi, n)
+        fibs = fib_range(0, n)
+        # From the ints 0 and 1, a real argument stays in mpf arithmetic.
+        total, power, u2, tol = 0, 1, 2 * abs(u), None
+        for k, c in enumerate(_fibonomial_steps(fibs)):
+            term = _half_triangle_sign(k) * c * power
+            total += term
+            if tol is None and k < n and u2 * fibs[n - k] <= fibs[k + 1]:
+                tol = mp.eps * max(abs(total) - abs(term), 1)  # |sum| stays above |total| - |term|
+            if tol is not None and abs(term) <= tol:
+                break
+            power *= u
         return mp.mpc(total)
 
 

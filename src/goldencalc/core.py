@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 from typing import TYPE_CHECKING
 
@@ -145,7 +146,7 @@ def fib_range(lo: int, hi: int) -> list[int]:
 # The field Q(phi) and its ring of integers Z[phi]
 # ---------------------------------------------------------------------------
 
-_new = object.__new__  # looked up once: _element builds every ring product
+_new = object.__new__  # looked up once: _field and _ring skip __init__'s checks
 
 
 def _coord(x: int | Fraction) -> int | Fraction:
@@ -153,16 +154,17 @@ def _coord(x: int | Fraction) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-def _element(x: QPhi, y: object, a: int | Fraction, b: int | Fraction) -> QPhi:
-    """a + b*phi from an operation on x and y: a ZPhi when both are ZPhi or int.
+def _field(a: int | Fraction, b: int | Fraction) -> QPhi:
+    """a + b*phi in the field Q(phi)."""
+    z = _new(QPhi)
+    z._a = _coord(a)
+    z._b = _coord(b)
+    return z
 
-    Skips __init__, whose checks would slow the hot products in Z[phi].
-    """
-    if isinstance(x, ZPhi) and isinstance(y, (ZPhi, int)):
-        z = _new(ZPhi)
-    else:
-        z = _new(QPhi)
-        a, b = _coord(a), _coord(b)
+
+def _ring(a: int, b: int) -> ZPhi:
+    """a + b*phi in the ring Z[phi]."""
+    z = _new(ZPhi)
     z._a = a
     z._b = b
     return z
@@ -180,6 +182,7 @@ class QPhi:
     """
 
     __slots__ = ("_a", "_b")
+    _build = staticmethod(_field)  # the unary operations keep the operand's type
 
     def __init__(self, a: int | Fraction, b: int | Fraction = 0) -> None:
         self._a = _coord(Fraction(a))
@@ -210,20 +213,20 @@ class QPhi:
         return NotImplemented
 
     def __neg__(self) -> QPhi:
-        return _element(self, self, -self._a, -self._b)
+        return self._build(-self._a, -self._b)
 
     def __add__(self, other: int | Fraction | QPhi) -> QPhi:
         if isinstance(other, QPhi):
-            return _element(self, other, self._a + other._a, self._b + other._b)
+            return _field(self._a + other._a, self._b + other._b)
         if isinstance(other, (int, Fraction)):
-            return _element(self, other, self._a + other, self._b)
+            return _field(self._a + other, self._b)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other: int | Fraction | QPhi) -> QPhi:
         if isinstance(other, QPhi):
-            return _element(self, other, self._a - other._a, self._b - other._b)
+            return _field(self._a - other._a, self._b - other._b)
         return self + (-other)
 
     def __rsub__(self, other: int | Fraction) -> QPhi:
@@ -232,9 +235,10 @@ class QPhi:
     def __mul__(self, other: int | Fraction | QPhi) -> QPhi:
         if isinstance(other, QPhi):
             a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-            return _element(self, other, a1 * a2 + b1 * b2, a1 * b2 + a2 * b1 + b1 * b2)
+            bb = b1 * b2
+            return _field(a1 * a2 + bb, a1 * b2 + a2 * b1 + bb)
         if isinstance(other, (int, Fraction)):
-            return _element(self, other, self._a * other, self._b * other)
+            return _field(self._a * other, self._b * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -242,7 +246,7 @@ class QPhi:
     @property
     def conj(self) -> QPhi:
         """Galois conjugate phi -> 1 - phi."""
-        return _element(self, self, self._a + self._b, -self._b)
+        return self._build(self._a + self._b, -self._b)
 
     @property
     def norm(self) -> int | Fraction:
@@ -267,7 +271,7 @@ class QPhi:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = _element(self, 1, 1, 0)
+        result = self._build(1, 0)
         base = self
         while n:
             if n & 1:
@@ -315,6 +319,7 @@ class ZPhi(QPhi):
     """
 
     __slots__ = ()
+    _build = staticmethod(_ring)
 
     def __init__(self, a: int, b: int) -> None:
         if not (isinstance(a, int) and isinstance(b, int)):
@@ -345,6 +350,33 @@ class ZPhi(QPhi):
         if n not in (1, -1):
             raise ZeroDivisionError("only units (norm ±1) are invertible in Z[phi]")
         return self.conj * n
+
+    def __add__(self, other: int | Fraction | QPhi) -> QPhi:
+        if isinstance(other, ZPhi):
+            return _ring(self._a + other._a, self._b + other._b)
+        if isinstance(other, int):
+            return _ring(self._a + other, self._b)
+        return QPhi.__add__(self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: int | Fraction | QPhi) -> QPhi:
+        if isinstance(other, ZPhi):
+            return _ring(self._a - other._a, self._b - other._b)
+        if isinstance(other, int):
+            return _ring(self._a - other, self._b)
+        return QPhi.__sub__(self, other)
+
+    def __mul__(self, other: int | Fraction | QPhi) -> QPhi:
+        if isinstance(other, ZPhi):
+            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+            bb = b1 * b2
+            return _ring(a1 * a2 + bb, a1 * b2 + a2 * b1 + bb)
+        if isinstance(other, int):
+            return _ring(self._a * other, self._b * other)
+        return QPhi.__mul__(self, other)
+
+    __rmul__ = __mul__
 
 
 def phi_power_exact(n: int) -> ZPhi:
@@ -377,17 +409,27 @@ class GoldenValue:
         return complex(self.value)
 
 
+@lru_cache(maxsize=4)  # keyed by mpmath's working precision in bits
+def _sinh_constants(prec: int) -> tuple[mpmath.mpc, mpmath.mpf]:
+    """(ln phi - i*pi/2, 2/sqrt(5)) at the current precision, which is `prec` bits."""
+    from mpmath import mp
+    return mp.mpc(mp.ln(mp.phi), -mp.pi / 2), 2 / mp.sqrt(5)
+
+
 def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> GoldenValue:
     """F_z = (phi**z - exp(i*pi*z) * phi**-z) / sqrt(5) for complex z.
 
     phi**z is exp(z*log(phi)) on the principal branch; the sign base is read
-    as (-1)**z = exp(i*pi*z). At integer z this reproduces fib_exact(z).
+    as (-1)**z = exp(i*pi*z). At integer z this reproduces fib_exact(z). The value is
+    (2/sqrt(5)) exp(i*pi*z/2) sinh(z (ln phi - i*pi/2)): sinh keeps the zero at z = 0 to
+    full relative accuracy, but not the zeros z_k = 2*pi*i*k / (2 ln phi - i*pi), k != 0.
     """
     with _at_precision(precision) as mp:
         zc = _finite(mp.mpc(z), "Re z and Im z")
         _require(abs(zc.real) <= MAX_EXTENDED_ARG and abs(zc.imag) <= MAX_EXTENDED_ARG,
                  f"|Re z| and |Im z| must not exceed {MAX_EXTENDED_ARG:g}")
-        value = (mp.power(mp.phi, zc) - mp.exp(1j * mp.pi * zc) * mp.power(mp.phi, -zc)) / mp.sqrt(5)
+        w, two_over_root5 = _sinh_constants(mp.prec)
+        value = two_over_root5 * mp.expjpi(zc / 2) * mp.sinh(zc * w)
         return GoldenValue(z=zc, value=value, precision=precision)
 
 

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc
 
 from goldencalc.binomials import (
+    MAX_BINOMIAL_DEGREE,
     BivarPoly,
     UnivarPoly,
+    _linear_factor,
     fib_factorial,
     fibonomial,
     fibonomial_row,
@@ -24,7 +26,7 @@ from goldencalc.binomials import (
     noncomm_expand,
     remarkable_limit_lhs,
 )
-from goldencalc.core import DomainError, QPhi, ZPhi, fib_range
+from goldencalc.core import DomainError, QPhi, ZPhi, fib_range, phi_power_exact
 
 
 def brute_poly_mul(p: dict, q: dict) -> dict:
@@ -141,7 +143,6 @@ class TestGoldenBinomial:
     def test_product_oracle(self):
         # rebuild the n = 4 product with an independent dict convolution
         factors = []
-        from goldencalc.core import phi_power_exact
         for j in range(4):
             c = phi_power_exact(3 - 2 * j)
             if j % 2:
@@ -151,6 +152,14 @@ class TestGoldenBinomial:
         for f in factors:
             acc = brute_poly_mul(acc, f)
         assert golden_binomial(4, "product") == BivarPoly(acc)
+
+    def test_product_is_the_factor_product(self):
+        # Reference: the sparse BivarPoly product of the n linear factors, factor by factor.
+        for n in range(MAX_BINOMIAL_DEGREE + 1):
+            poly = BivarPoly.one()
+            for j in range(n):
+                poly = poly * _linear_factor(phi_power_exact(n - 1 - 2 * j) * (-1 if j % 2 else 1))
+            assert repr(golden_binomial(n, "product")) == repr(poly), n
 
     @given(st.integers(0, 20))
     def test_forms_agree(self, n):
@@ -188,6 +197,7 @@ class TestGoldenPolynomial:
     def test_degree_two_printed(self):
         p = golden_polynomial(2, 1)
         assert p.coeffs == (Fraction(-1), Fraction(-1), Fraction(1))
+        assert str(UnivarPoly(coeffs=(1, -2, 3))) == "(3)x^2 + (-2)x + (1)"
 
     def test_degree_zero(self):
         assert golden_polynomial(0).coeffs == (Fraction(1),)
@@ -345,6 +355,22 @@ class TestRemarkableLimit:
         lhs = remarkable_limit_lhs(y, n)
         assert isinstance(lhs, mp.mpc)
         assert abs(lhs - ref) <= mp.mpf(10) ** -40 * max(1, abs(ref))
+
+    @pytest.mark.parametrize("dps", [16, 34, 60, 100])
+    def test_early_stop_keeps_the_digits(self, dps):
+        # Reference: the full finite sum over k = 0..n at 2p + 60 digits.
+        misses = []
+        for n in (1, 2, 3, 7, 30, 100, 199, 200):
+            row = fibonomial_row(n)
+            for y in (0, 1e-30, -1e-30, 0.5, -0.5, 5, -5, 50, -50, 500, -500, 3 + 4j, -40j):
+                got = remarkable_limit_lhs(y, n, dps)
+                with mp.workdps(2 * dps + 60):
+                    u = mp.mpmathify(y) / mp.phi ** n
+                    ref = mp.fsum((-1 if k * (k - 1) // 2 % 2 else 1) * c * u ** k for k, c in enumerate(row))
+                    err = abs(got - ref) / max(abs(ref), 1)
+                    if err > mp.mpf(10) ** -dps:
+                        misses.append((n, y, mp.nstr(err, 3)))
+        assert not misses, f"at {dps} digits: {misses}"
 
     def test_guard(self):
         with pytest.raises(DomainError):

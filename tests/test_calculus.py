@@ -667,6 +667,7 @@ class TestGoldenPeriodic:
         samples = [mp.mpf(2) ** (i / mp.mpf(3)) for i in range(-9, 11)]
         check = is_golden_periodic(f, samples, 1e-10)
         assert bool(check)
+        assert check.max_deviation < 1e-30
 
     def test_identity_false(self):
         check = is_golden_periodic(lambda t: t, [0.5, 1.0])

@@ -192,10 +192,43 @@ class TestOneField:
         for result, expected in ((x + other, self.as_field(x) + self.as_field(other)),
                                  (other + x, self.as_field(other) + self.as_field(x)),
                                  (x - other, self.as_field(x) - self.as_field(other)),
+                                 (other - x, self.as_field(other) - self.as_field(x)),
                                  (x * other, self.as_field(x) * self.as_field(other)),
                                  (other * x, self.as_field(other) * self.as_field(x))):
             assert type(result) is QPhi
             assert result == expected
+
+    @given(ints, ints, st.booleans())
+    def test_bool_operands_act_as_ints(self, a, b, t):
+        for x in (ZPhi(a, b), QPhi(Fraction(a, 2), b)):
+            for result, expected in ((x + t, x + int(t)), (t + x, int(t) + x),
+                                     (x - t, x - int(t)), (t - x, int(t) - x),
+                                     (x * t, x * int(t)), (t * x, int(t) * x)):
+                assert type(result) is type(x)
+                assert result == expected
+
+    @given(ints, ints, st.integers(0, 7))
+    def test_unary_operations_keep_the_type(self, a, b, n):
+        for x in (ZPhi(a, b), QPhi(Fraction(a, 3), b)):
+            field = self.as_field(x)
+            for result, expected in ((-x, -field), (x.conj, field.conj), (x ** n, field ** n)):
+                assert type(result) is type(x)
+                assert result == expected
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("k", range(-4, 5))
+    def test_powers_of_units(self, sign, k):
+        unit = phi_power_exact(k) * sign
+        for n in range(-5, 6):
+            result = unit ** n
+            assert type(result) is ZPhi
+            assert result == self.as_field(unit) ** n == phi_power_exact(k * n) * (sign if n % 2 else 1)
+
+    def test_negative_powers_leave_only_units_in_the_ring(self):
+        assert QPhi(2, 1) ** -2 == QPhi(Fraction(3, 5), Fraction(-1, 5)) ** 2
+        assert type(QPhi(2, 1) ** -2) is QPhi
+        with pytest.raises(ZeroDivisionError):
+            ZPhi(2, 1) ** -2
 
     @given(ints, ints)
     def test_equal_values_compare_and_hash_equal(self, a, b):
@@ -267,6 +300,22 @@ class TestFibExtended:
         scaled = gv.value * mp.sqrt(5)
         assert abs(scaled - mp.mpc("4.73068", "0.0939706")) < 5e-3
         assert abs(gv.value - mp.mpc("4.73068", "0.0939706")) > 2
+
+    @pytest.mark.parametrize("dps", [34, 60, 100])
+    def test_relative_digits_near_zero(self, dps):
+        # The Binet difference cancels as z -> 0; here it is the reference, at 3p digits.
+        misses = []
+        for e in range(41):
+            t = mp.mpf(10) ** -e
+            for z in (mp.mpc(t), mp.mpc(-t), mp.mpc(0, t), mp.mpc(0, -t)):
+                got = fib_extended(z, dps).value
+                with mp.workdps(3 * dps):
+                    ref = (mp.power(mp.phi, z) - mp.expjpi(z) * mp.power(mp.phi, -z)) / mp.sqrt(5)
+                    err = abs(got - ref) / abs(ref)
+                    if err > mp.mpf(10) ** -dps:
+                        misses.append((mp.nstr(z, 3), mp.nstr(err, 3)))
+        assert not misses, f"at {dps} digits: {misses}"
+
     def test_guards(self):
         with pytest.raises(DomainError):
             fib_extended(2000.0)
