@@ -164,15 +164,14 @@ class BivarPoly:
         return BivarPoly({e: c * factor for e, c in self._coeffs.items()})
 
     def evaluate(self, x_val, y_val):
-        total = None
-        for (i, j), c in self._coeffs.items():
-            term = c
-            for _ in range(i):
-                term = term * x_val
-            for _ in range(j):
-                term = term * y_val
-            total = term if total is None else total + term
-        return total if total is not None else 0
+        """Sum of c x^i y^j at exact x and y, each power of x and of y computed once."""
+        xs, ys = [1], [1]
+        for i, j in self._coeffs:
+            while len(xs) <= i:
+                xs.append(xs[-1] * x_val)
+            while len(ys) <= j:
+                ys.append(ys[-1] * y_val)
+        return sum((c * xs[i] * ys[j] for (i, j), c in self._coeffs.items()), 0)
 
     def monomials(self) -> Iterator[tuple[tuple[int, int], object]]:
         return iter(sorted(self._coeffs.items()))
@@ -267,10 +266,11 @@ def golden_polynomial(n: int, a: int | Fraction = 1) -> UnivarPoly:
     """P_n(x) = (x - a)_F^n / F_n!;  P_0 = 1.  Exact rational coefficients."""
     _integer("degree", n, 0, MAX_BINOMIAL_DEGREE)
     a = _rational("a", a)
-    fact = fib_factorial(n)
     coeffs = [Fraction(0)] * (n + 1)
+    num, den = 1, fib_factorial(n)  # (-a)^k / F_n! = num / den, one normalization a coefficient
     for k, c in enumerate(fibonomial_row(n)):
-        coeffs[n - k] = Fraction(_half_triangle_sign(k) * c) * (-a) ** k / fact
+        coeffs[n - k] = Fraction(_half_triangle_sign(k) * c * num, den)
+        num, den = -num * a.numerator, den * a.denominator
     return UnivarPoly(coeffs=_trim(coeffs), shift=a)
 
 

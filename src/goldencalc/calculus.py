@@ -28,6 +28,7 @@ from .core import (
     _integer,
     _require,
     fib_exact,
+    fib_range,
 )
 from .binomials import MAX_FACTORIAL_INDEX, BivarPoly, UnivarPoly, _half_triangle_sign, _trim
 
@@ -46,7 +47,7 @@ def derive_poly(f: UnivarPoly) -> UnivarPoly:
     """Exact Golden derivative by the coefficient rule x^n -> F_n x^{n-1}."""
     if f.degree == 0:
         return UnivarPoly(coeffs=(0 * f.coeffs[0],), shift=f.shift)
-    coeffs = [f.coeffs[k + 1] * fib_exact(k + 1) for k in range(f.degree)]
+    coeffs = [c * fk for c, fk in zip(f.coeffs[1:], fib_range(1, f.degree))]
     return UnivarPoly(coeffs=_trim(coeffs), shift=f.shift)
 
 

@@ -96,8 +96,11 @@ class SuiteContext:
 class Suite:
     """One identity check: its declaration and a generator of its cases.
 
-    `cases(ctx)` yields (case, residual) pairs.  An exact suite (no
-    tolerance) fails at the first case whose residual is nonzero or true; a
+    `cases(ctx)` yields one (case, residual) pair per case.  The case is a
+    label: a string, or a tuple (template, *args) that is formatted as
+    `template.format(*args)` only when that case fails, since most labels are
+    never read.  An exact suite (no tolerance) fails at the first case whose
+    residual is nonzero or true, with the note `failed at <label>`; a
     toleranced suite passes when its worst residual is within `tolerance(precision)`.
     """
 
@@ -126,7 +129,8 @@ class Suite:
                 if self.default_tol is not None:
                     worst = max(worst, mp.mpmathify(residual))
                 elif residual:
-                    return False, None, f"failed at {case}"
+                    label = case if isinstance(case, str) else case[0].format(*case[1:])
+                    return False, None, f"failed at {label}"
         return self.default_tol is None or worst <= ctx.tol, _decimal(worst), self.notes
 
 
@@ -156,9 +160,10 @@ def _suite(id: str, statement: str, range_desc: str, notes: str, *,
         "exact over all 201x201 index pairs")
 def _addition_law(ctx: SuiteContext):
     fibs = fib_range(-1, 401)  # F_{-1} .. F_401: F(i) is fibs[i + 1]
+    f_m, f_m1 = fibs[1:202], fibs[2:203]  # F(m) and F(m+1) for 0 <= m <= 200
     for n in range(0, 201):  # one case per row keeps the 40401 pairs cheap
-        yield f"n={n}", any(fibs[n + m + 1] != fibs[n] * fibs[m + 1] + fibs[n + 1] * fibs[m + 2]
-                            for m in range(0, 201))
+        f_prev, f_n = fibs[n], fibs[n + 1]
+        yield ("n={}", n), any(f != f_prev * a + f_n * b for f, a, b in zip(fibs[n + 1:n + 202], f_m, f_m1))
 
 
 @_suite("core.subtraction-law", "F(n-m) = (-1/phi)^(-m) F(n) - phi^n (-1)^(-m) F(m)",
@@ -169,11 +174,9 @@ def _subtraction_law(ctx: SuiteContext):
     for n in range(0, 101):
         phi_n = powers[n]
         fn = fibs[n + 1]
-        for m in range(0, n + 1):
-            rhs = (powers[m] * fn - phi_n * fibs[m + 1])
-            if m % 2:
-                rhs = -rhs
-            yield f"(n={n}, m={m})", rhs != ZPhi(fibs[n - m + 1], 0)
+        for m in range(0, n + 1):  # the difference against (-1)^m F(n-m), an int
+            yield (("(n={}, m={})", n, m),
+                   powers[m] * fn - phi_n * fibs[m + 1] != (-fibs[n - m + 1] if m % 2 else fibs[n - m + 1]))
 
 
 @_suite("core.multiplication-law", "F(n*m) = F(n) * F^(n)(m)", "1 <= n, m <= 30, exact",
@@ -185,7 +188,7 @@ def _multiplication_law(ctx: SuiteContext):
         h_prev, h = 0, 1  # higher Fibonacci by its own recurrence
         fn = fib_exact(n)
         for m in range(1, 31):
-            yield f"(n={n}, m={m})", fib_exact(n * m) != fn * h
+            yield ("(n={}, m={})", n, m), fib_exact(n * m) != fn * h
             h_prev, h = h, lucas * h - sign * h_prev
 
 
@@ -202,7 +205,7 @@ def _division_law(ctx: SuiteContext):
         for _ in range(n - 1):
             h_prev, h = h, lucas * h - s * h_prev
         lhs = core.fib_extended(r, ctx.precision).value
-        yield f"(m={m}, n={n})", abs(lhs - fib_exact(m) / h)
+        yield ("(m={}, n={})", m, n), abs(lhs - fib_exact(m) / h)
 
 
 @_suite("core.lucas-combinations",
@@ -211,9 +214,9 @@ def _division_law(ctx: SuiteContext):
 def _lucas_combinations(ctx: SuiteContext):
     for k in range(1, 51):
         even = phi_power_exact(2 * k) + phi_power_exact(-2 * k)
-        yield f"even k={k}", even != ZPhi(fib_exact(2 * k) + 2 * fib_exact(2 * k - 1), 0)
+        yield ("even k={}", k), even != ZPhi(fib_exact(2 * k) + 2 * fib_exact(2 * k - 1), 0)
         odd = phi_power_exact(2 * k + 1) - phi_power_exact(-(2 * k + 1))
-        yield f"odd k={k}", odd != ZPhi(fib_exact(2 * k + 1) + 2 * fib_exact(2 * k), 0)
+        yield ("odd k={}", k), odd != ZPhi(fib_exact(2 * k + 1) + 2 * fib_exact(2 * k), 0)
 
 
 @_suite("core.real-addition", "F(x+y) = phi^x F(y) + (-1/phi)^y F(x) for real x, y",
@@ -226,7 +229,7 @@ def _real_addition(ctx: SuiteContext):
         y = mp.mpf(ctx.rng.uniform(-5, 5))
         lhs, fx, fy = (core.fib_extended(t, ctx.precision).value for t in (x + y, x, y))
         rhs = mp.power(phi, x) * fy + mp.exp(1j * mp.pi * y) * mp.power(phi, -y) * fx
-        yield f"pair {i}", abs(lhs - rhs)
+        yield ("pair {}", i), abs(lhs - rhs)
 
 
 @_suite("core.real-recurrence", "F(x) = F(x-1) + F(x-2) for real x",
@@ -236,7 +239,7 @@ def _real_recurrence(ctx: SuiteContext):
     for i in range(20):
         x = mp.mpf(ctx.rng.uniform(-5, 5))
         f0, f1, f2 = (core.fib_extended(t, ctx.precision).value for t in (x, x - 1, x - 2))
-        yield f"argument {i}", abs(f0 - f1 - f2)
+        yield ("argument {}", i), abs(f0 - f1 - f2)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +251,7 @@ def _real_recurrence(ctx: SuiteContext):
         "0 <= n <= 20, exact", "exact polynomial equality for n <= 20")
 def _form_agreement(ctx: SuiteContext):
     for n in range(0, 21):
-        yield f"n={n}", golden_binomial(n, "product") != golden_binomial(n, "expansion")
+        yield ("n={}", n), golden_binomial(n, "product") != golden_binomial(n, "expansion")
 
 
 @_suite("fibonomial.root-structure", "(x+y)_F^n vanishes at x/y = -phi^(n-1-2j), j = 0..n-1",
@@ -257,7 +260,7 @@ def _root_structure(ctx: SuiteContext):
     for n in range(1, 11):
         poly = golden_binomial(n, "product")
         for j, root in enumerate(golden_binomial_roots(n)):
-            yield f"(n={n}, j={j})", poly.evaluate(root, 1)
+            yield ("(n={}, j={})", n, j), poly.evaluate(root, 1)
 
 
 @_suite("fibonomial.symmetry-integrality", "[n k]_F = [n n-k]_F is a positive integer",
@@ -266,7 +269,7 @@ def _symmetry_integrality(ctx: SuiteContext):
     for n in range(0, 101):
         row = fibonomial_row(n)
         for k in range(0, n + 1):
-            yield f"(n={n}, k={k})", row[k] <= 0 or row[k] != row[n - k]
+            yield ("(n={}, k={})", n, k), row[k] <= 0 or row[k] != row[n - k]
 
 
 # Published factorizations of P_n as n: (denominator, factors).  A length-3 factor
@@ -313,13 +316,13 @@ def _factored_polynomials(ctx: SuiteContext):
             lucas = fib_exact(e) + 2 * fib_exact(e - 1)
             prod2 = prod2 * _factor_to_bivar((1, -s * lucas, -sign))
         # the common prefactor 1/F_n! of P_n cancels from both sides
-        yield f"phi-power {parity} form at n={n}", prod != reference
-        yield f"Fibonacci-coefficient {parity} form at n={n}", prod2 != reference
+        yield ("phi-power {} form at n={}", parity, n), prod != reference
+        yield ("Fibonacci-coefficient {} form at n={}", parity, n), prod2 != reference
     for n, (den, factors) in _PRINTED_POLYNOMIAL_FACTORS.items():
         prod = BivarPoly.one()
         for f in factors:
             prod = prod * _factor_to_bivar(f)
-        yield (f"printed polynomial at n={n}",
+        yield (("printed polynomial at n={}", n),
                prod.scale(Fraction(1, den)) != _binomial_as_xa(n).scale(Fraction(1, fib_factorial(n))))
 
 
@@ -330,7 +333,7 @@ def _noncomm_bridge(ctx: SuiteContext):
     for n in range(0, 11):
         word = noncomm_expand(n)
         for k in range(n + 1):
-            yield f"(n={n}, k={k})", word.coeffs[k] != noncomm_expected_coefficient(n, k)
+            yield ("(n={}, k={})", n, k), word.coeffs[k] != noncomm_expected_coefficient(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +389,7 @@ _LEIBNITZ_NOTES = "20 seeded polynomial pairs, degree <= 6, x in [-2, 2] \\ {0},
         "20 seeded polynomial pairs, degree <= 6", _LEIBNITZ_NOTES)
 def _leibnitz_i(ctx: SuiteContext):
     for i, (_, (dfg, df, dg, fp, fm, gp, gm)) in zip(range(20), _pair_samples(ctx)):
-        yield f"pair {i}", dfg != df * gp + fm * dg
+        yield ("pair {}", i), dfg != df * gp + fm * dg
 
 
 @_suite("calculus.leibnitz-rule-ii",
@@ -394,8 +397,8 @@ def _leibnitz_i(ctx: SuiteContext):
         "20 seeded polynomial pairs, degree <= 6", _LEIBNITZ_NOTES)
 def _leibnitz_ii(ctx: SuiteContext):
     for i, (_, (dfg, df, dg, fp, fm, gp, gm)) in zip(range(20), _pair_samples(ctx)):
-        yield f"pair {i}", dfg != df * gm + fp * dg
-        yield f"symmetric pair {i}", 2 * dfg != df * (gp + gm) + dg * (fp + fm)
+        yield ("pair {}", i), dfg != df * gm + fp * dg
+        yield ("symmetric pair {}", i), 2 * dfg != df * (gp + gm) + dg * (fp + fm)
 
 
 @_suite("calculus.leibnitz-general-alpha",
@@ -406,8 +409,8 @@ def _leibnitz_alpha(ctx: SuiteContext):
     alphas = [ctx.rng.uniform(-2, 2).as_integer_ratio() for _ in range(5)]
     for i, (_, (dfg, df, dg, fp, fm, gp, gm)) in zip(range(20), _pair_samples(ctx)):
         for k, (a, b) in enumerate(alphas):
-            yield f"pair {i}, alpha {k}", b * dfg != ((a * fm + (b - a) * fp) * dg
-                                                    + (a * gp + (b - a) * gm) * df)
+            yield ("pair {}, alpha {}", i, k), b * dfg != ((a * fm + (b - a) * fp) * dg
+                                                          + (a * gp + (b - a) * gm) * df)
 
 
 @_suite("calculus.quotient-rules",
@@ -425,8 +428,8 @@ def _quotient_rules(ctx: SuiteContext):
         tried += 1
         direct = fp * gm - fm * gp
         for form in (s5 * p * (df * gp - dg * fp), s5 * p * (df * gm - dg * fm)):
-            yield f"pair {tried}", direct != form
-        yield f"pair {tried}", 2 * direct != s5 * p * (df * (gm + gp) - dg * (fm + fp))
+            yield ("pair {}", tried), direct != form
+        yield ("pair {}", tried), 2 * direct != s5 * p * (df * (gm + gp) - dg * (fm + fp))
         if tried == 20:
             return
 
@@ -444,7 +447,7 @@ def _summation_formula(ctx: SuiteContext):
         term = mp.mpf(fib_exact(n)) / mp.factorial(n)
         lhs += term
     rhs = mp.exp(mp.mpf(1) / 2) * mp.sinh(mp.sqrt(5) / 2) / (mp.sqrt(5) / 2)
-    yield f"{n} terms", abs(lhs - rhs)
+    yield ("{} terms", n), abs(lhs - rhs)
 
 
 @_suite("calculus.exp-eigenrelations", "D e_F(kx) = k e_F(kx)  and  D E_F(kx) = k E_F(-kx)",
@@ -455,16 +458,17 @@ def _exp_eigenrelations(ctx: SuiteContext):
     dps = ctx.precision
     for k in (Fraction(1), Fraction(1, 2), Fraction(2)):
         for kind, sign in (("small_e", 1), ("big_E", -1)):  # E_F(kx) derives to k E_F(-kx)
-            series = calculus.golden_exp_series(kind, k)
+            derived = calculus.golden_exp_series(kind, k).derived()
             f = lambda t: calculus.golden_exp(k * t, kind, precision=dps).value
             for text in ("0.3", "0.7", "1.1"):
                 x = mp.mpf(text)
-                case = f"(k={k}, x={text})"
+                case = ("(k={}, x={})", k, text)
+                # k is a power of 2, so k f(±x) is bit for bit k times the k-series at ±x
+                expected = k * f(sign * x)
                 # exact coefficient-shift route
-                yield case, abs(series.derived().evaluate(x, precision=dps).value
-                                - k * series.evaluate(sign * x, precision=dps).value)
+                yield case, abs(derived.evaluate(x, precision=dps).value - expected)
                 # numeric difference-quotient route
-                yield case, abs(calculus.golden_derivative(f, x, precision=dps) - k * f(sign * x))
+                yield case, abs(calculus.golden_derivative(f, x, precision=dps) - expected)
 
 
 @_suite("calculus.binomial-derivative",
@@ -473,13 +477,13 @@ def _exp_eigenrelations(ctx: SuiteContext):
 def _binomial_derivative(ctx: SuiteContext):
     for n in range(1, 11):
         lhs = calculus.derive_bivar(golden_binomial(n), "x")
-        yield f"x-derivative n={n}", lhs != golden_binomial(n - 1) * ZPhi(fib_exact(n), 0)
+        yield ("x-derivative n={}", n), lhs != golden_binomial(n - 1) * ZPhi(fib_exact(n), 0)
     for k in range(1, 5):
         poly = golden_binomial(2 * k)
         for _ in range(2 * k):
             poly = calculus.derive_bivar(poly, "y")
         sign = -1 if k % 2 else 1
-        yield f"iterated y-derivative k={k}", poly != BivarPoly({(0, 0): ZPhi(sign * fib_factorial(2 * k), 0)})
+        yield ("iterated y-derivative k={}", k), poly != BivarPoly({(0, 0): ZPhi(sign * fib_factorial(2 * k), 0)})
 
 
 @_suite("calculus.taylor-basis", "D P_n = P_{n-1} for the Golden polynomials",
@@ -489,7 +493,7 @@ def _taylor_basis(ctx: SuiteContext):
         prev = golden_polynomial(0, a)
         for n in range(1, 16):
             cur = golden_polynomial(n, a)
-            yield f"(n={n}, a={a})", calculus.derive_poly(cur).coeffs != prev.coeffs
+            yield ("(n={}, a={})", n, a), calculus.derive_poly(cur).coeffs != prev.coeffs
             prev = cur
 
 
@@ -512,7 +516,7 @@ def _fock_normalization(ctx: SuiteContext):
     norm2 = 1  # |(b+)^n vacuum|^2 is the product of the first n squared weights F_1 .. F_n
     for n, weight in enumerate(oscillator.build_ladder(12).shift.sq, start=1):
         norm2 *= weight
-        yield f"n={n}", norm2 != fib_factorial(n)
+        yield ("n={}", n), norm2 != fib_factorial(n)
 
 
 @_suite("oscillator.number-distinct",
@@ -531,7 +535,7 @@ def _hamiltonian_diagonal(ctx: SuiteContext):
     # b+b and bb+ are exact diagonals of the ladder's shift, so H has no off-diagonal part
     h = [Fraction(bdb + bbd, 2) for bdb, bbd in zip(*oscillator.build_ladder(dim).shift.products())]
     for n, energy in oscillator.spectrum(dim - 2, 1).levels:
-        yield f"n={n}", h[n] != energy
+        yield ("n={}", n), h[n] != energy
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +550,7 @@ def _docagne(ctx: SuiteContext):
         for m in range(0, j + 1):
             lhs = fibs[j + m] * fibs[j - m + 1] - fibs[j - m] * fibs[j + m + 1]
             sign = -1 if (j - m) % 2 else 1
-            yield f"(j={j}, m={m})", lhs != sign * fibs[2 * m]
+            yield ("(j={}, m={})", j, m), lhs != sign * fibs[2 * m]
 
 
 def _half_spins(j_max: int) -> list[Fraction]:
@@ -560,7 +564,7 @@ def _half_spins(j_max: int) -> list[Fraction]:
 def _casimir_forms(ctx: SuiteContext):
     for j in _half_spins(6):
         res = angular.casimir_suF2(j)
-        yield f"j={j}", max(res.form_difference, res.eigenvalue_deviation)
+        yield ("j={}", j), max(res.form_difference, res.eigenvalue_deviation)
 
 
 @_suite("angular.tilde-anticommutator",
@@ -569,8 +573,8 @@ def _casimir_forms(ctx: SuiteContext):
 def _tilde_anticommutator(ctx: SuiteContext):
     for j in _half_spins(5):
         rep = angular.verify_tilde(j)
-        yield f"j={j}", max(rep.anticommutator_residual, rep.offdiagonal_max)
-        yield f"Casimir forms at j={j}", max(rep.casimir_form_difference, rep.casimir_eigenvalue_deviation)
+        yield ("j={}", j), max(rep.anticommutator_residual, rep.offdiagonal_max)
+        yield ("Casimir forms at j={}", j), max(rep.casimir_form_difference, rep.casimir_eigenvalue_deviation)
 
 
 @_suite("angular.relabeling",
@@ -583,10 +587,10 @@ def _relabeling(ctx: SuiteContext):
         ms = [m - j for m in range(int(2 * j) + 1)]
         for k, (m, m_up) in enumerate(zip(ms, ms[1:])):
             amp, state = angular.double_boson_action(int(j + m), int(j - m), "plus")
-            yield (f"raising (j={j}, m={m})",
+            yield (("raising (j={}, m={})", j, m),
                    amp != sqrt(sq[k]) or state != (int(j + m) + 1, int(j - m) - 1))
             amp, state = angular.double_boson_action(int(j + m_up), int(j - m_up), "minus")
-            yield (f"lowering (j={j}, m={m_up})",
+            yield (("lowering (j={}, m={})", j, m_up),
                    amp != sqrt(sq[k]) or state != (int(j + m), int(j - m)))
 
 
@@ -598,9 +602,9 @@ def _hermiticity(ctx: SuiteContext):
     # J- times i^(-2 turns), which is J- itself when every turn is even
     for j in _half_spins(6):
         shift = angular.build_suF2(j).shift
-        yield f"standard j={j}", any(t % 2 or s < 0 for s, t in zip(shift.sq, shift.turns))
+        yield ("standard j={}", j), any(t % 2 or s < 0 for s, t in zip(shift.sq, shift.turns))
     for j in _half_spins(5):
-        yield f"tilde j={j}", any(s < 0 for s in angular.build_tilde(j).shift.sq)
+        yield ("tilde j={}", j), any(s < 0 for s in angular.build_tilde(j).shift.sq)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +640,7 @@ def _antiderivative_convention(ctx: SuiteContext):
         g = UnivarPoly(coeffs=coeffs)
         G = (lambda gg: lambda t: calculus.jackson_antiderivative(gg, t, precision=ctx.precision))(g)
         for x in (mp.mpf("0.5"), mp.mpf(1), mp.mpf(2)):
-            yield (f"(g={g}, x={x})",
+            yield (("(g={}, x={})", g, x),
                    abs(calculus.golden_derivative(G, x, precision=ctx.precision) - g.evaluate(x)))
 
 
@@ -652,8 +656,8 @@ def _number_inversion_branch(ctx: SuiteContext):
     for n in (3, 5, 7, 9):
         F = mp.mpf(fib_exact(n))
         minus_branch = mp.log(mp.sqrt(5) / 2 * F - mp.sqrt(5 * F ** 2 / 4 - 1)) / mp.log(mp.phi)
-        yield f"minus branch n={n}", abs(minus_branch + n)
-        yield f"plus-branch round trip n={n}", abs(oscillator.invert_number(fib_exact(n), "odd") - n)
+        yield ("minus branch n={}", n), abs(minus_branch + n)
+        yield ("plus-branch round trip n={}", n), abs(oscillator.invert_number(fib_exact(n), "odd") - n)
 
 
 SUITES: tuple[Suite, ...] = tuple(_REGISTRY)

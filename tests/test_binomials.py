@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
@@ -191,6 +192,46 @@ class TestGoldenBinomial:
         for p, q in pairs:
             assert p == q
             assert hash(p) == hash(q)
+
+
+class TestDirectFormulas:
+    """golden_polynomial and BivarPoly.evaluate against their direct formulas, term by term."""
+
+    @pytest.mark.parametrize("a", [0, 1, Fraction(3, 2), Fraction(-7, 3)])
+    def test_golden_polynomial(self, a):
+        # coefficient of x^(n-k): (-1)^(k(k-1)/2) [n k]_F (-a)^k / F_n!, each factor a Fraction
+        for n in range(31):
+            coeffs = [Fraction(0)] * (n + 1)
+            for k, c in enumerate(fibonomial_row(n)):
+                coeffs[n - k] = Fraction((-1) ** (k * (k - 1) // 2) * c) * (-Fraction(a)) ** k / fib_factorial(n)
+            while len(coeffs) > 1 and not coeffs[-1]:
+                coeffs.pop()
+            p = golden_polynomial(n, a)
+            assert (p.coeffs, p.shift) == (tuple(coeffs), a), (n, a)
+            assert all(type(c) is Fraction for c in p.coeffs)
+
+    def test_bivar_evaluate(self):
+        def direct(poly, x, y):  # every term's powers by repeated products
+            total = 0
+            for (i, j), c in poly.coefficients.items():
+                for _ in range(i):
+                    c = c * x
+                for _ in range(j):
+                    c = c * y
+                total = total + c
+            return total
+
+        rng = random.Random(0)
+        for n in range(21):
+            poly = golden_binomial(n)
+            points = [(root, ZPhi(1, 0)) for root in golden_binomial_roots(n)] + [
+                (ZPhi(rng.randint(-9, 9), rng.randint(-9, 9)), ZPhi(rng.randint(-9, 9), rng.randint(-9, 9)))
+                for _ in range(5)]
+            for x, y in points:
+                value = poly.evaluate(x, y)
+                assert value == direct(poly, x, y), (n, x, y)
+                assert isinstance(value, ZPhi)
+        assert BivarPoly({}).evaluate(ZPhi(2, 1), 3) == 0
 
 
 class TestGoldenPolynomial:

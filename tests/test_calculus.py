@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 import time
 from fractions import Fraction
@@ -71,6 +72,21 @@ class TestDerivative:
 
     def test_constant_killed(self):
         assert derive_poly(UnivarPoly(coeffs=(7,))).coeffs == (0,)
+
+    def test_coefficient_rule_degrees_0_to_40(self):
+        # the rule coefficient by coefficient, F_k by fib_exact: c_k x^k -> c_k F_k x^(k-1)
+        rng = random.Random(0)
+        draws = (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                 lambda: ZPhi(rng.randint(-9, 9), rng.randint(-9, 9)))
+        for degree in range(41):
+            for draw in draws:
+                f = UnivarPoly(coeffs=tuple(draw() for _ in range(degree + 1)), shift=Fraction(1, 2))
+                expected = [f.coeffs[k + 1] * fib_exact(k + 1) for k in range(degree)] or [0 * f.coeffs[0]]
+                while len(expected) > 1 and not expected[-1]:
+                    expected.pop()
+                d = derive_poly(f)
+                assert (d.coeffs, d.shift) == (tuple(expected), f.shift), (degree, f)
+                assert [type(c) for c in d.coeffs] == [type(c) for c in expected]
 
     @given(st.integers(1, 12))
     def test_generates_fibonacci(self, n):

@@ -113,6 +113,28 @@ class TestFaultInjection:
         assert bad[0].id == "oscillator.fock-normalization"
         assert bad[0].notes == "failed at n=1"
 
+    @pytest.mark.parametrize("index, notes", [
+        (5, ["failed at (j=3, m=1)", "failed at n=2", "failed at (n=5, m=2)"]),
+        # F_400 enters only the last pair, n = m = 200, of the addition law
+        (400, ["exact integers for 0 <= m <= j <= 40", "failed at n=200", "exact in Z[phi] for 0 <= m <= n <= 100"]),
+    ])
+    def test_two_index_failure_notes(self, monkeypatch, index, notes):
+        """A Fibonacci table with F_index off by one fails each suite that reads it at its first bad case."""
+        fib_range = verify.fib_range
+
+        def corrupted(lo, hi):
+            fibs = fib_range(lo, hi)
+            if lo <= index <= hi:
+                fibs[index - lo] += 1
+            return fibs
+
+        monkeypatch.setattr(verify, "fib_range", corrupted)
+        report = verify_all(only=["core.addition-law", "core.subtraction-law", "angular.docagne-identity"])
+        assert [e.id for e in report.entries] == [
+            "angular.docagne-identity", "core.addition-law", "core.subtraction-law"]
+        assert [e.notes for e in report.entries] == notes
+        assert [e.status for e in report.entries] == ["pass" if n.startswith("exact") else "fail" for n in notes]
+
     @pytest.mark.parametrize("seed", range(10))
     def test_corrupted_derivative_fails_exact_calculus_suites(self, monkeypatch, seed):
         """A Golden derivative that reads F_4 as F_4 + 1 fails all four product and quotient suites."""
@@ -176,6 +198,25 @@ class TestHarness:
         (entry,) = verify_all().entries
         assert (entry.status, entry.max_residual, entry.notes) == ("fail", None, "failed at n=2")
         assert seen == [0, 1, 2]
+
+    def test_template_label_formatted_only_for_the_failing_case(self, monkeypatch):
+        formatted = []
+
+        class Index(int):
+            def __format__(self, spec):
+                formatted.append(int(self))
+                return format(int(self), spec)
+
+        def cases(ctx):
+            for n in range(5):
+                yield ("(n={}, m={})", Index(n), Index(n + 1)), n == 3
+
+        monkeypatch.setattr(verify, "SUITES", (
+            Suite("test.template", "n = 3 is the only failure", "0 <= n < 5", None,
+                  "invariant", cases, "all cases vanish"),))
+        (entry,) = verify_all().entries
+        assert (entry.status, entry.notes) == ("fail", "failed at (n=3, m=4)")
+        assert formatted == [3, 4]
 
     def test_toleranced_suite_reports_worst_residual_as_decimal(self, monkeypatch):
         def cases(ctx):
