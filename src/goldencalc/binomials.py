@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import inf
+from operator import mul
 from typing import TYPE_CHECKING, Iterator, Literal
 
 from .core import (
@@ -44,11 +46,14 @@ MAX_SERIES_TERMS = 200
 
 def fib_factorial(n: int) -> int:
     """F_n! = F_1 * F_2 * ... * F_n, with F_0! = 1 (empty product)."""
-    _integer("factorial index", n, 0, MAX_FACTORIAL_INDEX)
-    out = 1
-    for f in fib_range(1, n) if n >= 1 else []:
-        out *= f
+    for out in _fib_factorials(_integer("factorial index", n, 0, MAX_FACTORIAL_INDEX)):
+        pass  # keeps only the last product: F_1000! alone is ~43 kB
     return out
+
+
+def _fib_factorials(n: int) -> Iterator[int]:
+    """F_0!, F_1!, ..., F_n!, lazily, one multiply a step over one Fibonacci table."""
+    return accumulate(fib_range(1, n) if n > 0 else (), mul, initial=1)
 
 
 def fibonomial_row(n: int) -> tuple[int, ...]:
@@ -124,11 +129,7 @@ class BivarPoly:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivarPoly):
-            return NotImplemented
-        if set(self._coeffs) != set(other._coeffs):
-            return False
-        return all(self._coeffs[e] == other._coeffs[e] for e in self._coeffs)
+        return self._coeffs == other._coeffs if isinstance(other, BivarPoly) else NotImplemented
 
     def __hash__(self) -> int:
         return hash(frozenset(self._coeffs.items()))
@@ -159,9 +160,6 @@ class BivarPoly:
         return BivarPoly({e: c * other for e, c in self._coeffs.items()})
 
     __rmul__ = __mul__
-
-    def scale(self, factor) -> BivarPoly:
-        return BivarPoly({e: c * factor for e, c in self._coeffs.items()})
 
     def evaluate(self, x_val, y_val):
         """Sum of c x^i y^j at exact x and y, each power of x and of y computed once."""
@@ -295,19 +293,14 @@ def noncomm_expand(n: int) -> NoncommWord:
     """
     _integer("degree", n, 0, MAX_NONCOMM_DEGREE)
     q = ZPhi.phi_conjugate()  # -1/phi = 1 - phi
-    coeffs: dict[int, ZPhi] = {0: ZPhi(1, 0)}
+    coeffs = [ZPhi(1, 0)]  # of x^(m-k) y^k after m factors
     for m in range(n):
+        # (x^{m-k} y^k) * x = phi^k x^{m-k+1} y^k and (x^{m-k+1} y^{k-1}) * q^m y = q^m x^{m-k+1} y^k
         q_m = q ** m
-        nxt: dict[int, ZPhi] = {}
-        for k, c in coeffs.items():
-            # (x^{m-k} y^k) * x = phi^k x^{m-k+1} y^k
-            move = c * phi_power_exact(k)
-            nxt[k] = nxt[k] + move if k in nxt else move
-            # (x^{m-k} y^k) * q^m y
-            tail = c * q_m
-            nxt[k + 1] = nxt[k + 1] + tail if k + 1 in nxt else tail
-        coeffs = nxt
-    return NoncommWord(n=n, coeffs=tuple(coeffs.get(k, ZPhi(0, 0)) for k in range(n + 1)))
+        coeffs.append(coeffs[-1] * q_m)
+        for k in range(m, 0, -1):
+            coeffs[k] = coeffs[k] * phi_power_exact(k) + coeffs[k - 1] * q_m
+    return NoncommWord(n=n, coeffs=tuple(coeffs))
 
 
 def noncomm_expected_coefficient(n: int, k: int) -> ZPhi:

@@ -30,7 +30,7 @@ from .core import (
     fib_exact,
     fib_range,
 )
-from .binomials import MAX_FACTORIAL_INDEX, BivarPoly, UnivarPoly, _half_triangle_sign, _trim
+from .binomials import MAX_FACTORIAL_INDEX, BivarPoly, UnivarPoly, _fib_factorials, _half_triangle_sign, _trim
 
 if TYPE_CHECKING:
     import mpmath
@@ -52,19 +52,15 @@ def derive_poly(f: UnivarPoly) -> UnivarPoly:
 
 
 def derive_bivar(p: BivarPoly, var: Literal["x", "y"] = "x") -> BivarPoly:
-    """Partial Golden derivative of an exact bivariate polynomial."""
-    out = {}
-    for (i, j), c in p.coefficients.items():
-        if var == "x" and i >= 1:
-            e = (i - 1, j)
-            term = c * fib_exact(i)
-        elif var == "y" and j >= 1:
-            e = (i, j - 1)
-            term = c * fib_exact(j)
-        else:
-            continue
-        out[e] = out[e] + term if e in out else term
-    return BivarPoly(out)
+    """Partial Golden derivative: x^i y^j -> F_i x^(i-1) y^j (var "x") or F_j x^i y^(j-1) (var "y").
+
+    No two monomials share an image, so no terms merge.  Any other var is a DomainError.
+    """
+    if var == "x":
+        return BivarPoly({(i - 1, j): c * fib_exact(i) for (i, j), c in p.coefficients.items() if i})
+    if var == "y":
+        return BivarPoly({(i, j - 1): c * fib_exact(j) for (i, j), c in p.coefficients.items() if j})
+    raise DomainError(f"unknown variable {var!r}")
 
 
 def golden_derivative(f, x=None, precision: int = DEFAULT_DPS):
@@ -96,31 +92,22 @@ def golden_derivative(f, x=None, precision: int = DEFAULT_DPS):
 
 
 def golden_taylor(f: UnivarPoly) -> list:
-    """Coefficients (D_F^n f)(0) for n = 0..deg f.
+    """Coefficients (D_F^n f)(0) for n = 0..deg f, in closed form c_n F_n!.
 
+    D_F^n x^k vanishes at 0 unless k = n, where it is F_n!, so (D_F^n f)(0) = c_n F_n!.
     Reconstruction sum_n (D_F^n f)(0) x^n / F_n! returns f exactly.
     """
     if not isinstance(f, UnivarPoly):
         raise DomainError("Taylor expansion requires a polynomial")
-    _integer("degree", f.degree, 0, MAX_TAYLOR_DEGREE)
-    out = []
-    cur = f
-    for _ in range(f.degree + 1):
-        out.append(cur.coeffs[0])
-        cur = derive_poly(cur)
-    return out
+    return [c * fact for c, fact in
+            zip(f.coeffs, _fib_factorials(_integer("degree", f.degree, 0, MAX_TAYLOR_DEGREE)))]
 
 
 def taylor_reconstruct(values: Sequence) -> UnivarPoly:
     """Rebuild the polynomial sum_n values[n] * x^n / F_n! from golden_taylor output."""
     _integer("number of values", len(values), 0, MAX_FACTORIAL_INDEX + 1)
-    coeffs = []
-    fact, fn, fn1 = 1, 0, 1  # F_n!, F_n, F_{n+1} at n = 0
-    for n, v in enumerate(values):
-        if n:
-            fact *= fn
-        coeffs.append(Fraction(v) / fact if isinstance(v, (int, Fraction)) else v / fact)
-        fn, fn1 = fn1, fn + fn1
+    coeffs = [Fraction(v) / fact if isinstance(v, (int, Fraction)) else v / fact
+              for v, fact in zip(values, _fib_factorials(len(values) - 1))]
     return UnivarPoly(coeffs=_trim(coeffs))
 
 
@@ -193,10 +180,10 @@ class GoldenSeries:
             deep = (10 ** precision).bit_length() + max(mp.mag(t0), m) + 4
             wp = mp.prec + 8 + max(0, min(-low, deep))
             re, im, sre, sim, skipped, tol, top = 1 << wp, 0, 0, 0, 0, None, wp + 4096
-            fa, fb, fact = 0, 1, 1  # F_n, F_(n+1), F_n!
+            fa, fb = 0, 1  # F_n, F_(n+1)
             for n in count():
                 if n:
-                    fa, fb, fact = fb, fa + fb, fact * fb
+                    fa, fb = fb, fa + fb
                     re, im = ((re * a - im * b) >> s) // fa, ((re * b + im * a) >> s) // fa
                     if fb < need and (d := max(re, -re, im, -im).bit_length() - top) > 0:
                         re, im, sre, sim, wp = re >> d, im >> d, sre >> d, sim >> d, wp - d
@@ -215,6 +202,8 @@ class GoldenSeries:
                     sre, sim = sre + sign * re, sim + sign * im
                 else:  # past the cap: terms the bound must still count
                     skipped += isqrt(re * re + im * im) + 1
+            for fact in _fib_factorials(n) if fb >= need else ():
+                pass  # F_n!, for the proven tail
             tail = mp.inf if fb < need else 2 * abs(kx) ** n / fact + mp.ldexp(skipped, -wp)
             return SeriesValue(value=mp.mpc(mp.ldexp(sre, -wp), mp.ldexp(sim, -wp)) * t0,
                                terms_used=min(n, n_terms + 1), tail_bound=abs(t0) * tail)
@@ -298,8 +287,8 @@ def jackson_antiderivative(g, x, n_terms: int = 200, precision: int = DEFAULT_DP
         if xv == 0:
             raise DomainError("antiderivative representation needs x != 0")
         if isinstance(g, UnivarPoly):
-            coeffs = [Fraction(c, fib_exact(n + 1)) if isinstance(c, int) else c / fib_exact(n + 1)
-                      for n, c in enumerate(g.coeffs)]
+            coeffs = [Fraction(c, f) if isinstance(c, int) else c / f
+                      for c, f in zip(g.coeffs, fib_range(1, max(g.degree + 1, 1)))]
             return mp.mpc(UnivarPoly(coeffs=(0, *coeffs)).evaluate(xv))
         phi = +mp.phi
         Q = -1 / phi ** 2

@@ -52,24 +52,12 @@ class OutputRecord:
 def _frac_str(fr: Fraction) -> str:
     """Exact decimal string when the denominator is 2^a 5^b, else 'p/q'."""
     num, den = fr.numerator, fr.denominator
-    if den == 1:
-        return str(num)
-    twos = fives = 0
-    d = den
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
+    digits = den.bit_length() - 1  # den = 2^a 5^b has a, b <= digits, so then den divides 10^digits
+    if 10 ** digits % den:
         return f"{num}/{den}"
-    digits = max(twos, fives)
-    scaled = num * 10 ** digits // den
-    sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled)).rjust(digits + 1, "0")
-    out = f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
-    return out.rstrip("0").rstrip(".") if "." in out else out
+    whole, rest = divmod(abs(num) * 10 ** digits // den, 10 ** digits)
+    frac = str(rest).rjust(digits, "0").rstrip("0")
+    return f"{'-' if num < 0 else ''}{whole}{'.' if frac else ''}{frac}"
 
 
 def _num_str(v, dps: int) -> str:
@@ -477,8 +465,8 @@ def limit(ctx, y: str, n: int) -> None:
           plain=(f"finite:  {_num_str(lhs, dps)}\n"
                  f"jackson: {_num_str(rhs, dps)}\n"
                  f"difference: {diff_text}"),
-          csv_header=["finite", "jackson", "difference"],
-          csv_rows=[[_num_str(lhs, dps), _num_str(rhs, dps), diff_text]])
+          csv_header=["finite_re", "finite_im", "jackson_re", "jackson_im", "difference"],
+          csv_rows=[_csv_cells(lhs, dps) + _csv_cells(rhs, dps) + [diff_text]])
 
 
 @cli.command("verify", cls=CommonCommand)
@@ -529,7 +517,7 @@ def plot_data(ctx, kind: str, n_max: int, output: str) -> None:
         header = ["n", "E_n"]
         rows = [[str(n), _frac_str(e)] for n, e in table.levels]
     else:
-        seq = angular.casimir_ratio(max(n_max, 3), dps)[: max(n_max - 1, 0)]
+        seq = angular.casimir_ratio(n_max, dps)
         header = ["n", "value"]  # n is the spin label of the numerator eigenvalue
         rows = [[str(j + 2), _num_str(r, dps)] for j, r in enumerate(seq)]
     _write_file(output, _render_csv(header, rows))

@@ -323,7 +323,7 @@ def _factored_polynomials(ctx: SuiteContext):
         for f in factors:
             prod = prod * _factor_to_bivar(f)
         yield (("printed polynomial at n={}", n),
-               prod.scale(Fraction(1, den)) != _binomial_as_xa(n).scale(Fraction(1, fib_factorial(n))))
+               prod * Fraction(1, den) != _binomial_as_xa(n) * Fraction(1, fib_factorial(n)))
 
 
 @_suite("fibonomial.noncomm-bridge",

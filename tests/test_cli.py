@@ -279,6 +279,15 @@ class TestPlotData:
         values = [float(l.split(",")[1]) for l in lines[1:]]
         assert values == [-2.0, -3.0, -2.5]
 
+    @pytest.mark.parametrize("n_max", ["-5", "1", "2"])
+    def test_casimir_below_three_is_refused(self, n_max, tmp_path, capsys):
+        # the library's own bound: casimir_ratio refuses j_max < 3
+        out = tmp_path / "cas.csv"
+        code, record = run_command(["plot-data", "casimir_ratios", "--n-max", n_max, "--output", str(out)])
+        assert code == EXIT_DOMAIN and record is None
+        assert capsys.readouterr().err == "domain error: j_max must be at least 3\n"
+        assert not out.exists()
+
     def test_unwritable_path_reported(self):
         code, _ = run_command(["plot-data", "ratios", "--n-max", "3",
                                "--output", "/nonexistent-dir/x.csv"])
@@ -361,6 +370,9 @@ class TestOutputContract:
          {"command": "poly", "params": {"a": "0.5", "n": 3}, "precision": 34,
           "values": ["0.0625", "-0.25", "-0.5", "0.5"]}),
         (["deriv", "0,0,0,1"], "0,0,2\n"),
+        (["limit", "1", "--format", "csv"],
+         "finite_re,finite_im,jackson_re,jackson_im,difference\n"
+         "1.313425861129575856281587020050988,0.0,1.313425861129575856281587020050988,0.0,2.14239e-34\n"),
     ])
     def test_payload(self, argv, expected):
         if isinstance(expected, dict):
