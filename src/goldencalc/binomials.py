@@ -30,6 +30,7 @@ from .core import (
     _finite,
     _integer,
     _rational,
+    _require,
     fib_range,
     phi_power_exact,
 )
@@ -228,6 +229,7 @@ class UnivarPoly:
     """Dense univariate polynomial, ascending-degree exact coefficients.
 
     `shift` records the parameter a for polynomials born as (x - a)_F^n / F_n!.
+    Empty `coeffs` (taylor_reconstruct([])) have no degree: reading it is a DomainError.
     """
 
     coeffs: tuple
@@ -235,6 +237,7 @@ class UnivarPoly:
 
     @property
     def degree(self) -> int:
+        _require(len(self.coeffs) > 0, "a polynomial needs at least one coefficient")
         return len(self.coeffs) - 1
 
     def evaluate(self, x):
@@ -245,7 +248,7 @@ class UnivarPoly:
 
     def __str__(self) -> str:
         parts = []
-        for k in range(self.degree, -1, -1):
+        for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
             if not c:
                 continue

@@ -517,7 +517,7 @@ def plot_data(ctx, kind: str, n_max: int, output: str) -> None:
         header = ["n", "E_n"]
         rows = [[str(n), _frac_str(e)] for n, e in table.levels]
     else:
-        seq = angular.casimir_ratio(n_max, dps)
+        seq = angular.casimir_ratio(core._integer("n_max", n_max, 3, core.MAX_RATIO_INDEX), dps)
         header = ["n", "value"]  # n is the spin label of the numerator eigenvalue
         rows = [[str(j + 2), _num_str(r, dps)] for j, r in enumerate(seq)]
     _write_file(output, _render_csv(header, rows))

@@ -129,10 +129,8 @@ def fib_exact(n: int) -> int:
     return -f * lucas if n < 0 else f * lucas
 
 
-def fib_range(lo: int, hi: int) -> list[int]:
+def _fib_walk(lo: int, hi: int) -> list[int]:
     """[F_lo, ..., F_hi] by the linear recurrence, started from one (F_lo, L_lo) walk."""
-    _integer("lo", lo, -MAX_FIB_INDEX, MAX_FIB_INDEX)
-    _integer("hi", hi, lo, MAX_FIB_INDEX)
     a, lucas = _fib_lucas(lo)
     b = (a + lucas) >> 1  # F_(lo+1)
     out = [a]
@@ -140,6 +138,19 @@ def fib_range(lo: int, hi: int) -> list[int]:
         a, b = b, a + b
         out.append(a)
     return out
+
+
+_FIB_TABLE_INDEX = MAX_RATIO_INDEX + 3  # the largest index a library range reads: energy_ratios' F_1003
+_FIB_TABLE = tuple(_fib_walk(-_FIB_TABLE_INDEX, _FIB_TABLE_INDEX))  # F_-T .. F_T: ~0.16 MB, shared, immutable
+
+
+def fib_range(lo: int, hi: int) -> list[int]:
+    """[F_lo, ..., F_hi] as a fresh list, sliced from the shared table F_-T .. F_T when it holds them."""
+    _integer("lo", lo, -MAX_FIB_INDEX, MAX_FIB_INDEX)
+    _integer("hi", hi, lo, MAX_FIB_INDEX)
+    if -_FIB_TABLE_INDEX <= lo and hi <= _FIB_TABLE_INDEX:
+        return list(_FIB_TABLE[lo + _FIB_TABLE_INDEX:hi + _FIB_TABLE_INDEX + 1])
+    return _fib_walk(lo, hi)
 
 
 # ---------------------------------------------------------------------------

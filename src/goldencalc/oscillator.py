@@ -161,17 +161,17 @@ class OscillatorAlgebraReport(_Checked):
 
 
 def _deformed_differences(bdb, bbd):
-    """(b b+ - phi b+b - (-1/phi)^n, b b+ + b+b / phi - phi^n) in Z[phi] on each state n.
+    """(b b+ - phi b+b - (-1/phi)^n, b b+ + b+b / phi - phi^n) on each state n: a ZPhi, or the int 0.
 
     bdb and bbd are the diagonals of b+b and b b+ from n = 0; with 1/phi = phi - 1 the
-    left-hand sides are y - x phi and (y - x) + x phi, the right-hand sides running ring products.
+    left-hand sides are y - x phi and (y - x) + x phi. The right-hand sides are running products
+    on int coordinates a + b phi: -1/phi = 1 - phi steps (a, b) to (a - b, -a), phi to (b, a + b).
     """
-    phi, neg_inv_phi = ZPhi.phi(), ZPhi.phi_conjugate()
-    minus_rhs = plus_rhs = ZPhi(1, 0)
+    ma, mb, pa, pb = 1, 0, 1, 0  # (-1/phi)^0 and phi^0
     for x, y in zip(bdb, bbd):
-        yield ZPhi(y, -x) - minus_rhs, ZPhi(y - x, x) - plus_rhs
-        minus_rhs = minus_rhs * neg_inv_phi
-        plus_rhs = plus_rhs * phi
+        da, db, ea, eb = y - ma, -x - mb, y - x - pa, x - pb
+        yield (da or db) and ZPhi(da, db), (ea or eb) and ZPhi(ea, eb)
+        ma, mb, pa, pb = ma - mb, -ma, pb, pa + pb
 
 
 def verify_oscillator_algebra(dim: int) -> OscillatorAlgebraReport:

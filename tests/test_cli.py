@@ -281,11 +281,11 @@ class TestPlotData:
 
     @pytest.mark.parametrize("n_max", ["-5", "1", "2"])
     def test_casimir_below_three_is_refused(self, n_max, tmp_path, capsys):
-        # the library's own bound: casimir_ratio refuses j_max < 3
+        # the library's own bound (casimir_ratio refuses j_max < 3), named as the option the user typed
         out = tmp_path / "cas.csv"
         code, record = run_command(["plot-data", "casimir_ratios", "--n-max", n_max, "--output", str(out)])
         assert code == EXIT_DOMAIN and record is None
-        assert capsys.readouterr().err == "domain error: j_max must be at least 3\n"
+        assert capsys.readouterr().err == "domain error: n_max must be at least 3\n"
         assert not out.exists()
 
     def test_unwritable_path_reported(self):
