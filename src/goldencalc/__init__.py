@@ -25,13 +25,11 @@ from .calculus import (
     SeriesValue,
     derive_bivar,
     derive_poly,
-    f_oscillator_solution,
     golden_derivative,
     golden_exp,
     golden_exp_series,
     golden_taylor,
     golden_trig,
-    is_golden_periodic,
     jackson_antiderivative,
     taylor_reconstruct,
 )
@@ -43,7 +41,6 @@ from .core import (
     ZPhi,
     fib_exact,
     fib_extended,
-    fib_higher,
     fib_range,
     phi_power_exact,
     phi_value,
@@ -73,11 +70,9 @@ from .oscillator import (
     energy_ratios,
     hamiltonian,
     invert_number,
-    nonlinear_map,
     spectrum,
-    standard_ladder,
     verify_oscillator_algebra,
 )
-from .verify import VerificationReport, suite_ids, verify_all
+from .verify import VerificationReport, verify_all
 
 __version__ = "0.1.0"

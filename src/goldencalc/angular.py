@@ -280,12 +280,6 @@ def _symmetric_ladder(n: int, fib: Callable[[int], int]) -> WeightedShift:
     return WeightedShift(sq, (0,) * len(sq))
 
 
-def symmetric_basic_number(n: int) -> complex:
-    """[n] with bases (i*phi, i/phi): i^{n-1} (phi^n - phi^{-n}), for |n| <= 2 MAX_J + 1."""
-    _integer("n", n, -2 * MAX_J - 1, 2 * MAX_J + 1)
-    return (1j) ** (n - 1) * _phi_gap(fib_exact, n)
-
-
 def build_symmetric(j) -> AngularRep:
     """Natural symmetric q-boson construction with bases (i*phi, i/phi).
 
@@ -344,33 +338,11 @@ def build_tilde(j) -> AngularRep:
 
     so Jt- is the transpose of Jt+ and the phase of the step m -> m+1 is
     i^{1-(j-m)}.  This gives {Jt+, Jt-} = diag(F_{2m}) exactly.  The stored
-    Casimir is (-1)^{Jz} (F_{Jz} F_{Jz+1} - Jt- Jt+); see tilde_casimir_forms.
+    Casimir is (-1)^{Jz} (F_{Jz} F_{Jz+1} - Jt- Jt+); verify_tilde checks it against
+    the second form (-1)^{Jz} (Jt+ Jt- - F_{Jz} F_{Jz-1}) and the closed eigenvalue.
     """
     jf, n, fib = _lattice(j)
     return AngularRep(j=jf, variant="tilde_F", shift=_ladder(n, fib, tilde=True))
-
-
-def tilde_casimir_forms(j) -> tuple[list, list]:
-    """Diagonals of the two written forms of the tilde Casimir on build_tilde(j).
-
-    form1 = (-1)^{Jz} (F_{Jz} F_{Jz+1} - Jt- Jt+)
-    form2 = (-1)^{Jz} (Jt+ Jt- - F_{Jz} F_{Jz-1})
-
-    Each has 2j + 1 entries; at integer j both are the constant int (-1)^j F_j F_{j+1}
-    (complex entries at half-integer j); the per-state eigenvalue is
-    (-1)^m F_m F_{m+1} + (-1)^j F_{j-m} F_{j+m+1}
-    = (-1)^j F_{j-m+1} F_{j+m} - (-1)^m F_m F_{m-1}.
-    """
-    _, n, fib = _lattice(j)
-    forms = _casimir_forms(n, fib, _ladder(n, fib, tilde=True), tilde=True)[:2]
-    return tuple([_fifth(v) for v in form] for form in forms)
-
-
-def tilde_eigenvalue(jf: Fraction, m: Fraction) -> int | complex:
-    """Closed-form tilde Casimir eigenvalue at state (j, m); an int at integer j."""
-    (jf, n, fib), m = _lattice(jf), _rational("m", m)
-    _require(abs(m) <= jf and (jf - m).denominator == 1, "m must be one of -j, -j+1, ..., j")
-    return _fifth(_casimir_forms(n, fib, _ladder(n, fib, tilde=True), True)[2][int(jf + m)])
 
 
 @dataclass(frozen=True)

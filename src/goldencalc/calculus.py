@@ -7,9 +7,8 @@ The Golden derivative is the two-point difference operator
 which sends x^n to F_n x^{n-1}, so it generates Fibonacci numbers from
 monomials.  On top of it sit the Leibnitz and quotient rules, a Taylor
 formula in the basis P_n = x^n / F_n!, two entire Golden exponentials with
-their trigonometric offspring, oscillator-type difference equations, and the
-antiderivative inverting D_F (exact on polynomials, a geometric-grid sum for
-callables).
+their trigonometric offspring, and the antiderivative inverting D_F (exact on
+polynomials, a geometric-grid sum for callables).
 """
 
 from __future__ import annotations
@@ -247,28 +246,8 @@ def golden_trig(x, kind: TrigKind, n_terms: int = 120,
     return GoldenSeries(_TRIG_SIGNS[kind]).evaluate(x, n_terms=n_terms, precision=precision)
 
 
-OscKind = Literal["hyperbolic", "elliptic"]
-
-
-def f_oscillator_solution(k, kind: OscKind, A, B, t, n_terms: int = 120,
-                          precision: int = DEFAULT_DPS) -> mpmath.mpc:
-    """General solution of the Golden oscillator difference equations.
-
-    hyperbolic: A e_F^{kt} + B e_F^{-kt} solves (D_F^2 - k^2) f = 0;
-    elliptic:   A E_F^{kt} + B E_F^{-kt} solves (D_F^2 + k^2) f = 0
-    (using D_F E_F^{kx} = k E_F^{-kx}).
-    """
-    exp_kind = {"hyperbolic": "small_e", "elliptic": "big_E"}.get(kind)
-    _require(exp_kind is not None, f"unknown oscillator kind {kind!r}")
-    with _at_precision(precision):
-        av, bv, kv, tv = _finite(A, "A"), _finite(B, "B"), _finite(k, "k"), _finite(t, "t")
-        up = golden_exp(kv * tv, exp_kind, n_terms=n_terms, precision=precision).value
-        down = golden_exp(-kv * tv, exp_kind, n_terms=n_terms, precision=precision).value
-        return av * up + bv * down
-
-
 # ---------------------------------------------------------------------------
-# Antiderivative and periodicity
+# Antiderivative
 # ---------------------------------------------------------------------------
 
 def jackson_antiderivative(g, x, n_terms: int = 200, precision: int = DEFAULT_DPS) -> mpmath.mpc:
@@ -301,40 +280,3 @@ def jackson_antiderivative(g, x, n_terms: int = 200, precision: int = DEFAULT_DP
                 return (1 - Q) * xv * total
             q_pow *= Q
         raise DomainError(f"grid series did not reach {precision} digits in {n_terms} terms")
-
-
-@dataclass(frozen=True)
-class PeriodicCheck:
-    """Outcome of the Golden-periodicity test D_F f = 0."""
-
-    is_periodic: bool
-    max_deviation: float
-    worst_sample: float
-
-    def __bool__(self) -> bool:
-        return self.is_periodic
-
-
-def is_golden_periodic(f, samples: Sequence[float], tol: float = 1e-10,
-                       precision: int = DEFAULT_DPS) -> PeriodicCheck:
-    """True iff f(phi*x) == f(-x/phi) within tol at every sample.
-
-    Functions annihilated by D_F satisfy this dilation identity; the model
-    example is sin(pi * ln|x| / ln phi).
-    """
-    with _at_precision(precision) as mp:
-        _require(len(samples) > 0, "sample list must be nonempty")
-        xs = [_finite(s, "sample") for s in samples]
-        _require(all(xs), "samples must be nonzero")
-        phi = +mp.phi
-        worst = mp.mpf(0)
-        worst_x = samples[0]
-        ok = True
-        for s, xv in zip(samples, xs):
-            up = f(phi * xv)
-            dev = abs(up - f(-xv / phi)) / (1 + abs(up))
-            if dev > worst:
-                worst, worst_x = dev, s
-            if dev > tol:
-                ok = False
-        return PeriodicCheck(is_periodic=ok, max_deviation=float(worst), worst_sample=float(worst_x))

@@ -214,8 +214,9 @@ def cli(ctx: click.Context, **options) -> None:
 def fib(ctx, n: int) -> None:
     """Exact Fibonacci number F_N (negative indices allowed)."""
     value = core.fib_exact(n)
-    _emit(ctx, "fib", {"n": n}, value=value, plain=str(value),
-          csv_header=["n", "F_n"], csv_rows=[[str(n), str(value)]])
+    text = str(value)  # int -> str is quadratic in the digits before CPython 3.12: convert once
+    _emit(ctx, "fib", {"n": n}, value=value, plain=text,
+          csv_header=["n", "F_n"], csv_rows=[[str(n), text]])
 
 
 @cli.command(cls=CommonCommand)
@@ -440,7 +441,11 @@ def angmom(ctx, j_str: str, variant: str) -> None:
 @click.option("--parity", type=click.Choice(["even", "odd"]), required=True)
 @click.pass_context
 def invert_n(ctx, fib_value: int, parity: str) -> None:
-    """Recover the index n from a Fibonacci number and the parity of n."""
+    """Recover the index n from a Fibonacci number and the parity of n.
+
+    The library accepts n up to 10^6, but Linux caps one argument at 131,072
+    bytes, so F_n reaches this command only for n up to about 627,000.
+    """
     n = oscillator.invert_number(fib_value, parity, ctx.obj["precision"])
     _emit(ctx, "invert-n", {"fib_value": fib_value, "parity": parity},
           value=n, plain=str(n),

@@ -8,8 +8,8 @@ the roots of x**2 - x - 1:
 This module provides the exact integer side (Fibonacci numbers by doubling
 the pair (F_n, L_n) with the Lucas numbers L_n = phi**n + phi'**n, the
 quadratic ring Z[phi]) and the analytic side (the complex extension F_z with
-(-1)**z read as exp(i*pi*z) on the principal branch), plus higher Fibonacci
-numbers and the golden-ratio convergents.
+(-1)**z read as exp(i*pi*z) on the principal branch), plus the golden-ratio
+convergents.
 """
 
 from __future__ import annotations
@@ -347,11 +347,6 @@ class ZPhi(QPhi):
         """The second root phi' = 1 - phi = -1/phi."""
         return cls(1, -1)
 
-    @classmethod
-    def inv_phi(cls) -> ZPhi:
-        """1/phi = phi - 1."""
-        return cls(-1, 1)
-
     def __str__(self) -> str:
         return f"{self._a}{self._b:+}φ"
 
@@ -442,28 +437,6 @@ def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> Gold
         w, two_over_root5 = _sinh_constants(mp.prec)
         value = two_over_root5 * mp.expjpi(zc / 2) * mp.sinh(zc * w)
         return GoldenValue(z=zc, value=value, precision=precision)
-
-
-def fib_higher(n: int, m: int) -> Fraction:
-    """Higher Fibonacci number F_n^(m) = F_{m*n} / F_m, exact.
-
-    For integer n the quotient is an integer (F_m divides F_{m*n}).
-    """
-    bound = MAX_FIB_INDEX // _integer("m", m, 1, MAX_FIB_INDEX)  # m >= 1: F_0 = 0 is no denominator
-    _integer("n", n, -bound, bound)
-    return Fraction(fib_exact(m * n), fib_exact(m))
-
-
-def fib_higher_real(n: float, order: float, precision: int = DEFAULT_DPS) -> mpmath.mpc:
-    """F_n^(r) = F_(rn) / F_r at real order r != 0, both values from fib_extended.
-
-    This reads the power Q**n of the second base Q = phi'**r as
-    exp(i*pi*r*n) * phi**(-r*n), the branch fib_extended takes for (-1)**z.
-    """
-    with _at_precision(precision):
-        nn, r = _finite(n, "index n"), _finite(order, "order r")
-        _require(r != 0, "order r must be nonzero (F_0 = 0 denominator)")
-        return fib_extended(r * nn, precision).value / fib_extended(r, precision).value
 
 
 def _fib_quotients(name: str, value: int, least: int, precision: int,

@@ -281,7 +281,7 @@ def hamiltonian(ladder: LadderSet, hbar_omega: int | float | str | Fraction = 1.
 
 
 # ---------------------------------------------------------------------------
-# Number-operator inversion and the map to standard bosons
+# Number-operator inversion
 # ---------------------------------------------------------------------------
 
 def invert_number(fib_value: int, parity: str, precision: int = DEFAULT_DPS) -> int:
@@ -310,36 +310,3 @@ def invert_number(fib_value: int, parity: str, precision: int = DEFAULT_DPS) -> 
         raise DomainError(
             f"{shown} is not a Fibonacci number with {parity} index (round-trip failed)")
     return n
-
-
-@dataclass(frozen=True)
-class NonlinearMap:
-    """Diagonal scalings linking the deformed and standard ladder operators.
-
-    scale_next holds sqrt(F_{n+1}/(n+1)); scale holds sqrt(F_n/n) with the
-    n = 0 entry set to 1 by convention (it never multiplies a ladder entry).
-    Then  b+ = a+ @ diag(scale_next) = diag(scale) @ a+  where a+ is the
-    standard boson raising matrix with entries sqrt(n+1).
-    """
-
-    dim: int
-    scale_next: np.ndarray
-    scale: np.ndarray
-
-
-def nonlinear_map(dim: int) -> NonlinearMap:
-    _integer("dim", dim, 2, MAX_LADDER_DIM)
-    import numpy as np
-    fibs = fib_range(0, dim)  # F_0 .. F_dim
-    scale_next = np.array([sqrt(fibs[n + 1] / (n + 1)) for n in range(dim)],
-                          dtype=np.complex128)
-    scale = np.array([1.0 if n == 0 else sqrt(fibs[n] / n) for n in range(dim)],
-                     dtype=np.complex128)
-    return NonlinearMap(dim=dim, scale_next=_freeze(scale_next), scale=_freeze(scale))
-
-
-def standard_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Undeformed boson matrices (a, a+) with entries sqrt(n)."""
-    _integer("dim", dim, 2, MAX_LADDER_DIM)
-    a_dag = WeightedShift(tuple(range(1, dim)), (0,) * (dim - 1)).raising()
-    return a_dag.T.copy(), a_dag

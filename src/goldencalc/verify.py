@@ -13,7 +13,6 @@ generator, so a whole run is reproducible from (precision, seed).
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass
 from decimal import Decimal
@@ -80,9 +79,6 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "summary": self.summary}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 @dataclass
@@ -661,10 +657,6 @@ def _number_inversion_branch(ctx: SuiteContext):
 
 
 SUITES: tuple[Suite, ...] = tuple(_REGISTRY)
-
-
-def suite_ids() -> list[str]:
-    return [s.id for s in SUITES]
 
 
 def matching_suites(only=None) -> list[Suite]:

@@ -20,9 +20,6 @@ from goldencalc.angular import (
     casimir_ratio,
     casimir_suF2,
     double_boson_action,
-    symmetric_basic_number,
-    tilde_casimir_forms,
-    tilde_eigenvalue,
     verify_commutators,
     verify_symmetric,
     verify_tilde,
@@ -156,18 +153,18 @@ class TestDoubleBoson:
 
 class TestSymmetricVariant:
     def test_basic_numbers(self):
-        assert symmetric_basic_number(1) == 1
-        # [2] = i (phi^2 - phi^-2) = i sqrt(5)
-        assert symmetric_basic_number(2) == pytest.approx(1j * sqrt(5))
+        # the squared weights are [j-m][j+m+1]: [1][1] = 1 at j = 1/2, and
+        # [2][1] = i (phi^2 - phi^-2) = i sqrt(5) at j = 1
+        assert build_symmetric(Fraction(1, 2)).shift.sq == (1,)
+        assert build_symmetric(1).shift.sq == pytest.approx((1j * sqrt(5),) * 2)
 
     def test_basic_number_range(self):
-        # odd n: i^(n-1) L_n, an exact integer
-        assert symmetric_basic_number(51) == -45537549124
-        for n in (52, 2000):
-            with pytest.raises(DomainError, match="n must not exceed 51"):
-                symmetric_basic_number(n)
-        with pytest.raises(DomainError, match="n must be at least -51"):
-            symmetric_basic_number(-52)
+        # odd n: [n] = i^(n-1) L_n, an exact integer; the top spin reaches [2 MAX_J] = [50]
+        assert build_symmetric(Fraction(49, 2)).shift.sq[0] == 17393796001  # [49][1] = L_49
+        top = build_symmetric(25).shift.sq[0]  # [50][1] = i (phi^50 - phi^-50) = i sqrt(5) F_50
+        assert top == pytest.approx(1j * sqrt(5) * fib_exact(50), rel=1e-15)
+        with pytest.raises(DomainError, match="2j must not exceed 50"):
+            build_symmetric(Fraction(51, 2))
 
     def test_commutator_residual_reported(self):
         rep = verify_symmetric(1)
@@ -217,32 +214,25 @@ class TestTildeVariant:
             assert rep.passed, rep.failures
 
     def test_casimir_eigenvalue_closed_form(self):
-        # both written forms agree; the second printed closed form holds
-        from goldencalc.angular import tilde_casimir_forms, tilde_eigenvalue
-        j = Fraction(2)
-        form1, form2 = tilde_casimir_forms(j)
-        ms = [m - j for m in range(int(2 * j) + 1)]
-        for k, m in enumerate(ms):
-            jj, mm = int(j), int(m)
-            sign_j = -1 if jj % 2 else 1
-            sign_m = -1 if mm % 2 else 1
-            second_form = (sign_j * fib_exact(jj - mm + 1) * fib_exact(jj + mm)
-                           - sign_m * fib_exact(mm) * fib_exact(mm - 1))
-            assert abs(form1[k] - second_form) < 1e-12
-            assert abs(form2[k] - tilde_eigenvalue(j, m)) < 1e-12
+        # both written forms agree with the eigenvalue; the second printed closed form holds
+        j = 2
+        rep = verify_tilde(j)
+        assert rep.casimir_form_difference == rep.casimir_eigenvalue_deviation == 0
+        diagonal = np.diag(build_tilde(j).casimir)
+        for k, m in enumerate(range(-j, j + 1)):
+            sign_j = -1 if j % 2 else 1
+            sign_m = -1 if m % 2 else 1
+            second_form = (sign_j * fib_exact(j - m + 1) * fib_exact(j + m)
+                           - sign_m * fib_exact(m) * fib_exact(m - 1))
+            assert abs(diagonal[k] - second_form) < 1e-12
         # constant on the representation: (-1)^j F_j F_{j+1}
-        assert np.allclose(np.real(form1), fib_exact(2) * fib_exact(3))
+        assert np.allclose(np.real(diagonal), fib_exact(2) * fib_exact(3))
 
     def test_casimir_values_exact(self):
-        # ints at integer j, complex numbers at half-integer j
-        from goldencalc.angular import tilde_casimir_forms, tilde_eigenvalue
-        form1, form2 = tilde_casimir_forms(Fraction(2))
-        assert form1 == form2 == [fib_exact(2) * fib_exact(3)] * 5
-        assert all(type(v) is int for v in form1) and type(tilde_eigenvalue(2, 1)) is int
-        # (-1)^(1/2) F_(1/2) F_(3/2) + (-1)^(3/2) F_1 F_3 = i (L_2 - i) / 5 - 2i
-        assert tilde_eigenvalue(Fraction(3, 2), Fraction(1, 2)) == complex(0.2, -1.4)
-        with pytest.raises(DomainError):
-            tilde_eigenvalue(Fraction(3, 2), 1)
+        # the exact value at integer j, and one rounding per part at half-integer j
+        assert np.diag(build_tilde(2).casimir).tolist() == [fib_exact(2) * fib_exact(3)] * 5
+        # m = 1/2: (-1)^(1/2) F_(1/2) F_(3/2) + (-1)^(3/2) F_1 F_3 = i (L_2 - i) / 5 - 2i
+        assert build_tilde(Fraction(3, 2)).casimir[2, 2] == complex(0.2, -1.4)
 
     def test_hermiticity_broken_by_phases_only(self):
         rep = build_tilde(3)
@@ -286,10 +276,18 @@ class TestWholeDomain:
 
     @pytest.mark.parametrize("j", SPINS, ids=str)
     def test_tilde_casimir_forms_are_the_eigenvalue(self, j):
-        form1, form2 = tilde_casimir_forms(j)
+        # verify_tilde compares both written forms with the closed eigenvalue exactly;
+        # the stored form matches (-1)^m F_m F_{m+1} + (-1)^j F_{j-m} F_{j+m+1} from Binet
+        rep = verify_tilde(j)
+        assert rep.casimir_form_difference == rep.casimir_eigenvalue_deviation == 0
+        diagonal = np.diag(build_tilde(j).casimir)
         ms = [m - j for m in range(int(2 * j) + 1)]
-        assert len(form1) == len(form2) == len(ms)
-        assert form1 == form2 == [tilde_eigenvalue(j, m) for m in ms]
+        assert len(diagonal) == len(ms)
+        with mp.workdps(30):
+            for value, m in zip(diagonal, ms):
+                closed = (mp.expjpi(m.numerator / mp.mpf(m.denominator)) * _binet(m) * _binet(m + 1)
+                          + mp.expjpi(j.numerator / mp.mpf(j.denominator)) * _binet(j - m) * _binet(j + m + 1))
+                assert abs(value - complex(closed)) <= 1e-15 * max(abs(closed), 1)
 
     @pytest.mark.parametrize("check", [verify_commutators, verify_tilde], ids=lambda f: f.__name__)
     def test_corrupted_weight_names_its_states(self, monkeypatch, check):

@@ -24,9 +24,6 @@ from goldencalc.angular import (
     casimir_ratio,
     casimir_suF2,
     double_boson_action,
-    symmetric_basic_number,
-    tilde_casimir_forms,
-    tilde_eigenvalue,
     verify_commutators,
     verify_symmetric,
     verify_tilde,
@@ -52,7 +49,6 @@ from goldencalc.binomials import (
 from goldencalc.calculus import (
     MAX_EXP_TERMS,
     UnivarPoly,
-    f_oscillator_solution,
     golden_exp,
     golden_exp_series,
     golden_trig,
@@ -63,7 +59,6 @@ from goldencalc.core import (
     MAX_RATIO_INDEX,
     DomainError,
     fib_exact,
-    fib_higher,
     fib_range,
     phi_power_exact,
     ratio_sequence,
@@ -76,9 +71,7 @@ from goldencalc.oscillator import (
     energy_ratios,
     hamiltonian,
     invert_number,
-    nonlinear_map,
     spectrum,
-    standard_ladder,
     verify_oscillator_algebra,
 )
 
@@ -97,8 +90,6 @@ INTEGER_ARGS = {
     "fib_range.lo": IntArg(lambda v: fib_range(v, v), -MAX_FIB_INDEX, MAX_FIB_INDEX),
     "fib_range.hi": IntArg(lambda v: fib_range(MAX_FIB_INDEX - 2, v), MAX_FIB_INDEX - 2, MAX_FIB_INDEX),
     "phi_power_exact": IntArg(phi_power_exact, -MAX_FIB_INDEX, MAX_FIB_INDEX),
-    "fib_higher.m": IntArg(lambda v: fib_higher(1, v), 1, MAX_FIB_INDEX),
-    "fib_higher.n": IntArg(lambda v: fib_higher(v, 1000), -1000, 1000),
     "ratio_sequence": IntArg(ratio_sequence, 2, MAX_RATIO_INDEX),
     "fib_factorial": IntArg(fib_factorial, 0, MAX_FACTORIAL_INDEX),
     "fibonomial_row": IntArg(fibonomial_row, 0, MAX_FIBONOMIAL_INDEX),
@@ -118,8 +109,6 @@ INTEGER_ARGS = {
     "GoldenSeries.evaluate": IntArg(lambda v: golden_exp_series("big_E", 2).evaluate(1, v), 1, MAX_EXP_TERMS),
     "golden_exp": IntArg(lambda v: golden_exp(1, n_terms=v), 1, MAX_EXP_TERMS),
     "golden_trig": IntArg(lambda v: golden_trig(1, "sin_F", n_terms=v), 1, MAX_EXP_TERMS),
-    "f_oscillator_solution": IntArg(lambda v: f_oscillator_solution(1, "elliptic", 1, 1, 0.5, n_terms=v),
-                                    1, MAX_EXP_TERMS),
     "jackson_antiderivative": IntArg(lambda v: jackson_antiderivative(UnivarPoly(coeffs=(1, 2)), 1, v),
                                      1, MAX_EXP_TERMS),
     "build_ladder": IntArg(build_ladder, 2, MAX_LADDER_DIM),
@@ -128,12 +117,9 @@ INTEGER_ARGS = {
     "spectrum": IntArg(spectrum, 0, MAX_SPECTRUM_INDEX),
     "energy_ratios": IntArg(energy_ratios, 1, MAX_RATIO_INDEX),
     "invert_number": IntArg(lambda v: invert_number(v, "odd"), 1, inf),
-    "nonlinear_map": IntArg(nonlinear_map, 2, MAX_LADDER_DIM),
-    "standard_ladder": IntArg(standard_ladder, 2, MAX_LADDER_DIM),
     "casimir_ratio": IntArg(casimir_ratio, 3, MAX_RATIO_INDEX),
     "double_boson_action.n1": IntArg(lambda v: double_boson_action(v, 0, "z"), 0, 2 * MAX_J),
     "double_boson_action.n2": IntArg(lambda v: double_boson_action(0, v, "z"), 0, 2 * MAX_J),
-    "symmetric_basic_number": IntArg(symmetric_basic_number, -2 * MAX_J - 1, 2 * MAX_J + 1),
 }
 
 
@@ -163,12 +149,6 @@ class TestIntegerArguments:
         if arg.hi != inf:
             arg.call(arg.hi)
 
-    def test_fib_higher_bound_is_the_product(self):
-        assert fib_higher(1000, 1000) == Fraction(fib_exact(MAX_FIB_INDEX), fib_exact(1000))
-        for n in (1001, -1001):
-            with pytest.raises(DomainError):
-                fib_higher(n, 1000)
-
     def test_diagonal_identities_top(self):
         with pytest.raises(DomainError, match=f"n_max must not exceed {MAX_SPECTRUM_INDEX}"):
             diagonal_identities_exact(MAX_SPECTRUM_INDEX + 1)
@@ -192,13 +172,10 @@ SPIN_CALLS = {
     "verify_commutators": verify_commutators,
     "verify_symmetric": verify_symmetric,
     "verify_tilde": verify_tilde,
-    "tilde_casimir_forms": tilde_casimir_forms,
-    "tilde_eigenvalue.j": lambda j: tilde_eigenvalue(j, j),
 }
 
 RATIONAL_CALLS = {
     **{f"{name}.j": (call, "spin label j") for name, call in SPIN_CALLS.items()},
-    "tilde_eigenvalue.m": (lambda m: tilde_eigenvalue(Fraction(1), m), "m"),
     "spectrum.hbar_omega": (lambda hw: spectrum(3, hw), "hbar_omega"),
     "hamiltonian.hbar_omega": (lambda hw: hamiltonian(build_ladder(3), hw), "hbar_omega"),
     "golden_polynomial.a": (lambda a: golden_polynomial(2, a), "a"),

@@ -30,13 +30,11 @@ from goldencalc.calculus import (
     GoldenSeries,
     derive_bivar,
     derive_poly,
-    f_oscillator_solution,
     golden_derivative,
     golden_exp,
     golden_exp_series,
     golden_taylor,
     golden_trig,
-    is_golden_periodic,
     jackson_antiderivative,
     taylor_reconstruct,
 )
@@ -48,7 +46,6 @@ from goldencalc.core import (
     ZPhi,
     fib_exact,
     fib_extended,
-    fib_higher_real,
     phi_value,
     ratio_sequence,
 )
@@ -264,19 +261,24 @@ class TestTermCap:
         assert abs(sv.value - explicit) <= mp.mpf(10) ** -58 * max(abs(explicit), 1)
 
 
+def _oscillator_solution(kind, k, A, B):
+    """A exp_F(kt) + B exp_F(-kt), which solves (D_F^2 -+ k^2) f = 0 (small_e: -, big_E: +)."""
+    return lambda t: A * golden_exp(k * t, kind, 60).value + B * golden_exp(-k * t, kind, 60).value
+
+
 class TestFOscillator:
     def test_initial_value(self):
-        assert abs(f_oscillator_solution(1, "hyperbolic", 1, 0, 0) - 1) == 0
+        assert _oscillator_solution("small_e", 1, 1, 0)(0) == 1
 
     def test_hyperbolic_residual(self):
         k = 1
-        sol = lambda t: f_oscillator_solution(k, "hyperbolic", 1, 0, t, 60)
+        sol = _oscillator_solution("small_e", k, 1, 0)
         for t in (0.2, 0.5):
             d2 = golden_derivative(lambda u: golden_derivative(sol, u), mp.mpf(t))
             assert abs(d2 - k ** 2 * sol(mp.mpf(t))) < 1e-8
 
     def test_elliptic_residual(self):
-        sol = lambda t: f_oscillator_solution(1, "elliptic", 1, 1, t, 60)
+        sol = _oscillator_solution("big_E", 1, 1, 1)
         t = mp.mpf("0.4")
         d2 = golden_derivative(lambda u: golden_derivative(sol, u), t)
         assert abs(d2 + sol(t)) < 1e-8
@@ -550,8 +552,6 @@ class TestTermCountGate:
         "GoldenSeries.evaluate": (lambda n: golden_exp_series("big_E", 2).evaluate(1, n), MAX_EXP_TERMS),
         "golden_exp": (lambda n: golden_exp(50, n_terms=n), MAX_EXP_TERMS),
         "golden_trig": (lambda n: golden_trig(1, "sin_F", n_terms=n), MAX_EXP_TERMS),
-        "f_oscillator_solution":
-            (lambda n: f_oscillator_solution(1, "elliptic", 1, 1, 0.5, n_terms=n), MAX_EXP_TERMS),
         "jackson_antiderivative":
             (lambda n: jackson_antiderivative(UnivarPoly(coeffs=(1, 2)), 1, n_terms=n), MAX_EXP_TERMS),
         "jackson_antiderivative_callable":
@@ -593,7 +593,6 @@ class TestPrecisionGate:
     CALLS = {
         "phi_value": lambda p: phi_value(p),
         "fib_extended": lambda p: fib_extended(0.5, p),
-        "fib_higher_real": lambda p: fib_higher_real(0.5, 1, p),
         "ratio_sequence": lambda p: ratio_sequence(5, p),
         "energy_ratios": lambda p: energy_ratios(5, p),
         "casimir_ratio": lambda p: casimir_ratio(5, p),
@@ -602,13 +601,10 @@ class TestPrecisionGate:
         "jackson_exp": lambda p: jackson_exp(2, 1, precision=p),
         "remarkable_limit_lhs": lambda p: remarkable_limit_lhs(1, 5, precision=p),
         "GoldenSeries.evaluate": lambda p: golden_exp_series("big_E", 2).evaluate(1, precision=p),
-        "f_oscillator_solution":
-            lambda p: f_oscillator_solution(1, "hyperbolic", 1, 1, 0.5, precision=p),
         "verify_all": lambda p: verify_all(only=["core.lucas-combinations"], precision=p),
         "golden_derivative_poly": lambda p: golden_derivative(TestPrecisionGate.POLY, 2, precision=p),
         "golden_derivative_callable": lambda p: golden_derivative(lambda t: t * t, 2, precision=p),
         "golden_derivative_series": lambda p: golden_derivative(golden_exp_series(), 1, precision=p),
-        "is_golden_periodic": lambda p: is_golden_periodic(lambda t: 3, [1.0], precision=p),
         "golden_exp": lambda p: golden_exp(1, precision=p),
         "golden_trig": lambda p: golden_trig(1, "Cosh_F", precision=p),
         "jackson_antiderivative_poly":
@@ -660,11 +656,6 @@ class TestNonFiniteArguments:
         "golden_derivative": lambda v: golden_derivative(lambda t: t, v),
         "golden_derivative_poly": lambda v: golden_derivative(UnivarPoly(coeffs=(0, 0, 1)), v),
         "GoldenSeries k": lambda v: golden_exp_series("small_e", v).evaluate(1),
-        "f_oscillator_solution A": lambda v: f_oscillator_solution(1, "hyperbolic", v, 1, 0.5),
-        "f_oscillator_solution B": lambda v: f_oscillator_solution(1, "hyperbolic", 1, v, 0.5),
-        "f_oscillator_solution k": lambda v: f_oscillator_solution(v, "elliptic", 1, 1, 0.5),
-        "f_oscillator_solution t": lambda v: f_oscillator_solution(1, "elliptic", 1, 1, v),
-        "is_golden_periodic": lambda v: is_golden_periodic(lambda t: t, [v]),
     }
 
     @pytest.mark.parametrize("value", [mp.inf, -mp.inf, mp.nan], ids=["inf", "-inf", "nan"])
@@ -675,26 +666,18 @@ class TestNonFiniteArguments:
 
 
 class TestGoldenPeriodic:
+    """D_F annihilates the Golden-periodic functions, those with f(phi x) = f(-x/phi)."""
+
     def test_constant_true(self):
-        assert is_golden_periodic(lambda t: 3, [0.5, 1.0, 2.0])
+        assert all(golden_derivative(lambda t: 3, x) == 0 for x in (0.5, 1.0, 2.0))
 
     def test_log_sine_example(self):
         f = lambda t: mp.sin(mp.pi * mp.log(abs(t)) / mp.log((1 + mp.sqrt(5)) / 2))
         samples = [mp.mpf(2) ** (i / mp.mpf(3)) for i in range(-9, 11)]
-        check = is_golden_periodic(f, samples, 1e-10)
-        assert bool(check)
-        assert check.max_deviation < 1e-30
+        assert max(abs(golden_derivative(f, x)) for x in samples) < 1e-30
 
     def test_identity_false(self):
-        check = is_golden_periodic(lambda t: t, [0.5, 1.0])
-        assert not check
-        assert check.max_deviation > 0.1
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(DomainError):
-            is_golden_periodic(lambda t: t, [])
-        with pytest.raises(DomainError):
-            is_golden_periodic(lambda t: t, [0.0])
+        assert all(abs(golden_derivative(lambda t: t, x) - 1) < 1e-30 for x in (0.5, 1.0))  # D_F x = F_1
 
 
 class TestBivarDerivative:

@@ -21,8 +21,6 @@ from goldencalc.core import (
     ZPhi,
     fib_exact,
     fib_extended,
-    fib_higher,
-    fib_higher_real,
     fib_range,
     phi_power_exact,
     phi_value,
@@ -91,7 +89,7 @@ class TestZPhi:
 
     def test_unit_inverse(self):
         assert ZPhi.phi().inverse() == ZPhi(-1, 1)
-        assert ZPhi.phi() * ZPhi.inv_phi() == ZPhi(1, 0)
+        assert ZPhi.phi() * ZPhi(-1, 1) == ZPhi(1, 0)
         with pytest.raises(ZeroDivisionError):
             ZPhi(2, 0).inverse()
 
@@ -120,7 +118,7 @@ class TestQPhi:
 
     @pytest.mark.parametrize("divisor", [3, -7, Fraction(-5, 7), QPhi(Fraction(1, 2), 3),
                                          QPhi(0, Fraction(2, 9)), ZPhi(1, 1), ZPhi(2, -1),
-                                         ZPhi.inv_phi(), ZPhi(2, 0)])
+                                         ZPhi(-1, 1), ZPhi(2, 0)])
     def test_division_round_trips(self, divisor):
         a = QPhi(Fraction(2, 3), Fraction(-1, 5))
         quotient = a / divisor
@@ -128,7 +126,7 @@ class TestQPhi:
         assert float(quotient) == pytest.approx(float(a) / float(divisor), rel=1e-14)
 
     def test_division_values(self):
-        assert QPhi(1) / ZPhi.phi() == ZPhi.inv_phi()  # the unit phi: 1/phi = phi - 1
+        assert QPhi(1) / ZPhi.phi() == ZPhi(-1, 1)  # the unit phi: 1/phi = phi - 1
         assert QPhi(3, 6) / 3 == QPhi(1, 2) and QPhi(1, 1) / Fraction(1, 2) == QPhi(2, 2)
         assert ZPhi(0, 1) / ZPhi(1, 1) == QPhi(-1, 1)  # phi / phi^2 = 1/phi = phi - 1
 
@@ -332,77 +330,20 @@ class TestFibExtended:
         with pytest.raises(DomainError, match=r"must not exceed 1000"):
             fib_extended(mp.mpc(1, -2000))
 
-
-class TestFibHigher:
-    def test_examples(self):
-        assert fib_higher(3, 2) == 8          # F_6 / F_2
-        assert fib_higher(4, 2) == 21         # F_8 / F_2
-        assert fib_higher(1, 9) == 1
-
-    @given(st.integers(1, 25), st.integers(1, 25))
-    def test_integrality(self, n, m):
-        value = fib_higher(n, m)
-        assert value.denominator == 1
-        assert value == Fraction(fib_exact(m * n), fib_exact(m))
-
-    def test_zero_order_rejected(self):
-        with pytest.raises(DomainError):
-            fib_higher(3, 0)
-
-    def test_real_order(self):
-        assert abs(fib_higher_real(2, 2.0) - 3) < 1e-20  # F_4 / F_2
-
-
-class TestFibHigherRealConformance:
-    """F^(r)_n against its two-base closed form, computed here at 2p + 20 digits.
-
-    The closed form (phi^(rn) - exp(i pi r n) phi^(-rn)) / (phi^r - exp(i pi r) phi^(-r))
-    reads the power of the second base on the branch fib_extended takes.
-    """
-
-    ORDERS = (-1, 1, 2, 3, 0.5, 1.5, 0.3)
-    INDICES = (-1.5, -0.5, 0.5, 1, 2.5, 3)
-
     @pytest.mark.parametrize("dps", [16, 20, 34, 35, 60, 100])
-    def test_requested_digits(self, dps):
+    def test_real_arguments_at_requested_digits(self, dps):
+        # F_z against the two-base closed form at 2p + 20 digits, at real orders r and products r n
+        orders, indices = (-1, 1, 2, 3, 0.5, 1.5, 0.3), (-1.5, -0.5, 0.5, 1, 2.5, 3)
         misses = []
-        for r in self.ORDERS:
-            for n in self.INDICES:
-                got = fib_higher_real(n, r, dps)
-                with mp.workdps(2 * dps + 20):
-                    rr, rn = mp.mpf(r), mp.mpf(r) * n
-                    ref = ((mp.power(mp.phi, rn) - mp.exp(1j * mp.pi * rn) * mp.power(mp.phi, -rn))
-                           / (mp.power(mp.phi, rr) - mp.exp(1j * mp.pi * rr) * mp.power(mp.phi, -rr)))
-                    err = abs(got - ref) / max(abs(ref), 1)
-                    if err > mp.mpf(10) ** -dps:
-                        misses.append((r, n, mp.nstr(err, 3)))
+        for z in sorted({r * n for r in orders for n in indices} | set(orders)):
+            got = fib_extended(z, dps).value
+            with mp.workdps(2 * dps + 20):
+                zz = mp.mpf(z)
+                ref = (mp.power(mp.phi, zz) - mp.expjpi(zz) * mp.power(mp.phi, -zz)) / mp.sqrt(5)
+                err = abs(got - ref) / max(abs(ref), 1)
+                if err > mp.mpf(10) ** -dps:
+                    misses.append((z, mp.nstr(err, 3)))
         assert not misses, f"at {dps} digits: {misses}"
-
-    @pytest.mark.parametrize("dps", [16, 20, 34, 35, 60, 100])
-    def test_first_order_is_the_extension(self, dps):
-        # F^(1)_n = F_n: at n = 1/2 the value is 0.56886 - 0.35158i, not its conjugate
-        got = fib_higher_real(0.5, 1, dps)
-        assert got.imag < 0
-        with mp.workdps(dps + 10):
-            assert abs(got - fib_extended(0.5, dps).value) <= mp.mpf(10) ** -dps
-
-    def test_even_order_at_half_index(self):
-        assert abs(fib_higher_real(0.5, 2) - 1) < mp.mpf(10) ** -34  # F_1 / F_2
-
-    def test_zero_order_refused(self):
-        with pytest.raises(DomainError, match="order r must be nonzero"):
-            fib_higher_real(3, 0)
-
-    def test_order_times_index_in_the_extension_domain(self):
-        with pytest.raises(DomainError, match="must not exceed 1000"):
-            fib_higher_real(3, 600.0)
-
-    @pytest.mark.parametrize("value", [mp.nan, mp.inf], ids=["nan", "inf"])
-    def test_non_finite_refused(self, value):
-        with pytest.raises(DomainError, match="must be finite"):
-            fib_higher_real(value, 1)
-        with pytest.raises(DomainError, match="must be finite"):
-            fib_higher_real(1, value)
 
 
 class TestRatioSequence:

@@ -28,9 +28,7 @@ from goldencalc.oscillator import (
     energy_ratios,
     hamiltonian,
     invert_number,
-    nonlinear_map,
     spectrum,
-    standard_ladder,
     verify_oscillator_algebra,
 )
 
@@ -309,28 +307,6 @@ class TestInvertNumberWholeDomain:
         past = fib_exact(MAX_FIB_INDEX) + fib_exact(MAX_FIB_INDEX - 1)  # F_(MAX_FIB_INDEX + 1)
         with pytest.raises(DomainError, match="not a Fibonacci number with odd index"):
             invert_number(past, "odd")
-
-
-class TestNonlinearMap:
-    def test_first_transition_undeformed(self):
-        nm = nonlinear_map(2)
-        assert nm.scale_next[0] == 1.0  # sqrt(F_1 / 1)
-        assert nm.scale[0] == 1.0       # convention entry
-
-    def test_reconstruction(self):
-        nm = nonlinear_map(6)
-        lad = build_ladder(6)
-        _, a_dag = standard_ladder(6)
-        recon_right = a_dag @ np.diag(nm.scale_next)
-        recon_left = np.diag(nm.scale) @ a_dag
-        assert np.max(np.abs(recon_right - lad.b_dag)) < 1e-14
-        assert np.array_equal(recon_right, recon_left)
-
-    def test_entrywise_identity(self):
-        nm = nonlinear_map(10)
-        for n in range(9):
-            lhs = sqrt(n + 1) * nm.scale_next[n].real
-            assert abs(lhs - sqrt(fib_exact(n + 1))) < 1e-14
 
 
 class TestFockSpace:

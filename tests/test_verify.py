@@ -20,7 +20,6 @@ from goldencalc.verify import (
     SUITES,
     Suite,
     SuiteContext,
-    suite_ids,
     verify_all,
 )
 
@@ -35,12 +34,12 @@ def default_report():
 class TestRegistryCoverage:
     def test_ids_match_manifest(self):
         expected = set(MANIFEST["invariants"]) | set(MANIFEST["known_deviations"])
-        assert set(suite_ids()) == expected
+        assert {s.id for s in SUITES} == expected
 
     def test_each_identity_appears_once(self, default_report):
         ids = [e.id for e in default_report.entries]
         assert len(ids) == len(set(ids))
-        assert set(ids) == set(suite_ids())
+        assert set(ids) == {s.id for s in SUITES}
 
     def test_known_deviation_kinds(self):
         tagged = {s.id for s in SUITES if s.kind == "known-deviation"}
@@ -75,8 +74,8 @@ class TestStatuses:
 
 class TestDeterminism:
     def test_same_seed_same_json(self):
-        a = verify_all(seed=7).to_json()
-        b = verify_all(seed=7).to_json()
+        a = json.dumps(verify_all(seed=7).to_dict(), sort_keys=True)
+        b = json.dumps(verify_all(seed=7).to_dict(), sort_keys=True)
         assert a == b
 
     def test_seed_recorded(self):
@@ -164,7 +163,7 @@ class TestReportShape:
             assert d["status"] in ("pass", "fail", "known-deviation")
 
     def test_json_round_trip(self, default_report):
-        data = json.loads(default_report.to_json())
+        data = json.loads(json.dumps(default_report.to_dict()))
         assert set(data) == {"precision", "seed", "entries", "diagnostics", "summary"}
         assert data["summary"]["pass"] + data["summary"]["fail"] \
             + data["summary"]["known_deviation"] == len(data["entries"])
