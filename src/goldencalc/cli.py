@@ -450,7 +450,7 @@ def invert_n(ctx, fib_value: int, parity: str) -> None:
     _emit(ctx, "invert-n", {"fib_value": fib_value, "parity": parity},
           value=n, plain=str(n),
           csv_header=["fib_value", "parity", "n"],
-          csv_rows=[[str(fib_value), parity, str(n)]])
+          csv_rows=[[str(fib_value), parity, str(n)]] if ctx.obj["format"] == "csv" else [])  # str() is quadratic
 
 
 @cli.command(cls=CommonCommand)

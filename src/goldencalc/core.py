@@ -5,11 +5,11 @@ the roots of x**2 - x - 1:
 
     F_n = (phi**n - phi'**n) / (phi - phi'),   phi = (1+sqrt(5))/2,  phi' = -1/phi.
 
-This module provides the exact integer side (Fibonacci numbers by doubling
-the pair (F_n, L_n) with the Lucas numbers L_n = phi**n + phi'**n, the
-quadratic ring Z[phi]) and the analytic side (the complex extension F_z with
-(-1)**z read as exp(i*pi*z) on the principal branch), plus the golden-ratio
-convergents.
+This module provides the exact integer side (Fibonacci numbers from a shared
+table of F_-1003 .. F_1003 and, beyond it, by doubling the pair (F_n, L_n) with
+the Lucas numbers L_n = phi**n + phi'**n, the quadratic ring Z[phi]) and the
+analytic side (the complex extension F_z with (-1)**z read as exp(i*pi*z) on
+the principal branch), plus the golden-ratio convergents.
 """
 
 from __future__ import annotations
@@ -114,21 +114,6 @@ def _fib_lucas(n: int) -> tuple[int, int]:
     return f, lucas
 
 
-def fib_exact(n: int) -> int:
-    """Exact F_n for any signed index, via Lucas-pair doubling.
-
-    The walk stops at k = |n| // 2, and one multiply finishes it:
-    F_2k = F_k L_k and F_(2k+1) = F_(k+1) L_k - (-1)**k.
-    Negative indices use F_(-n) = (-1)**(n+1) * F_n.
-    """
-    _integer("n", n, -MAX_FIB_INDEX, MAX_FIB_INDEX)
-    k = abs(n) >> 1
-    f, lucas = _fib_lucas(k)
-    if n & 1:
-        return ((f + lucas) >> 1) * lucas + (1 if k & 1 else -1)
-    return -f * lucas if n < 0 else f * lucas
-
-
 def _fib_walk(lo: int, hi: int) -> list[int]:
     """[F_lo, ..., F_hi] by the linear recurrence, started from one (F_lo, L_lo) walk."""
     a, lucas = _fib_lucas(lo)
@@ -140,8 +125,27 @@ def _fib_walk(lo: int, hi: int) -> list[int]:
     return out
 
 
-_FIB_TABLE_INDEX = MAX_RATIO_INDEX + 3  # the largest index a library range reads: energy_ratios' F_1003
-_FIB_TABLE = tuple(_fib_walk(-_FIB_TABLE_INDEX, _FIB_TABLE_INDEX))  # F_-T .. F_T: ~0.16 MB, shared, immutable
+# F_-T .. F_T (~0.16 MB, shared, immutable) serves fib_range's slices and the small single indices of
+# fib_exact and phi_power_exact. T is the largest index a library range reads: energy_ratios' F_1003.
+_FIB_TABLE_INDEX = MAX_RATIO_INDEX + 3
+_FIB_TABLE = tuple(_fib_walk(-_FIB_TABLE_INDEX, _FIB_TABLE_INDEX))
+
+
+def fib_exact(n: int) -> int:
+    """Exact F_n for any signed index: read from the shared table when |n| <= T, else by Lucas-pair doubling.
+
+    The walk stops at k = |n| // 2, and one multiply finishes it:
+    F_2k = F_k L_k and F_(2k+1) = F_(k+1) L_k - (-1)**k.
+    Negative indices use F_(-n) = (-1)**(n+1) * F_n.
+    """
+    _integer("n", n, -MAX_FIB_INDEX, MAX_FIB_INDEX)
+    if -_FIB_TABLE_INDEX <= n <= _FIB_TABLE_INDEX:
+        return _FIB_TABLE[n + _FIB_TABLE_INDEX]
+    k = abs(n) >> 1
+    f, lucas = _fib_lucas(k)
+    if n & 1:
+        return ((f + lucas) >> 1) * lucas + (1 if k & 1 else -1)
+    return -f * lucas if n < 0 else f * lucas
 
 
 def fib_range(lo: int, hi: int) -> list[int]:
@@ -386,10 +390,12 @@ class ZPhi(QPhi):
 
 
 def phi_power_exact(n: int) -> ZPhi:
-    """phi**n as the exact ring element F_{n-1} + F_n * phi, any signed n."""
+    """phi**n as the exact ring element F_{n-1} + F_n * phi, any signed n: table reads, else one Lucas walk."""
     _integer("n", n, -MAX_FIB_INDEX, MAX_FIB_INDEX)
+    if -_FIB_TABLE_INDEX < n <= _FIB_TABLE_INDEX:
+        return _ring(_FIB_TABLE[n - 1 + _FIB_TABLE_INDEX], _FIB_TABLE[n + _FIB_TABLE_INDEX])
     f, lucas = _fib_lucas(n)
-    return ZPhi((lucas - f) >> 1, f)  # F_(n-1) = (L_n - F_n)/2
+    return _ring((lucas - f) >> 1, f)  # F_(n-1) = (L_n - F_n)/2
 
 
 # ---------------------------------------------------------------------------

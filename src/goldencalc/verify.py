@@ -55,9 +55,6 @@ class ReportEntry:
     status: str  # "pass" | "fail" | "known-deviation"
     notes: str
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -166,13 +163,14 @@ def _addition_law(ctx: SuiteContext):
         "0 <= m <= n <= 100, exact in Z[phi]", "exact in Z[phi] for 0 <= m <= n <= 100")
 def _subtraction_law(ctx: SuiteContext):
     fibs = fib_range(-1, 100)  # F_{-1} .. F_100, index shift +1
-    powers = [ZPhi(fibs[m], fibs[m + 1]) for m in range(0, 101)]  # phi^m = F_{m-1} + F_m phi
     for n in range(0, 101):
-        phi_n = powers[n]
-        fn = fibs[n + 1]
-        for m in range(0, n + 1):  # the difference against (-1)^m F(n-m), an int
+        f_prev, f_n = fibs[n], fibs[n + 1]
+        # with phi^k = F(k-1) + F(k) phi, phi^m F(n) - phi^n F(m) = (F(m-1) F(n) - F(n-1) F(m))
+        # + (F(m) F(n) - F(n) F(m)) phi: the phi coordinate is zero for any input, so the rational
+        # one alone is compared with (-1)^m F(n-m)
+        for m in range(0, n + 1):
             yield (("(n={}, m={})", n, m),
-                   powers[m] * fn - phi_n * fibs[m + 1] != (-fibs[n - m + 1] if m % 2 else fibs[n - m + 1]))
+                   fibs[m] * f_n - f_prev * fibs[m + 1] != (-fibs[n - m + 1] if m % 2 else fibs[n - m + 1]))
 
 
 @_suite("core.multiplication-law", "F(n*m) = F(n) * F^(n)(m)", "1 <= n, m <= 30, exact",
@@ -352,12 +350,18 @@ def _poly_product(f: UnivarPoly, g: UnivarPoly) -> UnivarPoly:
     return UnivarPoly(coeffs=tuple(out))
 
 
-def _scaled(h: UnivarPoly, step, q: int):
-    """q^d h(step/q) for h of degree d with integer coefficients: exact in Z[phi] when step is."""
-    total, q_power = 0, 1
+def _scaled(h: UnivarPoly, step: int | ZPhi, q: int) -> int | ZPhi:
+    """q^d h(step/q) for h of degree d with integer coefficients: an int, or a ZPhi when step is one.
+
+    Horner's rule runs on the int coordinates of a + b*phi, with phi**2 = phi + 1.
+    """
+    s, t = (step, 0) if type(step) is int else (step.a, step.b)
+    a = b = 0
+    q_power = 1
     for c in reversed(h.coeffs):
-        total, q_power = total * step + c * q_power, q_power * q
-    return total
+        bt = b * t
+        a, b, q_power = a * s + bt + c * q_power, a * t + b * s + bt, q_power * q
+    return a if type(step) is int else ZPhi(a, b)
 
 
 def _pair_samples(ctx: SuiteContext):

@@ -13,6 +13,7 @@ from mpmath import mp
 
 from goldencalc.angular import casimir_ratio
 from goldencalc.binomials import golden_base
+from goldencalc.core import _FIB_TABLE_INDEX as T
 from goldencalc.core import (
     MAX_FIB_INDEX,
     DomainError,
@@ -474,7 +475,7 @@ class TestLucasDoubling:
 
     def test_phi_power_is_ring_power(self):
         phi = ZPhi.phi()
-        for n in range(-500, 501):
+        for n in range(-T - 5, T + 6):  # both sides of the table's edges
             assert phi_power_exact(n) == phi ** n, n
 
     @pytest.mark.parametrize("lo", range(-50, 51))

@@ -3,9 +3,10 @@ with the paths they replaced.
 
 Each reference below is the earlier way to compute the same quantity, kept
 inline: the Lucas walk followed by the linear recurrence for every Fibonacci
-range, and running products of ZPhi objects for the right-hand sides of the
-oscillator's deformed relations.  Values, types, reports and failure messages
-must match.
+range, running products of ZPhi objects for the right-hand sides of the
+oscillator's deformed relations, and ZPhi arithmetic for the verifier's
+subtraction law and scaled polynomial samples.  Values, types, reports and
+failure messages must match.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from goldencalc.core import (
     _fib_lucas,
     fib_exact,
     fib_range,
+    phi_power_exact,
     ratio_sequence,
 )
 from goldencalc.oscillator import (
@@ -41,6 +43,7 @@ from goldencalc.oscillator import (
     spectrum,
     verify_oscillator_algebra,
 )
+from goldencalc.verify import SUITES, SuiteContext, _scaled
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +67,22 @@ def _differences_by_ring(bdb, bbd):
         yield ZPhi(y, -x) - minus_rhs, ZPhi(y - x, x) - plus_rhs
         minus_rhs = minus_rhs * neg_inv_phi
         plus_rhs = plus_rhs * phi
+
+
+def _subtraction_law_by_ring(fibs):
+    """The cases of core.subtraction-law from fibs = F_-1 .. F_100, as phi^m F(n) - phi^n F(m) in Z[phi]."""
+    powers = [ZPhi(fibs[m], fibs[m + 1]) for m in range(0, 101)]
+    for n in range(0, 101):
+        for m in range(0, n + 1):
+            yield (("(n={}, m={})", n, m),
+                   powers[m] * fibs[n + 1] - powers[n] * fibs[m + 1] != (-1) ** m * fibs[n - m + 1])
+
+
+def _scaled_by_ring(h, step, q):
+    total, q_power = 0, 1
+    for c in reversed(h.coeffs):
+        total, q_power = total * step + c * q_power, q_power * q
+    return total
 
 
 def _same_differences(got, expected):
@@ -120,6 +139,26 @@ class TestFibTable:
     def test_ranges_past_the_table_walk(self, lo, hi):
         assert fib_range(lo, hi) == _range_by_walk(lo, hi)
 
+    def test_single_indices_in_the_table_are_read_not_walked(self, monkeypatch):
+        fibs = _range_by_walk(-T - 51, T + 50)  # F_n is fibs[n + T + 51]
+
+        def no_walk(n):
+            raise AssertionError(f"walked to F_{n}")
+        with monkeypatch.context() as m:
+            m.setattr(core, "_fib_lucas", no_walk)
+            for n in range(-T, T + 1):
+                assert fib_exact(n) == fibs[n + T + 51], n
+            for n in range(1 - T, T + 1):  # phi^-T needs F_(-T-1), which lies past the table
+                power = phi_power_exact(n)
+                assert type(power) is ZPhi and (power.a, power.b) == (fibs[n + T + 50], fibs[n + T + 51]), n
+            for call in (lambda: fib_exact(T + 1), lambda: fib_exact(-T - 1), lambda: phi_power_exact(-T)):
+                with pytest.raises(AssertionError, match="walked"):
+                    call()
+        for n in range(-T - 50, T + 51):
+            power = phi_power_exact(n)
+            assert fib_exact(n) == fibs[n + T + 51], n
+            assert type(power) is ZPhi and (power.a, power.b) == (fibs[n + T + 50], fibs[n + T + 51]), n
+
     def test_result_is_a_fresh_list(self):
         first = fib_range(0, 5)
         assert type(first) is list
@@ -164,6 +203,29 @@ class TestDeformedDifferences:
             got = list(_deformed_differences(bdb, bbd))
             _same_differences(got, list(_differences_by_ring(bdb, bbd)))
             assert any(any(pair) for pair in got)
+
+    @pytest.mark.parametrize("index", [None, -1, 0, 5, 50, 100])
+    def test_subtraction_law_cases_match_the_ring_form(self, index, monkeypatch):
+        """The same labels and verdicts in the same order, on the true table and with F_index off by one."""
+        import goldencalc.verify as verify
+        fibs = fib_range(-1, 100)
+        if index is not None:
+            fibs[index + 1] += 1
+        monkeypatch.setattr(verify, "fib_range", lambda lo, hi: list(fibs))
+        suite = next(s for s in SUITES if s.id == "core.subtraction-law")
+        got = list(suite.cases(SuiteContext(tol=None, rng=random.Random(0))))
+        assert got == list(_subtraction_law_by_ring(fibs))
+        assert any(failed for _, failed in got) is (index is not None)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_scaled_matches_the_ring_horner(self, seed):
+        rng = random.Random(seed)
+        for degree in range(0, 13):  # degree 0 included
+            h = UnivarPoly(coeffs=(*(rng.randint(-5, 5) for _ in range(degree)), rng.choice([-3, -1, 1, 2])))
+            p, q = rng.uniform(-2, 2).as_integer_ratio()
+            for step in (p, p * ZPhi.phi(), p * ZPhi.phi_conjugate(), ZPhi(rng.randint(-9, 9), rng.randint(-9, 9))):
+                got, expected = _scaled(h, step, q), _scaled_by_ring(h, step, q)
+                assert type(got) is type(expected) and got == expected, (h, step, q)
 
     def test_diagonal_identities_pass_over_the_whole_domain(self):
         assert all(diagonal_identities_exact(n) is True for n in range(MAX_SPECTRUM_INDEX + 1))

@@ -156,8 +156,7 @@ class TestFaultInjection:
 
 class TestReportShape:
     def test_entry_fields(self, default_report):
-        for e in default_report.entries:
-            d = e.to_dict()
+        for d in default_report.to_dict()["entries"]:
             assert set(d) == {"id", "statement", "range", "tolerance",
                               "max_residual", "status", "notes"}
             assert d["status"] in ("pass", "fail", "known-deviation")
