@@ -300,7 +300,6 @@ class SymmetricReport:
     j: Fraction
     residual_plain: float
     residual_phase_form: float
-    commutator_diagonal: tuple[complex, ...]
 
     def __str__(self) -> str:
         return (f"symmetric j={self.j}: |[J+,J-] - [2Jz]| = {self.residual_plain:.6g}, "
@@ -319,8 +318,7 @@ def verify_symmetric(j) -> SymmetricReport:
     comm = [complex(a - b) for a, b in zip(*_symmetric_ladder(n, fib).products())]
     # both written forms are the same number: [2m] i^{1-2m} = phi^{2m} - phi^{-2m}
     residual = max(abs(c - _phi_gap(fib, t)) for c, t in zip(comm, range(-n, n + 1, 2)))
-    return SymmetricReport(j=jf, residual_plain=residual, residual_phase_form=residual,
-                           commutator_diagonal=tuple(comm))
+    return SymmetricReport(j=jf, residual_plain=residual, residual_phase_form=residual)
 
 
 # ---------------------------------------------------------------------------

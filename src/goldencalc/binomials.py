@@ -123,9 +123,6 @@ class BivarPoly:
     def coefficients(self) -> dict[tuple[int, int], object]:
         return dict(self._coeffs)
 
-    def coefficient(self, i: int, j: int):
-        return self._coeffs.get((i, j))
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 

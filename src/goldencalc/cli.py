@@ -1,11 +1,13 @@
 """Command-line front end.
 
-Every subcommand renders through one emitter so that identical argv and
-precision produce byte-identical output.  JSON payloads always carry
-{command, params, precision, value|values}; CSV always starts with a header
-row; complex scalars appear as {"re": ..., "im": ...} objects in JSON and as
-re/im column pairs in CSV.  High-precision numbers are serialized as decimal
-strings so no digits are lost in transit.
+Every subcommand hands one emitter a zero-argument renderer per format, and
+the emitter calls only the one `--format` selects: no command computes output
+it does not print, and identical argv and precision produce byte-identical
+output.  JSON payloads always carry {command, params, precision,
+value|values}; CSV always starts with a header row; complex scalars appear as
+{"re": ..., "im": ...} objects in JSON and as re/im column pairs in CSV.
+High-precision numbers are serialized as decimal strings so no digits are
+lost in transit.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure.
 """
@@ -17,16 +19,15 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import click
 
 from . import angular, binomials, calculus, core, oscillator, verify
-from .core import DEFAULT_DPS, DomainError, ZPhi, _at_precision
+from .core import DEFAULT_DPS, DomainError, _at_precision
 
 if TYPE_CHECKING:
     import mpmath
-    import numpy as np
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,13 +37,9 @@ EXIT_VERIFY = 3
 
 @dataclass(frozen=True)
 class OutputRecord:
-    """One rendered command result."""
+    """One rendered command result: the exact text the command prints."""
 
-    format: str
     payload: str
-    command: str
-    params: dict
-    precision: int
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +58,6 @@ def _frac_str(fr: Fraction) -> str:
 
 
 def _num_str(v, dps: int) -> str:
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Fraction):
-        return _frac_str(v)
     if isinstance(v, float):  # a double's own digits: the shortest round trip, and no -0.0
         return repr(float(v) + 0.0)
     import mpmath
@@ -78,33 +71,19 @@ def _sci(text: str) -> str:
 
 
 def _json_scalar(v, dps: int):
-    """JSON-ready scalar; complex becomes {'re': ..., 'im': ...}."""
-    if isinstance(v, int):  # bool included
-        return v
-    if isinstance(v, Fraction):
-        return _frac_str(v)
-    if isinstance(v, ZPhi):
-        return {"unit_part": v.a, "phi_part": v.b}
-    if isinstance(v, complex) or hasattr(v, "_mpc_") or (hasattr(v, "imag") and v.imag != 0):
+    """JSON-ready real or complex scalar; complex becomes {'re': ..., 'im': ...}."""
+    if isinstance(v, complex) or hasattr(v, "_mpc_"):
         return {"re": _num_str(v.real, dps), "im": _num_str(v.imag, dps)}
-    if hasattr(v, "real"):  # float, mpf and the like
-        return _num_str(v.real, dps)
-    return str(v)
+    return _num_str(v, dps)  # float, mpf and the like
 
 
 def _csv_cells(v, dps: int) -> list[str]:
     j = _json_scalar(v, dps)
-    if isinstance(j, dict) and "re" in j:
-        return [j["re"], j["im"]]
-    if isinstance(j, dict):
-        return [str(x) for x in j.values()]
-    return [str(j)]
+    return [j["re"], j["im"]] if isinstance(j, dict) else [j]
 
 
 def _render_csv(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(r) for r in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def _json_payload(ctx: click.Context, command: str, params: dict, body: dict) -> str:
@@ -113,20 +92,35 @@ def _json_payload(ctx: click.Context, command: str, params: dict, body: dict) ->
     return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(ctx: click.Context, command: str, params: dict, *,
-          value=None, values=None, plain: str,
-          csv_header: list[str], csv_rows: list[list[str]],
-          json_extra: dict | None = None) -> None:
+def _emit(ctx: click.Context, command: str, params: dict, *, json: Callable[[], dict],
+          plain: Callable[[], str], csv: Callable[[], tuple[list[str], list[list[str]]]]) -> None:
+    """Record the command's output, calling only the renderer `--format` selects.
+
+    `json()` returns the body ({"value": ...} or {"values": ...} plus extras),
+    `plain()` the text, and `csv()` the header and the rows.
+    """
     fmt = ctx.obj["format"]
     if fmt == "json":
-        body = {"values": values} if values is not None else {"value": value}
-        payload = _json_payload(ctx, command, params, {**body, **(json_extra or {})})
+        payload = _json_payload(ctx, command, params, json())
     elif fmt == "csv":
-        payload = _render_csv(csv_header, csv_rows)
+        payload = _render_csv(*csv())
     else:
-        payload = plain if plain.endswith("\n") else plain + "\n"
-    ctx.obj["record"] = OutputRecord(format=fmt, payload=payload, command=command,
-                                     params=params, precision=ctx.obj["precision"])
+        payload = plain() + "\n"
+    ctx.obj["record"] = OutputRecord(payload)
+
+
+def _emit_int(ctx: click.Context, command: str, params: dict, value: int, column: str) -> None:
+    """An exact integer: a JSON number, its digits, and one CSV row of the params and the value."""
+    _emit(ctx, command, params, json=lambda: {"value": value}, plain=lambda: str(value),
+          csv=lambda: ([*params, column], [[str(p) for p in params.values()] + [str(value)]]))
+
+
+def _emit_value(ctx: click.Context, command: str, params: dict, value, header=("re", "im"),
+                extra: Callable[[], dict] = dict) -> None:
+    """One analytic value: a JSON scalar (plus `extra()`), its digits, one CSV row of its cells."""
+    dps = ctx.obj["precision"]
+    _emit(ctx, command, params, json=lambda: {"value": _json_scalar(value, dps), **extra()},
+          plain=lambda: _num_str(value, dps), csv=lambda: (list(header), [_csv_cells(value, dps)]))
 
 
 def _write_file(path: str, content: str) -> None:
@@ -213,10 +207,7 @@ def cli(ctx: click.Context, **options) -> None:
 @click.pass_context
 def fib(ctx, n: int) -> None:
     """Exact Fibonacci number F_N (negative indices allowed)."""
-    value = core.fib_exact(n)
-    text = str(value)  # int -> str is quadratic in the digits before CPython 3.12: convert once
-    _emit(ctx, "fib", {"n": n}, value=value, plain=text,
-          csv_header=["n", "F_n"], csv_rows=[[str(n), text]])
+    _emit_int(ctx, "fib", {"n": n}, core.fib_exact(n), "F_n")
 
 
 @cli.command(cls=CommonCommand)
@@ -228,11 +219,7 @@ def fibx(ctx, re: str, im: str) -> None:
     dps = ctx.obj["precision"]
     with _at_precision(dps, guard=0) as mp:
         z = mp.mpc(_real(ctx, re), _real(ctx, im))
-    gv = core.fib_extended(z, dps)
-    _emit(ctx, "fibx", {"re": re, "im": im},
-          value=_json_scalar(gv.value, dps),
-          plain=_num_str(gv.value, dps),
-          csv_header=["re", "im"], csv_rows=[_csv_cells(gv.value, dps)])
+    _emit_value(ctx, "fibx", {"re": re, "im": im}, core.fib_extended(z, dps).value)
 
 
 @cli.command("fibonomial", cls=CommonCommand)
@@ -241,9 +228,7 @@ def fibx(ctx, re: str, im: str) -> None:
 @click.pass_context
 def fibonomial_cmd(ctx, n: int, k: int) -> None:
     """Fibonomial coefficient [N K]_F."""
-    value = binomials.fibonomial(n, k)
-    _emit(ctx, "fibonomial", {"n": n, "k": k}, value=value, plain=str(value),
-          csv_header=["n", "k", "coefficient"], csv_rows=[[str(n), str(k), str(value)]])
+    _emit_int(ctx, "fibonomial", {"n": n, "k": k}, binomials.fibonomial(n, k), "coefficient")
 
 
 @cli.command(cls=CommonCommand)
@@ -254,13 +239,22 @@ def fibonomial_cmd(ctx, n: int, k: int) -> None:
 def binom(ctx, n: int, form: str) -> None:
     """Golden binomial (x+y)_F^N as an exact polynomial."""
     poly = binomials.golden_binomial(n, form)
-    dps = ctx.obj["precision"]
-    monos = list(poly.monomials())
-    values = [{"x_power": i, "y_power": j, "coefficient": _json_scalar(c, dps)}
-              for (i, j), c in monos]
-    rows = [[str(i), str(j), str(c.a), str(c.b)] for (i, j), c in monos]
-    _emit(ctx, "binom", {"n": n, "form": form}, values=values, plain=str(poly),
-          csv_header=["x_power", "y_power", "coeff_unit", "coeff_phi"], csv_rows=rows)
+    _emit(ctx, "binom", {"n": n, "form": form},
+          json=lambda: {"values": [{"x_power": i, "y_power": j,
+                                    "coefficient": {"unit_part": c.a, "phi_part": c.b}}
+                                   for (i, j), c in poly.monomials()]},
+          plain=lambda: str(poly),
+          csv=lambda: (["x_power", "y_power", "coeff_unit", "coeff_phi"],
+                       [[str(i), str(j), str(c.a), str(c.b)] for (i, j), c in poly.monomials()]))
+
+
+def _emit_coeffs(ctx: click.Context, command: str, params: dict, coeffs: Sequence[Fraction],
+                 plain: Callable[[], str]) -> None:
+    """Exact polynomial coefficients in ascending degree, each as `_frac_str` writes it."""
+    _emit(ctx, command, params, plain=plain,
+          json=lambda: {"values": [_frac_str(c) for c in coeffs]},
+          csv=lambda: (["degree", "coefficient"],
+                       [[str(k), _frac_str(c)] for k, c in enumerate(coeffs)]))
 
 
 @cli.command(cls=CommonCommand)
@@ -270,10 +264,7 @@ def binom(ctx, n: int, form: str) -> None:
 def poly(ctx, n: int, a: Fraction) -> None:
     """Golden polynomial P_N(x) = (x-a)_F^N / F_N!."""
     p = binomials.golden_polynomial(n, a)
-    values = [_frac_str(c) for c in p.coeffs]
-    rows = [[str(k), _frac_str(c)] for k, c in enumerate(p.coeffs)]
-    _emit(ctx, "poly", {"n": n, "a": _frac_str(a)}, values=values, plain=str(p),
-          csv_header=["degree", "coefficient"], csv_rows=rows)
+    _emit_coeffs(ctx, "poly", {"n": n, "a": _frac_str(a)}, p.coeffs, plain=lambda: str(p))
 
 
 def _parse_coeffs(text: str) -> binomials.UnivarPoly:
@@ -281,8 +272,6 @@ def _parse_coeffs(text: str) -> binomials.UnivarPoly:
         coeffs = tuple(Fraction(part.strip()) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"cannot parse coefficient list {text!r}: {exc}")
-    if not coeffs:
-        raise click.UsageError("coefficient list is empty")
     return binomials.UnivarPoly(coeffs=coeffs)
 
 
@@ -294,18 +283,12 @@ def _parse_coeffs(text: str) -> binomials.UnivarPoly:
 def deriv(ctx, coeffs: str, x_at: str | None) -> None:
     """Golden derivative of a polynomial given by ascending COEFFS (comma-separated)."""
     p = _parse_coeffs(coeffs)
-    dps = ctx.obj["precision"]
-    if x_at is not None:
-        value = calculus.golden_derivative(p, _real(ctx, x_at), precision=dps)
-        _emit(ctx, "deriv", {"coeffs": coeffs, "x": x_at},
-              value=_json_scalar(value, dps), plain=_num_str(value, dps),
-              csv_header=["value"], csv_rows=[_csv_cells(value, dps)])
+    if x_at is None:
+        d = calculus.derive_poly(p).coeffs
+        _emit_coeffs(ctx, "deriv", {"coeffs": coeffs}, d, plain=lambda: ",".join(map(_frac_str, d)))
         return
-    values = [_frac_str(c) for c in calculus.derive_poly(p).coeffs]
-    _emit(ctx, "deriv", {"coeffs": coeffs}, values=values,
-          plain=",".join(values),
-          csv_header=["degree", "coefficient"],
-          csv_rows=[[str(k), v] for k, v in enumerate(values)])
+    value = calculus.golden_derivative(p, _real(ctx, x_at), precision=ctx.obj["precision"])
+    _emit_value(ctx, "deriv", {"coeffs": coeffs, "x": x_at}, value, header=["value"])
 
 
 @cli.command("exp", cls=CommonCommand)
@@ -319,12 +302,12 @@ def exp_cmd(ctx, x: str, kind: str, terms: int) -> None:
     dps = ctx.obj["precision"]
     sv = calculus.golden_exp(_real(ctx, x), kind, n_terms=terms, precision=dps)
     _emit(ctx, "exp", {"x": x, "kind": kind, "terms": terms},
-          value=_json_scalar(sv.value, dps),
-          json_extra={"terms_used": sv.terms_used, "tail_bound": _num_str(sv.tail_bound, dps)},
-          plain=f"{_num_str(sv.value, dps)} (terms used: {sv.terms_used}, "
-                f"tail bound: {_num_str(sv.tail_bound, 6)})",
-          csv_header=["re", "im", "terms_used", "tail_bound"],
-          csv_rows=[_csv_cells(sv.value, dps) + [str(sv.terms_used), _num_str(sv.tail_bound, dps)]])
+          json=lambda: {"value": _json_scalar(sv.value, dps), "terms_used": sv.terms_used,
+                        "tail_bound": _num_str(sv.tail_bound, dps)},
+          plain=lambda: f"{_num_str(sv.value, dps)} (terms used: {sv.terms_used}, "
+                        f"tail bound: {_num_str(sv.tail_bound, 6)})",
+          csv=lambda: (["re", "im", "terms_used", "tail_bound"],
+                       [_csv_cells(sv.value, dps) + [str(sv.terms_used), _num_str(sv.tail_bound, dps)]]))
 
 
 @cli.command(cls=CommonCommand)
@@ -337,11 +320,9 @@ def trig(ctx, x: str, kind: str, terms: int) -> None:
     """Golden trigonometric value at x."""
     dps = ctx.obj["precision"]
     sv = calculus.golden_trig(_real(ctx, x), kind, n_terms=terms, precision=dps)
-    _emit(ctx, "trig", {"x": x, "kind": kind, "terms": terms},
-          value=_json_scalar(sv.value, dps),
-          json_extra={"terms_used": sv.terms_used, "tail_bound": _num_str(sv.tail_bound, dps)},
-          plain=_num_str(sv.value, dps),
-          csv_header=["re", "im"], csv_rows=[_csv_cells(sv.value, dps)])
+    _emit_value(ctx, "trig", {"x": x, "kind": kind, "terms": terms}, sv.value,
+                extra=lambda: {"terms_used": sv.terms_used,
+                               "tail_bound": _num_str(sv.tail_bound, dps)})
 
 
 @cli.command(cls=CommonCommand)
@@ -351,11 +332,19 @@ def trig(ctx, x: str, kind: str, terms: int) -> None:
 def integrate(ctx, coeffs: str, x_at: str) -> None:
     """Golden antiderivative of the polynomial COEFFS, evaluated at --x."""
     p = _parse_coeffs(coeffs)
+    value = calculus.jackson_antiderivative(p, _real(ctx, x_at), precision=ctx.obj["precision"])
+    _emit_value(ctx, "integrate", {"coeffs": coeffs, "x": x_at}, value)
+
+
+def _spectrum_rows(n_max: int, hbar_omega) -> list[list[str]]:
+    """CSV rows [n, E_n] of the oscillator spectrum up to n_max."""
+    return [[str(n), _frac_str(e)] for n, e in oscillator.spectrum(n_max, hbar_omega).levels]
+
+
+def _ratio_rows(ctx: click.Context, n_max: int) -> list[list[str]]:
+    """CSV rows [n, F_(n+1)/F_n] for n = 1..n_max, at the command's precision."""
     dps = ctx.obj["precision"]
-    value = calculus.jackson_antiderivative(p, _real(ctx, x_at), precision=dps)
-    _emit(ctx, "integrate", {"coeffs": coeffs, "x": x_at},
-          value=_json_scalar(value, dps), plain=_num_str(value, dps),
-          csv_header=["re", "im"], csv_rows=[_csv_cells(value, dps)])
+    return [[str(n), _num_str(r, dps)] for n, r in enumerate(core.ratio_sequence(n_max, dps), 1)]
 
 
 @cli.command(cls=CommonCommand)
@@ -364,12 +353,11 @@ def integrate(ctx, coeffs: str, x_at: str) -> None:
 @click.pass_context
 def spectrum(ctx, n_max: int, hbar_omega: Fraction) -> None:
     """Golden oscillator energy levels E_n = (hbar*omega/2) F_{n+2}."""
-    table = oscillator.spectrum(n_max, hbar_omega)
-    values = [{"n": n, "energy": _frac_str(e)} for n, e in table.levels]
-    rows = [[str(n), _frac_str(e)] for n, e in table.levels]
-    plain = "\n".join(f"E_{n} = {_frac_str(e)}" for n, e in table.levels)
+    rows = _spectrum_rows(n_max, hbar_omega)
     _emit(ctx, "spectrum", {"n_max": n_max, "hbar_omega": _frac_str(hbar_omega)},
-          values=values, plain=plain, csv_header=["n", "E_n"], csv_rows=rows)
+          json=lambda: {"values": [{"n": int(n), "energy": e} for n, e in rows]},
+          plain=lambda: "\n".join(f"E_{n} = {e}" for n, e in rows),
+          csv=lambda: (["n", "E_n"], rows))
 
 
 @cli.command(cls=CommonCommand)
@@ -377,16 +365,9 @@ def spectrum(ctx, n_max: int, hbar_omega: Fraction) -> None:
 @click.pass_context
 def ratios(ctx, n_max: int) -> None:
     """Fibonacci convergents F_{n+1}/F_n for n = 1..n_max."""
-    dps = ctx.obj["precision"]
-    seq = core.ratio_sequence(n_max, dps)
-    values = [_num_str(r, dps) for r in seq]
-    rows = [[str(n + 1), values[n]] for n in range(len(seq))]
-    _emit(ctx, "ratios", {"n_max": n_max}, values=values,
-          plain="\n".join(values), csv_header=["n", "ratio"], csv_rows=rows)
-
-
-def _matrix_json(mat: np.ndarray, dps: int) -> list:
-    return [[_json_scalar(v, dps) for v in row] for row in mat.tolist()]
+    rows = _ratio_rows(ctx, n_max)
+    _emit(ctx, "ratios", {"n_max": n_max}, json=lambda: {"values": [r for _, r in rows]},
+          plain=lambda: "\n".join(r for _, r in rows), csv=lambda: (["n", "ratio"], rows))
 
 
 @cli.command(cls=CommonCommand)
@@ -405,35 +386,38 @@ def angmom(ctx, j_str: str, variant: str) -> None:
     variant_full = {"standard": "standard_F", "symmetric": "symmetric_iphi",
                     "tilde": "tilde_F"}[variant]
     rep = angular.build_representation(j, variant_full)
-    extra: dict = {}
-    plain_lines = [f"variant {variant_full}, j = {j}",
-                   f"J+ =\n{np.array_str(rep.j_plus, precision=6)}",
-                   f"J- =\n{np.array_str(rep.j_minus, precision=6)}",
-                   f"Jz =\n{np.array_str(rep.j_z, precision=6)}"]
-    if variant == "standard":
-        cas = angular.casimir_suF2(j)
-        extra["casimir_eigenvalue"] = _json_scalar(cas.eigenvalue, dps)
-        extra["casimir_form_difference"] = cas.form_difference
-        plain_lines.append(f"Casimir eigenvalue = {cas.eigenvalue:.12g} "
-                           f"(form difference {cas.form_difference:.3e})")
-    elif variant == "symmetric":
-        srep = angular.verify_symmetric(j)
-        extra["commutator_residual"] = srep.residual_plain
-        plain_lines.append(str(srep))
-    else:
-        trep = angular.verify_tilde(j)
-        extra["anticommutator_residual"] = trep.anticommutator_residual
-        extra["casimir_form_difference"] = trep.casimir_form_difference
-        plain_lines.append(
-            f"tilde j={j}: anti-commutator residual {trep.anticommutator_residual:.3e}, "
-            f"Casimir form difference {trep.casimir_form_difference:.3e}")
     mats = {"j_plus": rep.j_plus, "j_minus": rep.j_minus, "j_z": rep.j_z}
-    values = {name: _matrix_json(mat, dps) for name, mat in mats.items()}
-    rows = [[name, str(r), str(c)] + _csv_cells(complex(v), dps)
-            for name, mat in mats.items() for (r, c), v in np.ndenumerate(mat) if v != 0]
+
+    def diagnostics() -> tuple[dict, str]:
+        """The variant's JSON extras and its plain summary line."""
+        if variant == "standard":
+            cas = angular.casimir_suF2(j)
+            return ({"casimir_eigenvalue": _json_scalar(cas.eigenvalue, dps),
+                     "casimir_form_difference": cas.form_difference},
+                    f"Casimir eigenvalue = {cas.eigenvalue:.12g} "
+                    f"(form difference {cas.form_difference:.3e})")
+        if variant == "symmetric":
+            srep = angular.verify_symmetric(j)
+            return {"commutator_residual": srep.residual_plain}, str(srep)
+        trep = angular.verify_tilde(j)
+        return ({"anticommutator_residual": trep.anticommutator_residual,
+                 "casimir_form_difference": trep.casimir_form_difference},
+                f"tilde j={j}: anti-commutator residual {trep.anticommutator_residual:.3e}, "
+                f"Casimir form difference {trep.casimir_form_difference:.3e}")
+
+    def plain() -> str:
+        lines = [f"variant {variant_full}, j = {j}"]
+        lines += [f"{label} =\n{np.array_str(mat, precision=6)}"
+                  for label, mat in zip(["J+", "J-", "Jz"], mats.values())]
+        return "\n".join(lines + [diagnostics()[1]])
+
     _emit(ctx, "angmom", {"j": j_str, "variant": variant},
-          values=values, json_extra=extra, plain="\n".join(plain_lines),
-          csv_header=["operator", "row", "col", "re", "im"], csv_rows=rows)
+          json=lambda: {"values": {name: [[_json_scalar(v, dps) for v in row] for row in mat.tolist()]
+                                   for name, mat in mats.items()}, **diagnostics()[0]},
+          plain=plain,
+          csv=lambda: (["operator", "row", "col", "re", "im"],
+                       [[name, str(r), str(c)] + _csv_cells(complex(v), dps)
+                        for name, mat in mats.items() for (r, c), v in np.ndenumerate(mat) if v != 0]))
 
 
 @cli.command("invert-n", cls=CommonCommand)
@@ -447,10 +431,7 @@ def invert_n(ctx, fib_value: int, parity: str) -> None:
     bytes, so F_n reaches this command only for n up to about 627,000.
     """
     n = oscillator.invert_number(fib_value, parity, ctx.obj["precision"])
-    _emit(ctx, "invert-n", {"fib_value": fib_value, "parity": parity},
-          value=n, plain=str(n),
-          csv_header=["fib_value", "parity", "n"],
-          csv_rows=[[str(fib_value), parity, str(n)]] if ctx.obj["format"] == "csv" else [])  # str() is quadratic
+    _emit_int(ctx, "invert-n", {"fib_value": fib_value, "parity": parity}, n, "n")
 
 
 @cli.command(cls=CommonCommand)
@@ -465,13 +446,13 @@ def limit(ctx, y: str, n: int) -> None:
     noise = mpmath.mpf(10) ** -dps * max(abs(lhs), 1)  # below the printed digits: print the bound
     diff_text = f"< 1e-{dps}" if diff < noise else _num_str(diff, 6)
     _emit(ctx, "limit", {"y": y, "n": n},
-          value={"finite": _json_scalar(lhs, dps), "jackson": _json_scalar(rhs, dps),
-                 "difference": diff_text},
-          plain=(f"finite:  {_num_str(lhs, dps)}\n"
-                 f"jackson: {_num_str(rhs, dps)}\n"
-                 f"difference: {diff_text}"),
-          csv_header=["finite_re", "finite_im", "jackson_re", "jackson_im", "difference"],
-          csv_rows=[_csv_cells(lhs, dps) + _csv_cells(rhs, dps) + [diff_text]])
+          json=lambda: {"value": {"finite": _json_scalar(lhs, dps),
+                                  "jackson": _json_scalar(rhs, dps), "difference": diff_text}},
+          plain=lambda: (f"finite:  {_num_str(lhs, dps)}\n"
+                         f"jackson: {_num_str(rhs, dps)}\n"
+                         f"difference: {diff_text}"),
+          csv=lambda: (["finite_re", "finite_im", "jackson_re", "jackson_im", "difference"],
+                       [_csv_cells(lhs, dps) + _csv_cells(rhs, dps) + [diff_text]]))
 
 
 @cli.command("verify", cls=CommonCommand)
@@ -486,21 +467,20 @@ def verify_cmd(ctx, only: tuple[str, ...], report_path: str | None) -> None:
     rep = verify.verify_all(seed=ctx.obj["seed"], only=list(only) or None,
                             precision=ctx.obj["precision"])
     params = {"only": list(only), "seed": ctx.obj["seed"]}
-    report = rep.to_dict()
+
+    def plain() -> str:
+        lines = [f"{e.status.upper():15s} {e.id:40s} "
+                 + (f"residual {_sci(e.max_residual)}" if e.max_residual is not None else "exact")
+                 for e in rep.entries]
+        summary = rep.summary
+        return "\n".join(lines + [f"pass {summary['pass']}  fail {summary['fail']}  "
+                                  f"known-deviation {summary['known_deviation']}"])
+
     if report_path:
-        _write_file(report_path, _json_payload(ctx, "verify", params, {"value": report}))
-    summary = rep.summary
-    plain_lines = [
-        f"{e.status.upper():15s} {e.id:40s} "
-        + (f"residual {_sci(e.max_residual)}" if e.max_residual is not None else "exact")
-        for e in rep.entries
-    ]
-    plain_lines.append(f"pass {summary['pass']}  fail {summary['fail']}  "
-                       f"known-deviation {summary['known_deviation']}")
-    rows = [[e.id, e.status, e.max_residual or ""]
-            for e in rep.entries]
-    _emit(ctx, "verify", params, value=report, plain="\n".join(plain_lines),
-          csv_header=["id", "status", "max_residual"], csv_rows=rows)
+        _write_file(report_path, _json_payload(ctx, "verify", params, {"value": rep.to_dict()}))
+    _emit(ctx, "verify", params, json=lambda: {"value": rep.to_dict()}, plain=plain,
+          csv=lambda: (["id", "status", "max_residual"],
+                       [[e.id, e.status, e.max_residual or ""] for e in rep.entries]))
     if rep.failed:
         ctx.obj["exit_code"] = EXIT_VERIFY
 
@@ -514,22 +494,17 @@ def plot_data(ctx, kind: str, n_max: int, output: str) -> None:
     """Write convergence/spectrum data as CSV with a header row."""
     dps = ctx.obj["precision"]
     if kind == "ratios":
-        seq = core.ratio_sequence(n_max, dps)
-        header = ["n", "value"]
-        rows = [[str(n + 1), _num_str(r, dps)] for n, r in enumerate(seq)]
+        header, rows = ["n", "value"], _ratio_rows(ctx, n_max)
     elif kind == "spectrum":
-        table = oscillator.spectrum(n_max, 1)
-        header = ["n", "E_n"]
-        rows = [[str(n), _frac_str(e)] for n, e in table.levels]
+        header, rows = ["n", "E_n"], _spectrum_rows(n_max, 1)
     else:
         seq = angular.casimir_ratio(core._integer("n_max", n_max, 3, core.MAX_RATIO_INDEX), dps)
         header = ["n", "value"]  # n is the spin label of the numerator eigenvalue
-        rows = [[str(j + 2), _num_str(r, dps)] for j, r in enumerate(seq)]
+        rows = [[str(j), _num_str(r, dps)] for j, r in enumerate(seq, 2)]
     _write_file(output, _render_csv(header, rows))
     _emit(ctx, "plot-data", {"kind": kind, "n_max": n_max, "output": output},
-          value={"path": output, "rows": len(rows)},
-          plain=f"wrote {len(rows)} rows to {output}",
-          csv_header=header, csv_rows=rows)
+          json=lambda: {"value": {"path": output, "rows": len(rows)}},
+          plain=lambda: f"wrote {len(rows)} rows to {output}", csv=lambda: (header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +539,7 @@ def run_command(argv: Sequence[str]) -> tuple[int, OutputRecord | None]:
     finally:
         if digit_limit:
             sys.set_int_max_str_digits(digit_limit)
-    record = obj.get("record")
-    return obj.get("exit_code", EXIT_OK), record
+    return obj.get("exit_code", EXIT_OK), obj.get("record")
 
 
 def main() -> None:

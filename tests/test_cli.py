@@ -76,11 +76,17 @@ class TestDispatch:
         ["deriv", "0,0,1", "--x", "abc"],
         ["integrate", "0,0,1", "--x", "abc"],
         ["limit", "abc"],
+        ["deriv", ""],
+        ["integrate", "", "--x", "1"],
     ])
     def test_malformed_real_is_usage_error(self, argv, capsys):
         code, record = run_command(argv)
         assert code == EXIT_USAGE and record is None
-        assert capsys.readouterr().err == "error: 'abc' is not a real number\n"
+        err = capsys.readouterr().err
+        if "" in argv:  # an empty coefficient list parses as one empty coefficient
+            assert err.startswith("error: cannot parse coefficient list '': ")
+        else:
+            assert err == "error: 'abc' is not a real number\n"
 
     def test_non_finite_real_is_domain_error(self):
         for argv in (["exp", "inf"], ["deriv", "0,0,1", "--x", "inf"],
@@ -296,10 +302,42 @@ class TestPlotData:
 
 class TestRecordMetadata:
     def test_record_carries_command_and_params(self):
-        _, record = run_command(["fib", "7"])
-        assert record.command == "fib"
-        assert record.params == {"n": 7}
-        assert record.precision == 34
+        envelope = json.loads(payload(["--format", "json", "fib", "7"]))
+        assert envelope["command"] == "fib"
+        assert envelope["params"] == {"n": 7}
+        assert envelope["precision"] == 34
+
+
+def _refuse(*args):
+    raise AssertionError("a renderer of a format that was not requested ran")
+
+
+class TestLazyRendering:
+    """Each command renders only the format it was asked for."""
+
+    EVERY_COMMAND = [
+        ["fib", "7"], ["fibx", "0.5"], ["fibonomial", "6", "3"], ["binom", "3"], ["poly", "3"],
+        ["deriv", "0,0,1"], ["deriv", "0,0,1", "--x", "2"], ["exp", "1"],
+        ["trig", "0.7", "--kind", "sin_F"], ["integrate", "0,0,1", "--x", "1"],
+        ["spectrum", "--n-max", "3"], ["ratios", "--n-max", "5"], ["angmom", "--j", "1"],
+        ["angmom", "--j", "1", "--variant", "symmetric"], ["angmom", "--j", "3/2", "--variant", "tilde"],
+        ["invert-n", "55", "--parity", "even"], ["limit", "0.5"], ["verify", "--only", "core"],
+        ["plot-data", "ratios", "--n-max", "5", "--output", "out.csv"],
+    ]
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_no_csv_cells_outside_csv(self, fmt, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        expected = [payload(["--format", fmt] + argv) for argv in self.EVERY_COMMAND]
+        monkeypatch.setattr(cli, "_csv_cells", _refuse)
+        for argv, text in zip(self.EVERY_COMMAND, expected):
+            assert payload(["--format", fmt] + argv) == text, argv
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_verify_shapes_residuals_only_for_plain(self, fmt, monkeypatch):
+        expected = payload(["--format", fmt, "verify"])
+        monkeypatch.setattr(cli, "_sci", _refuse)
+        assert payload(["--format", fmt, "verify"]) == expected
 
 
 def _monomial(x_power, y_power, unit_part):
