@@ -295,15 +295,13 @@ def build_symmetric(j) -> AngularRep:
 
 @dataclass(frozen=True)
 class SymmetricReport:
-    """Residuals of the symmetric-variant commutator against its target relation."""
+    """Residual of the symmetric-variant commutator against its target relation."""
 
     j: Fraction
-    residual_plain: float
-    residual_phase_form: float
+    residual: float
 
     def __str__(self) -> str:
-        return (f"symmetric j={self.j}: |[J+,J-] - [2Jz]| = {self.residual_plain:.6g}, "
-                f"phase-form residual = {self.residual_phase_form:.6g}")
+        return f"symmetric j={self.j}: |[J+,J-] - [2Jz]| = {self.residual:.6g}"
 
 
 def verify_symmetric(j) -> SymmetricReport:
@@ -318,7 +316,7 @@ def verify_symmetric(j) -> SymmetricReport:
     comm = [complex(a - b) for a, b in zip(*_symmetric_ladder(n, fib).products())]
     # both written forms are the same number: [2m] i^{1-2m} = phi^{2m} - phi^{-2m}
     residual = max(abs(c - _phi_gap(fib, t)) for c, t in zip(comm, range(-n, n + 1, 2)))
-    return SymmetricReport(j=jf, residual_plain=residual, residual_phase_form=residual)
+    return SymmetricReport(j=jf, residual=residual)
 
 
 # ---------------------------------------------------------------------------

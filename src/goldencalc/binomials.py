@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import inf
+from math import inf, isqrt
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Literal
 
@@ -27,6 +27,7 @@ from .core import (
     QPhi,
     ZPhi,
     _at_precision,
+    _dyadic,
     _finite,
     _integer,
     _rational,
@@ -70,18 +71,13 @@ def fibonomial_row(n: int) -> tuple[int, ...]:
 @lru_cache(maxsize=1)  # one row at n = 300 holds ~0.4 MB
 def _fibonomial_row(n: int) -> tuple[int, ...]:
     # The full row is computed, never mirrored, so [n k] = [n n-k] stays a check.
-    return tuple(_fibonomial_steps(fib_range(0, n)))
-
-
-def _fibonomial_steps(fibs: list[int]) -> Iterator[int]:
-    """[n 0]_F, [n 1]_F, ..., [n n]_F from fibs = [F_0, ..., F_n], one exact division a step."""
-    n, c = len(fibs) - 1, 1
-    yield c
+    fibs, row = fib_range(0, n), [1]
     for k in range(1, n + 1):
-        c, r = divmod(c * fibs[n - k + 1], fibs[k])
+        c, r = divmod(row[-1] * fibs[n - k + 1], fibs[k])
         if r:  # cannot happen: Fibonomials are integers
             raise ArithmeticError(f"Fibonomial ({n},{k}) is not an integer")
-        yield c
+        row.append(c)
+    return tuple(row)
 
 
 def fibonomial(n: int, k: int) -> int:
@@ -319,68 +315,128 @@ def golden_base(precision: int = DEFAULT_DPS) -> mpmath.mpf:
         return -(mp.phi ** 2)
 
 
+def _tolerance(sre: int, sim: int, re: int, im: int, scale: int, prec: int) -> int:
+    """(eps max(|sum| - |term|, 1))^2, eps = 2^(1 - prec), for ints scaled by 2^scale; 1 is at least one unit."""
+    return (max(isqrt(sre * sre + sim * sim) - isqrt(re * re + im * im), 1 << max(scale, 0)) >> prec - 1) ** 2
+
+
+def _ge(a: int, b: int, n: int) -> bool:
+    """a >= b 2^n for ints a and b, shifting only towards smaller ints, whatever the sign of n."""
+    return a >> n >= b if n >= 0 else a >= -(-b >> -n)
+
+
+def _scaled(pr: int, pi: int, shift: int, d: int, top: int) -> tuple[int, int, int]:
+    """(floor(pr / (d 2^r)), floor(pi / (d 2^r)), drop) with r = shift + drop, each one floor.
+
+    drop >= 0 is the fewest bits that keep the parts below 2^(top + 1), and a negative r
+    shifts left, so a binary exponent in shift never grows the ints, however large it is.
+    """
+    bits = max(pr.bit_length(), pi.bit_length())
+    r = max(shift, bits - d.bit_length() - top) if bits else shift
+    if r < 0:
+        return (pr << -r) // d, (pi << -r) // d, r - shift
+    return (pr >> r) // d, (pi >> r) // d, r - shift
+
+
 def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath.mpc:
     """Jackson q-exponential: sum_{k=0}^{n_terms} x^k / [k]_q!.
 
     [k]_q = (q^k - 1)/(q - 1) = 1 + q + ... + q^{k-1} comes from its
     recurrence [k]_q = 1 + q [k-1]_q, [0]_q = 0, so q = 1 gives [k]_q = k
     exactly and the classical exponential.  Each term is the last one times
-    x / [k]_q, and a real q and x are summed in real arithmetic.  The sum stops
-    early at a proven tail: once |[k]_q| >= 2|x| and [j]_q cannot shrink (q real
-    >= 1, or (|q| - 1) |[k]_q| >= 1, as |[j+1]_q| >= |q| |[j]_q| - 1), each later
-    ratio |x / [j]_q| is at most 1/2, so the terms after k sum to at most
-    |term_k|, and the first such k with |term_k| <= eps max(|sum|, 1) ends it.
-    Both need q real >= 1 or |q| > 1, where no [j]_q vanishes, so the stop never
-    skips the DomainError for a vanishing basic factorial.
+    x / [k]_q, in fixed point: [k]_q, the terms and the sum are int pairs (re, im), [k]_q
+    scaled by 2^bs and the rest by 2^wp, both from wp = the working precision + 8 bits,
+    with q and x split by `core._dyadic` (keep = 2 wp).  Each step truncates: [k]_q gains
+    under two units, and a term is off by under one unit plus |x / [k]_q| times the error
+    of the last.  Before the proven tail a term past 2^(2 wp) units lowers wp by the
+    excess and shifts the sum down with it (`_scaled`), so the term keeps about 2 wp bits,
+    and a [k]_q past 2^(2 wp) units lowers bs the same way: the ints stay bounded however
+    large x or q is.  The error bound is on the complex sum as a whole: a part far below
+    |sum| keeps its absolute digits only.  [k]_q below 2^-prec is zero at the working
+    precision, a DomainError.
+    The sum stops early at a proven tail: once |[k]_q| >= 2|x| and [j]_q cannot shrink
+    (q real >= 1, or (|q| - 1) |[k]_q| >= 1, as |[j+1]_q| >= |q| |[j]_q| - 1), each later
+    ratio |x / [j]_q| is at most 1/2, so the terms after k sum to at most |term_k|, and
+    the first such k with |term_k| <= eps max(|sum|, 1) ends it.  Both need q real >= 1
+    or |q| > 1, where no [j]_q vanishes, so the stop never skips the DomainError.
 
     Two known digit losses, with no retry at more working digits yet: near q = -1 the recurrence
-    cancels (q = -1 - 1e-30 is off by up to ~8e-15 relative at 34 digits), and at q = 1 + 1e-30,
-    x = -37.5 the alternating terms (up to ~1e15, sum ~5e-17) leave an error of ~2e-30 at 34 digits.
+    cancels (q = -1 - 1e-30, x = 0.5 is off by ~1.2e-16 relative at 34 digits with 200 terms), and at
+    q = 1 + 1e-30, x = -37.5 the alternating terms (up to ~1e15, sum ~5e-17) leave a relative error
+    of ~7e-20 at 34 digits and ~0.2 at 16.
     """
     _integer("term count", n_terms, 1, MAX_SERIES_TERMS)
     with _at_precision(precision) as mp:
-        qv, xv = _finite(q, "base"), _finite(x, "argument")
-        total, term, basic = mp.one, mp.one, mp.zero
-        x2, monotone, tol = 2 * abs(xv), mp.im(qv) == 0 and mp.re(qv) >= 1, None
+        bw = mp.prec + 8  # grow is scaled by 2^bw, [k]_q by 2^bs, the terms and the sum by 2^wp
+        (qa, qb, qs), (xa, xb, xs) = _dyadic(_finite(q, "base"), 2 * bw), _dyadic(_finite(x, "argument"), 2 * bw)
+        bs, wp, top = bw, bw, 2 * bw  # an int past 2^top rescales
+        one = unit = 1 << bw  # unit is 1 at [k]_q's scale
+        # floor((|q| - 1) 2^bw), or 2^bw where it is at least that: a real q >= 1, whose
+        # [k]_q >= 1 cannot shrink, and |q| >= 2^(2 bw), where qs < 0
+        grow = one if qs < 0 or qb == 0 and qa >= 1 << qs else (isqrt(qa * qa + qb * qb << 2 * bw) >> qs) - one
+        x4 = xa * xa + xb * xb << 2  # (2|x|)^2 2^(2 xs)
+        re, im, sre, sim, br, bi, tol = one, 0, one, 0, one, 0, -1  # [1]_q = 1; tol is set at the proven tail
         for k in range(1, n_terms + 1):
-            basic = 1 + qv * basic
-            if basic == 0:
+            norm = br * br + bi * bi
+            if norm < 1 << 16:  # |[k]_q| < 2^-prec; a rescaled [k]_q is far above 1
                 raise DomainError(f"basic factorial [{k}]_q! vanishes for q = {q}")
-            term = term * xv / basic
-            total += term
-            if tol is None and abs(basic) >= x2 and (monotone or (abs(qv) - 1) * abs(basic) >= 1):
-                tol = mp.eps * max(abs(total) - abs(term), 1)  # |sum| stays above |total| - |term|
-            if tol is not None and abs(term) <= tol:
+            pr, pi = re * xa - im * xb, re * xb + im * xa
+            pr, pi = pr * br + pi * bi, pi * br - pr * bi
+            if tol < 0:  # the terms may still grow
+                re, im, drop = _scaled(pr, pi, xs - bs, norm, top)
+                sre, sim, wp = (sre >> drop) + re, (sim >> drop) + im, wp - drop
+                if _ge(norm, x4, 2 * (bs - xs)) and _ge(grow * isqrt(norm), 1, bw + bs):
+                    tol = _tolerance(sre, sim, re, im, wp, mp.prec)  # |sum| stays above |total| - |term|
+            else:  # past the proven tail the terms only shrink, so no rescale
+                e, d = (bs - xs, norm) if bs >= xs else (0, norm << xs - bs)
+                re, im = (pr << e) // d, (pi << e) // d
+                sre, sim = sre + re, sim + im
+            if re * re + im * im <= tol:
                 break
-        return mp.mpc(total)
+            if qs >= 0 and norm >> 2 * top == 0:  # [k+1]_q = 1 + q [k]_q, with |[k]_q| below 2^top units
+                br, bi = unit + (qa * br - qb * bi >> qs), qa * bi + qb * br >> qs
+            else:  # the same with a rescale, where 1 falls below one unit once bs < 0
+                br, bi, drop = _scaled(qa * br - qb * bi, qa * bi + qb * br, qs, 1, top)
+                bs -= drop
+                unit = 1 << bs if bs >= 0 else 0
+                br += unit
+        return mp.mpc(mp.ldexp(sre, -wp), mp.ldexp(sim, -wp))
 
 
 def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
     """(1 + y/phi^n)_F^n by its finite Fibonomial expansion sum_k s_k [n k]_F u^k, u = y/phi^n.
 
     As n grows this approaches the Jackson exponential e_{-phi^2}(y/sqrt(5)).
-    The sum runs forward over the row, built a step at a time, and stops early at a
-    proven tail: the ratio |t_(k+1) / t_k| = F_(n-k) |u| / F_(k+1) never increases with
-    k (F_(n-k) falls as F_(k+1) grows), so once it is at most 1/2 the terms after t_k sum
-    to at most |t_k|. As in jackson_exp, the first such k fixes the tolerance
-    eps max(|total| - |t_k|, 1), at most eps max(|sum|, 1), and the first term from
-    there on that is within it ends the sum.
+    Each term is the last one times t_(k+1) / t_k = (-1)^k u F_(n-k) / F_(k+1), in fixed point
+    as in jackson_exp: times u's mantissa and F_(n-k), then u's binary exponent shifted out and
+    F_(k+1) floor-divided, so a term is off by under one unit of 2^-wp plus the ratio times the
+    error of the last, and until the proven tail a term past 2^(2 wp) units rescales wp and the sum.
+    As there, the error bound is on the complex sum as a whole.  The sum stops early at a
+    proven tail: |t_(k+1) / t_k| never increases with k, so once it is at most 1/2 the terms
+    after t_k sum to at most |t_k|.  As in jackson_exp, the first such k fixes the tolerance
+    eps max(|total| - |t_k|, 1), at most eps max(|sum|, 1), and the first term from there on
+    that is within it ends the sum.
     """
     _integer("degree", n, 1, MAX_SERIES_TERMS)
     with _at_precision(precision) as mp:
-        u = _finite(y, "argument") / mp.power(mp.phi, n)
-        fibs = fib_range(0, n)
-        # From the ints 0 and 1, a real argument stays in mpf arithmetic.
-        total, power, u2, tol = 0, 1, 2 * abs(u), None
-        for k, c in enumerate(_fibonomial_steps(fibs)):
-            term = _half_triangle_sign(k) * c * power
-            total += term
-            if tol is None and k < n and u2 * fibs[n - k] <= fibs[k + 1]:
-                tol = mp.eps * max(abs(total) - abs(term), 1)  # |sum| stays above |total| - |term|
-            if tol is not None and abs(term) <= tol:
+        fibs, wp = fib_range(0, n), mp.prec + 8  # the terms and the sum are scaled by 2^wp
+        ua, ub, us = _dyadic(_finite(y, "argument") / mp.power(mp.phi, n), 2 * wp)
+        top, u4 = 2 * wp, ua * ua + ub * ub << 2  # an int past 2^top rescales; (2|u|)^2 2^(2 us)
+        re, im, sre, sim, tol = 1 << wp, 0, 1 << wp, 0, -1  # tol is set at the proven tail
+        for k in range(n):
+            if tol < 0 and _ge(fibs[k + 1] ** 2, u4 * fibs[n - k] ** 2, -2 * us):
+                tol = _tolerance(sre, sim, re, im, wp, mp.prec)  # |sum| stays above |total| - |term|
+            if re * re + im * im <= tol:
                 break
-            power *= u
-        return mp.mpc(total)
+            f, g = -fibs[n - k] if k % 2 else fibs[n - k], fibs[k + 1]
+            pr, pi = (re * ua - im * ub) * f, (re * ub + im * ua) * f
+            if tol < 0:  # the terms may still grow
+                re, im, drop = _scaled(pr, pi, us, g, top)
+                sre, sim, wp = (sre >> drop) + re, (sim >> drop) + im, wp - drop
+            else:  # past the proven tail |u| <= F_n / 2 < 2^(2 wp), so us >= 0, and the terms only shrink
+                re, im = (pr >> us) // g, (pi >> us) // g
+                sre, sim = sre + re, sim + im
+        return mp.mpc(mp.ldexp(sre, -wp), mp.ldexp(sim, -wp))
 
 
 def remarkable_limit(y, n: int, precision: int = DEFAULT_DPS) -> tuple[mpmath.mpc, mpmath.mpc, mpmath.mpf]:

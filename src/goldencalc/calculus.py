@@ -23,6 +23,7 @@ from .core import (
     DEFAULT_DPS,
     DomainError,
     _at_precision,
+    _dyadic,
     _finite,
     _integer,
     _require,
@@ -170,9 +171,7 @@ class GoldenSeries:
             kx, t0 = kv * xv, kv ** self.shift  # term n is t0 u_n with u_n = kx^n / F_n!
             if not t0:  # k = 0 and shift > 0: every term vanishes
                 return SeriesValue(value=mp.mpc(0), terms_used=0, tail_bound=mp.zero)
-            (a, ea), (b, eb) = [((-1) ** g * m, p) for g, m, p, _ in (kx.real._mpf_, kx.imag._mpf_)]
-            e = min(ea, eb, 0)
-            a, b, s = a << ea - e, b << eb - e, -e  # kx = (a + ib) / 2^s exactly
+            a, b, s = _dyadic(kx)
             need = -(-isqrt(((a * a + b * b) << 2) - 1) - 1 >> s) if a or b else 0  # ceil(2|kx|)
             m = next((n for n in range(n_terms + 1) if self.sign(n + self.shift)), 0)
             low = m * (mp.mag(kx) - 2 - fib_exact(m).bit_length()) if m and kx else 0

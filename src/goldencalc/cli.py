@@ -398,7 +398,7 @@ def angmom(ctx, j_str: str, variant: str) -> None:
                     f"(form difference {cas.form_difference:.3e})")
         if variant == "symmetric":
             srep = angular.verify_symmetric(j)
-            return {"commutator_residual": srep.residual_plain}, str(srep)
+            return {"commutator_residual": srep.residual}, str(srep)
         trep = angular.verify_tilde(j)
         return ({"anticommutator_residual": trep.anticommutator_residual,
                  "casimir_form_difference": trep.casimir_form_difference},

@@ -91,6 +91,21 @@ def _finite(value, what: str):
     return v
 
 
+def _dyadic(z, keep: int | None = None) -> tuple[int, int, int]:
+    """(a, b, s) with the finite mpf or mpc z = (a + ib) / 2^s exactly, s >= 0: no rounding.
+
+    Given keep, a |z| of 2^keep or more keeps its exponent in s < 0 instead of in a and b,
+    and a part more than keep bits below the other's leading bit is floored to units of
+    2^-keep of it, under 2^(1 - keep) relative to |z|: a and b stay within keep + 1 bits.
+    """
+    (sa, a, ea, _), (sb, b, eb, _) = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, (0, 0, 0, 0))
+    a, b, s = -a if sa else a, -b if sb else b, max(-ea, -eb, 0)
+    if keep is not None:  # ta, tb: the parts' leading bits, of which only a nonzero part's counts
+        ta, tb = ea + a.bit_length(), eb + b.bit_length()
+        s = min(s, keep - (max(ta, tb) if a and b else ta if a else tb))
+    return (a << ea + s if ea + s >= 0 else a >> -ea - s), (b << eb + s if eb + s >= 0 else b >> -eb - s), s
+
+
 # ---------------------------------------------------------------------------
 # Exact integer Fibonacci values
 # ---------------------------------------------------------------------------

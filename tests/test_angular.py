@@ -169,13 +169,19 @@ class TestSymmetricVariant:
     def test_commutator_residual_reported(self):
         rep = verify_symmetric(1)
         # the natural construction misses the target by the unit phase i^{2j-1}
-        assert rep.residual_plain > 1.0
-        assert rep.residual_plain == pytest.approx(abs(1j - 1) * sqrt(5), rel=1e-9)
+        assert rep.residual > 1.0
+        assert rep.residual == pytest.approx(abs(1j - 1) * sqrt(5), rel=1e-9)
 
     def test_both_written_targets_are_one_number(self):
+        # the phase form [2m]_{i phi, i/phi} i^{1-2m} of the target, from the complex bases themselves
+        phi = (1 + sqrt(5)) / 2
+        basic = lambda t: ((1j * phi) ** t - (1j / phi) ** t) / (1j * phi - 1j / phi)
         for j in (Fraction(1, 2), 1, Fraction(7, 2), 25):
-            rep = verify_symmetric(j)
-            assert rep.residual_phase_form == rep.residual_plain
+            rep = build_symmetric(j)
+            comm = np.diag(rep.j_plus @ rep.j_minus - rep.j_minus @ rep.j_plus)
+            ms = [k - j for k in range(len(comm))]
+            phase_form = max(abs(c - basic(int(2 * m)) * 1j ** int(1 - 2 * m)) for c, m in zip(comm, ms))
+            assert verify_symmetric(j).residual == pytest.approx(phase_form, rel=1e-9)
 
     def test_z_commutators_still_hold(self):
         rep = build_symmetric(2)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 import re
+import time
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -27,7 +30,7 @@ from goldencalc.binomials import (
     noncomm_expand,
     remarkable_limit_lhs,
 )
-from goldencalc.core import DomainError, QPhi, ZPhi, fib_range, phi_power_exact
+from goldencalc.core import DEFAULT_DPS, DomainError, QPhi, ZPhi, fib_range, phi_power_exact
 
 
 def brute_poly_mul(p: dict, q: dict) -> dict:
@@ -307,9 +310,9 @@ class TestJacksonExp:
             jackson_exp(-1, 1, 10)
 
 
-def jackson_closed_form(q, x, n_terms: int, precision: int):
-    """sum_k x^k / [k]_q! with [k]_q = (q^k - 1)/(q - 1) (k at q = 1), at 2p + 20 digits."""
-    with mp.workdps(2 * precision + 20):
+def jackson_closed_form(q, x, n_terms: int, precision: int, digits: int | None = None):
+    """sum_k x^k / [k]_q! with [k]_q = (q^k - 1)/(q - 1) (k at q = 1), at 2p + 20 digits unless given."""
+    with mp.workdps(digits or 2 * precision + 20):
         q, x = mp.mpmathify(q), mp.mpmathify(x)
         total = fact = mp.mpf(1)
         for k in range(1, n_terms + 1):
@@ -346,12 +349,26 @@ class TestJacksonExpConformance:
     def test_stop_at_proven_tail(self, precision, q):
         with mp.workdps(2 * precision + 20):
             qv = self.TAIL_BASES[q]()
-        for x in self.ARGS + [0, 20, -20]:
+        # the last five rescale their terms; at -phi^2 the last three also reach the stop after that
+        for x in self.ARGS + [0, 20, -20, 1e300, -3e200 + 1e300j, 1e40 / 5 ** 0.5, -1e40, -1e60]:
             value = jackson_exp(qv, x, 200, precision)
             ref = jackson_closed_form(qv, x, 200, precision)
             with mp.workdps(2 * precision + 20):
                 err = abs(value - ref)
                 assert err <= mp.mpf(10) ** -precision * max(abs(ref), 1), (x, err)
+
+    def test_huge_exponents_stay_out_of_the_ints(self):
+        # |q| or |x| near 2^(3.3e7), and parts 2^(3.3e7) apart: the sums cost what they cost at 1e40
+        with mp.workdps(60):
+            big = mp.mpf("1e10000000")
+            cases = [(big, 5), (2, big), (-big, mp.mpc(1, big)), (mp.mpc(1 / big, big), mp.mpc(big, -1 / big))]
+        for q, x in cases:
+            start = time.perf_counter()
+            value = jackson_exp(q, x, 60)
+            assert time.perf_counter() - start < 0.5, (q, x)
+            ref = jackson_closed_form(q, x, 60, DEFAULT_DPS)
+            with mp.workdps(2 * DEFAULT_DPS + 20):
+                assert abs(value - ref) <= mp.mpf(10) ** -DEFAULT_DPS * max(abs(ref), 1), (q, x)
 
     def test_base_rounding_to_minus_one_refused(self):
         # -1 - 1e-30 is -1 at 16 + 10 working digits, where [2]_q = 1 + q vanishes
@@ -403,7 +420,8 @@ class TestRemarkableLimit:
         misses = []
         for n in (1, 2, 3, 7, 30, 100, 199, 200):
             row = fibonomial_row(n)
-            for y in (0, 1e-30, -1e-30, 0.5, -0.5, 5, -5, 50, -50, 500, -500, 3 + 4j, -40j):
+            for y in (0, 1e-30, -1e-30, 0.5, -0.5, 5, -5, 50, -50, 500, -500, 3 + 4j, -40j, 1e300, -2e300j,
+                      1e40, -1e60):  # at the larger n the last four rescale, and 1e40 and -1e60 then reach the stop
                 got = remarkable_limit_lhs(y, n, dps)
                 with mp.workdps(2 * dps + 60):
                     u = mp.mpmathify(y) / mp.phi ** n
@@ -413,6 +431,180 @@ class TestRemarkableLimit:
                         misses.append((n, y, mp.nstr(err, 3)))
         assert not misses, f"at {dps} digits: {misses}"
 
+    def test_huge_exponents_stay_out_of_the_ints(self):
+        # |y| near 2^(3.3e7), alone or beside a part 2^(3.3e7) smaller: as fast as at y = 1e40
+        with mp.workdps(60):
+            big = mp.mpf("1e10000000")
+        row = fibonomial_row(200)
+        for y in (big, -big, mp.mpc("1e-30", -big)):
+            start = time.perf_counter()
+            got = remarkable_limit_lhs(y, 200)
+            assert time.perf_counter() - start < 0.5, y
+            with mp.workdps(2 * DEFAULT_DPS + 60):
+                u = y / mp.phi ** 200
+                ref = mp.fsum((-1 if k * (k - 1) // 2 % 2 else 1) * c * u ** k for k, c in enumerate(row))
+                assert abs(got - ref) <= mp.mpf(10) ** -DEFAULT_DPS * abs(ref), y
+
     def test_guard(self):
         with pytest.raises(DomainError):
             remarkable_limit_lhs(1.0, 201)
+
+
+# ---------------------------------------------------------------------------
+# The fixed-point sums against exact rational oracles, with no mpmath arithmetic
+# ---------------------------------------------------------------------------
+
+ORACLE_BITS = 500  # the oracles floor their values to units of 2^-500, far below 10^-100
+
+
+class Gauss:
+    """(a + ib) / d with ints a, b and a nonzero int d, never reduced: exact, with no gcd of huge ints."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int = 0, d: int = 1) -> None:
+        self.a, self.b, self.d = a, b, d
+
+    @classmethod
+    def of(cls, z: tuple[Fraction, Fraction]) -> Gauss:
+        re_, im = z
+        return cls(re_.numerator * im.denominator, im.numerator * re_.denominator,
+                   re_.denominator * im.denominator)
+
+    def __add__(self, o: Gauss) -> Gauss:
+        if self.d == o.d:  # the oracles' sums share a denominator: keep it, or it squares a step
+            return Gauss(self.a + o.a, self.b + o.b, self.d)
+        return Gauss(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
+
+    def __mul__(self, o: Gauss) -> Gauss:
+        return Gauss(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a, self.d * o.d)
+
+    def __truediv__(self, o: Gauss) -> Gauss:
+        if o.b == 0 and o.d & o.d - 1 == 0:  # a dyadic divisor: shift, much cheaper than a multiply
+            return Gauss(self.a << o.d.bit_length() - 1, self.b << o.d.bit_length() - 1, self.d * o.a)
+        if o.b == 0:
+            return Gauss(self.a * o.d, self.b * o.d, self.d * o.a)
+        return self * Gauss(o.a * o.d, -o.b * o.d, o.a * o.a + o.b * o.b)
+
+    def scaled(self) -> tuple[int, int]:
+        """(floor(re 2^ORACLE_BITS), floor(im 2^ORACLE_BITS))."""
+        return (self.a << ORACLE_BITS) // self.d, (self.b << ORACLE_BITS) // self.d
+
+
+@lru_cache(maxsize=None)
+def jackson_oracle(q: tuple, x: tuple, n_terms: int) -> tuple[int, int]:
+    """sum_{k<=n} x^k / [k]_q!, [k]_q = 1 + q [k-1]_q, by Horner's rule 1 + x/[1] (1 + x/[2] (1 + ...))."""
+    q, x, one = Gauss.of(q), Gauss.of(x), Gauss(1)
+    basic = [Gauss(0)]
+    for _ in range(n_terms):
+        basic.append(one + q * basic[-1])
+    h = one
+    for k in range(n_terms, 0, -1):
+        h = one + x * h / basic[k]
+    return h.scaled()
+
+
+def _times_sqrt5(num: int, den: int) -> int:
+    """num sqrt(5) / den, scaled by 2^ORACLE_BITS, within two units."""
+    root = isqrt(5 * num * num << 2 * ORACLE_BITS)
+    return (root if num >= 0 else -root) // den
+
+
+@lru_cache(maxsize=None)
+def limit_oracle(y: tuple, n: int) -> tuple[int, int]:
+    """sum_k (-1)^(k(k-1)/2) [n k]_F y^k phi^(-nk) in Q(i)(phi), as A + B phi by Horner's rule in u = y phi^-n."""
+    fib = [0, 1]
+    while len(fib) <= n + 1:
+        fib.append(fib[-1] + fib[-2])
+    fact = [1]
+    for f in fib[1:n + 1]:
+        fact.append(fact[-1] * f)
+    coeff = [Gauss((-1 if k * (k - 1) // 2 % 2 else 1) * fact[n] // (fact[k] * fact[n - k]))
+             for k in range(n + 1)]
+    y = Gauss.of(y)
+    p, r = Gauss((-1) ** n * fib[n + 1]), Gauss(-(-1) ** n * fib[n])  # phi^-n = p + r phi
+    a, b = coeff[n], Gauss(0)
+    for k in range(n - 1, -1, -1):
+        a, b = a * y, b * y
+        a, b = a * p + b * r + coeff[k], a * r + b * p + b * r  # (a + b phi)(p + r phi), phi^2 = phi + 1
+    (ar, ai), (br, bi) = a.scaled(), (b / Gauss(2)).scaled()  # a + b/2 + (b/2) sqrt(5)
+    return ar + br + _times_sqrt5(b.a, 2 * b.d), ai + bi + _times_sqrt5(b.b, 2 * b.d)
+
+
+def _exact_input(z: tuple[Fraction, Fraction]):
+    """The dyadic z as an mpf or mpc, unrounded: the library reads it as given."""
+    with mp.workprec(256):
+        return mp.mpmathify(z[0]) if z[1] == 0 else mp.mpc(mp.mpmathify(z[0]), mp.mpmathify(z[1]))
+
+
+def _scaled(v) -> int:
+    """floor(v 2^ORACLE_BITS) for an mpf v."""
+    man, exp = v.man_exp  # mpmath 1.3's man_exp drops the sign
+    man = -man if v < 0 else man
+    return man << ORACLE_BITS + exp if ORACLE_BITS + exp >= 0 else man >> -(ORACLE_BITS + exp)
+
+
+def _within_digits(got, exact: tuple[int, int], precision: int) -> bool:
+    """|got - exact| <= 10^-precision max(|exact|, 1), allowing the floors' few units of 2^-ORACLE_BITS."""
+    dr, di = _scaled(got.real) - exact[0], _scaled(got.imag) - exact[1]
+    scale = max(isqrt(exact[0] ** 2 + exact[1] ** 2), 1 << ORACLE_BITS)
+    return (isqrt(dr * dr + di * di) + 4) * 10 ** precision <= scale
+
+
+def _dyadic_id(z: tuple[Fraction, Fraction]) -> str:
+    return str(z[0]) if z[1] == 0 else f"{z[0]}{'+' if z[1] > 0 else '-'}{abs(z[1])}i"
+
+
+F = Fraction
+ORACLE_BASES = [(F(2), F(0)), (F(3, 2), F(0)), (F(-5, 2), F(0)), (F(1, 2), F(0)), (F(-1, 2), F(0)),
+                (1 + F(1, 2 ** 60), F(0)), (F(1), F(1))]
+ORACLE_ARGS = [(F(-5), F(0)), (F(19, 4), F(0)), (F(5, 2), F(-3, 2)), (F(-4), F(3))]
+ORACLE_TERMS = (1, 2, 60, 200)
+
+
+class TestFixedPointOracles:
+    """jackson_exp and remarkable_limit_lhs at dyadic inputs against exact Q(i) and Q(i)(phi) sums."""
+
+    @pytest.mark.parametrize("q", ORACLE_BASES, ids=["2", "3/2", "-5/2", "1/2", "-1/2", "1+2^-60", "1+i"])
+    @pytest.mark.parametrize("precision", [16, 34, 60, 100])
+    def test_jackson_exp(self, precision, q):
+        misses = [(_dyadic_id(x), n) for x in ORACLE_ARGS for n in ORACLE_TERMS
+                  if not _within_digits(jackson_exp(_exact_input(q), _exact_input(x), n, precision),
+                                        jackson_oracle(q, x, n), precision)]
+        assert not misses
+
+    # the last two have an imaginary part far below |sum|: the digits hold for the sum as a whole
+    LIMIT_ARGS = [(F(5, 2), F(0)), (F(-19, 4), F(0)), (F(40), F(0)), (F(3), F(4)), (F(-1, 2), F(-5, 4)),
+                  (F(0), F(-1, 2 ** 66)), (F(-3), F(1, 2 ** 200))]
+
+    @pytest.mark.parametrize("y", LIMIT_ARGS, ids=[_dyadic_id(y) for y in LIMIT_ARGS])
+    @pytest.mark.parametrize("precision", [16, 34, 60, 100])
+    def test_remarkable_limit_lhs(self, precision, y):
+        misses = [n for n in ORACLE_TERMS
+                  if not _within_digits(remarkable_limit_lhs(_exact_input(y), n, precision),
+                                        limit_oracle(y, n), precision)]
+        assert not misses
+
+
+class TestKnownDigitLosses:
+    """The two documented losses of jackson_exp stay below ten times the error the fixed-point sum gives."""
+
+    # (q, x, n_terms): {precision: bound on the error relative to the sum}; at 16 digits -1 - 1e-30
+    # rounds to -1 and is refused (test_base_rounding_to_minus_one_refused)
+    BOUNDS = {("-1-1e-30", "0.5", 60): {34: 3.7e-16, 60: 8.8e-43, 100: 9.5e-83},
+              ("-1-1e-30", "0.5", 200): {34: 1.3e-15, 60: 1.1e-42, 100: 1.3e-82},
+              ("1+1e-30", "-37.5", 200): {16: 2.3, 34: 7e-19, 60: 1.2e-44, 100: 4.1e-84}}
+
+    @pytest.mark.parametrize("case", sorted(BOUNDS), ids=lambda c: "q={}_x={}_n={}".format(*c))
+    def test_relative_error_bounded(self, case):
+        q_text, x_text, n_terms = case
+        for precision, bound in self.BOUNDS[case].items():
+            digits = 3 * precision + 40
+            with mp.workdps(digits):
+                sign = -1 if q_text.startswith("-") else 1
+                q, x = sign * (1 + mp.mpf("1e-30")), mp.mpf(x_text)
+            value = jackson_exp(q, x, n_terms, precision)
+            ref = jackson_closed_form(q, x, n_terms, precision, digits)
+            with mp.workdps(digits):
+                err = abs(value - ref) / abs(ref)
+                assert err <= bound, (precision, mp.nstr(err, 3))
