@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import isqrt
+from math import isqrt, prod
 from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 from .core import (
@@ -26,6 +26,8 @@ from .core import (
     _dyadic,
     _finite,
     _integer,
+    _parts,
+    _raw,
     _require,
     fib_exact,
     fib_range,
@@ -136,19 +138,18 @@ class SeriesValue:
 class GoldenSeries:
     """Series sum_n sign(n + shift) k^(n + shift) x^n / F_n!, with sign(n) in {-1, 0, 1}.
 
-    Term n is t0 u_n, t0 = k^shift and u_n = (kx)^n / F_n!, so |u_(n+1) / u_n| =
-    |kx| / F_(n+1).  Once F_(n+1) >= 2|kx|, terms n, n+1, ... sum to at most
-    2|t0 u_n|; `evaluate` stops at the first such n with 2|t0 u_n| <=
-    10^-precision * max(|sum|, 1) and returns 2 |t0| |kx|^n / F_n! (in mpf) as
-    `tail_bound`.  It sums u_n 2^wp as an int pair (re, im): times the exact
-    mantissa of kx, shifted, floor-divided by F_n.  So term n is off by under 3
-    units of 2^-wp plus |kx| / F_n times the error of term n - 1, under 6 units
-    once the ratios are below 1/2, and growing terms keep their relative error
-    from the exact u_0 = 2^wp.  wp is the working precision + 8 bits + -log2 |u_m|
-    for the first m with a nonzero sign (sin_F at tiny x), capped where u_m
-    falls below 10^-precision / (2|t0|) and ends the sum; a term still growing
-    past 2^(wp + 4096) rescales the sum.  The guard digits cover rounding: for
-    |kx| <= 10^5 no term of e_F, E_F, cos_F or sin_F exceeds 10^6 max(|sum|, 1).
+    Term n is t0 u_n, t0 = k^shift and u_n = (kx)^n / F_n!, so |u_(n+1) / u_n| = |kx| / F_(n+1).  Once
+    F_(n+1) >= 2|kx|, terms n, n+1, ... sum to at most 2|t0 u_n|; `evaluate` stops at the first such n with
+    2|t0 u_n| <= 10^-precision * max(|sum|, 1) and returns 2 |t0| |kx|^n / F_n! as `tail_bound`.  It sums
+    u_n 2^wp as an int pair (re, im): times the exact mantissa of kx, shifted, floor-divided by F_n.  So term n
+    is off by under 3 units of 2^-wp plus |kx| / F_n times the error of term n - 1, under 6 units once the
+    ratios are below 1/2, and growing terms keep their relative error from the exact u_0 = 2^wp.  wp is the
+    working precision + 8 bits + -log2 |u_m| for the first m with a nonzero sign (sin_F at tiny x), capped
+    where u_m falls below 10^-precision / (2|t0|) and ends the sum; a term still growing past 2^(wp + 4096)
+    rescales the sum.  The guard digits cover rounding: for |kx| <= 10^5 no term of e_F, E_F, cos_F or sin_F
+    exceeds 10^6 max(|sum|, 1).  The setup (kx, t0, their magnitudes, the stop tolerance) and the finish (the
+    tail bound, the sum times t0) are raw libmp operations, each at the working precision, rounded to nearest
+    as mpf arithmetic rounds it, with no mpf object built on the way.
     """
 
     sign: Callable[[int], int]
@@ -166,17 +167,20 @@ class GoldenSeries:
     def evaluate(self, x, n_terms: int = MAX_EXP_TERMS, precision: int = DEFAULT_DPS) -> SeriesValue:
         _integer("term count", n_terms, 1, MAX_EXP_TERMS)
         with _at_precision(precision) as mp:
-            xv = _finite(x, "series argument")
-            kv = _finite(self.k, "series parameter k")
-            kx, t0 = kv * xv, kv ** self.shift  # term n is t0 u_n with u_n = kx^n / F_n!
-            if not t0:  # k = 0 and shift > 0: every term vanishes
+            import mpmath.libmp as lib  # one module lookup: a from-import of a package costs more
+            xv, prec = _parts(_finite(x, "series argument")), mp.prec
+            kv = _parts(_finite(self.k, "series parameter k"))
+            kx, t0 = lib.mpc_mul(kv, xv, prec, "n"), lib.mpc_pow_int(kv, self.shift, prec, "n")  # term n: t0 u_n
+            abs_t0 = lib.mpc_abs(t0, prec, "n")
+            if abs_t0 == lib.fzero:  # k = 0 and shift > 0: every term vanishes
                 return SeriesValue(value=mp.mpc(0), terms_used=0, tail_bound=mp.zero)
-            a, b, s = _dyadic(kx)
+            a, b, s = _dyadic(mp.make_mpc(kx))
             need = -(-isqrt(((a * a + b * b) << 2) - 1) - 1 >> s) if a or b else 0  # ceil(2|kx|)
             m = next((n for n in range(n_terms + 1) if self.sign(n + self.shift)), 0)
-            low = m * (mp.mag(kx) - 2 - fib_exact(m).bit_length()) if m and kx else 0
-            deep = (10 ** precision).bit_length() + max(mp.mag(t0), m) + 4
-            wp = mp.prec + 8 + max(0, min(-low, deep))
+            mag = max(a.bit_length(), b.bit_length()) + (1 if a and b else 0) - s  # mpmath's mag of kx
+            low = m * (mag - 2 - fib_exact(m).bit_length()) if m and (a or b) else 0
+            deep = (10 ** precision).bit_length() + max(mp.mag(mp.make_mpc(t0)), m) + 4
+            wp = prec + 8 + max(0, min(-low, deep))
             re, im, sre, sim, skipped, tol, top = 1 << wp, 0, 0, 0, 0, None, wp + 4096
             fa, fb = 0, 1  # F_n, F_(n+1)
             for n in count():
@@ -191,8 +195,8 @@ class GoldenSeries:
                 if fb >= need:
                     if tol is None:  # |sum| ends above |total| - 2|t|: one tolerance serves
                         rest = isqrt(sre * sre + sim * sim) - 2 * isqrt(re * re + im * im)
-                        one = min(mp.ldexp(1, wp) / abs(t0), mp.ldexp(2 * 10 ** precision, top))
-                        tol = (max(rest, int(one)) // (2 * 10 ** precision)) ** 2
+                        one = lib.to_int(lib.mpf_div(_raw(1, wp), abs_t0, prec, "n"))
+                        tol = (max(rest, min(one, 2 * 10 ** precision << top)) // (2 * 10 ** precision)) ** 2
                     if re * re + im * im <= tol:
                         break
                 if n <= n_terms:
@@ -200,11 +204,14 @@ class GoldenSeries:
                     sre, sim = sre + sign * re, sim + sign * im
                 else:  # past the cap: terms the bound must still count
                     skipped += isqrt(re * re + im * im) + 1
-            for fact in _fib_factorials(n) if fb >= need else ():
-                pass  # F_n!, for the proven tail
-            tail = mp.inf if fb < need else 2 * abs(kx) ** n / fact + mp.ldexp(skipped, -wp)
-            return SeriesValue(value=mp.mpc(mp.ldexp(sre, -wp), mp.ldexp(sim, -wp)) * t0,
-                               terms_used=min(n, n_terms + 1), tail_bound=abs(t0) * tail)
+            value, tail = (_raw(sre, -wp, prec), _raw(sim, -wp, prec)), lib.finf
+            if fb >= need:  # the proven tail 2 |kx|^n / F_n! + skipped / 2^wp
+                fact = prod(fib_range(1, max(n, 1)))  # F_n! (F_1 = 1 = F_0!), halved below: the same quotient
+                tail = lib.mpf_pow_int(lib.mpc_abs(kx, prec, "n"), n, prec, "n")
+                tail = lib.mpf_add(lib.mpf_div(tail, _raw(fact, -1), prec, "n"), _raw(skipped, -wp), prec, "n")
+            if t0 != lib.mpc_one:  # times 1 is exact
+                value, tail = lib.mpc_mul(value, t0, prec, "n"), lib.mpf_mul(abs_t0, tail, prec, "n")
+            return SeriesValue(mp.make_mpc(value), min(n, n_terms + 1), mp.make_mpf(tail))
 
 
 ExpKind = Literal["small_e", "big_E"]

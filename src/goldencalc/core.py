@@ -5,11 +5,11 @@ the roots of x**2 - x - 1:
 
     F_n = (phi**n - phi'**n) / (phi - phi'),   phi = (1+sqrt(5))/2,  phi' = -1/phi.
 
-This module provides the exact integer side (Fibonacci numbers from a shared
-table of F_-1003 .. F_1003 and, beyond it, by doubling the pair (F_n, L_n) with
-the Lucas numbers L_n = phi**n + phi'**n, the quadratic ring Z[phi]) and the
-analytic side (the complex extension F_z with (-1)**z read as exp(i*pi*z) on
-the principal branch), plus the golden-ratio convergents.
+This module provides the exact integer side (Fibonacci numbers from a shared table of F_-1003 .. F_1003
+and, beyond it, by doubling the pair (F_n, L_n) with the Lucas numbers L_n = phi**n + phi'**n, the ring
+Z[phi]) and the analytic side (the complex extension F_z, (-1)**z read as exp(i*pi*z) on the principal
+branch, as (2/sqrt(5)) e^(-pi y/2) (cos t + i sin t)(sinh A cos B + i cosh A sin B) on mpmath's raw values,
+cos t and sin t exact at half-integer x = 2t/pi), plus the golden-ratio convergents.
 """
 
 from __future__ import annotations
@@ -91,6 +91,17 @@ def _finite(value, what: str):
     return v
 
 
+def _parts(z) -> tuple[tuple, tuple]:
+    """mpmath's raw (re, im) values of an mpf or mpc z, im zero for an mpf."""
+    return z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, (0, 0, 0, 0))
+
+
+def _raw(man: int, exp: int = 0, prec: int = 0) -> tuple:
+    """libmp's from_man_exp(man, exp, prec, "n"), exact at prec 0, counting bits by int.bit_length."""
+    import mpmath.libmp as lib
+    return lib.normalize(int(man < 0), abs(man), exp, man.bit_length(), prec or man.bit_length(), "n")
+
+
 def _dyadic(z, keep: int | None = None) -> tuple[int, int, int]:
     """(a, b, s) with the finite mpf or mpc z = (a + ib) / 2^s exactly, s >= 0: no rounding.
 
@@ -98,7 +109,7 @@ def _dyadic(z, keep: int | None = None) -> tuple[int, int, int]:
     and a part more than keep bits below the other's leading bit is floored to units of
     2^-keep of it, under 2^(1 - keep) relative to |z|: a and b stay within keep + 1 bits.
     """
-    (sa, a, ea, _), (sb, b, eb, _) = z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, (0, 0, 0, 0))
+    (sa, a, ea, _), (sb, b, eb, _) = _parts(z)
     a, b, s = -a if sa else a, -b if sb else b, max(-ea, -eb, 0)
     if keep is not None:  # ta, tb: the parts' leading bits, of which only a nonzero part's counts
         ta, tb = ea + a.bit_length(), eb + b.bit_length()
@@ -436,28 +447,38 @@ class GoldenValue:
         return complex(self.value)
 
 
-@lru_cache(maxsize=4)  # keyed by mpmath's working precision in bits
-def _sinh_constants(prec: int) -> tuple[mpmath.mpc, mpmath.mpf]:
-    """(ln phi - i*pi/2, 2/sqrt(5)) at the current precision, which is `prec` bits."""
-    from mpmath import mp
-    return mp.mpc(mp.ln(mp.phi), -mp.pi / 2), 2 / mp.sqrt(5)
+@lru_cache(maxsize=4)  # keyed by the working precision in bits
+def _binet_constants(wp: int) -> tuple[tuple, tuple, tuple]:
+    """mpmath's raw values of ln phi, pi/2 and 2/sqrt(5), each rounded to `wp` bits."""
+    from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_phi, mpf_pi, mpf_shift, mpf_sqrt
+    return (mpf_log(mpf_phi(wp), wp, "n"), mpf_shift(mpf_pi(wp), -1),
+            mpf_div(from_int(2), mpf_sqrt(from_int(5), wp), wp, "n"))
 
 
 def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> GoldenValue:
-    """F_z = (phi**z - exp(i*pi*z) * phi**-z) / sqrt(5) for complex z.
+    """F_z = (phi**z - exp(i*pi*z) * phi**-z) / sqrt(5) for complex z = x + iy, on mpmath's raw values.
 
-    phi**z is exp(z*log(phi)) on the principal branch; the sign base is read
-    as (-1)**z = exp(i*pi*z). At integer z this reproduces fib_exact(z). The value is
-    (2/sqrt(5)) exp(i*pi*z/2) sinh(z (ln phi - i*pi/2)): sinh keeps the zero at z = 0 to
-    full relative accuracy, but not the zeros z_k = 2*pi*i*k / (2 ln phi - i*pi), k != 0.
+    phi**z is exp(z*log(phi)) on the principal branch and (-1)**z is exp(i*pi*z). The sinh form
+    (2/sqrt(5)) exp(i*pi*z/2) sinh(z (ln phi - i*pi/2)) is written out as (2/sqrt(5)) e^(-pi y/2)
+    (cos t + i sin t)(sinh A cos B + i cosh A sin B), t = pi x/2, A = x ln phi + y pi/2, B = y ln phi - t.
+    cos t and sin t are exact at half-integer x, so F_z is real at integer z, and give B's at y = 0. The zero
+    z = 0 keeps full relative accuracy; the zeros z_k = 2 pi i k / (2 ln phi - i pi), k != 0, do not.
     """
     with _at_precision(precision) as mp:
         zc = _finite(mp.mpc(z), "Re z and Im z")
-        _require(abs(zc.real) <= MAX_EXTENDED_ARG and abs(zc.imag) <= MAX_EXTENDED_ARG,
+        import mpmath.libmp as lib  # one module lookup: a from-import of a package costs more
+        (x, y), wp, bound, mul = zc._mpc_, mp.prec + 12, lib.from_int(MAX_EXTENDED_ARG), lib.mpf_mul
+        _require(lib.mpf_le(lib.mpf_abs(x), bound) and lib.mpf_le(lib.mpf_abs(y), bound),
                  f"|Re z| and |Im z| must not exceed {MAX_EXTENDED_ARG:g}")
-        w, two_over_root5 = _sinh_constants(mp.prec)
-        value = two_over_root5 * mp.expjpi(zc / 2) * mp.sinh(zc * w)
-        return GoldenValue(z=zc, value=value, precision=precision)
+        ln_phi, half_pi, two_over_root5 = _binet_constants(wp)  # A and B carry 12 bits more than the value
+        cos_t, sin_t = lib.mpf_cos_sin_pi(lib.mpf_shift(x, -1), wp, "n")
+        cos_b, sin_b, scale = (cos_t, lib.mpf_neg(sin_t), two_over_root5) if y == lib.fzero else (
+            *lib.mpf_cos_sin(lib.mpf_sub(mul(y, ln_phi), mul(x, half_pi), wp, "n"), wp, "n"),
+            mul(two_over_root5, lib.mpf_exp(lib.mpf_neg(mul(y, half_pi)), wp, "n"), wp, "n"))
+        cosh_a, sinh_a = lib.mpf_cosh_sinh(lib.mpf_add(mul(x, ln_phi), mul(y, half_pi), wp, "n"), wp, "n")
+        value = lib.mpc_mul((mul(scale, cos_t), mul(scale, sin_t)), (mul(sinh_a, cos_b), mul(cosh_a, sin_b)),
+                            mp.prec, "n")  # exact products: each part is rounded once
+        return GoldenValue(z=zc, value=mp.make_mpc(value), precision=precision)
 
 
 def _fib_quotients(name: str, value: int, least: int, precision: int,

@@ -277,7 +277,8 @@ def hamiltonian(ladder: LadderSet, hbar_omega: int | float | str | Fraction = 1.
     _require(scale >= sys.float_info.min, "hbar_omega underflows the Hamiltonian's float entries")
     diagonal = list(map(sum, zip(*ladder.shift.products())))
     _require(scale * max(diagonal) < inf, "hbar_omega overflows the Hamiltonian's float entries")
-    return scale * _diagonal_view(diagonal)
+    import numpy as np  # scale the exact diagonal, not a dense matrix: the same bytes, one array fewer
+    return np.diag(np.array([scale * complex(v) for v in diagonal], dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------

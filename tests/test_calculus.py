@@ -466,6 +466,27 @@ _KINDS = {"small_e": _ONE, "big_E": _BIG_E,
           "cos_F": lambda n: 0 if n % 2 else _BIG_E(n), "sin_F": lambda n: _BIG_E(n) if n % 2 else 0}
 
 
+def _rational_sum(sign, k: Fraction, x: Fraction, shift: int, dps: int) -> Fraction:
+    """sum_n sign(n+shift) k^(n+shift) x^n / F_n! in Fractions, to under 10^-(dps + 30).
+
+    Once F_n >= 2|kx| each later term is at most half the one before, so the terms
+    left out sum to at most twice the first of them.
+    """
+    total, term, f, f_next, n = Fraction(0), k ** shift, 0, 1, 0  # term n = k^(n+shift) x^n / F_n!
+    while True:
+        total += sign(n + shift) * term
+        n, f, f_next = n + 1, f_next, f + f_next
+        term = term * k * x / f
+        if f >= 2 * abs(k * x) and abs(term) * 10 ** (dps + 30) < 1:
+            return total
+
+
+def _as_fraction(v) -> Fraction:
+    """A finite mpf as the Fraction ±man 2^exp (man_exp carries no sign)."""
+    man, exp = v.man_exp
+    return (-1 if v < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
 def _public_call(kind, x, dps):
     fn = golden_exp if kind in ("small_e", "big_E") else golden_trig
     return fn(x, kind, precision=dps)
@@ -508,6 +529,31 @@ class TestFixedPointKernel:
                     assert abs(summed - full) <= sv.tail_bound, x
                     if e <= 0:
                         assert abs(sv.value - summed) <= mp.mpf(10) ** -dps * abs(summed), x
+
+    @pytest.mark.parametrize("dps", [16, 34, 100])
+    @pytest.mark.parametrize("kind", sorted(_KINDS))
+    def test_tail_bound_against_exact_rational_sum(self, kind, dps):
+        """The claimed bound, checked against a Fraction sum: the oracle calls no mpmath.
+
+        |value - exact| <= tail_bound + 2 10^-p max(|exact|, 1) for dyadic x, capped at 6 terms or not
+        (past the cap the terms still count towards a finite bound), and uncapped the bound is
+        itself below 10^-p max(|value|, 1).
+        """
+        rng = random.Random(dps)
+        for k in (1, Fraction(1, 2), 2, -1):
+            for shift in range(3):
+                series = GoldenSeries(_KINDS[kind], k, shift)
+                for x in [Fraction(rng.randint(-4096, 4096), 256) for _ in range(3)]:
+                    exact = _rational_sum(_KINDS[kind], Fraction(k), x, shift, dps)
+                    slack = 2 * Fraction(1, 10 ** dps) * max(abs(exact), 1)
+                    for n_terms in (MAX_EXP_TERMS, 6):
+                        sv = series.evaluate(float(x), n_terms=n_terms, precision=dps)
+                        case = (k, shift, x, n_terms)
+                        assert _as_fraction(sv.value.imag) == 0, case
+                        value, bound = _as_fraction(sv.value.real), _as_fraction(sv.tail_bound)
+                        assert abs(value - exact) <= bound + slack, case
+                        if n_terms == MAX_EXP_TERMS:
+                            assert bound <= Fraction(1, 10 ** dps) * max(abs(value), 1), case
 
     def test_odd_series_at_tiny_argument(self):
         assert cli.run_command(["--precision", "34", "trig", "1e-30", "--kind", "sin_F"])[1].payload \

@@ -143,6 +143,19 @@ class TestFormats:
         text = payload(["--format", "csv", "fibx", "0.5"])
         assert text.splitlines()[0] == "re,im"
 
+    @pytest.mark.parametrize("dps", [16, 34, 100])
+    def test_fibx_at_integers_prints_a_zero_imaginary_part(self, dps):
+        # F_n is real at every integer n: each format prints F_n and an imaginary part of exactly 0
+        for n in range(-60, 61):
+            argv = ["--precision", str(dps), "fibx", str(n)]
+            plain = payload(argv).strip()
+            assert plain.startswith("(") and plain.endswith(" + 0.0j)"), (n, plain)
+            assert Decimal(plain[1:-len(" + 0.0j)")]) == fib_exact(n), (n, plain)
+            value = json.loads(payload(["--format", "json"] + argv))["value"]
+            assert value["im"] == "0.0" and Decimal(value["re"]) == fib_exact(n), (n, value)
+            re, im = payload(["--format", "csv"] + argv).splitlines()[1].split(",")
+            assert im == "0.0" and Decimal(re) == fib_exact(n), (n, re, im)
+
     def test_csv_always_has_header(self):
         for argv in (["fib", "3"], ["ratios", "--n-max", "3"],
                      ["binom", "2"], ["verify", "--only", "core.addition-law"]):

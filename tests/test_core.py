@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import random
 from fractions import Fraction
 
@@ -344,6 +345,33 @@ class TestFibExtended:
                 err = abs(got - ref) / max(abs(ref), 1)
                 if err > mp.mpf(10) ** -dps:
                     misses.append((z, mp.nstr(err, 3)))
+        assert not misses, f"at {dps} digits: {misses}"
+
+    @pytest.mark.parametrize("dps", [16, 34, 60, 100])
+    def test_whole_domain_conformance(self, dps):
+        # Seeded real points over [-1000, 1000] (integers, half-integers, |x| from 1e-1 to 1e-60) and
+        # complex points in the box at least 1e-3 from every zero z_k = 2 pi i k / (2 ln phi - i pi), k != 0.
+        rng = random.Random(dps)
+        w = 2 * cmath.log((1 + 5 ** 0.5) / 2) - 1j * cmath.pi
+        zeros = [2j * cmath.pi * k / w for k in range(-600, 601) if k]
+        reals = [rng.uniform(-1000, 1000) for _ in range(30)] + [rng.randint(-1000, 1000) for _ in range(10)]
+        reals += [rng.randint(-2000, 2000) / 2 for _ in range(10)] + [-1000, 1000, -999.5, 999.5]
+        reals += [rng.choice((-1, 1)) * 10.0 ** -rng.uniform(1, 60) for _ in range(20)]
+        box = []
+        while len(box) < 30:
+            z = complex(rng.uniform(-1000, 1000), rng.uniform(-1000, 1000) * rng.choice((1, 1e-3, 1e-30)))
+            if min(abs(z - zk) for zk in zeros) >= 1e-3:
+                box.append(z)
+        misses = []
+        for z in reals + box:
+            got = fib_extended(z, dps).value
+            zz = mp.mpmathify(z)
+            # the Binet difference cancels about -log10|z| digits near z = 0
+            with mp.workdps(3 * dps + 20 + max(0, -int(mp.log10(abs(zz))))):
+                ref = (mp.power(mp.phi, zz) - mp.expjpi(zz) * mp.power(mp.phi, -zz)) / mp.sqrt(5)
+                err = abs(got - ref) / abs(ref)
+            if err > mp.mpf(10) ** -dps or (z == int(z.real) and got.imag != 0):
+                misses.append((z, mp.nstr(err, 3), mp.nstr(got.imag, 3)))
         assert not misses, f"at {dps} digits: {misses}"
 
 

@@ -384,6 +384,21 @@ class TestHamiltonianArguments:
         assert h.dtype == np.complex128
         assert h.tobytes() == (scale * _hamiltonian_diagonal(12)).tobytes()
 
+    @pytest.mark.parametrize("dim", [2, 3, 50, 200])
+    @pytest.mark.parametrize("value", [1.0, 1, Fraction(7, 3), 2.5, 1e-300, 1e300, "1/3"],
+                             ids=["1.0", "1", "7/3", "2.5", "1e-300", "1e300", "'1/3'"])
+    def test_same_array_as_scaling_the_dense_matrix(self, dim, value):
+        # the scale times each exact diagonal entry, against the scale times the dense complex128 matrix
+        scale = float(Fraction(str(value)) if isinstance(value, float) else Fraction(value)) / 2
+        if not isfinite(scale * fib_exact(dim)):
+            with pytest.raises(DomainError, match="overflows"):
+                hamiltonian(build_ladder(dim), value)
+            return
+        dense = scale * _hamiltonian_diagonal(dim)
+        h = hamiltonian(build_ladder(dim), value)
+        assert (h.dtype, h.shape, h.flags.writeable) == (dense.dtype, dense.shape, dense.flags.writeable)
+        assert h.tobytes() == dense.tobytes()
+
     @pytest.mark.parametrize("dim", [2, 12, 200])
     def test_float_sweep_bit_identical(self, dim):
         """Every finite positive float scales as x / 2 times the diagonal, or is refused.
