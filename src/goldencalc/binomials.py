@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count, cycle
 from math import inf, isqrt
 from operator import mul
 from typing import TYPE_CHECKING, Iterator, Literal
@@ -29,8 +29,11 @@ from .core import (
     _at_precision,
     _dyadic,
     _finite,
+    _halving,
     _integer,
+    _ratio_series,
     _rational,
+    _raw,
     _require,
     fib_range,
     phi_power_exact,
@@ -315,50 +318,16 @@ def golden_base(precision: int = DEFAULT_DPS) -> mpmath.mpf:
         return -(mp.phi ** 2)
 
 
-def _tolerance(sre: int, sim: int, re: int, im: int, scale: int, prec: int) -> int:
-    """(eps max(|sum| - |term|, 1))^2, eps = 2^(1 - prec), for ints scaled by 2^scale; 1 is at least one unit."""
-    return (max(isqrt(sre * sre + sim * sim) - isqrt(re * re + im * im), 1 << max(scale, 0)) >> prec - 1) ** 2
-
-
-def _ge(a: int, b: int, n: int) -> bool:
-    """a >= b 2^n for ints a and b, shifting only towards smaller ints, whatever the sign of n."""
-    return a >> n >= b if n >= 0 else a >= -(-b >> -n)
-
-
-def _scaled(pr: int, pi: int, shift: int, d: int, top: int) -> tuple[int, int, int]:
-    """(floor(pr / (d 2^r)), floor(pi / (d 2^r)), drop) with r = shift + drop, each one floor.
-
-    drop >= 0 is the fewest bits that keep the parts below 2^(top + 1), and a negative r
-    shifts left, so a binary exponent in shift never grows the ints, however large it is.
-    """
-    bits = max(pr.bit_length(), pi.bit_length())
-    r = max(shift, bits - d.bit_length() - top) if bits else shift
-    if r < 0:
-        return (pr << -r) // d, (pi << -r) // d, r - shift
-    return (pr >> r) // d, (pi >> r) // d, r - shift
-
-
 def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath.mpc:
     """Jackson q-exponential: sum_{k=0}^{n_terms} x^k / [k]_q!.
 
-    [k]_q = (q^k - 1)/(q - 1) = 1 + q + ... + q^{k-1} comes from its
-    recurrence [k]_q = 1 + q [k-1]_q, [0]_q = 0, so q = 1 gives [k]_q = k
-    exactly and the classical exponential.  Each term is the last one times
-    x / [k]_q, in fixed point: [k]_q, the terms and the sum are int pairs (re, im), [k]_q
-    scaled by 2^bs and the rest by 2^wp, both from wp = the working precision + 8 bits,
-    with q and x split by `core._dyadic` (keep = 2 wp).  Each step truncates: [k]_q gains
-    under two units, and a term is off by under one unit plus |x / [k]_q| times the error
-    of the last.  Before the proven tail a term past 2^(2 wp) units lowers wp by the
-    excess and shifts the sum down with it (`_scaled`), so the term keeps about 2 wp bits,
-    and a [k]_q past 2^(2 wp) units lowers bs the same way: the ints stay bounded however
-    large x or q is.  The error bound is on the complex sum as a whole: a part far below
-    |sum| keeps its absolute digits only.  [k]_q below 2^-prec is zero at the working
-    precision, a DomainError.
-    The sum stops early at a proven tail: once |[k]_q| >= 2|x| and [j]_q cannot shrink
-    (q real >= 1, or (|q| - 1) |[k]_q| >= 1, as |[j+1]_q| >= |q| |[j]_q| - 1), each later
-    ratio |x / [j]_q| is at most 1/2, so the terms after k sum to at most |term_k|, and
-    the first such k with |term_k| <= eps max(|sum|, 1) ends it.  Both need q real >= 1
-    or |q| > 1, where no [j]_q vanishes, so the stop never skips the DomainError.
+    [k]_q = (q^k - 1)/(q - 1) comes from its recurrence [k]_q = 1 + q [k-1]_q, [0]_q = 0, so q = 1 gives
+    [k]_q = k exactly and the classical exponential.  `core._ratio_series` sums the terms with M_k =
+    x conj([k]_q) and d_k = |[k]_q|^2; [k]_q is an int pair scaled by 2^bs, bs = the working precision + 8
+    bits, from q and x split by `core._dyadic` (keep = 2 bs), truncated by under two units a step and
+    rescaled past 2^(2 bs) units.  A [k]_q below 2^-prec is zero at that precision, a DomainError.  Term k
+    is proven once |[k+1]_q| >= 2|x| and [j]_q cannot shrink (q real >= 1, or (|q| - 1) |[k+1]_q| >= 1,
+    as |[j+1]_q| >= |q| |[j]_q| - 1), so no later [j]_q vanishes.  The error bound is on the complex sum.
 
     Two known digit losses, with no retry at more working digits yet: near q = -1 the recurrence
     cancels (q = -1 - 1e-30, x = 0.5 is off by ~1.2e-16 relative at 34 digits with 200 terms), and at
@@ -367,76 +336,52 @@ def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath
     """
     _integer("term count", n_terms, 1, MAX_SERIES_TERMS)
     with _at_precision(precision) as mp:
-        bw = mp.prec + 8  # grow is scaled by 2^bw, [k]_q by 2^bs, the terms and the sum by 2^wp
+        bw = mp.prec + 8
         (qa, qb, qs), (xa, xb, xs) = _dyadic(_finite(q, "base"), 2 * bw), _dyadic(_finite(x, "argument"), 2 * bw)
-        bs, wp, top = bw, bw, 2 * bw  # an int past 2^top rescales
-        one = unit = 1 << bw  # unit is 1 at [k]_q's scale
-        # floor((|q| - 1) 2^bw), or 2^bw where it is at least that: a real q >= 1, whose
-        # [k]_q >= 1 cannot shrink, and |q| >= 2^(2 bw), where qs < 0
+        # floor((|q| - 1) 2^bw), or 2^bw for a real q >= 1 and for |q| >= 2^(2 bw) (qs < 0), squared if positive
+        one = 1 << bw
         grow = one if qs < 0 or qb == 0 and qa >= 1 << qs else (isqrt(qa * qa + qb * qb << 2 * bw) >> qs) - one
-        x4 = xa * xa + xb * xb << 2  # (2|x|)^2 2^(2 xs)
-        re, im, sre, sim, br, bi, tol = one, 0, one, 0, one, 0, -1  # [1]_q = 1; tol is set at the proven tail
-        for k in range(1, n_terms + 1):
-            norm = br * br + bi * bi
-            if norm < 1 << 16:  # |[k]_q| < 2^-prec; a rescaled [k]_q is far above 1
-                raise DomainError(f"basic factorial [{k}]_q! vanishes for q = {q}")
-            pr, pi = re * xa - im * xb, re * xb + im * xa
-            pr, pi = pr * br + pi * bi, pi * br - pr * bi
-            if tol < 0:  # the terms may still grow
-                re, im, drop = _scaled(pr, pi, xs - bs, norm, top)
-                sre, sim, wp = (sre >> drop) + re, (sim >> drop) + im, wp - drop
-                if _ge(norm, x4, 2 * (bs - xs)) and _ge(grow * isqrt(norm), 1, bw + bs):
-                    tol = _tolerance(sre, sim, re, im, wp, mp.prec)  # |sum| stays above |total| - |term|
-            else:  # past the proven tail the terms only shrink, so no rescale
-                e, d = (bs - xs, norm) if bs >= xs else (0, norm << xs - bs)
-                re, im = (pr << e) // d, (pi << e) // d
-                sre, sim = sre + re, sim + im
-            if re * re + im * im <= tol:
-                break
-            if qs >= 0 and norm >> 2 * top == 0:  # [k+1]_q = 1 + q [k]_q, with |[k]_q| below 2^top units
-                br, bi = unit + (qa * br - qb * bi >> qs), qa * bi + qb * br >> qs
-            else:  # the same with a rescale, where 1 falls below one unit once bs < 0
-                br, bi, drop = _scaled(qa * br - qb * bi, qa * bi + qb * br, qs, 1, top)
-                bs -= drop
-                unit = 1 << bs if bs >= 0 else 0
-                br += unit
-        return mp.mpc(mp.ldexp(sre, -wp), mp.ldexp(sim, -wp))
+        grow = grow * grow if grow > 0 else 0
+
+        def steps():
+            br, bi, bs, unit, a, b, s, d, proven = one, 0, bw, one, 0, 0, 0, 1, False  # [1]_q at scale 2^bs
+            for k in range(n_terms + 1):  # step 0 reads no M or d
+                if k and d < 1 << 16:  # |[k]_q| < 2^-prec; a rescaled [k]_q is far above 1
+                    raise DomainError(f"basic factorial [{k}]_q! vanishes for q = {q}")
+                norm = br * br + bi * bi  # the next step, x / [k+1]_q = x conj([k+1]_q) / |[k+1]_q|^2
+                na, nb, ns = xa * br + xb * bi, xb * br - xa * bi, xs - bs
+                proven = (proven or k == n_terms
+                          or (grow * norm).bit_length() > 2 * (bw + bs) and _halving(na, nb, ns, norm))
+                yield a, b, s, d, proven, 1
+                a, b, s, d = na, nb, ns, norm
+                pr, pi = qa * br - qb * bi, qa * bi + qb * br  # [k+2]_q = 1 + q [k+1]_q
+                r = qs
+                if qs < 0 or norm >> 4 * bw:  # keep [k+2]_q within about 2 bw bits
+                    r = max(qs, 0, pr.bit_length() - 2 * bw, pi.bit_length() - 2 * bw)
+                    bs -= r - qs
+                    unit = 1 << bs if bs >= 0 else 0
+                br, bi = (pr >> r) + unit, pi >> r
+
+        re, im, wp, _, _, _ = _ratio_series(steps(), bw, 1 << mp.prec)
+        return mp.make_mpc((_raw(re, -wp, mp.prec), _raw(im, -wp, mp.prec)))
 
 
 def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
     """(1 + y/phi^n)_F^n by its finite Fibonomial expansion sum_k s_k [n k]_F u^k, u = y/phi^n.
 
-    As n grows this approaches the Jackson exponential e_{-phi^2}(y/sqrt(5)).
-    Each term is the last one times t_(k+1) / t_k = (-1)^k u F_(n-k) / F_(k+1), in fixed point
-    as in jackson_exp: times u's mantissa and F_(n-k), then u's binary exponent shifted out and
-    F_(k+1) floor-divided, so a term is off by under one unit of 2^-wp plus the ratio times the
-    error of the last, and until the proven tail a term past 2^(2 wp) units rescales wp and the sum.
-    As there, the error bound is on the complex sum as a whole.  The sum stops early at a
-    proven tail: |t_(k+1) / t_k| never increases with k, so once it is at most 1/2 the terms
-    after t_k sum to at most |t_k|.  As in jackson_exp, the first such k fixes the tolerance
-    eps max(|total| - |t_k|, 1), at most eps max(|sum|, 1), and the first term from there on
-    that is within it ends the sum.
+    As n grows this approaches the Jackson exponential e_{-phi^2}(y/sqrt(5)).  `core._ratio_series` sums it
+    with M_k = (-1)^(k-1) u F_(n-k+1), u split by `core._dyadic` (keep = 2 wp), and d_k = F_k; the ratios
+    never grow, so term k is proven once the next is at most 1/2.  The error bound is on the complex sum.
     """
     _integer("degree", n, 1, MAX_SERIES_TERMS)
     with _at_precision(precision) as mp:
-        fibs, wp = fib_range(0, n), mp.prec + 8  # the terms and the sum are scaled by 2^wp
+        fibs, wp = fib_range(0, n + 1), mp.prec + 8
         ua, ub, us = _dyadic(_finite(y, "argument") / mp.power(mp.phi, n), 2 * wp)
-        top, u4 = 2 * wp, ua * ua + ub * ub << 2  # an int past 2^top rescales; (2|u|)^2 2^(2 us)
-        re, im, sre, sim, tol = 1 << wp, 0, 1 << wp, 0, -1  # tol is set at the proven tail
-        for k in range(n):
-            if tol < 0 and _ge(fibs[k + 1] ** 2, u4 * fibs[n - k] ** 2, -2 * us):
-                tol = _tolerance(sre, sim, re, im, wp, mp.prec)  # |sum| stays above |total| - |term|
-            if re * re + im * im <= tol:
-                break
-            f, g = -fibs[n - k] if k % 2 else fibs[n - k], fibs[k + 1]
-            pr, pi = (re * ua - im * ub) * f, (re * ub + im * ua) * f
-            if tol < 0:  # the terms may still grow
-                re, im, drop = _scaled(pr, pi, us, g, top)
-                sre, sim, wp = (sre >> drop) + re, (sim >> drop) + im, wp - drop
-            else:  # past the proven tail |u| <= F_n / 2 < 2^(2 wp), so us >= 0, and the terms only shrink
-                re, im = (pr >> us) // g, (pi >> us) // g
-                sre, sim = sre + re, sim + im
-        return mp.mpc(mp.ldexp(sre, -wp), mp.ldexp(sim, -wp))
+        first = next(k for k in range(n + 1) if _halving(ua * fibs[n - k], ub * fibs[n - k], us, fibs[k + 1]))
+        steps = ((ua * f, ub * f, us, g, k >= first, 1)  # f = (-1)^(k-1) F_(n+1-k)
+                 for k, f, g in zip(count(), map(mul, reversed(fibs), cycle((-1, 1))), fibs))
+        re, im, wp, _, _, _ = _ratio_series(steps, wp, 1 << mp.prec)
+        return mp.make_mpc((_raw(re, -wp, mp.prec), _raw(im, -wp, mp.prec)))
 
 
 def remarkable_limit(y, n: int, precision: int = DEFAULT_DPS) -> tuple[mpmath.mpc, mpmath.mpc, mpmath.mpf]:

@@ -13,20 +13,24 @@ polynomials, a geometric-grid sum for callables).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import isqrt, prod
+from itertools import chain, count, islice, repeat
+from math import isqrt
 from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 from .core import (
     DEFAULT_DPS,
     DomainError,
+    _FIB_TABLE,
+    _FIB_TABLE_INDEX as _T,
     _at_precision,
     _dyadic,
     _finite,
     _integer,
     _parts,
+    _ratio_series,
     _raw,
     _require,
     fib_exact,
@@ -138,18 +142,12 @@ class SeriesValue:
 class GoldenSeries:
     """Series sum_n sign(n + shift) k^(n + shift) x^n / F_n!, with sign(n) in {-1, 0, 1}.
 
-    Term n is t0 u_n, t0 = k^shift and u_n = (kx)^n / F_n!, so |u_(n+1) / u_n| = |kx| / F_(n+1).  Once
-    F_(n+1) >= 2|kx|, terms n, n+1, ... sum to at most 2|t0 u_n|; `evaluate` stops at the first such n with
-    2|t0 u_n| <= 10^-precision * max(|sum|, 1) and returns 2 |t0| |kx|^n / F_n! as `tail_bound`.  It sums
-    u_n 2^wp as an int pair (re, im): times the exact mantissa of kx, shifted, floor-divided by F_n.  So term n
-    is off by under 3 units of 2^-wp plus |kx| / F_n times the error of term n - 1, under 6 units once the
-    ratios are below 1/2, and growing terms keep their relative error from the exact u_0 = 2^wp.  wp is the
-    working precision + 8 bits + -log2 |u_m| for the first m with a nonzero sign (sin_F at tiny x), capped
-    where u_m falls below 10^-precision / (2|t0|) and ends the sum; a term still growing past 2^(wp + 4096)
-    rescales the sum.  The guard digits cover rounding: for |kx| <= 10^5 no term of e_F, E_F, cos_F or sin_F
-    exceeds 10^6 max(|sum|, 1).  The setup (kx, t0, their magnitudes, the stop tolerance) and the finish (the
-    tail bound, the sum times t0) are raw libmp operations, each at the working precision, rounded to nearest
-    as mpf arithmetic rounds it, with no mpf object built on the way.
+    Term n is t0 u_n, t0 = k^shift and u_n = (kx)^n / F_n!: `core._ratio_series` sums the u_n with M_n = kx
+    and d_n = F_n, proven once F_(n+1) >= 2|kx|, until the rest is at most 10^-precision max(|value|, 1), and
+    |t0| rounded up scales its tail bound.  wp is the working precision + 8 bits + -log2 |u_m| for the first m
+    with a nonzero sign (sin_F at tiny x), capped where u_m falls below 10^-precision / (2|t0|).  The guard
+    digits cover rounding: for |kx| <= 10^5 no term of e_F, E_F, cos_F or sin_F exceeds 10^6 max(|sum|, 1).
+    kx, t0 and the product by t0 are raw libmp operations at the working precision, rounded to nearest.
     """
 
     sign: Callable[[int], int]
@@ -180,37 +178,19 @@ class GoldenSeries:
             mag = max(a.bit_length(), b.bit_length()) + (1 if a and b else 0) - s  # mpmath's mag of kx
             low = m * (mag - 2 - fib_exact(m).bit_length()) if m and (a or b) else 0
             deep = (10 ** precision).bit_length() + max(mp.mag(mp.make_mpc(t0)), m) + 4
-            wp = prec + 8 + max(0, min(-low, deep))
-            re, im, sre, sim, skipped, tol, top = 1 << wp, 0, 0, 0, 0, None, wp + 4096
-            fa, fb = 0, 1  # F_n, F_(n+1)
-            for n in count():
-                if n:
-                    fa, fb = fb, fa + fb
-                    re, im = ((re * a - im * b) >> s) // fa, ((re * b + im * a) >> s) // fa
-                    if fb < need and (d := max(re, -re, im, -im).bit_length() - top) > 0:
-                        re, im, sre, sim, wp = re >> d, im >> d, sre >> d, sim >> d, wp - d
-                        skipped = (skipped >> d) + 1
-                if n > n_terms and (fb >= need or need > fib_exact(n_terms + MAX_EXP_TERMS + 2)):
-                    break  # past F_(n_terms + MAX_EXP_TERMS + 2) no bound is finite
-                if fb >= need:
-                    if tol is None:  # |sum| ends above |total| - 2|t|: one tolerance serves
-                        rest = isqrt(sre * sre + sim * sim) - 2 * isqrt(re * re + im * im)
-                        one = lib.to_int(lib.mpf_div(_raw(1, wp), abs_t0, prec, "n"))
-                        tol = (max(rest, min(one, 2 * 10 ** precision << top)) // (2 * 10 ** precision)) ** 2
-                    if re * re + im * im <= tol:
-                        break
-                if n <= n_terms:
-                    sign = self.sign(n + self.shift)
-                    sre, sim = sre + sign * re, sim + sign * im
-                else:  # past the cap: terms the bound must still count
-                    skipped += isqrt(re * re + im * im) + 1
-            value, tail = (_raw(sre, -wp, prec), _raw(sim, -wp, prec)), lib.finf
-            if fb >= need:  # the proven tail 2 |kx|^n / F_n! + skipped / 2^wp
-                fact = prod(fib_range(1, max(n, 1)))  # F_n! (F_1 = 1 = F_0!), halved below: the same quotient
-                tail = lib.mpf_pow_int(lib.mpc_abs(kx, prec, "n"), n, prec, "n")
-                tail = lib.mpf_add(lib.mpf_div(tail, _raw(fact, -1), prec, "n"), _raw(skipped, -wp), prec, "n")
+            # u_n is proven once F_(n+1) >= need; past F_(n_terms + MAX_EXP_TERMS + 2) no bound is finite
+            last = n_terms + MAX_EXP_TERMS + 2
+            first = bisect_left(_FIB_TABLE, need, _T + 1, _T + last + 1) - _T - 1
+            steps = zip(repeat(a), repeat(b), repeat(s), map(_FIB_TABLE.__getitem__, range(_T, _T + last)),
+                        chain(repeat(False, first), repeat(True)), map(self.sign, count(self.shift)))
+            wp, floor = prec + 8 + max(0, min(-low, deep)), lib.mpf_div(lib.fone, abs_t0, prec, "n")  # |value| = 1
+            re, im, wp, n, _, tail = _ratio_series(islice(steps, n_terms + 1) if first == last else steps,
+                                                  wp, 2 * 10 ** precision, floor, n_terms)
+            value = _raw(re, -wp, prec), _raw(im, -wp, prec)
+            tail = lib.finf if tail is None else lib.from_man_exp(tail, -wp, 30, "u")  # rounded up at 30 bits
             if t0 != lib.mpc_one:  # times 1 is exact
-                value, tail = lib.mpc_mul(value, t0, prec, "n"), lib.mpf_mul(abs_t0, tail, prec, "n")
+                value = lib.mpc_mul(value, t0, prec, "n")
+                tail = lib.mpf_mul(lib.mpc_abs(t0, 30, "u"), tail, 30, "u")
             return SeriesValue(mp.make_mpc(value), min(n, n_terms + 1), mp.make_mpf(tail))
 
 

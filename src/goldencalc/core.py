@@ -7,9 +7,9 @@ the roots of x**2 - x - 1:
 
 This module provides the exact integer side (Fibonacci numbers from a shared table of F_-1003 .. F_1003
 and, beyond it, by doubling the pair (F_n, L_n) with the Lucas numbers L_n = phi**n + phi'**n, the ring
-Z[phi]) and the analytic side (the complex extension F_z, (-1)**z read as exp(i*pi*z) on the principal
-branch, as (2/sqrt(5)) e^(-pi y/2) (cos t + i sin t)(sinh A cos B + i cosh A sin B) on mpmath's raw values,
-cos t and sin t exact at half-integer x = 2t/pi), plus the golden-ratio convergents.
+Z[phi]) and the analytic side: the complex extension F_z on mpmath's raw values, (-1)**z read as
+exp(i*pi*z) on the principal branch; the fixed-point loop that sums every power series of the library from
+its term ratios; and the golden-ratio convergents.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
+from sys import maxsize
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -115,6 +116,59 @@ def _dyadic(z, keep: int | None = None) -> tuple[int, int, int]:
         ta, tb = ea + a.bit_length(), eb + b.bit_length()
         s = min(s, keep - (max(ta, tb) if a and b else ta if a else tb))
     return (a << ea + s if ea + s >= 0 else a >> -ea - s), (b << eb + s if eb + s >= 0 else b >> -eb - s), s
+
+
+def _halving(a: int, b: int, s: int, d: int) -> bool:
+    """|a + ib| / (2^s d) <= 1/2, exactly, shifting only towards smaller ints whatever the sign of s."""
+    m, dd = a * a + b * b << 2, d * d
+    return (-(-m >> 2 * s) <= dd) if s >= 0 else m <= dd >> -2 * s
+
+
+def _ratio_series(steps, wp: int, den: int, floor: tuple = (0, 1, 0, 1), cap: int = maxsize):
+    """sum_k w_k t_k, t_0 = 1 and t_k = t_(k-1) M_k / d_k, in fixed point: the one loop of every series.
+
+    `steps` yields (a, b, s, d, proven, w) for k = 0, 1, ...: M_k = (a + ib) / 2^s, s of either sign, and the
+    int d_k > 0 (neither read at k = 0), the weight w_k in {-1, 0, 1}, and `proven` once every ratio after
+    step k is at most 1/2 in modulus, so the terms from t_k on sum to at most 2|t_k|.  The terms and the sum
+    are int pairs scaled by 2^wp; t_k = floor(floor(t_(k-1) M_k / 2^s) / d_k) is off by under 3 units plus
+    |M_k / d_k| times the error of t_(k-1).  Up to the first proven step, a step that would take a term past
+    2^(wp0 + 4096) units, wp0 the starting wp, first lowers wp by the excess, so the ints stay bounded.  The
+    first proven step fixes the tolerance max(|sum| - 2|t|, |floor| 2^wp) / den, `floor` an mpf's raw value,
+    and the first term within it ends the sum unsummed.  Past index `cap` terms are skipped until one is proven.
+    Returns (re, im, wp, n, mags, tail): the sum at scale 2^wp; the n terms read; mags ~ sum |t_k|, as |re| + |im|
+    up to the first proven t_m and twice that of t_m; and the int tail in units of 2^-wp, None if the steps
+    ran out unproven: 2|t_n|, the skipped terms and 3n (1 + |t| / 2^(wp0 - 1)) units of error in each, which
+    bounds the unsummed moduli while |M_k / d_k| never grows with k, as no term before t_n is then below
+    min(1, |t_n|).
+    """
+    re, im, sre, sim, mags, skipped, top, tol = 1 << wp, 0, 0, 0, 0, 0, wp + 4096, None
+    for n, (a, b, s, d, proven, w) in enumerate(steps):
+        if n:
+            pr, pi = re * a - im * b, re * b + im * a
+            if tol is None and (e := max(pr.bit_length(), pi.bit_length()) - s - d.bit_length() - top) > 0:
+                s, wp, sre, sim = s + e, wp - e, sre >> e, sim >> e
+                mags, skipped = (mags >> e) + 1, (skipped >> e) + 1
+            re, im = ((pr >> s) // d, (pi >> s) // d) if s >= 0 else ((pr << -s) // d, (pi << -s) // d)
+        if proven:
+            if n > cap:
+                break
+            if tol is None:  # from here on the terms only shrink
+                _, m, e, _ = floor
+                mags += 2 * (abs(re) + abs(im))
+                rest = isqrt(sre * sre + sim * sim) - 2 * isqrt(re * re + im * im)
+                tol = (max(rest, min(m << e + wp if e + wp >= 0 else m >> -e - wp, den << top)) // den) ** 2
+            if re * re + im * im <= tol:
+                break
+        elif n > cap:
+            skipped += abs(re) + abs(im)
+            continue
+        else:
+            mags += abs(re) + abs(im)
+        sre, sim = sre + w * re, sim + w * im
+    else:
+        return sre, sim, wp, n + 1, mags, None
+    bound = skipped + (2 * isqrt(re * re + im * im) + 2 if a or b or not n else 0)  # M_n = 0: the rest is 0
+    return sre, sim, wp, n, mags, bound + 3 * n * (n + 2) * (1 + (bound >> top - 4097)) if bound else 0
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +512,14 @@ def _binet_constants(wp: int) -> tuple[tuple, tuple, tuple]:
 def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> GoldenValue:
     """F_z = (phi**z - exp(i*pi*z) * phi**-z) / sqrt(5) for complex z = x + iy, on mpmath's raw values.
 
-    phi**z is exp(z*log(phi)) on the principal branch and (-1)**z is exp(i*pi*z). The sinh form
-    (2/sqrt(5)) exp(i*pi*z/2) sinh(z (ln phi - i*pi/2)) is written out as (2/sqrt(5)) e^(-pi y/2)
-    (cos t + i sin t)(sinh A cos B + i cosh A sin B), t = pi x/2, A = x ln phi + y pi/2, B = y ln phi - t.
-    cos t and sin t are exact at half-integer x, so F_z is real at integer z, and give B's at y = 0. The zero
-    z = 0 keeps full relative accuracy; the zeros z_k = 2 pi i k / (2 ln phi - i pi), k != 0, do not.
+    phi**z is exp(z*log(phi)) on the principal branch and (-1)**z is exp(i*pi*z). At real z = x the parts
+    (phi^x - cos(pi x) phi^-x) / sqrt(5) and -sin(pi x) phi^-x / sqrt(5) take phi^-x = e^-A, A = x ln phi, from
+    its own exponential and cos(pi x), sin(pi x) exact at half-integer x, so each part keeps its own digits and
+    F_n is real; below |x| = 1/2 the real part is (2 sinh A + sin^2(pi x) e^-A / (1 + cos(pi x))) / sqrt(5),
+    so z = 0 keeps them too. Elsewhere the sinh form (2/sqrt(5)) exp(i*pi*z/2) sinh(z (ln phi - i*pi/2)) is
+    written out as (2/sqrt(5)) e^(-pi y/2) (cos t + i sin t)(sinh A cos B + i cosh A sin B), t = pi x/2,
+    A = x ln phi + y pi/2, B = y ln phi - t; near the zeros z_k = 2 pi i k / (2 ln phi - i pi), k != 0, it
+    loses digits.
     """
     with _at_precision(precision) as mp:
         zc = _finite(mp.mpc(z), "Re z and Im z")
@@ -471,13 +528,23 @@ def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> Gold
         _require(lib.mpf_le(lib.mpf_abs(x), bound) and lib.mpf_le(lib.mpf_abs(y), bound),
                  f"|Re z| and |Im z| must not exceed {MAX_EXTENDED_ARG:g}")
         ln_phi, half_pi, two_over_root5 = _binet_constants(wp)  # A and B carry 12 bits more than the value
-        cos_t, sin_t = lib.mpf_cos_sin_pi(lib.mpf_shift(x, -1), wp, "n")
-        cos_b, sin_b, scale = (cos_t, lib.mpf_neg(sin_t), two_over_root5) if y == lib.fzero else (
-            *lib.mpf_cos_sin(lib.mpf_sub(mul(y, ln_phi), mul(x, half_pi), wp, "n"), wp, "n"),
-            mul(two_over_root5, lib.mpf_exp(lib.mpf_neg(mul(y, half_pi)), wp, "n"), wp, "n"))
-        cosh_a, sinh_a = lib.mpf_cosh_sinh(lib.mpf_add(mul(x, ln_phi), mul(y, half_pi), wp, "n"), wp, "n")
-        value = lib.mpc_mul((mul(scale, cos_t), mul(scale, sin_t)), (mul(sinh_a, cos_b), mul(cosh_a, sin_b)),
-                            mp.prec, "n")  # exact products: each part is rounded once
+        a = lib.mpf_add(mul(x, ln_phi), mul(y, half_pi), wp, "n")
+        if y == lib.fzero:
+            (cos_x, sin_x), q = lib.mpf_cos_sin_pi(x, wp, "n"), lib.mpf_exp(lib.mpf_neg(a), wp, "n")
+            if lib.mpf_lt(lib.mpf_abs(x), (0, 1, -1, 1)):  # |x| < 1/2: 1 - cos = sin^2 / (1 + cos)
+                re = lib.mpf_div(mul(mul(sin_x, sin_x), q), lib.mpf_add(lib.fone, cos_x), wp, "n")
+                re = lib.mpf_add(lib.mpf_shift(lib.mpf_sinh(a, wp, "n"), 1), re, wp, "n")
+            else:
+                re = lib.mpf_sub(lib.mpf_div(lib.fone, q, wp, "n"), mul(cos_x, q), wp, "n")
+            inv_root5 = lib.mpf_shift(two_over_root5, -1)
+            value = mul(re, inv_root5, mp.prec, "n"), lib.mpf_neg(mul(mul(sin_x, q), inv_root5, mp.prec, "n"))
+        else:
+            cos_t, sin_t = lib.mpf_cos_sin_pi(lib.mpf_shift(x, -1), wp, "n")
+            cos_b, sin_b = lib.mpf_cos_sin(lib.mpf_sub(mul(y, ln_phi), mul(x, half_pi), wp, "n"), wp, "n")
+            scale = mul(two_over_root5, lib.mpf_exp(lib.mpf_neg(mul(y, half_pi)), wp, "n"), wp, "n")
+            cosh_a, sinh_a = lib.mpf_cosh_sinh(a, wp, "n")
+            value = lib.mpc_mul((mul(scale, cos_t), mul(scale, sin_t)), (mul(sinh_a, cos_b), mul(cosh_a, sin_b)),
+                                mp.prec, "n")  # exact products: each part is rounded once
         return GoldenValue(z=zc, value=mp.make_mpc(value), precision=precision)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import time
@@ -589,6 +590,28 @@ class TestFixedPointKernel:
         sv = GoldenSeries(_ONE, 0, 1).evaluate(2.5)
         assert (sv.value, sv.terms_used, sv.tail_bound) == (0, 0, 0)
         assert GoldenSeries(_ONE, 0).evaluate(2.5).value == 1  # 0^0 = 1
+
+
+class TestSeriesBitIdentity:
+    """GoldenSeries.evaluate's sums and term counts, pinned bit for bit."""
+
+    # sha256 of the raw (value, terms_used) pairs below, as the summation loop gave them before it moved into
+    # core's ratio-series kernel: any change to how a Golden series is summed or stopped changes it
+    SWEEP_SHA256 = "b60b24bf8bc390e2889e1fe46a8c3eb61a9f73ac47fbfd61f32b1fbf040c42b8"
+
+    def test_bit_identical_sums(self):
+        """1000 seeded sums at 34 and 100 digits: four kinds, nine k (0 and 1e-40 among them), shift 0..2,
+        real, complex, string and zero x with |x| log-uniform over [1e-100, 1e4.5], and four term caps."""
+        rng, digest = random.Random(31), hashlib.sha256()
+        ks = [1, Fraction(1, 2), 3, -2, Fraction(1, 3), 1j, 0.5 - 1.5j, 0, "1e-40"]
+        for i in range(1000):
+            kind, k, shift = rng.choice(sorted(_KINDS)), rng.choice(ks), rng.randrange(3)
+            lo, hi = rng.choice([(-3, 2), (-100, -3), (2, 4.5)])
+            x = rng.choice((1, -1)) * 10 ** rng.uniform(lo, hi)
+            x = (x, x * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), f"{x:.25e}", 0)[i % 4]
+            sv = GoldenSeries(_KINDS[kind], k, shift).evaluate(x, rng.choice((500, 120, 3, 1)), rng.choice((34, 100)))
+            digest.update(repr((sv.value._mpc_, sv.terms_used)).encode())
+        assert digest.hexdigest() == self.SWEEP_SHA256
 
 
 class TestTermCountGate:

@@ -374,6 +374,23 @@ class TestFibExtended:
                 misses.append((z, mp.nstr(err, 3), mp.nstr(got.imag, 3)))
         assert not misses, f"at {dps} digits: {misses}"
 
+    @pytest.mark.parametrize("dps", [34, 60, 100])
+    def test_each_part_has_its_own_digits_at_real_z(self, dps):
+        # At real x far from 0 one part of F_x is ~phi^(-2|x|) times the other; each must keep its own
+        # relative digits: seeded x in +-[100, 1000], half-integers among them, against 3p + 40 digits.
+        rng = random.Random(dps)
+        xs = [s * rng.uniform(100, 1000) for s in (1, -1) for _ in range(15)]
+        xs += [s * rng.randint(200, 2000) / 2 for s in (1, -1) for _ in range(15)] + [999.5, -999.5, 100.5, -100.5]
+        misses = []
+        for x in xs:
+            got = fib_extended(x, dps).value
+            with mp.workdps(3 * dps + 40):
+                ref = (mp.power(mp.phi, x) - mp.expjpi(x) * mp.power(mp.phi, -x)) / mp.sqrt(5)
+                for part, want in ((got.real, ref.real), (got.imag, ref.imag)):
+                    if want == 0 and part != 0 or want != 0 and abs(part - want) > mp.mpf(10) ** -dps * abs(want):
+                        misses.append((x, mp.nstr(part, 5), mp.nstr(want, 5)))
+        assert not misses, f"at {dps} digits: {misses}"
+
 
 class TestRatioSequence:
     def test_first_values(self):

@@ -68,6 +68,11 @@ class TestStatuses:
             report = verify_all(precision=precision)
             assert report.summary["fail"] == 0, precision
 
+    def test_series_suite_past_the_default_term_cap(self):
+        # at 1500 digits the Golden exponential needs more than golden_exp's default 120 terms
+        report = verify_all(precision=1500, only=["calculus.exp-eigenrelations"])
+        assert [(e.id, e.status) for e in report.entries] == [("calculus.exp-eigenrelations", "pass")]
+
     def test_symmetric_diagnostics_present(self, default_report):
         assert any("symmetric" in d for d in default_report.diagnostics)
 
