@@ -154,10 +154,6 @@ class GoldenSeries:
     k: object = 1
     shift: int = 0
 
-    def coefficient(self, n: int):
-        """c_n = sign(n + shift) k^(n + shift)."""
-        return self.sign(n + self.shift) * self.k ** (n + self.shift)
-
     def derived(self) -> GoldenSeries:
         """Exact D_F: shifts the coefficient stream, D_F x^n/F_n! = x^{n-1}/F_{n-1}!."""
         return GoldenSeries(self.sign, self.k, self.shift + 1)
@@ -204,7 +200,7 @@ def golden_exp_series(kind: ExpKind = "small_e", k=1) -> GoldenSeries:
     return GoldenSeries(sign=_EXP_SIGNS[kind], k=k)
 
 
-def golden_exp(x, kind: ExpKind = "small_e", n_terms: int = 120,
+def golden_exp(x, kind: ExpKind = "small_e", n_terms: int = MAX_EXP_TERMS,
                precision: int = DEFAULT_DPS) -> SeriesValue:
     """e_F^x = sum x^n/F_n!  or  E_F^x = sum (-1)^{n(n-1)/2} x^n/F_n!.
 
@@ -219,7 +215,7 @@ _ODD_SIGN = lambda n: _half_triangle_sign(n) if n % 2 else 0
 _TRIG_SIGNS = {"cos_F": _EVEN_SIGN, "Cosh_F": _EVEN_SIGN, "sin_F": _ODD_SIGN, "Sinh_F": _ODD_SIGN}
 
 
-def golden_trig(x, kind: TrigKind, n_terms: int = 120,
+def golden_trig(x, kind: TrigKind, n_terms: int = MAX_EXP_TERMS,
                 precision: int = DEFAULT_DPS) -> SeriesValue:
     """Golden trigonometric functions.
 

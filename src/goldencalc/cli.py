@@ -295,7 +295,7 @@ def deriv(ctx, coeffs: str, x_at: str | None) -> None:
 @click.argument("x", type=str)
 @click.option("--kind", type=click.Choice(["small_e", "big_E"]), default="small_e",
               show_default=True)
-@click.option("--terms", type=int, default=120, show_default=True)
+@click.option("--terms", type=int, default=calculus.MAX_EXP_TERMS, show_default=True)
 @click.pass_context
 def exp_cmd(ctx, x: str, kind: str, terms: int) -> None:
     """Golden exponential e_F^x or E_F^x."""
@@ -314,7 +314,7 @@ def exp_cmd(ctx, x: str, kind: str, terms: int) -> None:
 @click.argument("x", type=str)
 @click.option("--kind", type=click.Choice(["cos_F", "sin_F", "Cosh_F", "Sinh_F"]),
               required=True)
-@click.option("--terms", type=int, default=120, show_default=True)
+@click.option("--terms", type=int, default=calculus.MAX_EXP_TERMS, show_default=True)
 @click.pass_context
 def trig(ctx, x: str, kind: str, terms: int) -> None:
     """Golden trigonometric value at x."""

@@ -277,7 +277,7 @@ class QPhi:
     """
 
     __slots__ = ("_a", "_b")
-    _build = staticmethod(_field)  # the unary operations keep the operand's type
+    _build = staticmethod(_field)  # unary results, and binary ones with a ZPhi or an int, keep this type
 
     def __init__(self, a: int | Fraction, b: int | Fraction = 0) -> None:
         self._a = _coord(Fraction(a))
@@ -312,8 +312,10 @@ class QPhi:
 
     def __add__(self, other: int | Fraction | QPhi) -> QPhi:
         if isinstance(other, QPhi):
-            return _field(self._a + other._a, self._b + other._b)
-        if isinstance(other, (int, Fraction)):
+            return (self._build if isinstance(other, ZPhi) else _field)(self._a + other._a, self._b + other._b)
+        if isinstance(other, int):
+            return self._build(self._a + other, self._b)
+        if isinstance(other, Fraction):
             return _field(self._a + other, self._b)
         return NotImplemented
 
@@ -321,7 +323,7 @@ class QPhi:
 
     def __sub__(self, other: int | Fraction | QPhi) -> QPhi:
         if isinstance(other, QPhi):
-            return _field(self._a - other._a, self._b - other._b)
+            return (self._build if isinstance(other, ZPhi) else _field)(self._a - other._a, self._b - other._b)
         return self + (-other)
 
     def __rsub__(self, other: int | Fraction) -> QPhi:
@@ -331,8 +333,10 @@ class QPhi:
         if isinstance(other, QPhi):
             a1, b1, a2, b2 = self._a, self._b, other._a, other._b
             bb = b1 * b2
-            return _field(a1 * a2 + bb, a1 * b2 + a2 * b1 + bb)
-        if isinstance(other, (int, Fraction)):
+            return (self._build if isinstance(other, ZPhi) else _field)(a1 * a2 + bb, a1 * b2 + a2 * b1 + bb)
+        if isinstance(other, int):
+            return self._build(self._a * other, self._b * other)
+        if isinstance(other, Fraction):
             return _field(self._a * other, self._b * other)
         return NotImplemented
 
@@ -441,33 +445,6 @@ class ZPhi(QPhi):
             raise ZeroDivisionError("only units (norm ±1) are invertible in Z[phi]")
         return self.conj * n
 
-    def __add__(self, other: int | Fraction | QPhi) -> QPhi:
-        if isinstance(other, ZPhi):
-            return _ring(self._a + other._a, self._b + other._b)
-        if isinstance(other, int):
-            return _ring(self._a + other, self._b)
-        return QPhi.__add__(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: int | Fraction | QPhi) -> QPhi:
-        if isinstance(other, ZPhi):
-            return _ring(self._a - other._a, self._b - other._b)
-        if isinstance(other, int):
-            return _ring(self._a - other, self._b)
-        return QPhi.__sub__(self, other)
-
-    def __mul__(self, other: int | Fraction | QPhi) -> QPhi:
-        if isinstance(other, ZPhi):
-            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-            bb = b1 * b2
-            return _ring(a1 * a2 + bb, a1 * b2 + a2 * b1 + bb)
-        if isinstance(other, int):
-            return _ring(self._a * other, self._b * other)
-        return QPhi.__mul__(self, other)
-
-    __rmul__ = __mul__
-
 
 def phi_power_exact(n: int) -> ZPhi:
     """phi**n as the exact ring element F_{n-1} + F_n * phi, any signed n: table reads, else one Lucas walk."""
@@ -512,14 +489,13 @@ def _binet_constants(wp: int) -> tuple[tuple, tuple, tuple]:
 def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> GoldenValue:
     """F_z = (phi**z - exp(i*pi*z) * phi**-z) / sqrt(5) for complex z = x + iy, on mpmath's raw values.
 
-    phi**z is exp(z*log(phi)) on the principal branch and (-1)**z is exp(i*pi*z). At real z = x the parts
-    (phi^x - cos(pi x) phi^-x) / sqrt(5) and -sin(pi x) phi^-x / sqrt(5) take phi^-x = e^-A, A = x ln phi, from
-    its own exponential and cos(pi x), sin(pi x) exact at half-integer x, so each part keeps its own digits and
-    F_n is real; below |x| = 1/2 the real part is (2 sinh A + sin^2(pi x) e^-A / (1 + cos(pi x))) / sqrt(5),
-    so z = 0 keeps them too. Elsewhere the sinh form (2/sqrt(5)) exp(i*pi*z/2) sinh(z (ln phi - i*pi/2)) is
-    written out as (2/sqrt(5)) e^(-pi y/2) (cos t + i sin t)(sinh A cos B + i cosh A sin B), t = pi x/2,
-    A = x ln phi + y pi/2, B = y ln phi - t; near the zeros z_k = 2 pi i k / (2 ln phi - i pi), k != 0, it
-    loses digits.
+    phi**z is exp(z*log(phi)) on the principal branch and (-1)**z is exp(i*pi*z).  Every angle is pi x, pi x/2
+    or v = y ln phi, joined by angle addition, so cos(pi x) and sin(pi x) are exact at half-integer x and F_n
+    is real.  A = x ln phi + y pi/2 picks one of two rules.  Where |A| >= 1/2, Binet's two terms
+    e^(x ln phi) e^(iv) and e^(-x ln phi - pi y) e^(i pi x) e^(-iv), whose sizes differ by e^(2A), are
+    subtracted once in each part, so each part keeps its own digits.  Where |A| < 1/2, the sinh form
+    (2/sqrt(5)) e^(-pi y/2) e^(i pi x/2) (sinh A cos B + i cosh A sin B), B = v - pi x/2, keeps F_z's relative
+    digits near z = 0; near the zeros z_k = 2 pi i k / (2 ln phi - i pi), k != 0, it loses digits.
     """
     with _at_precision(precision) as mp:
         zc = _finite(mp.mpc(z), "Re z and Im z")
@@ -527,24 +503,23 @@ def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> Gold
         (x, y), wp, bound, mul = zc._mpc_, mp.prec + 12, lib.from_int(MAX_EXTENDED_ARG), lib.mpf_mul
         _require(lib.mpf_le(lib.mpf_abs(x), bound) and lib.mpf_le(lib.mpf_abs(y), bound),
                  f"|Re z| and |Im z| must not exceed {MAX_EXTENDED_ARG:g}")
-        ln_phi, half_pi, two_over_root5 = _binet_constants(wp)  # A and B carry 12 bits more than the value
-        a = lib.mpf_add(mul(x, ln_phi), mul(y, half_pi), wp, "n")
-        if y == lib.fzero:
-            (cos_x, sin_x), q = lib.mpf_cos_sin_pi(x, wp, "n"), lib.mpf_exp(lib.mpf_neg(a), wp, "n")
-            if lib.mpf_lt(lib.mpf_abs(x), (0, 1, -1, 1)):  # |x| < 1/2: 1 - cos = sin^2 / (1 + cos)
-                re = lib.mpf_div(mul(mul(sin_x, sin_x), q), lib.mpf_add(lib.fone, cos_x), wp, "n")
-                re = lib.mpf_add(lib.mpf_shift(lib.mpf_sinh(a, wp, "n"), 1), re, wp, "n")
-            else:
-                re = lib.mpf_sub(lib.mpf_div(lib.fone, q, wp, "n"), mul(cos_x, q), wp, "n")
-            inv_root5 = lib.mpf_shift(two_over_root5, -1)
-            value = mul(re, inv_root5, mp.prec, "n"), lib.mpf_neg(mul(mul(sin_x, q), inv_root5, mp.prec, "n"))
-        else:
+        ln_phi, half_pi, two_over_root5 = _binet_constants(wp)  # A carries 12 bits more than the value
+        a = lib.mpf_add(mul(x, ln_phi), mul(y, half_pi), wp, "n")  # exact products, as every unrounded mul here
+        cos_v, sin_v = lib.mpf_cos_sin(mul(y, ln_phi, wp, "n"), wp, "n")
+        scale = mul(two_over_root5, lib.mpf_exp(lib.mpf_neg(mul(y, half_pi)), wp, "n"), wp, "n")
+        if lib.mpf_lt(lib.mpf_abs(a), (0, 1, -1, 1)):
             cos_t, sin_t = lib.mpf_cos_sin_pi(lib.mpf_shift(x, -1), wp, "n")
-            cos_b, sin_b = lib.mpf_cos_sin(lib.mpf_sub(mul(y, ln_phi), mul(x, half_pi), wp, "n"), wp, "n")
-            scale = mul(two_over_root5, lib.mpf_exp(lib.mpf_neg(mul(y, half_pi)), wp, "n"), wp, "n")
+            cos_b, sin_b = lib.mpc_mul((cos_v, sin_v), (cos_t, lib.mpf_neg(sin_t)), wp, "n")
             cosh_a, sinh_a = lib.mpf_cosh_sinh(a, wp, "n")
             value = lib.mpc_mul((mul(scale, cos_t), mul(scale, sin_t)), (mul(sinh_a, cos_b), mul(cosh_a, sin_b)),
-                                mp.prec, "n")  # exact products: each part is rounded once
+                                mp.prec, "n")  # each part is rounded once
+        else:  # F_z = (scale/2) (e^A e^(iv) - e^-A e^(i pi x) e^(-iv)), scale = 2 e^(-pi y/2) / sqrt(5)
+            exp_a, half = lib.mpf_exp(a, wp, "n"), lib.mpf_shift(scale, -1)
+            size1, size2 = mul(exp_a, half, wp, "n"), lib.mpf_div(half, exp_a, wp, "n")
+            cos_x, sin_x = lib.mpf_cos_sin_pi(x, wp, "n")
+            turn_re, turn_im = lib.mpc_mul((cos_x, sin_x), (cos_v, lib.mpf_neg(sin_v)), wp, "n")
+            value = (lib.mpf_sub(mul(size1, cos_v), mul(size2, turn_re), mp.prec, "n"),
+                     lib.mpf_sub(mul(size1, sin_v), mul(size2, turn_im), mp.prec, "n"))
         return GoldenValue(z=zc, value=mp.make_mpc(value), precision=precision)
 
 

@@ -459,7 +459,7 @@ def _exp_eigenrelations(ctx: SuiteContext):
     for k in (Fraction(1), Fraction(1, 2), Fraction(2)):
         for kind, sign in (("small_e", 1), ("big_E", -1)):  # E_F(kx) derives to k E_F(-kx)
             derived = calculus.golden_exp_series(kind, k).derived()
-            f = lambda t: calculus.golden_exp(k * t, kind, calculus.MAX_EXP_TERMS, dps).value
+            f = lambda t: calculus.golden_exp(k * t, kind, precision=dps).value
             for text in ("0.3", "0.7", "1.1"):
                 x = mp.mpf(text)
                 case = ("(k={}, x={})", k, text)

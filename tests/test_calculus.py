@@ -179,7 +179,7 @@ class TestGoldenExponentials:
         signs = [1 if (n * (n - 1) // 2) % 2 == 0 else -1 for n in range(10)]
         assert signs == [1, 1, -1, -1, 1, 1, -1, -1, 1, 1]
         series = golden_exp_series("big_E")
-        assert [series.coefficient(n) for n in range(10)] == signs
+        assert [series.sign(n) for n in range(10)] == signs
 
     def test_tail_bound_decreases(self):
         a = golden_exp(2, "small_e", 8)
@@ -260,6 +260,15 @@ class TestTermCap:
         with mp.workdps(80):
             explicit = sum(coefficient(n) * self.X ** n / fib_factorial(n) for n in range(sv.terms_used))
         assert abs(sv.value - explicit) <= mp.mpf(10) ** -58 * max(abs(explicit), 1)
+
+    @pytest.mark.parametrize("series,kind", [(golden_exp, "small_e"), (golden_exp, "big_E"),
+                                             (golden_trig, "cos_F"), (golden_trig, "sin_F")],
+                             ids=["small_e", "big_E", "cos_F", "sin_F"])
+    def test_default_budget_reaches_high_precision(self, series, kind):
+        # at x = 1, 2000 digits take about 140 terms: the default budget must not cut the sum short
+        sv = series(1, kind, precision=2000)
+        with mp.workdps(2010):
+            assert sv.tail_bound <= mp.mpf(10) ** -2000 * max(abs(sv.value), 1), sv.terms_used
 
 
 def _oscillator_solution(kind, k, A, B):

@@ -434,7 +434,7 @@ class TestOutputContract:
         (["exp", "1"],
          "(3.70450289915406748719754896618188 + 0.0j) (terms used: 20, tail bound: 2.06335e-37)\n"),
         (["exp", "1", "--format", "json"],
-         {"command": "exp", "params": {"kind": "small_e", "terms": 120, "x": "1"}, "precision": 34,
+         {"command": "exp", "params": {"kind": "small_e", "terms": 500, "x": "1"}, "precision": 34,
           "tail_bound": "2.063347444911026335860905064409795e-37", "terms_used": 20,
           "value": {"im": "0.0", "re": "3.70450289915406748719754896618188"}}),
         (["exp", "1", "--format", "csv"],
@@ -444,7 +444,7 @@ class TestOutputContract:
          "(3.70450289915406748719754896618187978517783483136062816921615 + 0.0j)"
          " (terms used: 26, tail bound: 8.79479e-65)\n"),
         (["--precision", "60", "exp", "1", "--format", "json"],
-         {"command": "exp", "params": {"kind": "small_e", "terms": 120, "x": "1"}, "precision": 60,
+         {"command": "exp", "params": {"kind": "small_e", "terms": 500, "x": "1"}, "precision": 60,
           "tail_bound": "8.79478987444171533555929332296793002770567356313063360940473e-65",
           "terms_used": 26,
           "value": {"im": "0.0",
@@ -455,7 +455,7 @@ class TestOutputContract:
          "8.79478987444171533555929332296793002770567356313063360940473e-65\n"),
         (["trig", "0.7", "--kind", "Cosh_F"], "(0.5495273421230914109953555918781842 + 0.0j)\n"),
         (["trig", "0.7", "--kind", "Cosh_F", "--format", "json"],
-         {"command": "trig", "params": {"kind": "Cosh_F", "terms": 120, "x": "0.7"}, "precision": 34,
+         {"command": "trig", "params": {"kind": "Cosh_F", "terms": 500, "x": "0.7"}, "precision": 34,
           "tail_bound": "1.591119918151342977846909143524583e-36", "terms_used": 19,
           "value": {"im": "0.0", "re": "0.5495273421230914109953555918781842"}}),
         (["trig", "0.7", "--kind", "Cosh_F", "--format", "csv"],

@@ -391,6 +391,24 @@ class TestFibExtended:
                         misses.append((x, mp.nstr(part, 5), mp.nstr(want, 5)))
         assert not misses, f"at {dps} digits: {misses}"
 
+    @pytest.mark.parametrize("dps", [34, 60, 100])
+    def test_each_part_has_its_own_digits_near_the_real_axis(self, dps):
+        # As at real z, now with 1e-30 <= |y| <= 1e-3: the part fed by y is far below |F_z| at large |x|.
+        # Seeded z = +-x + iy, x in [100, 1000] (half-integers among them), |y| log-uniform.
+        rng = random.Random(dps)
+        xs = [rng.uniform(100, 1000) for _ in range(15)] + [rng.randint(200, 2000) / 2 for _ in range(15)]
+        zs = [mp.mpc(s * x, rng.choice((1, -1)) * 10 ** rng.uniform(-30, -3)) for x in xs for s in (1, -1)]
+        zs += [mp.mpc("100.5", "1e-30"), mp.mpc("500.25", "-1e-20")]
+        misses = []
+        for z in zs:
+            got = fib_extended(z, dps).value
+            with mp.workdps(3 * dps + 40):
+                ref = (mp.power(mp.phi, z) - mp.expjpi(z) * mp.power(mp.phi, -z)) / mp.sqrt(5)
+                for part, want in ((got.real, ref.real), (got.imag, ref.imag)):
+                    if want == 0 and part != 0 or want != 0 and abs(part - want) > mp.mpf(10) ** -dps * abs(want):
+                        misses.append((mp.nstr(z, 8), mp.nstr(part, 5), mp.nstr(want, 5)))
+        assert not misses, f"at {dps} digits: {misses}"
+
 
 class TestRatioSequence:
     def test_first_values(self):

@@ -69,7 +69,7 @@ class TestStatuses:
             assert report.summary["fail"] == 0, precision
 
     def test_series_suite_past_the_default_term_cap(self):
-        # at 1500 digits the Golden exponential needs more than golden_exp's default 120 terms
+        # at 1500 digits the Golden exponential needs more than 120 terms
         report = verify_all(precision=1500, only=["calculus.exp-eigenrelations"])
         assert [(e.id, e.status) for e in report.entries] == [("calculus.exp-eigenrelations", "pass")]
 
