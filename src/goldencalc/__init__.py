@@ -9,7 +9,6 @@ library claims.
 
 from .angular import (
     AngularRep,
-    build_representation,
     build_suF2,
     build_symmetric,
     build_tilde,

@@ -372,14 +372,3 @@ def verify_tilde(j) -> TildeReport:
     return TildeReport(j=jf, anticommutator_residual=residuals["anti-commutator"], offdiagonal_max=0.0,
                        casimir_form_difference=residuals["Casimir forms"],
                        casimir_eigenvalue_deviation=residuals["Casimir eigenvalue"], failures=failures)
-
-
-def build_representation(j, variant: Variant = "standard_F") -> AngularRep:
-    """Dispatch on the algebra variant."""
-    if variant == "standard_F":
-        return build_suF2(j)
-    if variant == "symmetric_iphi":
-        return build_symmetric(j)
-    if variant == "tilde_F":
-        return build_tilde(j)
-    raise DomainError(f"unknown variant {variant!r}")

@@ -383,9 +383,8 @@ def angmom(ctx, j_str: str, variant: str) -> None:
     except (ValueError, ZeroDivisionError):
         raise click.UsageError(f"invalid spin label {j_str!r}")
     dps = ctx.obj["precision"]
-    variant_full = {"standard": "standard_F", "symmetric": "symmetric_iphi",
-                    "tilde": "tilde_F"}[variant]
-    rep = angular.build_representation(j, variant_full)
+    rep = {"standard": angular.build_suF2, "symmetric": angular.build_symmetric,
+           "tilde": angular.build_tilde}[variant](j)
     mats = {"j_plus": rep.j_plus, "j_minus": rep.j_minus, "j_z": rep.j_z}
 
     def diagnostics() -> tuple[dict, str]:
@@ -406,7 +405,7 @@ def angmom(ctx, j_str: str, variant: str) -> None:
                 f"Casimir form difference {trep.casimir_form_difference:.3e}")
 
     def plain() -> str:
-        lines = [f"variant {variant_full}, j = {j}"]
+        lines = [f"variant {rep.variant}, j = {j}"]
         lines += [f"{label} =\n{np.array_str(mat, precision=6)}"
                   for label, mat in zip(["J+", "J-", "Jz"], mats.values())]
         return "\n".join(lines + [diagnostics()[1]])

@@ -470,12 +470,7 @@ def phi_value(precision: int = DEFAULT_DPS) -> tuple[mpmath.mpf, mpmath.mpf]:
 class GoldenValue:
     """The analytic Fibonacci value F_z at a complex argument."""
 
-    z: mpmath.mpc
     value: mpmath.mpc
-    precision: int
-
-    def __complex__(self) -> complex:
-        return complex(self.value)
 
 
 @lru_cache(maxsize=4)  # keyed by the working precision in bits
@@ -520,7 +515,7 @@ def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> Gold
             turn_re, turn_im = lib.mpc_mul((cos_x, sin_x), (cos_v, lib.mpf_neg(sin_v)), wp, "n")
             value = (lib.mpf_sub(mul(size1, cos_v), mul(size2, turn_re), mp.prec, "n"),
                      lib.mpf_sub(mul(size1, sin_v), mul(size2, turn_im), mp.prec, "n"))
-        return GoldenValue(z=zc, value=mp.make_mpc(value), precision=precision)
+        return GoldenValue(mp.make_mpc(value))
 
 
 def _fib_quotients(name: str, value: int, least: int, precision: int,

@@ -21,7 +21,6 @@ Z[phi] at any size, and the dense matrices are views built on first use.
 from __future__ import annotations
 
 import cmath
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -102,9 +101,6 @@ class _Checked:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def _tally(diffs: dict[str, list], state: Callable[[int], str]) -> tuple[dict[str, float], tuple[str, ...]]:
@@ -228,12 +224,6 @@ class SpectrumTable:
     ratios: tuple[Fraction, ...]
 
 
-def _hbar_omega(value) -> Fraction:
-    hw = _rational("hbar_omega", value)
-    _require(hw > 0, "hbar_omega must be positive")
-    return hw
-
-
 # r_n = F_(n+3)/F_(n+2), shared by every spectrum call.  It grows by rebinding to a
 # longer tuple, never in place: racing callers at worst both do the work.
 _RATIOS: tuple[Fraction, ...] = (Fraction(2),)
@@ -247,7 +237,8 @@ def spectrum(n_max: int, hbar_omega: int | float | str | Fraction = 1) -> Spectr
     """
     global _RATIOS
     _integer("n_max", n_max, 0, MAX_SPECTRUM_INDEX)
-    hw = _hbar_omega(hbar_omega)
+    hw = _rational("hbar_omega", hbar_omega)
+    _require(hw > 0, "hbar_omega must be positive")
     num, den = hw.numerator, 2 * hw.denominator
     levels = tuple(enumerate(Fraction(num * f, den) for f in fib_range(2, n_max + 2)))
     ratios = _RATIOS
@@ -266,19 +257,11 @@ def energy_ratios(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
     return _fib_quotients("n_max", n_max, 1, precision, lo=2)
 
 
-def hamiltonian(ladder: LadderSet, hbar_omega: int | float | str | Fraction = 1.0) -> np.ndarray:
-    """(hbar*omega/2)(b+b + bb+); diagonal with entries E_n on interior states.
-
-    hbar_omega is read as in spectrum; the complex128 result scales by float(hbar_omega) / 2,
-    which must be a normal double (a subnormal scale would drop the entries' low bits).
-    """
-    hw = _hbar_omega(hbar_omega)
-    scale = float(hw) / 2 if hw <= sys.float_info.max else inf
-    _require(scale >= sys.float_info.min, "hbar_omega underflows the Hamiltonian's float entries")
-    diagonal = list(map(sum, zip(*ladder.shift.products())))
-    _require(scale * max(diagonal) < inf, "hbar_omega overflows the Hamiltonian's float entries")
-    import numpy as np  # scale the exact diagonal, not a dense matrix: the same bytes, one array fewer
-    return np.diag(np.array([scale * complex(v) for v in diagonal], dtype=np.complex128))
+def hamiltonian(ladder: LadderSet) -> np.ndarray:
+    """(b+b + bb+)/2 in units of hbar*omega; diagonal with entries F_(n+2)/2 on interior states."""
+    import numpy as np  # halve the exact diagonal, not a dense matrix: the same bytes, one array fewer
+    return np.diag(np.array([0.5 * complex(v) for v in map(sum, zip(*ladder.shift.products()))],
+                            dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from mpmath import mp
 
 from goldencalc import angular
 from goldencalc.angular import (
-    build_representation,
     build_suF2,
     build_symmetric,
     build_tilde,
@@ -247,17 +246,16 @@ class TestTildeVariant:
         assert np.allclose(np.abs(adjoint), np.abs(rep.j_minus))
 
 
+BUILDERS = (build_suF2, build_symmetric, build_tilde)
+
+
 class TestDispatch:
     def test_variants(self):
-        assert build_representation(1, "standard_F").variant == "standard_F"
-        assert build_representation(1, "symmetric_iphi").variant == "symmetric_iphi"
-        assert build_representation(1, "tilde_F").variant == "tilde_F"
-        with pytest.raises(DomainError):
-            build_representation(1, "other")
+        assert [build(1).variant for build in BUILDERS] == ["standard_F", "symmetric_iphi", "tilde_F"]
 
     def test_z_commutator_invariant_all_variants(self):
-        for variant in ("standard_F", "symmetric_iphi", "tilde_F"):
-            rep = build_representation(Fraction(3, 2), variant)
+        for build in BUILDERS:
+            rep = build(Fraction(3, 2))
             res = np.max(np.abs(rep.j_z @ rep.j_plus - rep.j_plus @ rep.j_z - rep.j_plus))
             assert res < 1e-12
 
@@ -342,8 +340,8 @@ class TestWholeDomain:
         tilde = build_tilde(j).shift
         assert tilde.sq == weights
         assert tilde.turns == tuple((1 - int(j - m)) % 4 for m in ms[:-1])
-        for variant in ("standard_F", "symmetric_iphi", "tilde_F"):
-            j_z = build_representation(j, variant).j_z
+        for build in BUILDERS:
+            j_z = build(j).j_z
             assert np.array_equal(j_z, np.diag([complex(m) for m in ms]))
 
     @pytest.mark.parametrize("j", SPINS, ids=str)

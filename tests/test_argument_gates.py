@@ -17,7 +17,6 @@ import pytest
 
 from goldencalc.angular import (
     MAX_J,
-    build_representation,
     build_suF2,
     build_symmetric,
     build_tilde,
@@ -69,7 +68,6 @@ from goldencalc.oscillator import (
     build_ladder,
     diagonal_identities_exact,
     energy_ratios,
-    hamiltonian,
     invert_number,
     spectrum,
     verify_oscillator_algebra,
@@ -167,7 +165,6 @@ SPIN_CALLS = {
     "build_suF2": build_suF2,
     "build_symmetric": build_symmetric,
     "build_tilde": build_tilde,
-    "build_representation": lambda j: build_representation(j, "tilde_F"),
     "casimir_suF2": casimir_suF2,
     "verify_commutators": verify_commutators,
     "verify_symmetric": verify_symmetric,
@@ -177,7 +174,6 @@ SPIN_CALLS = {
 RATIONAL_CALLS = {
     **{f"{name}.j": (call, "spin label j") for name, call in SPIN_CALLS.items()},
     "spectrum.hbar_omega": (lambda hw: spectrum(3, hw), "hbar_omega"),
-    "hamiltonian.hbar_omega": (lambda hw: hamiltonian(build_ladder(3), hw), "hbar_omega"),
     "golden_polynomial.a": (lambda a: golden_polynomial(2, a), "a"),
 }
 

@@ -103,10 +103,15 @@ class TestDerivative:
         assert abs(value - series) < 1e-12
 
     def test_callable_needs_points(self):
-        with pytest.raises(DomainError):
-            golden_derivative(mp.exp)
+        with pytest.raises(TypeError):
+            golden_derivative(mp.exp)  # x is required
         with pytest.raises(DomainError):
             golden_derivative(mp.exp, 0)
+
+    def test_series_refused(self):
+        # a series derives exactly by GoldenSeries.derived
+        with pytest.raises(DomainError, match="unsupported function representation GoldenSeries"):
+            golden_derivative(golden_exp_series(), 1)
 
     def test_polynomial_evaluated_at_point(self):
         p = UnivarPoly(coeffs=(0, 0, 0, 1))
@@ -663,6 +668,13 @@ class TestCallableGrid:
         with pytest.raises(DomainError):
             jackson_antiderivative(lambda t: t ** 2, 1.0, n_terms=5)
 
+    @pytest.mark.parametrize("dps", [100, 208])
+    def test_default_budget_reaches_high_precision(self, dps):
+        # g(0) != 0: each grid term shrinks by |Q| = 1/phi^2, so p digits take ~2.4 p terms
+        got = jackson_antiderivative(lambda t: 1 + 0 * t, 0.5, precision=dps)
+        with mp.workdps(dps + 30):
+            assert abs(got - mp.mpf("0.5")) <= mp.mpf(10) ** -dps
+
 
 class TestPrecisionGate:
     """Every analytic entry point refuses a precision that is not an int >= MIN_DPS."""
@@ -682,7 +694,6 @@ class TestPrecisionGate:
         "verify_all": lambda p: verify_all(only=["core.lucas-combinations"], precision=p),
         "golden_derivative_poly": lambda p: golden_derivative(TestPrecisionGate.POLY, 2, precision=p),
         "golden_derivative_callable": lambda p: golden_derivative(lambda t: t * t, 2, precision=p),
-        "golden_derivative_series": lambda p: golden_derivative(golden_exp_series(), 1, precision=p),
         "golden_exp": lambda p: golden_exp(1, precision=p),
         "golden_trig": lambda p: golden_trig(1, "Cosh_F", precision=p),
         "jackson_antiderivative_poly":
@@ -704,7 +715,7 @@ class TestPrecisionGate:
             self.CALLS[call](precision)
 
     def test_exact_derivative_needs_no_precision(self):
-        assert golden_derivative(self.POLY, precision=MIN_DPS - 1).coeffs == (0, 1)
+        assert derive_poly(self.POLY).coeffs == (0, 1)
 
     # D_F (1/3 + 2/7 x + 5/11 x^2 + 1/13 x^3) = 2/7 + 5/11 x + 2/13 x^2, exactly
     CUBIC = UnivarPoly(coeffs=(Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(1, 13)))
