@@ -36,7 +36,6 @@ from .core import (
     DEFAULT_DPS,
     DomainError,
     GoldenValue,
-    QPhi,
     ZPhi,
     fib_exact,
     fib_extended,

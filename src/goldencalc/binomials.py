@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Iterator, Literal
 from .core import (
     DEFAULT_DPS,
     DomainError,
-    QPhi,
     ZPhi,
     _at_precision,
     _dyadic,
@@ -106,7 +105,8 @@ class BivarPoly:
     """Sparse polynomial sum c_{ij} x^i y^j with exact coefficients.
 
     Coefficients may be any exact ring elements supporting +, * and
-    truth-testing (QPhi or ZPhi, int, Fraction); explicit zeros are dropped.
+    truth-testing: ZPhi and int, or int and Fraction (a ZPhi takes no Fraction
+    operand); explicit zeros are dropped.
     """
 
     __slots__ = ("_coeffs",)
@@ -239,7 +239,7 @@ class UnivarPoly:
     def evaluate(self, x):
         total = 0
         for c in reversed(self.coeffs):
-            total = total * x + (c.to_mpf() if isinstance(c, QPhi) else c)
+            total = total * x + c
         return total
 
     def __str__(self) -> str:

@@ -6,8 +6,9 @@ the roots of x**2 - x - 1:
     F_n = (phi**n - phi'**n) / (phi - phi'),   phi = (1+sqrt(5))/2,  phi' = -1/phi.
 
 This module provides the exact integer side (Fibonacci numbers from a shared table of F_-1003 .. F_1003
-and, beyond it, by doubling the pair (F_n, L_n) with the Lucas numbers L_n = phi**n + phi'**n, the ring
-Z[phi]) and the analytic side: the complex extension F_z on mpmath's raw values, (-1)**z read as
+and, beyond it, by doubling the pair (F_n, L_n) with the Lucas numbers L_n = phi**n + phi'**n, and the ring
+Z[phi], whose elements a + b*phi with int a and b are the library's one exact quadratic number) and the
+analytic side: the complex extension F_z on mpmath's raw values, (-1)**z read as
 exp(i*pi*z) on the principal branch; the fixed-point loop that sums every power series of the library from
 its term ratios; and the golden-ratio convergents.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 from sys import maxsize
 from typing import TYPE_CHECKING
 
@@ -238,23 +239,10 @@ def fib_range(lo: int, hi: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# The field Q(phi) and its ring of integers Z[phi]
+# The ring Z[phi]
 # ---------------------------------------------------------------------------
 
-_new = object.__new__  # looked up once: _field and _ring skip __init__'s checks
-
-
-def _coord(x: int | Fraction) -> int | Fraction:
-    """A rational coordinate, as a plain int whenever it is integral."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _field(a: int | Fraction, b: int | Fraction) -> QPhi:
-    """a + b*phi in the field Q(phi)."""
-    z = _new(QPhi)
-    z._a = _coord(a)
-    z._b = _coord(b)
-    return z
+_new = object.__new__  # looked up once: _ring skips __init__'s check
 
 
 def _ring(a: int, b: int) -> ZPhi:
@@ -265,160 +253,19 @@ def _ring(a: int, b: int) -> ZPhi:
     return z
 
 
-class QPhi:
-    """Element a + b*phi of the field Q(phi), with rational coordinates.
+class ZPhi:
+    """Element a + b*phi of the quadratic integer ring Z[phi], with int coordinates.
 
     Products reduce through phi**2 = phi + 1:
 
         (a1 + b1*phi)(a2 + b2*phi) = (a1*a2 + b1*b2) + (a1*b2 + a2*b1 + b1*b2)*phi.
 
-    Integral coordinates are stored as plain ints, so equal values compare
-    and hash equal whatever their type (QPhi, ZPhi, int or Fraction).
+    Sums, differences and products with a ZPhi or an int are ZPhi; an element with b = 0
+    compares and hashes equal to the int a.  phi is a unit here (phi**-1 = phi - 1), so all
+    integer powers of phi are exact ring elements, phi**n = F_{n-1} + F_n * phi (phi_power_exact).
     """
 
     __slots__ = ("_a", "_b")
-    _build = staticmethod(_field)  # unary results, and binary ones with a ZPhi or an int, keep this type
-
-    def __init__(self, a: int | Fraction, b: int | Fraction = 0) -> None:
-        self._a = _coord(Fraction(a))
-        self._b = _coord(Fraction(b))
-
-    @property
-    def a(self) -> int | Fraction:
-        return self._a
-
-    @property
-    def b(self) -> int | Fraction:
-        return self._b
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._a}, {self._b})"
-
-    def __hash__(self) -> int:
-        return hash((self._a, self._b)) if self._b else hash(self._a)
-
-    def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QPhi):
-            return self._a == other._a and self._b == other._b
-        if isinstance(other, (int, Fraction)):
-            return self._a == other and self._b == 0
-        return NotImplemented
-
-    def __neg__(self) -> QPhi:
-        return self._build(-self._a, -self._b)
-
-    def __add__(self, other: int | Fraction | QPhi) -> QPhi:
-        if isinstance(other, QPhi):
-            return (self._build if isinstance(other, ZPhi) else _field)(self._a + other._a, self._b + other._b)
-        if isinstance(other, int):
-            return self._build(self._a + other, self._b)
-        if isinstance(other, Fraction):
-            return _field(self._a + other, self._b)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other: int | Fraction | QPhi) -> QPhi:
-        if isinstance(other, QPhi):
-            return (self._build if isinstance(other, ZPhi) else _field)(self._a - other._a, self._b - other._b)
-        return self + (-other)
-
-    def __rsub__(self, other: int | Fraction) -> QPhi:
-        return (-self) + other
-
-    def __mul__(self, other: int | Fraction | QPhi) -> QPhi:
-        if isinstance(other, QPhi):
-            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-            bb = b1 * b2
-            return (self._build if isinstance(other, ZPhi) else _field)(a1 * a2 + bb, a1 * b2 + a2 * b1 + bb)
-        if isinstance(other, int):
-            return self._build(self._a * other, self._b * other)
-        if isinstance(other, Fraction):
-            return _field(self._a * other, self._b * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    @property
-    def conj(self) -> QPhi:
-        """Galois conjugate phi -> 1 - phi."""
-        return self._build(self._a + self._b, -self._b)
-
-    @property
-    def norm(self) -> int | Fraction:
-        """Field norm a**2 + a*b - b**2 (multiplicative)."""
-        return self._a * self._a + self._a * self._b - self._b * self._b
-
-    def inverse(self) -> QPhi:
-        n = self.norm
-        if n == 0:
-            raise ZeroDivisionError("zero element of Q(phi)")
-        return QPhi(Fraction(self._a + self._b) / n, Fraction(-self._b) / n)
-
-    def __truediv__(self, other: int | Fraction | QPhi) -> QPhi:
-        if isinstance(other, (int, Fraction)):
-            other = QPhi(other)
-        if isinstance(other, QPhi):
-            return self * QPhi.inverse(other)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> QPhi:
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self._build(1, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def to_mpf(self) -> mpmath.mpf:
-        """Value a + b*phi at the current mpmath precision."""
-        from mpmath import mpf, phi
-        a, b = (x if isinstance(x, int) else mpf(x.numerator) / x.denominator for x in (self._a, self._b))
-        return a + b * phi
-
-    def __float__(self) -> float:
-        """The double nearest to a + b*phi."""
-        a, b = self._a, self._b
-        if not b:
-            return float(a)
-        # a + b*phi = (p + q*sqrt(5)) / den with integers p, q and den > 0. For
-        # q != 0 the value is irrational, so no double lies exactly halfway: an
-        # isqrt bracket of q*sqrt(5)*2**s closes on one double as s grows.
-        d = lcm(a.denominator, b.denominator)
-        q = b.numerator * (d // b.denominator)
-        p = 2 * a.numerator * (d // a.denominator) + q
-        den = 2 * d
-        s = 64
-        while True:
-            r = isqrt(5 * q * q << 2 * s)  # floor(|q| sqrt(5) 2**s)
-            lo = (p << s) + (r if q > 0 else -r - 1)
-            scaled = den << s
-            x = lo / scaled
-            if x == (lo + 1) / scaled:
-                return x
-            s *= 2
-
-
-class ZPhi(QPhi):
-    """Element a + b*phi of the quadratic integer ring Z[phi].
-
-    phi is a unit here (phi**-1 = phi - 1), so all integer powers of phi are
-    exact ring elements; phi**n = F_{n-1} + F_n * phi.  Sums, differences and
-    products with ZPhi or int stay in the ring; anything with a QPhi or a
-    Fraction lands in the field.
-    """
-
-    __slots__ = ()
-    _build = staticmethod(_ring)
 
     def __init__(self, a: int, b: int) -> None:
         if not (isinstance(a, int) and isinstance(b, int)):
@@ -435,15 +282,99 @@ class ZPhi(QPhi):
         """The second root phi' = 1 - phi = -1/phi."""
         return cls(1, -1)
 
+    @property
+    def a(self) -> int:
+        return self._a
+
+    @property
+    def b(self) -> int:
+        return self._b
+
     def __str__(self) -> str:
         return f"{self._a}{self._b:+}φ"
 
-    def inverse(self) -> ZPhi:
-        """Inverse of a unit (norm ±1); other elements have none in Z[phi]."""
-        n = self.norm
-        if n not in (1, -1):
-            raise ZeroDivisionError("only units (norm ±1) are invertible in Z[phi]")
-        return self.conj * n
+    def __repr__(self) -> str:
+        return f"ZPhi({self._a}, {self._b})"
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b)) if self._b else hash(self._a)
+
+    def __bool__(self) -> bool:
+        return self._a != 0 or self._b != 0
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ZPhi):
+            return self._a == other._a and self._b == other._b
+        if isinstance(other, int):
+            return self._a == other and self._b == 0
+        return NotImplemented
+
+    def __neg__(self) -> ZPhi:
+        return _ring(-self._a, -self._b)
+
+    def __add__(self, other: int | ZPhi) -> ZPhi:
+        if isinstance(other, ZPhi):
+            return _ring(self._a + other._a, self._b + other._b)
+        if isinstance(other, int):
+            return _ring(self._a + other, self._b)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other: int | ZPhi) -> ZPhi:
+        if isinstance(other, ZPhi):
+            return _ring(self._a - other._a, self._b - other._b)
+        if isinstance(other, int):
+            return _ring(self._a - other, self._b)
+        return NotImplemented
+
+    def __rsub__(self, other: int) -> ZPhi:
+        return _ring(other - self._a, -self._b) if isinstance(other, int) else NotImplemented
+
+    def __mul__(self, other: int | ZPhi) -> ZPhi:
+        if isinstance(other, ZPhi):
+            a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+            bb = b1 * b2
+            return _ring(a1 * a2 + bb, a1 * b2 + a2 * b1 + bb)
+        if isinstance(other, int):
+            return _ring(self._a * other, self._b * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> ZPhi:
+        """self**n for an int n >= 0 by repeated squaring; phi_power_exact(n) gives phi**n at any n."""
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        result, base = _ring(1, 0), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    @property
+    def norm(self) -> int:
+        """Field norm a**2 + a*b - b**2 (multiplicative)."""
+        return self._a * self._a + self._a * self._b - self._b * self._b
+
+    def __float__(self) -> float:
+        """The double nearest to a + b*phi = (2a + b + b*sqrt(5)) / 2."""
+        a, b = self._a, self._b
+        if not b:
+            return float(a)
+        # For b != 0 the value is irrational, so no double lies exactly halfway:
+        # an isqrt bracket of b*sqrt(5)*2**s closes on one double as s grows.
+        p, s = 2 * a + b, 64
+        while True:
+            r = isqrt(5 * b * b << 2 * s)  # floor(|b| sqrt(5) 2**s)
+            lo = (p << s) + (r if b > 0 else -r - 1)
+            scaled = 2 << s
+            x = lo / scaled
+            if x == (lo + 1) / scaled:
+                return x
+            s *= 2
 
 
 def phi_power_exact(n: int) -> ZPhi:

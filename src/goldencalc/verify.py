@@ -316,8 +316,7 @@ def _factored_polynomials(ctx: SuiteContext):
         prod = BivarPoly.one()
         for f in factors:
             prod = prod * _factor_to_bivar(f)
-        yield (("printed polynomial at n={}", n),
-               prod * Fraction(1, den) != _binomial_as_xa(n) * Fraction(1, fib_factorial(n)))
+        yield ("printed polynomial at n={}", n), prod * fib_factorial(n) != _binomial_as_xa(n) * den
 
 
 @_suite("fibonomial.noncomm-bridge",

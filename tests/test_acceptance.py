@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
-from math import sqrt
 
 from mpmath import mp
 
@@ -20,15 +19,12 @@ from goldencalc.binomials import (
     fib_factorial,
     golden_base,
     golden_binomial,
-    golden_polynomial,
     jackson_exp,
     remarkable_limit_lhs,
 )
 from goldencalc.calculus import (
     derive_bivar,
-    derive_poly,
     golden_derivative,
-    golden_exp,
     golden_exp_series,
     jackson_antiderivative,
 )

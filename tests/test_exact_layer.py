@@ -36,7 +36,7 @@ from goldencalc.calculus import (
     jackson_antiderivative,
     taylor_reconstruct,
 )
-from goldencalc.core import DomainError, QPhi, ZPhi, fib_exact, phi_power_exact
+from goldencalc.core import DomainError, ZPhi, fib_exact, phi_power_exact
 
 
 def _same(got, expected):
@@ -141,11 +141,7 @@ def _zphi(rng):
     return ZPhi(_int(rng), _int(rng))
 
 
-def _qphi(rng):
-    return QPhi(_frac(rng), _frac(rng))
-
-
-KINDS = {"int": _int, "Fraction": _frac, "ZPhi": _zphi, "QPhi": _qphi}
+KINDS = {"int": _int, "Fraction": _frac, "ZPhi": _zphi}
 
 
 def _poly(rng, kind: str, degree: int) -> UnivarPoly:
@@ -174,7 +170,7 @@ class TestTaylorClosedForm:
             f = UnivarPoly(coeffs=(lead,) + (zero,) * degree)
             _same(golden_taylor(f), _taylor_by_derivatives(f))
 
-    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("kind", ["Fraction", "int"])  # dividing a ZPhi by F_n! would leave Z[phi]
     def test_reconstruct_matches_recurrence_and_round_trips(self, kind):
         rng = random.Random(f"reconstruct-{kind}")
         for degree in list(range(12)) + [30, 64, MAX_TAYLOR_DEGREE]:
@@ -266,8 +262,7 @@ class TestBivarEquality:
     def test_equal_across_coefficient_types(self):
         forms = [BivarPoly({(2, 0): 3, (0, 1): -1}),
                  BivarPoly({(2, 0): ZPhi(3, 0), (0, 1): ZPhi(-1, 0)}),
-                 BivarPoly({(2, 0): QPhi(3, 0), (0, 1): QPhi(Fraction(-2, 2), 0)}),
-                 BivarPoly({(2, 0): Fraction(3), (0, 1): -1, (1, 1): ZPhi(0, 0)})]
+                 BivarPoly({(2, 0): 3, (0, 1): ZPhi(-1, 0), (1, 1): ZPhi(0, 0)})]
         for p in forms:
             for q in forms:
                 assert p == q and hash(p) == hash(q)
@@ -291,7 +286,7 @@ class TestBivarEquality:
 
     def test_scalar_product_scales_every_coefficient(self):
         p = golden_binomial(4)
-        assert p * Fraction(1, 3) == BivarPoly({e: c * Fraction(1, 3) for e, c in p.coefficients.items()})
+        assert p * -3 == BivarPoly({e: c * -3 for e, c in p.coefficients.items()})
 
 
 class TestDecimalTest:
@@ -319,7 +314,7 @@ class TestDecimalTest:
 
 
 class TestAntiderivativeTable:
-    @pytest.mark.parametrize("kind", ["int", "Fraction", "QPhi"])
+    @pytest.mark.parametrize("kind", ["int", "Fraction"])
     def test_matches_the_exact_rule(self, kind):
         rng = random.Random(f"antiderivative-{kind}")
         x = Fraction(3, 4)
@@ -327,6 +322,6 @@ class TestAntiderivativeTable:
             g = _poly(rng, kind, degree)
             exact = sum((c * x ** (n + 1) / fib_exact(n + 1) for n, c in enumerate(g.coeffs)), Fraction(0))
             with mp.workdps(80):
-                value = exact.to_mpf() if isinstance(exact, QPhi) else mp.mpf(exact.numerator) / exact.denominator
+                value = mp.mpf(exact.numerator) / exact.denominator
             got = jackson_antiderivative(g, "0.75", precision=50)
             assert abs(got - value) <= mp.mpf(10) ** -50 * max(abs(value), 1), degree

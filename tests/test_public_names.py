@@ -4,7 +4,8 @@ A name counts as used when library code in src/goldencalc (other than
 __init__ and the name's own definition) or the perfbench scripts refer to it,
 as an identifier, an attribute, or a string that names it for getattr.  A
 perfbench reference to a name perfbench defines itself (its own reference
-implementations) does not count.
+implementations) does not count.  README's library quick start must run as
+printed, so a removed export or a changed signature fails here too.
 """
 
 from __future__ import annotations
@@ -85,3 +86,9 @@ def test_every_export_has_a_caller():
     assert unused == set(ALLOWED_UNUSED), (
         f"exported but never used by the library or perfbench: {sorted(unused - set(ALLOWED_UNUSED))}; "
         f"allowed but now used or gone: {sorted(set(ALLOWED_UNUSED) - unused)}")
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md: Library quick start", "exec"), {})

@@ -158,6 +158,17 @@ class TestFaultInjection:
             ("calculus.leibnitz-general-alpha", "fail"), ("calculus.leibnitz-rule-i", "fail"),
             ("calculus.leibnitz-rule-ii", "fail"), ("calculus.quotient-rules", "fail")]
 
+    @pytest.mark.parametrize("part", ["denominator", "factor"])
+    @pytest.mark.parametrize("n", sorted(verify._PRINTED_POLYNOMIAL_FACTORS))
+    def test_wrong_printed_polynomial_fails(self, monkeypatch, n, part):
+        """P_n printed with its denominator, or its last factor's a-coefficient, off by one fails at that n."""
+        den, factors = verify._PRINTED_POLYNOMIAL_FACTORS[n]
+        *head, last = factors
+        wrong = (den + 1, factors) if part == "denominator" else (den, [*head, (*last[:-1], last[-1] + 1)])
+        monkeypatch.setitem(verify._PRINTED_POLYNOMIAL_FACTORS, n, wrong)
+        (entry,) = verify_all(only=["fibonomial.factored-polynomials"]).entries
+        assert (entry.status, entry.notes) == ("fail", f"failed at printed polynomial at n={n}")
+
 
 class TestReportShape:
     def test_entry_fields(self, default_report):
