@@ -63,8 +63,8 @@ def _fib_factorials(n: int) -> Iterator[int]:
 def fibonomial_row(n: int) -> tuple[int, ...]:
     """The whole row [n 0]_F, ..., [n n]_F of Fibonomial coefficients.
 
-    Built by the multiplicative step [n k] = [n k-1] * F_{n-k+1} / F_k, each
-    step an exact division.  The most recent row is kept, so a caller that
+    Built to the middle by the multiplicative step [n k] = [n k-1] * F_{n-k+1} / F_k,
+    each step an exact division, and mirrored.  The most recent row is kept, so a caller that
     walks one row a coefficient at a time pays for it once.
     """
     return _fibonomial_row(_integer("upper index", n, 0, MAX_FIBONOMIAL_INDEX))
@@ -72,14 +72,14 @@ def fibonomial_row(n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1)  # one row at n = 300 holds ~0.4 MB
 def _fibonomial_row(n: int) -> tuple[int, ...]:
-    # The full row is computed, never mirrored, so [n k] = [n n-k] stays a check.
+    # Mirrored, [n k] = [n n-k]: verify's fibonomial.symmetry-integrality checks it by the Fibonacci-Pascal rule.
     fibs, row = fib_range(0, n), [1]
-    for k in range(1, n + 1):
+    for k in range(1, n // 2 + 1):
         c, r = divmod(row[-1] * fibs[n - k + 1], fibs[k])
         if r:  # cannot happen: Fibonomials are integers
             raise ArithmeticError(f"Fibonomial ({n},{k}) is not an integer")
         row.append(c)
-    return tuple(row)
+    return (*row, *reversed(row[:n - n // 2]))
 
 
 def fibonomial(n: int, k: int) -> int:

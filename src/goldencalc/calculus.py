@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Callable, Literal, Sequence
 from .core import (
     DEFAULT_DPS,
     DomainError,
+    ZPhi,
     _FIB_TABLE,
     _FIB_TABLE_INDEX as _T,
     _at_precision,
@@ -71,6 +72,13 @@ def derive_bivar(p: BivarPoly, var: Literal["x", "y"] = "x") -> BivarPoly:
     raise DomainError(f"unknown variable {var!r}")
 
 
+def _real_coefficients(coeffs: Sequence) -> Sequence:
+    """`coeffs`, refusing the first Z[phi] one by name: the analytic calls divide and evaluate in Q and R only."""
+    bad = next((c for c in coeffs if isinstance(c, ZPhi)), None)
+    _require(bad is None, f"coefficient {bad!r} must be rational or real, not an element of Z[phi]")
+    return coeffs
+
+
 def golden_derivative(f, x, precision: int = DEFAULT_DPS):
     """Golden derivative of a polynomial or a callable, evaluated at the finite point x.
 
@@ -79,6 +87,7 @@ def golden_derivative(f, x, precision: int = DEFAULT_DPS):
     """
     if not (isinstance(f, UnivarPoly) or callable(f)):
         raise DomainError(f"unsupported function representation {type(f).__name__}")
+    _real_coefficients(f.coeffs if isinstance(f, UnivarPoly) else ())
     with _at_precision(precision) as mp:
         xv = _finite(x, "evaluation point")
         if isinstance(f, UnivarPoly):
@@ -104,7 +113,7 @@ def taylor_reconstruct(values: Sequence) -> UnivarPoly:
     """Rebuild the polynomial sum_n values[n] * x^n / F_n! from golden_taylor output."""
     _integer("number of values", len(values), 0, MAX_FACTORIAL_INDEX + 1)
     coeffs = [Fraction(v) / fact if isinstance(v, (int, Fraction)) else v / fact
-              for v, fact in zip(values, _fib_factorials(len(values) - 1))]
+              for v, fact in zip(_real_coefficients(values), _fib_factorials(len(values) - 1))]
     return UnivarPoly(coeffs=_trim(coeffs))
 
 
@@ -238,7 +247,7 @@ def jackson_antiderivative(g, x, n_terms: int = MAX_EXP_TERMS, precision: int = 
             raise DomainError("antiderivative representation needs x != 0")
         if isinstance(g, UnivarPoly):
             coeffs = [Fraction(c, f) if isinstance(c, int) else c / f
-                      for c, f in zip(g.coeffs, fib_range(1, max(g.degree + 1, 1)))]
+                      for c, f in zip(_real_coefficients(g.coeffs), fib_range(1, max(g.degree + 1, 1)))]
             return mp.mpc(UnivarPoly(coeffs=(0, *coeffs)).evaluate(xv))
         phi = +mp.phi
         Q = -1 / phi ** 2

@@ -6,8 +6,8 @@ the roots of x**2 - x - 1:
     F_n = (phi**n - phi'**n) / (phi - phi'),   phi = (1+sqrt(5))/2,  phi' = -1/phi.
 
 This module provides the exact integer side (Fibonacci numbers from a shared table of F_-1003 .. F_1003
-and, beyond it, by doubling the pair (F_n, L_n) with the Lucas numbers L_n = phi**n + phi'**n, and the ring
-Z[phi], whose elements a + b*phi with int a and b are the library's one exact quadratic number) and the
+and, beyond it, by doubling the pair (F_k, F_(k-1)) with two squarings a bit and one final multiply, and the
+ring Z[phi], whose elements a + b*phi with int a and b are the library's one exact quadratic number) and the
 analytic side: the complex extension F_z on mpmath's raw values, (-1)**z read as
 exp(i*pi*z) on the principal branch; the fixed-point loop that sums every power series of the library from
 its term ratios; and the golden-ratio convergents.
@@ -177,19 +177,19 @@ def _ratio_series(steps, wp: int, den: int, floor: tuple = (0, 1, 0, 1), cap: in
 # ---------------------------------------------------------------------------
 
 def _fib_lucas(n: int) -> tuple[int, int]:
-    """(F_n, L_n) for any signed n by Lucas-pair doubling, two multiplies a bit.
+    """(F_n, L_n) for any signed n by doubling the pair (F_k, F_(k-1)), two squarings a bit.
 
-    Walks the bits of |n| from the top: F_2k = F_k L_k, L_2k = L_k**2 - 2(-1)**k,
-    and a set bit steps k -> k+1 by F_(k+1) = (F_k + L_k)/2, L_(k+1) = (5F_k + L_k)/2.
+    Walks the bits of |n| from the top by F_(2k+1) = 4F_k**2 - F_(k-1)**2 + 2(-1)**k, F_(2k-1) = F_k**2 + F_(k-1)**2
+    and F_2k, their difference; a set bit keeps (F_(2k+1), F_2k), a clear one (F_2k, F_(2k-1)); L_n = F_n + 2F_(n-1).
     Negative indices use F_(-n) = (-1)**(n+1) F_n and L_(-n) = (-1)**n L_n.
     """
     m = abs(n)
-    f, lucas, k_odd = 0, 2, False  # (F_0, L_0)
+    f, g, k_odd = 0, 1, False  # (F_0, F_-1)
     for bit in bin(m)[2:]:
-        f, lucas = f * lucas, lucas * lucas + (2 if k_odd else -2)
-        k_odd = bit == "1"
-        if k_odd:
-            f, lucas = (f + lucas) >> 1, (5 * f + lucas) >> 1
+        f2, g2 = f * f, g * g
+        up, down = (f2 << 2) - g2 + (-2 if k_odd else 2), f2 + g2  # F_(2k+1), F_(2k-1)
+        f, g, k_odd = (up, up - down, True) if bit == "1" else (up - down, down, False)
+    lucas = f + (g << 1)
     if n < 0:
         return (f, -lucas) if m & 1 else (-f, lucas)
     return f, lucas
@@ -213,9 +213,9 @@ _FIB_TABLE = tuple(_fib_walk(-_FIB_TABLE_INDEX, _FIB_TABLE_INDEX))
 
 
 def fib_exact(n: int) -> int:
-    """Exact F_n for any signed index: read from the shared table when |n| <= T, else by Lucas-pair doubling.
+    """Exact F_n for any signed index: read from the shared table when |n| <= T, else by doubling.
 
-    The walk stops at k = |n| // 2, and one multiply finishes it:
+    The squaring walk (_fib_lucas) stops at k = |n| // 2 with (F_k, L_k), and one multiply finishes it:
     F_2k = F_k L_k and F_(2k+1) = F_(k+1) L_k - (-1)**k.
     Negative indices use F_(-n) = (-1)**(n+1) * F_n.
     """

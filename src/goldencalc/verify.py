@@ -260,10 +260,14 @@ def _root_structure(ctx: SuiteContext):
 @_suite("fibonomial.symmetry-integrality", "[n k]_F = [n n-k]_F is a positive integer",
         "0 <= k <= n <= 100", "positive integers with mirror symmetry, n <= 100")
 def _symmetry_integrality(ctx: SuiteContext):
+    # The rows are mirrored halves: each is checked against the Fibonacci-Pascal rule, an independent route.
+    fibs, pascal = fib_range(0, 100), [1]
     for n in range(0, 101):
+        if n:
+            pascal = [1, *(fibs[k + 1] * pascal[k] + fibs[n - k - 1] * pascal[k - 1] for k in range(1, n)), 1]
         row = fibonomial_row(n)
         for k in range(0, n + 1):
-            yield ("(n={}, k={})", n, k), row[k] <= 0 or row[k] != row[n - k]
+            yield ("(n={}, k={})", n, k), row[k] != pascal[k] or pascal[k] <= 0 or pascal[k] != pascal[n - k]
 
 
 # Published factorizations of P_n as n: (denominator, factors).  A length-3 factor

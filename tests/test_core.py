@@ -20,6 +20,7 @@ from goldencalc.core import (
     DomainError,
     GoldenValue,
     ZPhi,
+    _fib_lucas,
     fib_exact,
     fib_extended,
     fib_range,
@@ -450,6 +451,8 @@ def fib_doubling_reference(n: int) -> int:
 # 20 log-spaced magnitudes from 1 to 10**6, each with both signs.
 LOG_SPACED = sorted({round(10 ** (6 * i / 19)) for i in range(20)} | {MAX_FIB_INDEX})
 SIGNED_LOG_SPACED = [s * n for n in LOG_SPACED for s in (1, -1)]
+# Bit patterns of the walk for j = 10..19: all ones (2^j - 1), one set bit (2^j) and 2^j + 1, both signs; and 999_999.
+BIT_PATTERNS = [s * n for j in range(10, 20) for n in (2**j - 1, 2**j, 2**j + 1) for s in (1, -1)] + [999_999]
 
 
 class TestLucasDoubling:
@@ -467,9 +470,11 @@ class TestLucasDoubling:
             assert fib_exact(n) == forward[n], n
             assert fib_exact(-n) == backward[n], -n
 
-    @pytest.mark.parametrize("n", SIGNED_LOG_SPACED)
+    @pytest.mark.parametrize("n", SIGNED_LOG_SPACED + BIT_PATTERNS)
     def test_matches_recursive_doubling(self, n):
         assert fib_exact(n) == fib_doubling_reference(n)
+        # the walk's own pair (F_n, L_n), with L_n = F_(n-1) + F_(n+1)
+        assert _fib_lucas(n) == (fib_doubling_reference(n), fib_doubling_reference(n - 1) + fib_doubling_reference(n + 1))
 
     def test_phi_power_is_ring_power(self):
         phi, inverse = ZPhi.phi(), -ZPhi.phi_conjugate()  # 1/phi = -phi'

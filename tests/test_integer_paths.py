@@ -18,7 +18,13 @@ import pytest
 from goldencalc import core, oscillator
 from goldencalc.angular import MAX_J, build_suF2, casimir_ratio
 from goldencalc.binomials import MAX_FACTORIAL_INDEX, UnivarPoly, fib_factorial
-from goldencalc.calculus import derive_poly, golden_taylor, jackson_antiderivative, taylor_reconstruct
+from goldencalc.calculus import (
+    derive_poly,
+    golden_derivative,
+    golden_taylor,
+    jackson_antiderivative,
+    taylor_reconstruct,
+)
 from goldencalc.cli import EXIT_DOMAIN, run_command
 from goldencalc.core import _FIB_TABLE_INDEX as T
 from goldencalc.core import (
@@ -273,6 +279,23 @@ class TestEmptyPolynomial:
     def test_reconstruct_of_nothing_still_prints(self):
         empty = taylor_reconstruct([])
         assert empty.coeffs == () and str(empty) == "0"
+
+
+class TestZPhiCoefficients:
+    POLY = UnivarPoly((ZPhi(1, 1), ZPhi(0, 2)))
+
+    @pytest.mark.parametrize("call", [
+        lambda: golden_derivative(TestZPhiCoefficients.POLY, 0.5),
+        lambda: jackson_antiderivative(TestZPhiCoefficients.POLY, 0.5),
+        lambda: taylor_reconstruct([ZPhi(1, 1)]),
+    ], ids=["golden_derivative", "jackson_antiderivative", "taylor_reconstruct"])
+    def test_analytic_calls_refuse_them_by_name(self, call):
+        with pytest.raises(DomainError, match=r"^coefficient ZPhi\(1, 1\) must be rational or real, not an element of Z\[phi\]$"):
+            call()
+
+    def test_exact_calls_keep_them(self):
+        assert self.POLY.evaluate(ZPhi(0, 1)) == ZPhi(3, 3)  # 1 + phi + 2 phi^2 = 3 + 3 phi
+        assert derive_poly(self.POLY).coeffs == (ZPhi(0, 2),)
 
 
 class TestCasimirRatiosOption:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+import goldencalc.binomials as binomials
 import goldencalc.verify as verify
 from goldencalc.binomials import UnivarPoly
 from goldencalc.core import DomainError
@@ -116,6 +117,22 @@ class TestFaultInjection:
         bad = [e for e in report.entries if e.status == "fail"]
         assert bad[0].id == "oscillator.fock-normalization"
         assert bad[0].notes == "failed at n=1"
+
+    @pytest.mark.parametrize("mirror", [True, False], ids=["symmetric", "one-sided"])
+    def test_corrupted_fibonomial_row_fails_symmetry_integrality(self, monkeypatch, mirror):
+        """[37 5] off by one fails at (n=37, k=5), also when [37 32] is off alike and the row stays symmetric."""
+        build = binomials._fibonomial_row
+
+        def corrupted(n):
+            row = list(build(n))
+            if n == 37:
+                row[5] += 1
+                row[32] += mirror
+            return tuple(row)
+
+        monkeypatch.setattr(binomials, "_fibonomial_row", corrupted)
+        (entry,) = verify_all(only=["fibonomial.symmetry-integrality"]).entries
+        assert (entry.status, entry.notes) == ("fail", "failed at (n=37, k=5)")
 
     @pytest.mark.parametrize("index, notes", [
         (5, ["failed at (j=3, m=1)", "failed at n=2", "failed at (n=5, m=2)"]),
