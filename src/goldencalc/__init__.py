@@ -41,7 +41,6 @@ from .core import (
     fib_extended,
     fib_range,
     phi_power_exact,
-    phi_value,
     ratio_sequence,
 )
 from .binomials import (
@@ -51,7 +50,6 @@ from .binomials import (
     fib_factorial,
     fibonomial,
     fibonomial_row,
-    golden_base,
     golden_binomial,
     golden_polynomial,
     jackson_exp,
@@ -65,7 +63,6 @@ from .oscillator import (
     WeightedShift,
     build_ladder,
     diagonal_identities_exact,
-    energy_ratios,
     hamiltonian,
     invert_number,
     spectrum,

@@ -196,7 +196,7 @@ def casimir_ratio(j_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
 
     The sequence converges to -phi**2.
     """
-    return _fib_quotients("j_max", j_max, 3, precision, lo=1, step=2, sign=-1)
+    return _fib_quotients("j_max", j_max, 3, precision, step=2, sign=-1)
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def verify_commutators(j) -> CommutatorReport:
 # Double-boson picture
 # ---------------------------------------------------------------------------
 
-def double_boson_action(n1: int, n2: int, which: Literal["plus", "minus", "z"]):
+def double_boson_action(n1: int, n2: int, which: Literal["plus", "minus"]):
     """Action of the deformed generators on the occupation state |n1, n2>.
 
     Returns (amplitude, new_state).  Raising with n2 = 0 or lowering with
@@ -259,8 +259,6 @@ def double_boson_action(n1: int, n2: int, which: Literal["plus", "minus", "z"]):
         if n1 == 0:
             return 0.0, (n1, n2)
         return sqrt(fib_exact(n1) * fib_exact(n2 + 1)), (n1 - 1, n2 + 1)
-    if which == "z":
-        return Fraction(n1 - n2, 2), (n1, n2)
     raise DomainError(f"unknown generator {which!r}")
 
 

@@ -122,17 +122,8 @@ class BivarPoly:
     def coefficients(self) -> dict[tuple[int, int], object]:
         return dict(self._coeffs)
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
     def __eq__(self, other: object) -> bool:
         return self._coeffs == other._coeffs if isinstance(other, BivarPoly) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
-    def __repr__(self) -> str:
-        return f"BivarPoly({self._coeffs!r})"
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -311,12 +302,6 @@ def noncomm_expected_coefficient(n: int, k: int) -> ZPhi:
 # ---------------------------------------------------------------------------
 # Jackson exponential and the remarkable limit
 # ---------------------------------------------------------------------------
-
-def golden_base(precision: int = DEFAULT_DPS) -> mpmath.mpf:
-    """-phi**2, the Jackson base reached by the large-n Golden binomial limit."""
-    with _at_precision(precision, guard=0) as mp:
-        return -(mp.phi ** 2)
-
 
 def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath.mpc:
     """Jackson q-exponential: sum_{k=0}^{n_terms} x^k / [k]_q!.

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from math import isqrt
+from numbers import Number
 from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 from .core import (
     DEFAULT_DPS,
     DomainError,
-    ZPhi,
     _FIB_TABLE,
     _FIB_TABLE_INDEX as _T,
     _at_precision,
@@ -73,9 +73,13 @@ def derive_bivar(p: BivarPoly, var: Literal["x", "y"] = "x") -> BivarPoly:
 
 
 def _real_coefficients(coeffs: Sequence) -> Sequence:
-    """`coeffs`, refusing the first Z[phi] one by name: the analytic calls divide and evaluate in Q and R only."""
-    bad = next((c for c in coeffs if isinstance(c, ZPhi)), None)
-    _require(bad is None, f"coefficient {bad!r} must be rational or real, not an element of Z[phi]")
+    """`coeffs`, refusing the first one that is not a `numbers.Number` (a ZPhi, a str, None) by name.
+
+    The analytic calls divide and evaluate in Q, R and C only; mpmath's numbers count as numbers.
+    """
+    for c in coeffs:
+        if not isinstance(c, Number):
+            raise DomainError(f"coefficient {c!r} must be a number, not {type(c).__name__}")
     return coeffs
 
 

@@ -207,7 +207,8 @@ def _fib_walk(lo: int, hi: int) -> list[int]:
 
 
 # F_-T .. F_T (~0.16 MB, shared, immutable) serves fib_range's slices and the small single indices of
-# fib_exact and phi_power_exact. T is the largest index a library range reads: energy_ratios' F_1003.
+# fib_exact and phi_power_exact. T covers the largest index a library range reads: spectrum's
+# F_(MAX_SPECTRUM_INDEX+2) = F_1002.
 _FIB_TABLE_INDEX = MAX_RATIO_INDEX + 3
 _FIB_TABLE = tuple(_fib_walk(-_FIB_TABLE_INDEX, _FIB_TABLE_INDEX))
 
@@ -260,8 +261,8 @@ class ZPhi:
 
         (a1 + b1*phi)(a2 + b2*phi) = (a1*a2 + b1*b2) + (a1*b2 + a2*b1 + b1*b2)*phi.
 
-    Sums, differences and products with a ZPhi or an int are ZPhi; an element with b = 0
-    compares and hashes equal to the int a.  phi is a unit here (phi**-1 = phi - 1), so all
+    Sums and products with a ZPhi or an int, and differences of two ZPhi, are ZPhi; an element
+    with b = 0 compares equal to the int a.  phi is a unit here (phi**-1 = phi - 1), so all
     integer powers of phi are exact ring elements, phi**n = F_{n-1} + F_n * phi (phi_power_exact).
     """
 
@@ -296,9 +297,6 @@ class ZPhi:
     def __repr__(self) -> str:
         return f"ZPhi({self._a}, {self._b})"
 
-    def __hash__(self) -> int:
-        return hash((self._a, self._b)) if self._b else hash(self._a)
-
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
 
@@ -321,15 +319,10 @@ class ZPhi:
 
     __radd__ = __add__
 
-    def __sub__(self, other: int | ZPhi) -> ZPhi:
+    def __sub__(self, other: ZPhi) -> ZPhi:
         if isinstance(other, ZPhi):
             return _ring(self._a - other._a, self._b - other._b)
-        if isinstance(other, int):
-            return _ring(self._a - other, self._b)
         return NotImplemented
-
-    def __rsub__(self, other: int) -> ZPhi:
-        return _ring(other - self._a, -self._b) if isinstance(other, int) else NotImplemented
 
     def __mul__(self, other: int | ZPhi) -> ZPhi:
         if isinstance(other, ZPhi):
@@ -390,13 +383,6 @@ def phi_power_exact(n: int) -> ZPhi:
 # High-precision constants and the analytic extension
 # ---------------------------------------------------------------------------
 
-def phi_value(precision: int = DEFAULT_DPS) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """(phi, phi') to `precision` decimal digits; phi' = -1/phi."""
-    with _at_precision(precision, guard=0) as mp:
-        phi = +mp.phi
-        return phi, 1 - phi
-
-
 @dataclass(frozen=True)
 class GoldenValue:
     """The analytic Fibonacci value F_z at a complex argument."""
@@ -450,17 +436,17 @@ def fib_extended(z: complex | float | str, precision: int = DEFAULT_DPS) -> Gold
 
 
 def _fib_quotients(name: str, value: int, least: int, precision: int,
-                   lo: int, step: int = 1, sign: int = 1) -> list[mpmath.mpf]:
-    """sign F_(k+step)/F_k from one table for value - least + 2 consecutive k from lo.
+                   step: int = 1, sign: int = 1) -> list[mpmath.mpf]:
+    """sign F_(k+step)/F_k from one table for value - least + 2 consecutive k from 1.
 
     `value` is the caller's argument `name`, an int in [least, MAX_RATIO_INDEX].
     """
     count = _integer(name, value, least, MAX_RATIO_INDEX) - least + 2
     with _at_precision(precision, guard=0) as mp:
-        fibs = fib_range(lo, lo + count - 1 + step)
+        fibs = fib_range(1, count + step)
         return [mp.fdiv(sign * fibs[i + step], fibs[i]) for i in range(count)]  # rounded once
 
 
 def ratio_sequence(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
     """Convergents r_n = F_{n+1}/F_n for n = 1..n_max; r_n -> phi."""
-    return _fib_quotients("n_max", n_max, 2, precision, lo=1)
+    return _fib_quotients("n_max", n_max, 2, precision)

@@ -33,7 +33,6 @@ from .core import (
     DomainError,
     ZPhi,
     _at_precision,
-    _fib_quotients,
     _integer,
     _rational,
     _require,
@@ -42,7 +41,6 @@ from .core import (
 )
 
 if TYPE_CHECKING:
-    import mpmath
     import numpy as np
 
 MAX_LADDER_DIM = 200
@@ -250,11 +248,6 @@ def spectrum(n_max: int, hbar_omega: int | float | str | Fraction = 1) -> Spectr
             grown.append(r)
         _RATIOS = ratios = tuple(grown)
     return SpectrumTable(hbar_omega=hw, levels=levels, ratios=ratios[:n_max])
-
-
-def energy_ratios(n_max: int, precision: int = DEFAULT_DPS) -> list[mpmath.mpf]:
-    """r_n = E_{n+1}/E_n = F_{n+3}/F_{n+2} for n = 0..n_max; r_n -> phi."""
-    return _fib_quotients("n_max", n_max, 1, precision, lo=2)
 
 
 def hamiltonian(ladder: LadderSet) -> np.ndarray:

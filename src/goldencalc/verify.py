@@ -489,15 +489,24 @@ def _binomial_derivative(ctx: SuiteContext):
         yield ("iterated y-derivative k={}", k), poly != BivarPoly({(0, 0): ZPhi(sign * fib_factorial(2 * k), 0)})
 
 
-@_suite("calculus.taylor-basis", "D P_n = P_{n-1} for the Golden polynomials",
-        "1 <= n <= 15, a in {1, 3/2}, exact", "exact lowering P_n -> P_{n-1} for n <= 15, a in {1, 3/2}")
+@_suite("calculus.taylor-basis",
+        "D P_n = P_{n-1} for the Golden polynomials, and f = sum_n (D^n f)(0) x^n / F_n! (Golden Taylor formula)",
+        "1 <= n <= 15, a in {1, 3/2}; Taylor round trip on P_15 and 20 seeded polynomials, exact",
+        "exact lowering P_n -> P_{n-1} for n <= 15, a in {1, 3/2}; the Taylor coefficients rebuild "
+        "P_15 and 20 seeded polynomials of degree <= 6 exactly")
 def _taylor_basis(ctx: SuiteContext):
+    def round_trip_fails(f: UnivarPoly) -> bool:
+        return calculus.taylor_reconstruct(calculus.golden_taylor(f)).coeffs != f.coeffs
+
     for a in (Fraction(1), Fraction(3, 2)):
         prev = golden_polynomial(0, a)
         for n in range(1, 16):
             cur = golden_polynomial(n, a)
             yield ("(n={}, a={})", n, a), calculus.derive_poly(cur).coeffs != prev.coeffs
             prev = cur
+        yield ("Taylor round trip of P_15, a={}", a), round_trip_fails(prev)
+    for i in range(20):
+        yield ("Taylor round trip of polynomial {}", i), round_trip_fails(_random_poly(ctx.rng))
 
 
 # ---------------------------------------------------------------------------

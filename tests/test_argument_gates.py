@@ -67,7 +67,6 @@ from goldencalc.oscillator import (
     MAX_SPECTRUM_INDEX,
     build_ladder,
     diagonal_identities_exact,
-    energy_ratios,
     invert_number,
     spectrum,
     verify_oscillator_algebra,
@@ -113,11 +112,10 @@ INTEGER_ARGS = {
     "verify_oscillator_algebra": IntArg(verify_oscillator_algebra, 3, MAX_LADDER_DIM),
     "diagonal_identities_exact": IntArg(diagonal_identities_exact, 0, MAX_SPECTRUM_INDEX),
     "spectrum": IntArg(spectrum, 0, MAX_SPECTRUM_INDEX),
-    "energy_ratios": IntArg(energy_ratios, 1, MAX_RATIO_INDEX),
     "invert_number": IntArg(lambda v: invert_number(v, "odd"), 1, inf),
     "casimir_ratio": IntArg(casimir_ratio, 3, MAX_RATIO_INDEX),
-    "double_boson_action.n1": IntArg(lambda v: double_boson_action(v, 0, "z"), 0, 2 * MAX_J),
-    "double_boson_action.n2": IntArg(lambda v: double_boson_action(0, v, "z"), 0, 2 * MAX_J),
+    "double_boson_action.n1": IntArg(lambda v: double_boson_action(v, 0, "minus"), 0, 2 * MAX_J),
+    "double_boson_action.n2": IntArg(lambda v: double_boson_action(0, v, "plus"), 0, 2 * MAX_J),
 }
 
 

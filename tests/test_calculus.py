@@ -40,17 +40,15 @@ from goldencalc.calculus import (
     taylor_reconstruct,
 )
 from goldencalc.angular import casimir_ratio
-from goldencalc.binomials import golden_base
 from goldencalc.core import (
     MIN_DPS,
     DomainError,
     ZPhi,
     fib_exact,
     fib_extended,
-    phi_value,
     ratio_sequence,
 )
-from goldencalc.oscillator import energy_ratios, invert_number
+from goldencalc.oscillator import invert_number
 from goldencalc.verify import verify_all
 
 
@@ -681,13 +679,10 @@ class TestPrecisionGate:
 
     POLY = UnivarPoly(coeffs=(0, 0, 1))
     CALLS = {
-        "phi_value": lambda p: phi_value(p),
         "fib_extended": lambda p: fib_extended(0.5, p),
         "ratio_sequence": lambda p: ratio_sequence(5, p),
-        "energy_ratios": lambda p: energy_ratios(5, p),
         "casimir_ratio": lambda p: casimir_ratio(5, p),
         "invert_number": lambda p: invert_number(55, "even", p),
-        "golden_base": lambda p: golden_base(p),
         "jackson_exp": lambda p: jackson_exp(2, 1, precision=p),
         "remarkable_limit_lhs": lambda p: remarkable_limit_lhs(1, 5, precision=p),
         "GoldenSeries.evaluate": lambda p: golden_exp_series("big_E", 2).evaluate(1, precision=p),

@@ -12,6 +12,7 @@ failure messages must match.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -45,7 +46,6 @@ from goldencalc.oscillator import (
     WeightedShift,
     _deformed_differences,
     diagonal_identities_exact,
-    energy_ratios,
     spectrum,
     verify_oscillator_algebra,
 )
@@ -113,7 +113,6 @@ class TestFibTable:
             raise AssertionError(f"walked F_{lo} .. F_{hi}")
         monkeypatch.setattr(core, "_fib_walk", no_walk)
         assert T == MAX_RATIO_INDEX + 3
-        energy_ratios(MAX_RATIO_INDEX, 16)  # reads F_2 .. F_T
         casimir_ratio(MAX_RATIO_INDEX, 16)
         ratio_sequence(MAX_RATIO_INDEX, 16)
         spectrum(MAX_SPECTRUM_INDEX)
@@ -281,17 +280,25 @@ class TestEmptyPolynomial:
         assert empty.coeffs == () and str(empty) == "0"
 
 
+_ANALYTIC_CALLS = {
+    "golden_derivative": lambda c: golden_derivative(UnivarPoly((c, 2)), 0.5),  # c is the dropped F_0 term
+    "jackson_antiderivative": lambda c: jackson_antiderivative(UnivarPoly((c,)), 0.5),
+    "taylor_reconstruct": lambda c: taylor_reconstruct([c]),
+}
+# id suffix: (coefficient, its repr, its type name); the ZPhi cases keep the bare call name as their id
+_NOT_NUMBERS = {"": (ZPhi(1, 1), "ZPhi(1, 1)", "ZPhi"), "-str": ("1", "'1'", "str"),
+                "-None": (None, "None", "NoneType")}
+
+
 class TestZPhiCoefficients:
     POLY = UnivarPoly((ZPhi(1, 1), ZPhi(0, 2)))
 
-    @pytest.mark.parametrize("call", [
-        lambda: golden_derivative(TestZPhiCoefficients.POLY, 0.5),
-        lambda: jackson_antiderivative(TestZPhiCoefficients.POLY, 0.5),
-        lambda: taylor_reconstruct([ZPhi(1, 1)]),
-    ], ids=["golden_derivative", "jackson_antiderivative", "taylor_reconstruct"])
-    def test_analytic_calls_refuse_them_by_name(self, call):
-        with pytest.raises(DomainError, match=r"^coefficient ZPhi\(1, 1\) must be rational or real, not an element of Z\[phi\]$"):
-            call()
+    @pytest.mark.parametrize("call, suffix", [(c, s) for s in _NOT_NUMBERS for c in _ANALYTIC_CALLS],
+                             ids=[c + s for s in _NOT_NUMBERS for c in _ANALYTIC_CALLS])
+    def test_analytic_calls_refuse_them_by_name(self, call, suffix):
+        coefficient, shown, kind = _NOT_NUMBERS[suffix]
+        with pytest.raises(DomainError, match=rf"^coefficient {re.escape(shown)} must be a number, not {kind}$"):
+            _ANALYTIC_CALLS[call](coefficient)
 
     def test_exact_calls_keep_them(self):
         assert self.POLY.evaluate(ZPhi(0, 1)) == ZPhi(3, 3)  # 1 + phi + 2 phi^2 = 3 + 3 phi

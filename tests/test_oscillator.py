@@ -18,14 +18,13 @@ from mpmath import mp
 
 from goldencalc import oscillator
 from goldencalc.binomials import fib_factorial
-from goldencalc.core import MAX_FIB_INDEX, MIN_DPS, DomainError, fib_exact, phi_value
+from goldencalc.core import MAX_FIB_INDEX, MIN_DPS, DomainError, fib_exact
 from goldencalc.oscillator import (
     MAX_SPECTRUM_INDEX,
     LadderSet,
     WeightedShift,
     build_ladder,
     diagonal_identities_exact,
-    energy_ratios,
     hamiltonian,
     invert_number,
     spectrum,
@@ -227,20 +226,20 @@ class TestSharedRatioTable:
 
 
 class TestEnergyRatios:
+    """The level ratios E_(n+1)/E_n = F_(n+3)/F_(n+2) of `spectrum`, exact, converge to phi."""
+
     def test_first_values(self):
-        seq = energy_ratios(2)
-        assert float(seq[0]) == 2.0       # F_3 / F_2
-        assert float(seq[1]) == 1.5       # F_4 / F_3
+        seq = spectrum(2).ratios
+        assert seq == (2, Fraction(3, 2))  # F_3 / F_2, F_4 / F_3
 
     def test_converges_to_phi(self):
-        seq = energy_ratios(30)
-        phi, _ = phi_value(34)
-        assert abs(seq[30] - phi) < mp.mpf("1e-12")
+        seq = spectrum(31).ratios
+        with mp.workdps(34):
+            assert abs(mp.mpf(seq[30].numerator) / seq[30].denominator - mp.phi) < mp.mpf("1e-12")
 
     def test_envelope_decreases(self):
-        seq = energy_ratios(25)
-        phi, _ = phi_value(34)
-        errs = [abs(r - phi) for r in seq]
+        with mp.workdps(34):
+            errs = [abs(mp.mpf(r.numerator) / r.denominator - mp.phi) for r in spectrum(26).ratios]
         assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
 
 

@@ -16,14 +16,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "goldencalc"
 
-# Exported names whose only callers are outside src/ and perfbench/.
-ALLOWED_UNUSED = {
-    "phi_value": "the paper-acceptance checklist (tests/test_acceptance.py) reads phi from it",
-    "energy_ratios": "the paper-acceptance checklist checks the golden level ratios with it",
-    "golden_taylor": "the CI step for documented upper bounds round-trips the top Taylor degree",
-    "taylor_reconstruct": "the CI step for documented upper bounds rebuilds the top factorial index",
-    "golden_base": "the CI step for documented upper bounds and the acceptance checklist build their Jackson base with it",
-}
+# Exported names whose only callers are outside src/ and perfbench/, each with its reason.
+ALLOWED_UNUSED: dict[str, str] = {}
 
 
 def _exported() -> set[str]:

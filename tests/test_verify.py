@@ -13,6 +13,7 @@ import pytest
 from mpmath import mp
 
 import goldencalc.binomials as binomials
+import goldencalc.calculus as calculus
 import goldencalc.verify as verify
 from goldencalc.binomials import UnivarPoly
 from goldencalc.core import DomainError
@@ -133,6 +134,24 @@ class TestFaultInjection:
         monkeypatch.setattr(binomials, "_fibonomial_row", corrupted)
         (entry,) = verify_all(only=["fibonomial.symmetry-integrality"]).entries
         assert (entry.status, entry.notes) == ("fail", "failed at (n=37, k=5)")
+
+    @pytest.mark.parametrize("max_degree, case", [
+        (15, "Taylor round trip of P_15, a=1"),
+        (6, "Taylor round trip of polynomial 0"),  # P_15 rebuilt right: the seeded draws still catch it
+    ], ids=["every-polynomial", "up-to-degree-6"])
+    def test_corrupted_taylor_reconstruct_fails_taylor_basis(self, monkeypatch, max_degree, case):
+        """taylor_reconstruct with the constant coefficient off by one fails calculus.taylor-basis at its first case."""
+        rebuild = calculus.taylor_reconstruct
+
+        def corrupted(values):
+            f = rebuild(values)
+            if f.degree <= max_degree:
+                f = UnivarPoly(coeffs=(f.coeffs[0] + 1, *f.coeffs[1:]))
+            return f
+
+        monkeypatch.setattr(calculus, "taylor_reconstruct", corrupted)
+        (entry,) = verify_all(only=["calculus.taylor-basis"]).entries
+        assert (entry.status, entry.notes) == ("fail", f"failed at {case}")
 
     @pytest.mark.parametrize("index, notes", [
         (5, ["failed at (j=3, m=1)", "failed at n=2", "failed at (n=5, m=2)"]),

@@ -1,4 +1,4 @@
-"""Print every statement line of src/goldencalc that a replay of real traffic never runs.
+"""List the statements of src/goldencalc that a replay of real traffic never runs, and check them against a list.
 
 The traffic is what users and the benchmark send the library:
 
@@ -17,8 +17,12 @@ the project's own dependencies:
     python tools/untraced_lines.py
 
 It prints one `path:line: source` line per untraced statement, then a
-summary on stderr. The exit code is 1 if a replayed operation failed its
-check (then the traffic was not the working traffic it stands for), else 0.
+summary on stderr. tools/untraced_allowed.txt lists the statements allowed to
+stay untraced, each by file, enclosing function and statement text with a
+reason (refusals and failure reports, mostly). The exit code is 1 if a
+replayed operation failed its check (then the traffic was not the working
+traffic it stands for), if an untraced statement is not in that list, or if a
+listed one ran; else 0.
 """
 
 from __future__ import annotations
@@ -30,11 +34,13 @@ import io
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "goldencalc"
+ALLOWED = ROOT / "tools" / "untraced_allowed.txt"
 LAYERS = ("core", "binomials", "calculus", "oscillator", "angular", "verify", "cli")
 # Operations replayed per workload and seed: over seeds 0-2, 3 verify runs, 300 exact and 900 numeric calls.
 SEEDS = (0, 1, 2)
@@ -47,13 +53,13 @@ ARGV_CORPUS = (
     "fibonomial 10 4", "fibonomial 5 7",
     "binom 6", "binom 6 --form expansion", "binom 31",
     "poly 7 --a 3/2", "poly 3",
-    "deriv 1,2,3", "deriv 1/3,2/7,5/11 --x 0.5",
+    "deriv 1,2,3", "deriv 1/3,2/7,5/11 --x 0.5", "deriv 7",
     "exp 5/2", "exp 1 --kind big_E --terms 40",
     "trig 0.7 --kind sin_F", "trig 1e-30 --kind Cosh_F",
     "integrate 1/3,2/7 --x 0.5",
     "spectrum --n-max 10 --hbar-omega 7/3", "ratios --n-max 20",
     "angmom --j 3/2", "angmom --j 2 --variant symmetric", "angmom --j 5/2 --variant tilde", "angmom --j 1/3",
-    "invert-n 55 --parity odd", "invert-n 56 --parity even",
+    "invert-n 55 --parity even", "invert-n 56 --parity even",
     "limit 1", "limit -4.75 --n 37",
     "plot-data ratios --n-max 10 --output {out}", "plot-data spectrum --n-max 10 --output {out}",
     "plot-data casimir_ratios --n-max 5 --output {out}",
@@ -62,19 +68,20 @@ ARGV_CORPUS = (
 VERIFY_PRECISIONS = (16, 34, 100, 400)
 
 
-def statements(path: Path) -> list[tuple[int, range]]:
-    """(first line, lines whose execution counts as reaching it) for each executable statement.
+def statements(path: Path) -> list[tuple[int, range, str]]:
+    """(first line, lines whose execution counts as reaching it, enclosing scope) for each executable statement.
 
     A compound statement is reached through its header lines, a simple one through any of its
     lines. Definitions, declarations and docstrings run no code of their own and are left out,
-    and so is the `if TYPE_CHECKING:` block, which only type checkers read.
+    and so is the `if TYPE_CHECKING:` block, which only type checkers read. The scope is the
+    dotted name of the enclosing functions and classes, `<module>` at the top level.
     """
     out = []
 
-    def visit(body) -> None:
+    def visit(body, scope: str) -> None:
         for i, node in enumerate(body):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(node.body)
+                visit(node.body, node.name if scope == "<module>" else f"{scope}.{node.name}")
                 continue
             if i == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
                 continue  # a docstring
@@ -85,12 +92,42 @@ def statements(path: Path) -> list[tuple[int, range]]:
             inner = [getattr(node, name) for name in ("body", "orelse", "finalbody") if getattr(node, name, None)]
             inner += [handler.body for handler in getattr(node, "handlers", ())]
             header_end = min(block[0].lineno for block in inner) if inner else node.end_lineno + 1
-            out.append((node.lineno, range(node.lineno, max(header_end, node.lineno + 1))))
+            out.append((node.lineno, range(node.lineno, max(header_end, node.lineno + 1)), scope))
             for block in inner:
-                visit(block)
+                visit(block, scope)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")).body)
+    visit(ast.parse(path.read_text(encoding="utf-8")).body, "<module>")
     return out
+
+
+def untraced(path: Path, hit: set[tuple[str, int]]) -> list[tuple[int, str, str]]:
+    """(first line, enclosing scope, first line's text) of each statement in `path` that never ran."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [(first, scope, lines[first - 1].strip()) for first, reached, scope in statements(path)
+            if not any((str(path), line) in hit for line in reached)]
+
+
+def read_allowed(path: Path) -> Counter:
+    """The allowed (file, scope, statement) keys: one `file | scope | statement | reason` line each.
+
+    Blank lines and `#` comments are skipped. A key listed k times allows k untraced statements.
+    """
+    allowed = Counter()
+    for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split(" | ", 2)
+        text, _, reason = fields[-1].rpartition(" | ")
+        if len(fields) < 3 or not text or not reason.strip():
+            raise ValueError(f"{path}:{number}: expected 'file | scope | statement | reason', got {line!r}")
+        allowed[(fields[0], fields[1], text)] += 1
+    return allowed
+
+
+def unmatched(found: list[tuple[str, str, str]], allowed: Counter) -> tuple[list, list]:
+    """(untraced keys that `allowed` does not cover, allowed keys that no untraced statement uses)."""
+    found = Counter(found)
+    return sorted((found - allowed).elements()), sorted((allowed - found).elements())
 
 
 class LineTracer:
@@ -181,19 +218,23 @@ def main() -> int:
         ops = replay_operations(failures)
         runs = replay_cli()
 
-    total = untraced = 0
+    total, found = 0, []
     for path in sources:
-        lines = path.read_text(encoding="utf-8").splitlines()
-        for first, reached in statements(path):
-            total += 1
-            if not any((str(path), line) in tracer.hit for line in reached):
-                untraced += 1
-                print(f"{path.relative_to(ROOT)}:{first}: {lines[first - 1].strip()}")
+        total += len(statements(path))
+        for first, scope, text in untraced(path, tracer.hit):
+            print(f"{path.relative_to(ROOT)}:{first}: {text}")
+            found.append((path.name, scope, text))
+    unlisted, ran = unmatched(found, read_allowed(ALLOWED))
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
+    for key in unlisted:
+        print(f"UNTRACED, NOT LISTED {' | '.join(key)}", file=sys.stderr)
+    for key in ran:
+        print(f"LISTED, NOT UNTRACED {' | '.join(key)}", file=sys.stderr)
     print(f"{ops} operations ({len(failures)} failed checks), {runs} CLI runs; "
-          f"{untraced} of {total} statements never ran", file=sys.stderr)
-    return 1 if failures else 0
+          f"{len(found)} of {total} statements never ran, {len(unlisted)} of them not in "
+          f"{ALLOWED.relative_to(ROOT)}, {len(ran)} listed ones not untraced", file=sys.stderr)
+    return 1 if failures or unlisted or ran else 0
 
 
 if __name__ == "__main__":
