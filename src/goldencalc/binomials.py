@@ -26,6 +26,7 @@ from .core import (
     DomainError,
     ZPhi,
     _at_precision,
+    _coefficients,
     _dyadic,
     _finite,
     _halving,
@@ -33,7 +34,6 @@ from .core import (
     _ratio_series,
     _rational,
     _raw,
-    _require,
     fib_range,
     phi_power_exact,
 )
@@ -213,18 +213,20 @@ def golden_binomial_roots(n: int) -> list[ZPhi]:
 
 @dataclass(frozen=True)
 class UnivarPoly:
-    """Dense univariate polynomial, ascending-degree exact coefficients.
+    """Dense univariate polynomial: at least one coefficient, ascending in degree, each an int or a Fraction.
 
+    `coeffs` is stored as a tuple of the values given; anything else is a DomainError.
     `shift` records the parameter a for polynomials born as (x - a)_F^n / F_n!.
-    Empty `coeffs` (taylor_reconstruct([])) have no degree: reading it is a DomainError.
     """
 
     coeffs: tuple
     shift: Fraction | None = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", _coefficients("coefficient", self.coeffs))
+
     @property
     def degree(self) -> int:
-        _require(len(self.coeffs) > 0, "a polynomial needs at least one coefficient")
         return len(self.coeffs) - 1
 
     def evaluate(self, x):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from math import isqrt
-from numbers import Number
 from typing import TYPE_CHECKING, Callable, Literal, Sequence
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     _FIB_TABLE,
     _FIB_TABLE_INDEX as _T,
     _at_precision,
+    _coefficients,
     _dyadic,
     _finite,
     _integer,
@@ -44,7 +44,6 @@ from .binomials import MAX_FACTORIAL_INDEX, BivarPoly, UnivarPoly, _fib_factoria
 if TYPE_CHECKING:
     import mpmath
 
-MAX_TAYLOR_DEGREE = 100
 MAX_EXP_TERMS = 500
 
 
@@ -54,10 +53,8 @@ MAX_EXP_TERMS = 500
 
 def derive_poly(f: UnivarPoly) -> UnivarPoly:
     """Exact Golden derivative by the coefficient rule x^n -> F_n x^{n-1}."""
-    if f.degree == 0:
-        return UnivarPoly(coeffs=(0 * f.coeffs[0],), shift=f.shift)
-    coeffs = [c * fk for c, fk in zip(f.coeffs[1:], fib_range(1, f.degree))]
-    return UnivarPoly(coeffs=_trim(coeffs), shift=f.shift)
+    coeffs = [c * fk for c, fk in zip(f.coeffs, fib_range(0, f.degree))]  # F_0 = 0: a constant derives to 0
+    return UnivarPoly(coeffs=_trim(coeffs[1:] or coeffs), shift=f.shift)
 
 
 def derive_bivar(p: BivarPoly, var: Literal["x", "y"] = "x") -> BivarPoly:
@@ -72,17 +69,6 @@ def derive_bivar(p: BivarPoly, var: Literal["x", "y"] = "x") -> BivarPoly:
     raise DomainError(f"unknown variable {var!r}")
 
 
-def _real_coefficients(coeffs: Sequence) -> Sequence:
-    """`coeffs`, refusing the first one that is not a `numbers.Number` (a ZPhi, a str, None) by name.
-
-    The analytic calls divide and evaluate in Q, R and C only; mpmath's numbers count as numbers.
-    """
-    for c in coeffs:
-        if not isinstance(c, Number):
-            raise DomainError(f"coefficient {c!r} must be a number, not {type(c).__name__}")
-    return coeffs
-
-
 def golden_derivative(f, x, precision: int = DEFAULT_DPS):
     """Golden derivative of a polynomial or a callable, evaluated at the finite point x.
 
@@ -91,7 +77,6 @@ def golden_derivative(f, x, precision: int = DEFAULT_DPS):
     """
     if not (isinstance(f, UnivarPoly) or callable(f)):
         raise DomainError(f"unsupported function representation {type(f).__name__}")
-    _real_coefficients(f.coeffs if isinstance(f, UnivarPoly) else ())
     with _at_precision(precision) as mp:
         xv = _finite(x, "evaluation point")
         if isinstance(f, UnivarPoly):
@@ -110,14 +95,14 @@ def golden_taylor(f: UnivarPoly) -> list:
     if not isinstance(f, UnivarPoly):
         raise DomainError("Taylor expansion requires a polynomial")
     return [c * fact for c, fact in
-            zip(f.coeffs, _fib_factorials(_integer("degree", f.degree, 0, MAX_TAYLOR_DEGREE)))]
+            zip(f.coeffs, _fib_factorials(_integer("degree", f.degree, 0, MAX_FACTORIAL_INDEX)))]
 
 
-def taylor_reconstruct(values: Sequence) -> UnivarPoly:
+def taylor_reconstruct(values: Sequence[int | Fraction]) -> UnivarPoly:
     """Rebuild the polynomial sum_n values[n] * x^n / F_n! from golden_taylor output."""
-    _integer("number of values", len(values), 0, MAX_FACTORIAL_INDEX + 1)
-    coeffs = [Fraction(v) / fact if isinstance(v, (int, Fraction)) else v / fact
-              for v, fact in zip(_real_coefficients(values), _fib_factorials(len(values) - 1))]
+    values = _coefficients("Taylor value", values)
+    coeffs = [Fraction(v, fact) for v, fact in
+              zip(values, _fib_factorials(_integer("degree", len(values) - 1, 0, MAX_FACTORIAL_INDEX)))]
     return UnivarPoly(coeffs=_trim(coeffs))
 
 
@@ -233,7 +218,7 @@ def golden_trig(x, kind: TrigKind, n_terms: int = MAX_EXP_TERMS,
 # Antiderivative
 # ---------------------------------------------------------------------------
 
-def jackson_antiderivative(g, x, n_terms: int = MAX_EXP_TERMS, precision: int = DEFAULT_DPS) -> mpmath.mpc:
+def jackson_antiderivative(g, x, *, precision: int = DEFAULT_DPS) -> mpmath.mpc:
     """Golden antiderivative G with D_F G = g, evaluated at x != 0.
 
     A polynomial integrates exactly by x^n -> x^(n+1)/F_(n+1).  A callable is
@@ -241,26 +226,24 @@ def jackson_antiderivative(g, x, n_terms: int = MAX_EXP_TERMS, precision: int = 
     Q = -1/phi^2, which gives the same rule on x^n since (1 - Q) phi^-n /
     (1 - Q^(n+1)) = 1/F_(n+1).  The grid sum stops at the first term after
     term 0 that is at most 10^-precision * max(|sum|, 1), an estimate rather
-    than a proven bound; if `n_terms` runs out first, it is a DomainError.  Each
-    term shrinks by |Q| ~ 0.38, so the default 500 terms reach ~208 digits when g(0) != 0.
+    than a proven bound; if MAX_EXP_TERMS terms run out first, it is a DomainError.
+    Each term shrinks by |Q| ~ 0.38, so the 500 terms reach ~208 digits when g(0) != 0.
     """
-    _integer("term count", n_terms, 1, MAX_EXP_TERMS)
     with _at_precision(precision) as mp:
         xv = _finite(x, "antiderivative argument")
         if xv == 0:
             raise DomainError("antiderivative representation needs x != 0")
         if isinstance(g, UnivarPoly):
-            coeffs = [Fraction(c, f) if isinstance(c, int) else c / f
-                      for c, f in zip(_real_coefficients(g.coeffs), fib_range(1, max(g.degree + 1, 1)))]
+            coeffs = [Fraction(c, f) for c, f in zip(g.coeffs, fib_range(1, g.degree + 1))]
             return mp.mpc(UnivarPoly(coeffs=(0, *coeffs)).evaluate(xv))
         phi = +mp.phi
         Q = -1 / phi ** 2
         eps = mp.mpf(10) ** -precision
         total, q_pow = mp.mpc(0), mp.mpc(1)
-        for k in range(n_terms + 1):
+        for k in range(MAX_EXP_TERMS + 1):
             term = q_pow * g(xv / phi * q_pow)
             total += term
             if k and abs(term) <= eps * max(abs(total), 1):
                 return (1 - Q) * xv * total
             q_pow *= Q
-        raise DomainError(f"grid series did not reach {precision} digits in {n_terms} terms")
+        raise DomainError(f"grid series did not reach {precision} digits in MAX_EXP_TERMS = {MAX_EXP_TERMS} terms")

@@ -75,14 +75,24 @@ def _integer(name: str, value: int, lo: int | float, hi: int | float) -> int:
     return value
 
 
-def _rational(name: str, value) -> Fraction:
-    """`value` as a Fraction (a float read as its str), refusing bools, NaN and infinities."""
-    try:
-        if not isinstance(value, bool):
-            return Fraction(str(value)) if isinstance(value, float) else Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
-        pass
-    raise DomainError(f"{name} must be a finite rational, not {value!r}")
+def _rational(name: str, value: int | Fraction) -> Fraction:
+    """`value`, a Fraction or an int but not a bool, as a Fraction: the gate of every spin, shift and energy."""
+    if isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise DomainError(f"{name} must be an int or a Fraction, not {value!r}")
+
+
+def _coefficients(name: str, values) -> tuple:
+    """`values` as a tuple of at least one coefficient, each an int (not a bool) or a Fraction, kept as given.
+
+    A message is built only on refusal: a Taylor value such as F_1000! is too long for repr.
+    """
+    values = tuple(values)
+    if not (values and {int, Fraction}.issuperset(map(type, values))):  # else an int subclass, or a refusal
+        _require(values, f"at least one {name} is needed")
+        for v in values:
+            _rational(name, v)
+    return values
 
 
 def _finite(value, what: str):

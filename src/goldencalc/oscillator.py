@@ -227,8 +227,8 @@ class SpectrumTable:
 _RATIOS: tuple[Fraction, ...] = (Fraction(2),)
 
 
-def spectrum(n_max: int, hbar_omega: int | float | str | Fraction = 1) -> SpectrumTable:
-    """Exact rational spectrum up to level n_max.
+def spectrum(n_max: int, hbar_omega: int | Fraction = 1) -> SpectrumTable:
+    """Exact rational spectrum up to level n_max, for an hbar_omega > 0 given as an int or a Fraction.
 
     Levels are exact quotients hbar_omega F_(n+2) / 2; ratios are sliced from one
     per-process table of at most MAX_SPECTRUM_INDEX entries (~0.2 MB).

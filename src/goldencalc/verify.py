@@ -604,6 +604,9 @@ def _relabeling(ctx: SuiteContext):
             amp, state = angular.double_boson_action(int(j + m_up), int(j - m_up), "minus")
             yield (("lowering (j={}, m={})", j, m_up),
                    amp != sqrt(sq[k]) or state != (int(j + m), int(j - m)))
+        n = int(2 * j)  # the edges annihilate: J+ |j, j> = J- |j, -j> = 0
+        yield ("raising (j={}, m={})", j, j), angular.double_boson_action(n, 0, "plus") != (0.0, (n, 0))
+        yield ("lowering (j={}, m={})", j, -j), angular.double_boson_action(0, n, "minus") != (0.0, (0, n))
 
 
 @_suite("angular.hermiticity",
@@ -641,9 +644,9 @@ def _pi_extension_scale(ctx: SuiteContext):
 @_suite("calculus.antiderivative-convention",
         "argument-shift convention of the antiderivative fixed by D o integral = identity",
         "g in {1, x, x^2}, x in {0.5, 1, 2}",
-        "the geometric-grid antiderivative fixes the ambiguous argument-shift notation by "
-        "the round-trip contract: the Golden derivative of the antiderivative returns the "
-        "integrand (checked on 1, x, x^2 at x in {0.5, 1, 2})",
+        "the exact polynomial rule x^n -> x^(n+1)/F_(n+1), which the geometric grid reproduces, "
+        "fixes the ambiguous argument-shift notation by the round-trip contract: the Golden "
+        "derivative of the antiderivative returns the integrand (checked on 1, x, x^2 at x in {0.5, 1, 2})",
         tol=1e-10, kind="known-deviation")
 def _antiderivative_convention(ctx: SuiteContext):
     from mpmath import mp

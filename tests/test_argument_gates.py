@@ -1,8 +1,9 @@
 """Conformance of every public entry point to the integer and rational argument rules.
 
 An index, size or count is an int, never a bool, inside its documented range; a spin,
-an hbar_omega or a shift parameter is a finite rational. Everything else is refused
-with DomainError, and both ends of each range are accepted.
+an hbar_omega, a shift parameter and every polynomial coefficient is an int (never a
+bool) or a Fraction. Everything else is refused with DomainError, and both ends of each
+range are accepted.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from math import inf
 from typing import Callable
 
+import mpmath
 import pytest
 
 from goldencalc.angular import (
@@ -48,15 +50,20 @@ from goldencalc.binomials import (
 from goldencalc.calculus import (
     MAX_EXP_TERMS,
     UnivarPoly,
+    derive_poly,
+    golden_derivative,
     golden_exp,
     golden_exp_series,
+    golden_taylor,
     golden_trig,
     jackson_antiderivative,
+    taylor_reconstruct,
 )
 from goldencalc.core import (
     MAX_FIB_INDEX,
     MAX_RATIO_INDEX,
     DomainError,
+    ZPhi,
     fib_exact,
     fib_range,
     phi_power_exact,
@@ -106,8 +113,6 @@ INTEGER_ARGS = {
     "GoldenSeries.evaluate": IntArg(lambda v: golden_exp_series("big_E", 2).evaluate(1, v), 1, MAX_EXP_TERMS),
     "golden_exp": IntArg(lambda v: golden_exp(1, n_terms=v), 1, MAX_EXP_TERMS),
     "golden_trig": IntArg(lambda v: golden_trig(1, "sin_F", n_terms=v), 1, MAX_EXP_TERMS),
-    "jackson_antiderivative": IntArg(lambda v: jackson_antiderivative(UnivarPoly(coeffs=(1, 2)), 1, v),
-                                     1, MAX_EXP_TERMS),
     "build_ladder": IntArg(build_ladder, 2, MAX_LADDER_DIM),
     "verify_oscillator_algebra": IntArg(verify_oscillator_algebra, 3, MAX_LADDER_DIM),
     "diagonal_identities_exact": IntArg(diagonal_identities_exact, 0, MAX_SPECTRUM_INDEX),
@@ -182,18 +187,63 @@ class TestRationalArguments:
     @pytest.mark.parametrize("name", sorted(RATIONAL_CALLS))
     def test_refused(self, name, bad):
         call, label = RATIONAL_CALLS[name]
-        with pytest.raises(DomainError, match=f"^{re.escape(label)} must be a finite rational, not "):
+        with pytest.raises(DomainError, match=f"^{re.escape(label)} must be an int or a Fraction, not "):
             call(bad)
 
     @pytest.mark.parametrize("name", sorted(SPIN_CALLS))
     def test_spin_range(self, name):
         call = SPIN_CALLS[name]
-        for j in (0, 0.5, "1/2", Fraction(MAX_J), MAX_J):
+        for j in (0, Fraction(1, 2), Fraction(MAX_J), MAX_J):
             call(j)
-        for j in (-0.5, Fraction(2 * MAX_J + 1, 2), Fraction(1, 3)):
+        for j in (Fraction(-1, 2), Fraction(2 * MAX_J + 1, 2), Fraction(1, 3)):
             with pytest.raises(DomainError):
                 call(j)
 
-    def test_float_reads_as_its_decimal(self):
-        assert spectrum(0, 0.1).hbar_omega == Fraction(1, 10)
-        assert golden_polynomial(1, 0.1).shift == Fraction(1, 10)
+
+class _Int(int):
+    """An int subclass: accepted wherever an int is, as by the index gate."""
+
+
+# Every entry point that takes a rational or a polynomial coefficient, with the name its refusal uses;
+# the value under test is a coefficient of x, a spin, an energy unit or a shift.
+EXACT_CALLS = {
+    "UnivarPoly": (lambda c: UnivarPoly((1, c)), "coefficient"),
+    "derive_poly": (lambda c: derive_poly(UnivarPoly((1, c))), "coefficient"),
+    "golden_taylor": (lambda c: golden_taylor(UnivarPoly((1, c))), "coefficient"),
+    "golden_derivative": (lambda c: golden_derivative(UnivarPoly((1, c)), 0.5), "coefficient"),
+    "jackson_antiderivative": (lambda c: jackson_antiderivative(UnivarPoly((1, c)), 0.5), "coefficient"),
+    "taylor_reconstruct": (lambda c: taylor_reconstruct([1, c]), "Taylor value"),
+    "spectrum.hbar_omega": (lambda hw: spectrum(3, hw), "hbar_omega"),
+    "golden_polynomial.a": (lambda a: golden_polynomial(2, a), "a"),
+    "build_suF2.j": (build_suF2, "spin label j"),
+}
+INEXACT = {"bool": True, "float": 0.5, "complex": 0.5j, "str": "1/2", "None": None,
+           "mpf": mpmath.mpf(0.5), "ZPhi": ZPhi(1, 1)}
+
+
+class TestExactInputTypes:
+    """One rule for every rational argument and coefficient: an int (not a bool) or a Fraction."""
+
+    @pytest.mark.parametrize("good", [3, Fraction(5, 2), _Int(2)], ids=["int", "Fraction", "int-subclass"])
+    @pytest.mark.parametrize("name", sorted(EXACT_CALLS))
+    def test_accepted(self, name, good):
+        EXACT_CALLS[name][0](good)
+
+    @pytest.mark.parametrize("kind", sorted(INEXACT))
+    @pytest.mark.parametrize("name", sorted(EXACT_CALLS))
+    def test_refused_by_value(self, name, kind):
+        call, label = EXACT_CALLS[name]
+        bad = INEXACT[kind]
+        with pytest.raises(DomainError, match=f"^{re.escape(label)} must be an int or a Fraction, not "
+                                              f"{re.escape(repr(bad))}$"):
+            call(bad)
+
+    def test_coefficients_kept_as_given(self):
+        p = UnivarPoly([Fraction(4, 2), 3, _Int(5)])
+        assert p.coeffs == (2, 3, 5) and [type(c) for c in p.coeffs] == [Fraction, int, _Int]
+
+    def test_empty_polynomial_refused(self):
+        with pytest.raises(DomainError, match="^at least one coefficient is needed$"):
+            UnivarPoly(())
+        with pytest.raises(DomainError, match="^at least one Taylor value is needed$"):
+            taylor_reconstruct([])

@@ -17,6 +17,7 @@ from mpmath import mp
 
 from goldencalc import cli
 from goldencalc.binomials import (
+    MAX_FACTORIAL_INDEX,
     MAX_SERIES_TERMS,
     UnivarPoly,
     fib_factorial,
@@ -27,7 +28,6 @@ from goldencalc.binomials import (
 )
 from goldencalc.calculus import (
     MAX_EXP_TERMS,
-    MAX_TAYLOR_DEGREE,
     GoldenSeries,
     derive_bivar,
     derive_poly,
@@ -72,8 +72,7 @@ class TestDerivative:
     def test_coefficient_rule_degrees_0_to_40(self):
         # the rule coefficient by coefficient, F_k by fib_exact: c_k x^k -> c_k F_k x^(k-1)
         rng = random.Random(0)
-        draws = (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                 lambda: ZPhi(rng.randint(-9, 9), rng.randint(-9, 9)))
+        draws = (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         for degree in range(41):
             for draw in draws:
                 f = UnivarPoly(coeffs=tuple(draw() for _ in range(degree + 1)), shift=Fraction(1, 2))
@@ -146,13 +145,18 @@ class TestTaylor:
         assert taylor_reconstruct(golden_taylor(p)).coeffs == p.coeffs
 
     def test_reconstruct_at_max_degree(self):
-        values = list(range(MAX_TAYLOR_DEGREE + 1))
+        values = list(range(MAX_FACTORIAL_INDEX + 1))
         coeffs = taylor_reconstruct(values).coeffs
         assert coeffs == tuple(Fraction(n, fib_factorial(n)) for n in values)
         assert all(type(c) is Fraction for c in coeffs)
-        floats = taylor_reconstruct([mp.mpf(n) for n in values]).coeffs
-        assert floats == tuple(mp.mpf(n) / fib_factorial(n) for n in values)
-        assert all(isinstance(c, mpmath.mpf) for c in floats)
+        with pytest.raises(DomainError, match=f"^degree must not exceed {MAX_FACTORIAL_INDEX}$"):
+            taylor_reconstruct(values + [1])
+
+    def test_taylor_values_at_max_degree(self):
+        p = UnivarPoly(coeffs=(1,) * (MAX_FACTORIAL_INDEX + 1))
+        assert golden_taylor(p)[-1] == fib_factorial(MAX_FACTORIAL_INDEX)
+        with pytest.raises(DomainError, match=f"^degree must not exceed {MAX_FACTORIAL_INDEX}$"):
+            golden_taylor(UnivarPoly(coeffs=(1,) * (MAX_FACTORIAL_INDEX + 2)))
 
     def test_rejects_non_polynomial(self):
         with pytest.raises(DomainError):
@@ -633,10 +637,6 @@ class TestTermCountGate:
         "GoldenSeries.evaluate": (lambda n: golden_exp_series("big_E", 2).evaluate(1, n), MAX_EXP_TERMS),
         "golden_exp": (lambda n: golden_exp(50, n_terms=n), MAX_EXP_TERMS),
         "golden_trig": (lambda n: golden_trig(1, "sin_F", n_terms=n), MAX_EXP_TERMS),
-        "jackson_antiderivative":
-            (lambda n: jackson_antiderivative(UnivarPoly(coeffs=(1, 2)), 1, n_terms=n), MAX_EXP_TERMS),
-        "jackson_antiderivative_callable":
-            (lambda n: jackson_antiderivative(lambda t: t, 1, n_terms=n), MAX_EXP_TERMS),
         "jackson_exp": (lambda n: jackson_exp(2, 1, n), MAX_SERIES_TERMS),
     }
 
@@ -663,8 +663,14 @@ class TestCallableGrid:
                 assert abs(got - exact) <= mp.mpf(10) ** -dps * max(abs(exact), 1)
 
     def test_term_cap_refused(self):
-        with pytest.raises(DomainError):
-            jackson_antiderivative(lambda t: t ** 2, 1.0, n_terms=5)
+        # 500 terms shrinking by 1/phi^2 reach ~208 digits, not 300
+        message = f"grid series did not reach 300 digits in MAX_EXP_TERMS = {MAX_EXP_TERMS} terms"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            jackson_antiderivative(lambda t: 1 + 0 * t, 0.5, precision=300)
+
+    def test_precision_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            jackson_antiderivative(lambda t: t, 1, 40)
 
     @pytest.mark.parametrize("dps", [100, 208])
     def test_default_budget_reaches_high_precision(self, dps):

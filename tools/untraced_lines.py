@@ -52,8 +52,8 @@ ARGV_CORPUS = (
     "fibx 0.5", "fibx 2.5 1", "fibx 3", "fibx -999.5", "fibx 1e9",
     "fibonomial 10 4", "fibonomial 5 7",
     "binom 6", "binom 6 --form expansion", "binom 31",
-    "poly 7 --a 3/2", "poly 3",
-    "deriv 1,2,3", "deriv 1/3,2/7,5/11 --x 0.5", "deriv 7",
+    "poly 7 --a 3/2", "poly 3", "poly 2 --a 0",
+    "deriv 1,2,3", "deriv 1/3,2/7,5/11 --x 0.5", "deriv 7", "deriv 1,2,0",
     "exp 5/2", "exp 1 --kind big_E --terms 40",
     "trig 0.7 --kind sin_F", "trig 1e-30 --kind Cosh_F",
     "integrate 1/3,2/7 --x 0.5",
