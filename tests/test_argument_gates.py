@@ -245,5 +245,3 @@ class TestExactInputTypes:
     def test_empty_polynomial_refused(self):
         with pytest.raises(DomainError, match="^at least one coefficient is needed$"):
             UnivarPoly(())
-        with pytest.raises(DomainError, match="^at least one Taylor value is needed$"):
-            taylor_reconstruct([])

@@ -183,6 +183,12 @@ class TestTaylorClosedForm:
                 trimmed.pop()
             assert list(rebuilt.coeffs) == trimmed
 
+    def test_reconstruct_of_nothing_is_empty(self):
+        # the recurrence has nothing to rebuild from, so an empty list is refused rather than read as 0
+        assert _reconstruct_by_recurrence([]) == ()
+        with pytest.raises(DomainError, match="^at least one Taylor value is needed$"):
+            taylor_reconstruct([])
+
     def test_reconstruct_at_the_factorial_bound(self):
         values = [1] * (MAX_FACTORIAL_INDEX + 1)
         _same(taylor_reconstruct(values).coeffs, _reconstruct_by_recurrence(values))

@@ -275,6 +275,11 @@ class TestEmptyPolynomial:
         with pytest.raises(DomainError, match="^at least one coefficient is needed$"):
             call(UnivarPoly(()))
 
+    def test_reconstruct_of_nothing_still_prints(self):
+        with pytest.raises(DomainError) as refused:
+            taylor_reconstruct([])
+        assert str(refused.value) == "at least one Taylor value is needed"
+
 
 _ANALYTIC_CALLS = {
     "golden_derivative": lambda c: golden_derivative(UnivarPoly((c, 2)), 0.5),  # c is the dropped F_0 term
