@@ -216,7 +216,7 @@ class UnivarPoly:
     """Dense univariate polynomial: at least one coefficient, ascending in degree, each an int or a Fraction.
 
     `coeffs` is stored as a tuple of the values given; anything else is a DomainError.
-    `shift` records the parameter a for polynomials born as (x - a)_F^n / F_n!.
+    `shift` records the parameter a of polynomials born as (x - a)_F^n / F_n!: None, or a rational as a Fraction.
     """
 
     coeffs: tuple
@@ -224,6 +224,8 @@ class UnivarPoly:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _coefficients("coefficient", self.coeffs))
+        if self.shift is not None:
+            object.__setattr__(self, "shift", _rational("shift", self.shift))
 
     @property
     def degree(self) -> int:

@@ -6,11 +6,11 @@ the roots of x**2 - x - 1:
     F_n = (phi**n - phi'**n) / (phi - phi'),   phi = (1+sqrt(5))/2,  phi' = -1/phi.
 
 This module provides the exact integer side (Fibonacci numbers from a shared table of F_-1003 .. F_1003
-and, beyond it, by doubling the pair (F_k, F_(k-1)) with two squarings a bit and one final multiply, and the
-ring Z[phi], whose elements a + b*phi with int a and b are the library's one exact quadratic number) and the
-analytic side: the complex extension F_z on mpmath's raw values, (-1)**z read as
-exp(i*pi*z) on the principal branch; the fixed-point loop that sums every power series of the library from
-its term ratios; and the golden-ratio convergents.
+and, beyond it, by doubling the pair (F_k, F_(k-1)) with two squarings a bit and one final multiply, by Toom-3
+from 30,000-bit operands up, and the ring Z[phi], whose elements a + b*phi with int a and b are the library's
+one exact quadratic number) and the analytic side: the complex extension F_z on mpmath's raw values, (-1)**z
+read as exp(i*pi*z) on the principal branch; the fixed-point loop that sums every power series of the library
+from its term ratios; and the golden-ratio convergents.
 """
 
 from __future__ import annotations
@@ -186,17 +186,45 @@ def _ratio_series(steps, wp: int, den: int, floor: tuple = (0, 1, 0, 1), cap: in
 # Exact integer Fibonacci values
 # ---------------------------------------------------------------------------
 
+_TOOM_BITS = 30_000  # from here up a Toom-3 split beats CPython's own Karatsuba product
+
+
+def _mul(a: int, b: int) -> int:
+    """a * b, by Toom-3 on operands of _TOOM_BITS bits or more: meant for two of about the same size.
+
+    Three limbs each, read as a quadratic at 0, 1, -1, -2 and infinity; the five products recurse, and
+    Bodrato's sequence (WAIFI 2007) interpolates them by exact divisions. A square (a is b) stays one at
+    every level, so CPython's squaring runs at the leaves.
+    """
+    square, negative = a is b, (a < 0) != (b < 0)
+    if a.bit_length() < _TOOM_BITS or b.bit_length() < _TOOM_BITS:
+        return a * b
+    k = (max(a.bit_length(), b.bit_length()) + 2) // 3
+    mask, evals = (1 << k) - 1, []
+    for x in (abs(a),) if square else (abs(a), abs(b)):
+        x0, x1, x2 = x & mask, x >> k & mask, x >> 2 * k
+        even = x0 + x2
+        evals.append((x0, even + x1, even - x1, (even - x1 + x2 << 1) - x0, x2))  # at 0, 1, -1, -2, infinity
+    r0, r1, rm1, rm2, rinf = [_mul(u, u) for u in evals[0]] if square else map(_mul, *evals)
+    r3, r1, r2 = (rm2 - r1) // 3, (r1 - rm1) >> 1, rm1 - r0
+    r3 = (r2 - r3 >> 1) + (rinf << 1)
+    r2, r1 = r2 + r1 - rinf, r1 - r3
+    out = ((((rinf << k) + r3 << k) + r2 << k) + r1 << k) + r0
+    return -out if negative else out
+
+
 def _fib_lucas(n: int) -> tuple[int, int]:
     """(F_n, L_n) for any signed n by doubling the pair (F_k, F_(k-1)), two squarings a bit.
 
     Walks the bits of |n| from the top by F_(2k+1) = 4F_k**2 - F_(k-1)**2 + 2(-1)**k, F_(2k-1) = F_k**2 + F_(k-1)**2
     and F_2k, their difference; a set bit keeps (F_(2k+1), F_2k), a clear one (F_2k, F_(2k-1)); L_n = F_n + 2F_(n-1).
+    From _TOOM_BITS bits up the squarings go through _mul's Toom-3.
     Negative indices use F_(-n) = (-1)**(n+1) F_n and L_(-n) = (-1)**n L_n.
     """
     m = abs(n)
     f, g, k_odd = 0, 1, False  # (F_0, F_-1)
     for bit in bin(m)[2:]:
-        f2, g2 = f * f, g * g
+        f2, g2 = (f * f, g * g) if f.bit_length() < _TOOM_BITS else (_mul(f, f), _mul(g, g))
         up, down = (f2 << 2) - g2 + (-2 if k_odd else 2), f2 + g2  # F_(2k+1), F_(2k-1)
         f, g, k_odd = (up, up - down, True) if bit == "1" else (up - down, down, False)
     lucas = f + (g << 1)
@@ -227,7 +255,7 @@ def fib_exact(n: int) -> int:
     """Exact F_n for any signed index: read from the shared table when |n| <= T, else by doubling.
 
     The squaring walk (_fib_lucas) stops at k = |n| // 2 with (F_k, L_k), and one multiply finishes it:
-    F_2k = F_k L_k and F_(2k+1) = F_(k+1) L_k - (-1)**k.
+    F_2k = F_k L_k and F_(2k+1) = F_(k+1) L_k - (-1)**k, by _mul's Toom-3 from _TOOM_BITS bits up.
     Negative indices use F_(-n) = (-1)**(n+1) * F_n.
     """
     _integer("n", n, -MAX_FIB_INDEX, MAX_FIB_INDEX)
@@ -236,8 +264,8 @@ def fib_exact(n: int) -> int:
     k = abs(n) >> 1
     f, lucas = _fib_lucas(k)
     if n & 1:
-        return ((f + lucas) >> 1) * lucas + (1 if k & 1 else -1)
-    return -f * lucas if n < 0 else f * lucas
+        return _mul((f + lucas) >> 1, lucas) + (1 if k & 1 else -1)
+    return -_mul(f, lucas) if n < 0 else _mul(f, lucas)
 
 
 def fib_range(lo: int, hi: int) -> list[int]:

@@ -245,3 +245,15 @@ class TestExactInputTypes:
     def test_empty_polynomial_refused(self):
         with pytest.raises(DomainError, match="^at least one coefficient is needed$"):
             UnivarPoly(())
+
+    @pytest.mark.parametrize("bad", ["abc", 0.5, True], ids=["str", "float", "bool"])
+    def test_shift_refused_by_value(self, bad):
+        with pytest.raises(DomainError, match=f"^shift must be an int or a Fraction, not {re.escape(repr(bad))}$"):
+            UnivarPoly((1, 2), shift=bad)
+
+    def test_shift_kept_as_a_fraction(self):
+        assert UnivarPoly((1, 2)).shift is None
+        assert type(UnivarPoly((1, 2), shift=3).shift) is Fraction
+        p = golden_polynomial(5, Fraction(3, 2))
+        for q in (p, derive_poly(p)):
+            assert type(q.shift) is Fraction and q.shift == Fraction(3, 2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -12,14 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from goldencalc import core
 from goldencalc.angular import casimir_ratio
 from goldencalc.core import _FIB_TABLE_INDEX as T
+from goldencalc.core import _TOOM_BITS as C
 from goldencalc.core import (
     MAX_FIB_INDEX,
     DomainError,
     GoldenValue,
     ZPhi,
     _fib_lucas,
+    _mul,
     fib_exact,
     fib_extended,
     fib_range,
@@ -429,6 +433,11 @@ LOG_SPACED = sorted({round(10 ** (6 * i / 19)) for i in range(20)} | {MAX_FIB_IN
 SIGNED_LOG_SPACED = [s * n for n in LOG_SPACED for s in (1, -1)]
 # Bit patterns of the walk for j = 10..19: all ones (2^j - 1), one set bit (2^j) and 2^j + 1, both signs; and 999_999.
 BIT_PATTERNS = [s * n for j in range(10, 20) for n in (2**j - 1, 2**j, 2**j + 1) for s in (1, -1)] + [999_999]
+# K: the first index with F_K of C bits, where core._mul's Toom-3 starts (F_k ~ phi^k / sqrt 5). The walk to n
+# squares F_(n//2) last and F_(n//4) before; fib_exact(n) multiplies F_(n//2) by L_(n//2) after the walk to n//2.
+# So n // 2 or n // 4 = K - 1, K crosses the cutoff at either step, both signs, odd and even n.
+TOOM_K = math.ceil((C - 1 + math.log2(math.sqrt(5))) / math.log2((1 + math.sqrt(5)) / 2))
+TOOM_CROSSING = [s * (m * k + r) for k in (TOOM_K - 1, TOOM_K) for m in (2, 4) for r in (0, 1) for s in (1, -1)]
 
 
 class TestLucasDoubling:
@@ -446,7 +455,7 @@ class TestLucasDoubling:
             assert fib_exact(n) == forward[n], n
             assert fib_exact(-n) == backward[n], -n
 
-    @pytest.mark.parametrize("n", SIGNED_LOG_SPACED + BIT_PATTERNS)
+    @pytest.mark.parametrize("n", SIGNED_LOG_SPACED + BIT_PATTERNS + TOOM_CROSSING)
     def test_matches_recursive_doubling(self, n):
         assert fib_exact(n) == fib_doubling_reference(n)
         # the walk's own pair (F_n, L_n), with L_n = F_(n-1) + F_(n+1)
@@ -485,6 +494,51 @@ class TestLucasDoubling:
     def test_outside_refused(self, call):
         with pytest.raises(DomainError):
             call()
+
+
+def random_bits(rng: random.Random, bits: int) -> int:
+    """A random non-negative int of exactly `bits` bits."""
+    return (1 << bits - 1) | rng.getrandbits(bits - 1) if bits else 0
+
+
+class TestToomProduct:
+    """core._mul against the plain product, from below the cutoff C to three levels of Toom-3."""
+
+    SIZES = [0, 1, C - 1, C, C + 1, 3 * C, 9 * C, 27 * C]
+
+    @pytest.mark.parametrize("bits", SIZES)
+    def test_every_sign_and_zero(self, bits):
+        rng = random.Random(bits)
+        a, b = random_bits(rng, bits), random_bits(rng, bits)
+        for x, y in [(sa * a, sb * b) for sa in (1, -1) for sb in (1, -1)] + [(a, 0), (0, -b)]:
+            product = _mul(x, y)
+            assert type(product) is int and product == x * y, (bits, x < 0, y < 0)
+
+    @pytest.mark.parametrize("short", [C, C + 1, 2 * C])
+    def test_one_operand_far_shorter(self, short):
+        # the short operand's upper limbs are zero, or all of it sits in the lowest limb
+        rng = random.Random(short)
+        a, b = random_bits(rng, 27 * C), random_bits(rng, short)
+        for x, y in ((a, b), (-b, a), (a, 1 << short - 1), (-(1 << 9 * C), b)):
+            product = _mul(x, y)
+            assert type(product) is int and product == x * y
+
+    @pytest.mark.parametrize("bits", SIZES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_square_stays_a_square_at_every_level(self, bits, sign, monkeypatch):
+        calls = []
+
+        def spy(a, b):
+            calls.append(a is b)
+            return _mul(a, b)
+
+        monkeypatch.setattr(core, "_mul", spy)
+        x = sign * random_bits(random.Random(bits), bits)
+        assert core._mul(x, x) == x * x
+        assert all(calls) and (len(calls) > 1) == (bits >= C)
+
+    def test_crossing_indices_straddle_the_cutoff(self):
+        assert fib_linear(TOOM_K - 1).bit_length() < C <= fib_linear(TOOM_K).bit_length()
 
 
 def nearest_double(x: ZPhi, dps: int = 80) -> float:
