@@ -115,8 +115,10 @@ class SeriesValue:
     """A series sum and a proven bound on the terms it left out.
 
     `value` sums the first `terms_used` terms and `tail_bound` bounds the
-    absolute sum of the rest (+inf if the term cap cut the sum far from
-    convergence).  Uncapped, tail_bound <= 10^-precision * max(|value|, 1).
+    absolute sum of the rest.  A sum that stops before the cap of n_terms
+    (terms_used <= n_terms) has tail_bound <= 10^-precision * max(|value|, 1).
+    A capped one keeps a finite bound while some term up to index N = n_terms
+    + MAX_EXP_TERMS + 2 can be proven (2|kx| <= F_N), and gets +inf beyond.
     """
 
     value: mpmath.mpc

@@ -77,9 +77,9 @@ def _json_scalar(v, dps: int):
     return _num_str(v, dps)  # float, mpf and the like
 
 
-def _csv_cells(v, dps: int) -> list[str]:
-    j = _json_scalar(v, dps)
-    return [j["re"], j["im"]] if isinstance(j, dict) else [j]
+def _csv_cells(v, dps: int) -> dict[str, str]:
+    j = _json_scalar(v, dps)  # CSV columns `re` and `im` for a complex scalar, else `value`
+    return j if isinstance(j, dict) else {"value": j}
 
 
 def _render_csv(header: list[str], rows: list[list[str]]) -> str:
@@ -115,12 +115,22 @@ def _emit_int(ctx: click.Context, command: str, params: dict, value: int, column
           csv=lambda: ([*params, column], [[str(p) for p in params.values()] + [str(value)]]))
 
 
-def _emit_value(ctx: click.Context, command: str, params: dict, value, header=("re", "im"),
-                extra: Callable[[], dict] = dict) -> None:
-    """One analytic value: a JSON scalar (plus `extra()`), its digits, one CSV row of its cells."""
+def _emit_value(ctx: click.Context, command: str, params: dict, value) -> None:
+    """One analytic value: a JSON scalar, its digits, and one CSV row under `value` or `re,im`.
+
+    A `calculus.SeriesValue` prints its value with its terms used and tail bound in every format.
+    """
     dps = ctx.obj["precision"]
-    _emit(ctx, command, params, json=lambda: {"value": _json_scalar(value, dps), **extra()},
-          plain=lambda: _num_str(value, dps), csv=lambda: (list(header), [_csv_cells(value, dps)]))
+    sv, value = (value, value.value) if isinstance(value, calculus.SeriesValue) else (None, value)
+    series = lambda digits: {"terms_used": sv.terms_used, "tail_bound": _num_str(sv.tail_bound, digits)} if sv else {}
+    suffix = " (terms used: {terms_used}, tail bound: {tail_bound})" if sv else ""
+
+    def csv() -> tuple[list[str], list[list[str]]]:
+        row = {**_csv_cells(value, dps), **series(dps)}
+        return list(row), [[str(cell) for cell in row.values()]]
+
+    _emit(ctx, command, params, json=lambda: {"value": _json_scalar(value, dps), **series(dps)},
+          plain=lambda: _num_str(value, dps) + suffix.format(**series(6)), csv=csv)
 
 
 def _write_file(path: str, content: str) -> None:
@@ -288,7 +298,7 @@ def deriv(ctx, coeffs: str, x_at: str | None) -> None:
         _emit_coeffs(ctx, "deriv", {"coeffs": coeffs}, d, plain=lambda: ",".join(map(_frac_str, d)))
         return
     value = calculus.golden_derivative(p, _real(ctx, x_at), precision=ctx.obj["precision"])
-    _emit_value(ctx, "deriv", {"coeffs": coeffs, "x": x_at}, value, header=["value"])
+    _emit_value(ctx, "deriv", {"coeffs": coeffs, "x": x_at}, value)
 
 
 @cli.command("exp", cls=CommonCommand)
@@ -299,15 +309,8 @@ def deriv(ctx, coeffs: str, x_at: str | None) -> None:
 @click.pass_context
 def exp_cmd(ctx, x: str, kind: str, terms: int) -> None:
     """Golden exponential e_F^x or E_F^x."""
-    dps = ctx.obj["precision"]
-    sv = calculus.golden_exp(_real(ctx, x), kind, n_terms=terms, precision=dps)
-    _emit(ctx, "exp", {"x": x, "kind": kind, "terms": terms},
-          json=lambda: {"value": _json_scalar(sv.value, dps), "terms_used": sv.terms_used,
-                        "tail_bound": _num_str(sv.tail_bound, dps)},
-          plain=lambda: f"{_num_str(sv.value, dps)} (terms used: {sv.terms_used}, "
-                        f"tail bound: {_num_str(sv.tail_bound, 6)})",
-          csv=lambda: (["re", "im", "terms_used", "tail_bound"],
-                       [_csv_cells(sv.value, dps) + [str(sv.terms_used), _num_str(sv.tail_bound, dps)]]))
+    _emit_value(ctx, "exp", {"x": x, "kind": kind, "terms": terms},
+                calculus.golden_exp(_real(ctx, x), kind, n_terms=terms, precision=ctx.obj["precision"]))
 
 
 @cli.command(cls=CommonCommand)
@@ -318,11 +321,8 @@ def exp_cmd(ctx, x: str, kind: str, terms: int) -> None:
 @click.pass_context
 def trig(ctx, x: str, kind: str, terms: int) -> None:
     """Golden trigonometric value at x."""
-    dps = ctx.obj["precision"]
-    sv = calculus.golden_trig(_real(ctx, x), kind, n_terms=terms, precision=dps)
-    _emit_value(ctx, "trig", {"x": x, "kind": kind, "terms": terms}, sv.value,
-                extra=lambda: {"terms_used": sv.terms_used,
-                               "tail_bound": _num_str(sv.tail_bound, dps)})
+    _emit_value(ctx, "trig", {"x": x, "kind": kind, "terms": terms},
+                calculus.golden_trig(_real(ctx, x), kind, n_terms=terms, precision=ctx.obj["precision"]))
 
 
 @cli.command(cls=CommonCommand)
@@ -331,9 +331,8 @@ def trig(ctx, x: str, kind: str, terms: int) -> None:
 @click.pass_context
 def integrate(ctx, coeffs: str, x_at: str) -> None:
     """Golden antiderivative of the polynomial COEFFS, evaluated at --x."""
-    p = _parse_coeffs(coeffs)
-    value = calculus.jackson_antiderivative(p, _real(ctx, x_at), precision=ctx.obj["precision"])
-    _emit_value(ctx, "integrate", {"coeffs": coeffs, "x": x_at}, value)
+    _emit_value(ctx, "integrate", {"coeffs": coeffs, "x": x_at}, calculus.jackson_antiderivative(
+        _parse_coeffs(coeffs), _real(ctx, x_at), precision=ctx.obj["precision"]))
 
 
 def _spectrum_rows(n_max: int, hbar_omega) -> list[list[str]]:
@@ -415,7 +414,7 @@ def angmom(ctx, j_str: str, variant: str) -> None:
                                    for name, mat in mats.items()}, **diagnostics()[0]},
           plain=plain,
           csv=lambda: (["operator", "row", "col", "re", "im"],
-                       [[name, str(r), str(c)] + _csv_cells(complex(v), dps)
+                       [[name, str(r), str(c), *_csv_cells(complex(v), dps).values()]
                         for name, mat in mats.items() for (r, c), v in np.ndenumerate(mat) if v != 0]))
 
 
@@ -451,7 +450,7 @@ def limit(ctx, y: str, n: int) -> None:
                          f"jackson: {_num_str(rhs, dps)}\n"
                          f"difference: {diff_text}"),
           csv=lambda: (["finite_re", "finite_im", "jackson_re", "jackson_im", "difference"],
-                       [_csv_cells(lhs, dps) + _csv_cells(rhs, dps) + [diff_text]]))
+                       [[*_csv_cells(lhs, dps).values(), *_csv_cells(rhs, dps).values(), diff_text]]))
 
 
 @cli.command("verify", cls=CommonCommand)

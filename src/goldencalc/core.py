@@ -145,20 +145,24 @@ def _ratio_series(steps, wp: int, den: int, floor: tuple = (0, 1, 0, 1), cap: in
     |M_k / d_k| times the error of t_(k-1).  Up to the first proven step, a step that would take a term past
     2^(wp0 + 4096) units, wp0 the starting wp, first lowers wp by the excess, so the ints stay bounded.  The
     first proven step fixes the tolerance max(|sum| - 2|t|, |floor| 2^wp) / den, `floor` an mpf's raw value,
-    and the first term within it ends the sum unsummed.  Past index `cap` terms are skipped until one is proven.
+    and the first term within it ends the sum unsummed.  Past index `cap` terms are skipped until one is proven,
+    and such a step lowers only the scale of the terms and the skipped sum: the sum keeps its digits.
     Returns (re, im, wp, n, mags, tail): the sum at scale 2^wp; the n terms read; mags ~ sum |t_k|, as |re| + |im|
     up to the first proven t_m and twice that of t_m; and the int tail in units of 2^-wp, None if the steps
     ran out unproven: 2|t_n|, the skipped terms and 3n (1 + |t| / 2^(wp0 - 1)) units of error in each, which
     bounds the unsummed moduli while |M_k / d_k| never grows with k, as no term before t_n is then below
     min(1, |t_n|).
     """
-    re, im, sre, sim, mags, skipped, top, tol = 1 << wp, 0, 0, 0, 0, 0, wp + 4096, None
+    re, im, sre, sim, mags, skipped, top, tol, drop = 1 << wp, 0, 0, 0, 0, 0, wp + 4096, None, 0
     for n, (a, b, s, d, proven, w) in enumerate(steps):
         if n:
             pr, pi = re * a - im * b, re * b + im * a
             if tol is None and (e := max(pr.bit_length(), pi.bit_length()) - s - d.bit_length() - top) > 0:
-                s, wp, sre, sim = s + e, wp - e, sre >> e, sim >> e
-                mags, skipped = (mags >> e) + 1, (skipped >> e) + 1
+                s, skipped = s + e, (skipped >> e) + 1
+                if n > cap:  # the term is skipped: the sum keeps its scale, 2^drop of its units to one of the term's
+                    drop += e
+                else:
+                    wp, sre, sim, mags = wp - e, sre >> e, sim >> e, (mags >> e) + 1
             re, im = ((pr >> s) // d, (pi >> s) // d) if s >= 0 else ((pr << -s) // d, (pi << -s) // d)
         if proven:
             if n > cap:
@@ -179,7 +183,7 @@ def _ratio_series(steps, wp: int, den: int, floor: tuple = (0, 1, 0, 1), cap: in
     else:
         return sre, sim, wp, n + 1, mags, None
     bound = skipped + (2 * isqrt(re * re + im * im) + 2 if a or b or not n else 0)  # M_n = 0: the rest is 0
-    return sre, sim, wp, n, mags, bound + 3 * n * (n + 2) * (1 + (bound >> top - 4097)) if bound else 0
+    return sre, sim, wp, n, mags, bound + 3 * n * (n + 2) * (1 + (bound >> top - 4097)) << drop if bound else 0
 
 
 # ---------------------------------------------------------------------------

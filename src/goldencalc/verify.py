@@ -21,7 +21,7 @@ from math import sqrt
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import angular, calculus, core, oscillator
-from .core import DomainError, ZPhi, _at_precision, fib_exact, fib_range, phi_power_exact
+from .core import DomainError, ZPhi, _at_precision, _require, fib_exact, fib_range, phi_power_exact
 from .binomials import (
     BivarPoly,
     UnivarPoly,
@@ -679,8 +679,14 @@ SUITES: tuple[Suite, ...] = tuple(_REGISTRY)
 
 
 def matching_suites(only=None) -> list[Suite]:
-    """The suites whose id starts with one of the prefixes in `only` (all when empty)."""
-    return [s for s in SUITES if not only or s.id.startswith(tuple(only))]
+    """The suites whose id starts with one of the prefixes in `only` (all when empty).
+
+    `only` is a list of strings: a bare string would be read as its characters, so it is refused.
+    """
+    prefixes = tuple(only or ())
+    _require(not isinstance(only, str) and all(isinstance(p, str) for p in prefixes),
+             f"only takes a list of suite id prefixes, each a string, not {only!r}")
+    return [s for s in SUITES if not prefixes or s.id.startswith(prefixes)]
 
 
 def verify_all(seed: int = 0, only: list[str] | None = None,

@@ -451,13 +451,20 @@ class TestConformance:
                 assert abs(capped.value - full.value) <= capped.tail_bound, name
 
 
-    def test_no_finite_bound_far_from_convergence(self):
-        # the ratio |x| / F_(n+1) stays above 1/2 for hundreds of terms past the cap
+    @pytest.mark.parametrize("kind, x, n_terms, finite", [
+        ("small_e", "1e1000", 10, False), ("small_e", "1e30", 10, True), ("small_e", "1e130", 500, True),
+        ("cos_F", "1e300", 500, False), ("cos_F", "1e30", 10, True), ("sin_F", "-1e130", 500, True),
+    ], ids=["e-1e1000-cap10", "e-1e30-cap10", "e-1e130", "cos-1e300", "cos-1e30-cap10", "sin--1e130"])
+    def test_no_finite_bound_far_from_convergence(self, kind, x, n_terms, finite):
+        # the ratio |x| / F_(n+1) stays above 1/2 for hundreds of terms past the cap; where some term up to
+        # index n_terms + 502 is proven, the bound is finite and the terms past the cap grow by thousands of
+        # bits before it, so the kernel rescales them while the sum keeps its own scale
+        fn = golden_exp if kind in ("small_e", "big_E") else golden_trig
         start = time.perf_counter()
-        sv = golden_exp(mp.mpf("1e1000"), n_terms=10)
-        assert time.perf_counter() - start < 1.0  # no term past the cap is built
-        assert sv.tail_bound == mp.inf and sv.terms_used == 11
-        ref = _independent_sum(_ONE, 1, mp.mpf("1e1000"), 34, n_terms=11)
+        sv = fn(mp.mpf(x), kind, n_terms=n_terms)
+        assert time.perf_counter() - start < 1.0
+        assert mp.isfinite(sv.tail_bound) == finite and sv.terms_used == n_terms + 1
+        ref = _independent_sum(_KINDS[kind], 1, mp.mpf(x), 34, n_terms=sv.terms_used)
         with mp.workdps(100):
             assert abs(sv.value - ref) <= mp.mpf(10) ** -34 * abs(ref)
 
@@ -574,7 +581,7 @@ class TestFixedPointKernel:
 
     def test_odd_series_at_tiny_argument(self):
         assert cli.run_command(["--precision", "34", "trig", "1e-30", "--kind", "sin_F"])[1].payload \
-            == "(1.0e-30 + 0.0j)\n"
+            == "(1.0e-30 + 0.0j) (terms used: 2, tail bound: 2.0e-60)\n"
         for dps in (34, 60):  # x^3 / 2 is below both floors; at 16 digits so is x itself
             with mp.workdps(dps):
                 x = mp.mpf("-1e-30")

@@ -17,6 +17,7 @@ from mpmath import mp
 import goldencalc
 from goldencalc import angular, cli, oscillator
 from goldencalc.binomials import fibonomial
+from goldencalc.calculus import golden_trig
 from goldencalc.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, run_command
 from goldencalc.core import fib_exact
 
@@ -453,21 +454,38 @@ class TestOutputContract:
          "re,im,terms_used,tail_bound\n"
          "3.70450289915406748719754896618187978517783483136062816921615,0.0,26,"
          "8.79478987444171533555929332296793002770567356313063360940473e-65\n"),
-        (["trig", "0.7", "--kind", "Cosh_F"], "(0.5495273421230914109953555918781842 + 0.0j)\n"),
+        (["trig", "0.7", "--kind", "Cosh_F"],
+         "(0.5495273421230914109953555918781842 + 0.0j) (terms used: 19, tail bound: 1.59112e-36)\n"),
         (["trig", "0.7", "--kind", "Cosh_F", "--format", "json"],
          {"command": "trig", "params": {"kind": "Cosh_F", "terms": 500, "x": "0.7"}, "precision": 34,
           "tail_bound": "1.591119918151342977846909143524583e-36", "terms_used": 19,
           "value": {"im": "0.0", "re": "0.5495273421230914109953555918781842"}}),
         (["trig", "0.7", "--kind", "Cosh_F", "--format", "csv"],
-         "re,im\n0.5495273421230914109953555918781842,0.0\n"),
+         "re,im,terms_used,tail_bound\n"
+         "0.5495273421230914109953555918781842,0.0,19,1.591119918151342977846909143524583e-36\n"),
         (["integrate", "0,0,1", "--x", "1"], "(0.5 + 0.0j)\n"),
         (["integrate", "0,0,1", "--x", "1", "--format", "json"],
          {"command": "integrate", "params": {"coeffs": "0,0,1", "x": "1"}, "precision": 34,
           "value": {"im": "0.0", "re": "0.5"}}),
         (["integrate", "0,0,1", "--x", "1", "--format", "csv"], "re,im\n0.5,0.0\n"),
+        # no term up to index 1002 is proven (2|x| > F_1002): the bound is +inf and the value the partial sum
+        (["trig", "1e300", "--kind", "cos_F"],
+         "(8.949659984082400741691762711517467e+123998 + 0.0j) (terms used: 501, tail bound: +inf)\n"),
+        (["trig", "1e300", "--kind", "cos_F", "--format", "csv"],
+         "re,im,terms_used,tail_bound\n8.949659984082400741691762711517467e+123998,0.0,501,+inf\n"),
+        (["deriv", "1/3,2/7,5/11", "--x", "0.5", "--format", "csv"], "value\n0.512987012987012987012987012987013\n"),
     ])
     def test_series_payload(self, argv, expected):
         self.test_payload(argv, expected)
+
+    def test_capped_trig_bound_covers_the_full_sum(self):
+        # five terms at x = 100 stop far from convergence: the CSV bound must cover what they leave out
+        header, row = payload(["trig", "100", "--kind", "cos_F", "--terms", "5", "--format", "csv"]).splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["terms_used"] == "6"
+        full = golden_trig(100, "cos_F", precision=60).value.real
+        with mp.workdps(60):
+            assert abs(mp.mpf(cells["re"]) - full) <= mp.mpf(cells["tail_bound"])
 
     @pytest.mark.parametrize("argv,expected", [
         (["angmom", "--j", "1"],

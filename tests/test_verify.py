@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ import goldencalc.binomials as binomials
 import goldencalc.calculus as calculus
 import goldencalc.verify as verify
 from goldencalc.binomials import UnivarPoly
+from goldencalc.cli import EXIT_OK, run_command
 from goldencalc.core import DomainError
 from goldencalc.verify import (
     DEFAULT_PRECISION,
@@ -94,6 +96,9 @@ class TestFiltering:
         report = verify_all(only=["core"])
         assert all(e.id.startswith("core") for e in report.entries)
         assert len(report.entries) == 8
+        code, record = run_command(["--format", "csv", "verify", "--only", "core"])  # a tuple of prefixes
+        rows = record.payload.splitlines()[1:]
+        assert code == EXIT_OK and [row.split(",")[0] for row in rows] == [e.id for e in report.entries]
 
     def test_exact_id_filter(self):
         report = verify_all(only=["calculus.summation-formula"])
@@ -102,6 +107,12 @@ class TestFiltering:
     def test_empty_filter_rejected(self):
         with pytest.raises(DomainError):
             verify_all(only=["nonexistent"])
+
+    @pytest.mark.parametrize("only", ["core", [1], ["core", 1]])
+    def test_bare_string_or_non_string_prefix_refused(self, only):
+        # a bare "core" would be the prefixes c, o, r, e: 22 suites instead of 8
+        with pytest.raises(DomainError, match=re.escape(repr(only))):
+            verify_all(only=only)
 
 
 class TestFaultInjection:

@@ -54,13 +54,14 @@ ARGV_CORPUS = (
     "binom 6", "binom 6 --form expansion", "binom 31",
     "poly 7 --a 3/2", "poly 3", "poly 2 --a 0",
     "deriv 1,2,3", "deriv 1/3,2/7,5/11 --x 0.5", "deriv 7", "deriv 1,2,0",
-    "exp 5/2", "exp 1 --kind big_E --terms 40",
+    "deriv " + ",".join(["1"] * 1006),  # degree 1005: fib_range(0, 1005) walks past the shared table's F_1003
+    "exp 5/2", "exp 1 --kind big_E --terms 40", "exp 1e30 --terms 10",
     "trig 0.7 --kind sin_F", "trig 1e-30 --kind Cosh_F",
     "integrate 1/3,2/7 --x 0.5",
     "spectrum --n-max 10 --hbar-omega 7/3", "ratios --n-max 20",
     "angmom --j 3/2", "angmom --j 2 --variant symmetric", "angmom --j 5/2 --variant tilde", "angmom --j 1/3",
     "invert-n 55 --parity even", "invert-n 56 --parity even",
-    "limit 1", "limit -4.75 --n 37",
+    "limit 1", "limit -4.75 --n 37", "limit 1e1000000 --n 200",
     "plot-data ratios --n-max 10 --output {out}", "plot-data spectrum --n-max 10 --output {out}",
     "plot-data casimir_ratios --n-max 5 --output {out}",
     "verify --only core --report {out}", "--precision 15 verify",
