@@ -33,7 +33,6 @@ from .core import (
     _integer,
     _ratio_series,
     _rational,
-    _raw,
     fib_range,
     phi_power_exact,
 )
@@ -351,8 +350,7 @@ def jackson_exp(q, x, n_terms: int = 60, precision: int = DEFAULT_DPS) -> mpmath
                     unit = 1 << bs if bs >= 0 else 0
                 br, bi = (pr >> r) + unit, pi >> r
 
-        re, im, wp, _, _, _ = _ratio_series(steps(), bw, 1 << mp.prec)
-        return mp.make_mpc((_raw(re, -wp, mp.prec), _raw(im, -wp, mp.prec)))
+        return mp.make_mpc(_ratio_series(steps(), bw, 1 << mp.prec, mp.prec)[0])
 
 
 def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
@@ -369,8 +367,7 @@ def remarkable_limit_lhs(y, n: int, precision: int = DEFAULT_DPS) -> mpmath.mpc:
         first = next(k for k in range(n + 1) if _halving(ua * fibs[n - k], ub * fibs[n - k], us, fibs[k + 1]))
         steps = ((ua * f, ub * f, us, g, k >= first, 1)  # f = (-1)^(k-1) F_(n+1-k)
                  for k, f, g in zip(count(), map(mul, reversed(fibs), cycle((-1, 1))), fibs))
-        re, im, wp, _, _, _ = _ratio_series(steps, wp, 1 << mp.prec)
-        return mp.make_mpc((_raw(re, -wp, mp.prec), _raw(im, -wp, mp.prec)))
+        return mp.make_mpc(_ratio_series(steps, wp, 1 << mp.prec, mp.prec)[0])
 
 
 def remarkable_limit(y, n: int, precision: int = DEFAULT_DPS) -> tuple[mpmath.mpc, mpmath.mpc, mpmath.mpf]:

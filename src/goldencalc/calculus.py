@@ -34,7 +34,6 @@ from .core import (
     _integer,
     _parts,
     _ratio_series,
-    _raw,
     _require,
     fib_exact,
     fib_range,
@@ -168,14 +167,12 @@ class GoldenSeries:
             steps = zip(repeat(a), repeat(b), repeat(s), map(_FIB_TABLE.__getitem__, range(_T, _T + last)),
                         chain(repeat(False, first), repeat(True)), map(self.sign, count(self.shift)))
             wp, floor = prec + 8 + max(0, min(-low, deep)), lib.mpf_div(lib.fone, abs_t0, prec, "n")  # |value| = 1
-            re, im, wp, n, _, tail = _ratio_series(islice(steps, n_terms + 1) if first == last else steps,
-                                                  wp, 2 * 10 ** precision, floor, n_terms)
-            value = _raw(re, -wp, prec), _raw(im, -wp, prec)
-            tail = lib.finf if tail is None else lib.from_man_exp(tail, -wp, 30, "u")  # rounded up at 30 bits
+            value, n, tail = _ratio_series(islice(steps, n_terms + 1) if first == last else steps,
+                                           wp, 2 * 10 ** precision, prec, floor, n_terms)
             if t0 != lib.mpc_one:  # times 1 is exact
                 value = lib.mpc_mul(value, t0, prec, "n")
                 tail = lib.mpf_mul(lib.mpc_abs(t0, 30, "u"), tail, 30, "u")
-            return SeriesValue(mp.make_mpc(value), min(n, n_terms + 1), mp.make_mpf(tail))
+            return SeriesValue(mp.make_mpc(value), n, mp.make_mpf(tail))
 
 
 ExpKind = Literal["small_e", "big_E"]

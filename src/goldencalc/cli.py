@@ -428,7 +428,7 @@ def invert_n(ctx, fib_value: int, parity: str) -> None:
     The library accepts n up to 10^6, but Linux caps one argument at 131,072
     bytes, so F_n reaches this command only for n up to about 627,000.
     """
-    n = oscillator.invert_number(fib_value, parity, ctx.obj["precision"])
+    n = oscillator.invert_number(fib_value, parity)
     _emit_int(ctx, "invert-n", {"fib_value": fib_value, "parity": parity}, n, "n")
 
 

@@ -135,7 +135,7 @@ def _halving(a: int, b: int, s: int, d: int) -> bool:
     return (-(-m >> 2 * s) <= dd) if s >= 0 else m <= dd >> -2 * s
 
 
-def _ratio_series(steps, wp: int, den: int, floor: tuple = (0, 1, 0, 1), cap: int = maxsize):
+def _ratio_series(steps, wp: int, den: int, prec: int, floor: tuple = (0, 1, 0, 1), cap: int = maxsize):
     """sum_k w_k t_k, t_0 = 1 and t_k = t_(k-1) M_k / d_k, in fixed point: the one loop of every series.
 
     `steps` yields (a, b, s, d, proven, w) for k = 0, 1, ...: M_k = (a + ib) / 2^s, s of either sign, and the
@@ -147,13 +147,13 @@ def _ratio_series(steps, wp: int, den: int, floor: tuple = (0, 1, 0, 1), cap: in
     first proven step fixes the tolerance max(|sum| - 2|t|, |floor| 2^wp) / den, `floor` an mpf's raw value,
     and the first term within it ends the sum unsummed.  Past index `cap` terms are skipped until one is proven,
     and such a step lowers only the scale of the terms and the skipped sum: the sum keeps its digits.
-    Returns (re, im, wp, n, mags, tail): the sum at scale 2^wp; the n terms read; mags ~ sum |t_k|, as |re| + |im|
-    up to the first proven t_m and twice that of t_m; and the int tail in units of 2^-wp, None if the steps
-    ran out unproven: 2|t_n|, the skipped terms and 3n (1 + |t| / 2^(wp0 - 1)) units of error in each, which
-    bounds the unsummed moduli while |M_k / d_k| never grows with k, as no term before t_n is then below
-    min(1, |t_n|).
+    Returns (value, terms, tail): the sum as mpmath's raw (re, im) pair rounded to `prec` bits; the number
+    of terms summed, at most cap + 1; and the tail as a raw mpf rounded up at 30 bits, +inf if the steps ran out
+    unproven: 2|t_n|, the skipped terms and 3n (1 + |t| / 2^(wp0 - 1)) units of error in each, which bounds
+    the unsummed moduli while |M_k / d_k| never grows with k, as no term before t_n is then below min(1, |t_n|).
     """
-    re, im, sre, sim, mags, skipped, top, tol, drop = 1 << wp, 0, 0, 0, 0, 0, wp + 4096, None, 0
+    import mpmath.libmp as lib
+    re, im, sre, sim, skipped, top, tol, drop = 1 << wp, 0, 0, 0, 0, wp + 4096, None, 0
     for n, (a, b, s, d, proven, w) in enumerate(steps):
         if n:
             pr, pi = re * a - im * b, re * b + im * a
@@ -162,14 +162,13 @@ def _ratio_series(steps, wp: int, den: int, floor: tuple = (0, 1, 0, 1), cap: in
                 if n > cap:  # the term is skipped: the sum keeps its scale, 2^drop of its units to one of the term's
                     drop += e
                 else:
-                    wp, sre, sim, mags = wp - e, sre >> e, sim >> e, (mags >> e) + 1
+                    wp, sre, sim = wp - e, sre >> e, sim >> e
             re, im = ((pr >> s) // d, (pi >> s) // d) if s >= 0 else ((pr << -s) // d, (pi << -s) // d)
         if proven:
             if n > cap:
                 break
             if tol is None:  # from here on the terms only shrink
                 _, m, e, _ = floor
-                mags += 2 * (abs(re) + abs(im))
                 rest = isqrt(sre * sre + sim * sim) - 2 * isqrt(re * re + im * im)
                 tol = (max(rest, min(m << e + wp if e + wp >= 0 else m >> -e - wp, den << top)) // den) ** 2
             if re * re + im * im <= tol:
@@ -177,13 +176,12 @@ def _ratio_series(steps, wp: int, den: int, floor: tuple = (0, 1, 0, 1), cap: in
         elif n > cap:
             skipped += abs(re) + abs(im)
             continue
-        else:
-            mags += abs(re) + abs(im)
         sre, sim = sre + w * re, sim + w * im
     else:
-        return sre, sim, wp, n + 1, mags, None
+        return (_raw(sre, -wp, prec), _raw(sim, -wp, prec)), min(n + 1, cap + 1), lib.finf
     bound = skipped + (2 * isqrt(re * re + im * im) + 2 if a or b or not n else 0)  # M_n = 0: the rest is 0
-    return sre, sim, wp, n, mags, bound + 3 * n * (n + 2) * (1 + (bound >> top - 4097)) << drop if bound else 0
+    tail = bound + 3 * n * (n + 2) * (1 + (bound >> top - 4097)) << drop if bound else 0
+    return (_raw(sre, -wp, prec), _raw(sim, -wp, prec)), min(n, cap + 1), lib.from_man_exp(tail, -wp, 30, "u")
 
 
 # ---------------------------------------------------------------------------

@@ -261,22 +261,23 @@ def hamiltonian(ladder: LadderSet) -> np.ndarray:
 # Number-operator inversion
 # ---------------------------------------------------------------------------
 
-def invert_number(fib_value: int, parity: str, precision: int = DEFAULT_DPS) -> int:
+def invert_number(fib_value: int, parity: str) -> int:
     """Recover the index n from F_n and the parity class of n.
 
     Uses the plus branch n = log_phi(sqrt(5)/2 F + sqrt(5F^2/4 ± 1)) with +1
     under the radical for even n and -1 for odd n; the result is rounded to
     the nearest integer and the round trip F_n == fib_value is enforced.
     The F_1 = F_2 = 1 ambiguity resolves through the parity argument
-    (odd -> 1, even -> 2).  The branch runs at precision plus the guard
-    digits whatever the size of F: for F = F_n its argument is exactly phi^n,
+    (odd -> 1, even -> 2).  The exact round trip decides every answer, so no
+    precision is taken: the branch runs at DEFAULT_DPS (34) plus the guard
+    digits whatever the size of F.  For F = F_n its argument is exactly phi^n,
     as sqrt(5 F_n^2/4 ± 1) = L_n/2 (L Lucas), so the logarithm is off by about
     n units in the last working digit, far below 1/2 for every n <= MAX_FIB_INDEX.
     """
     _integer("value", fib_value, 1, inf)
     if parity not in ("even", "odd"):
         raise DomainError("parity must be 'even' or 'odd'")
-    with _at_precision(precision) as mp:
+    with _at_precision(DEFAULT_DPS) as mp:
         F = mp.mpf(fib_value)
         radicand = 5 * F ** 2 / 4 + (1 if parity == "even" else -1)
         arg = mp.sqrt(5) / 2 * F + mp.sqrt(radicand)

@@ -204,9 +204,9 @@ def _division_law(ctx: SuiteContext):
 
 @_suite("core.lucas-combinations",
         "phi^(2k) + phi^(-2k) = F(2k) + 2 F(2k-1);  phi^(2k+1) - phi^(-(2k+1)) = F(2k+1) + 2 F(2k)",
-        "1 <= k <= 50, exact in Z[phi]", "exact in Z[phi] for 1 <= k <= 50")
+        "1 <= k <= 50, 600 and 5000, exact in Z[phi]", "exact in Z[phi] for 1 <= k <= 50, 600 and 5000")
 def _lucas_combinations(ctx: SuiteContext):
-    for k in range(1, 51):
+    for k in (*range(1, 51), 600, 5000):  # 600 and 5000 walk past the shared table's F_1003
         even = phi_power_exact(2 * k) + phi_power_exact(-2 * k)
         yield ("even k={}", k), even != ZPhi(fib_exact(2 * k) + 2 * fib_exact(2 * k - 1), 0)
         odd = phi_power_exact(2 * k + 1) - phi_power_exact(-(2 * k + 1))

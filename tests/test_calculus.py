@@ -48,7 +48,6 @@ from goldencalc.core import (
     fib_extended,
     ratio_sequence,
 )
-from goldencalc.oscillator import invert_number
 from goldencalc.verify import verify_all
 
 
@@ -636,6 +635,44 @@ class TestSeriesBitIdentity:
             digest.update(repr((sv.value._mpc_, sv.terms_used)).encode())
         assert digest.hexdigest() == self.SWEEP_SHA256
 
+    # sha256 of the raw values of the two sweeps below, or of a refusal's message, taken before the ratio-series
+    # kernel rounded its own sums: any change to how a Jackson or finite-limit sum is taken changes them
+    JACKSON_SHA256 = "fb2a3bdd04253a6a6915f7e9056a797cbe7c57c8256bd6cca3cbd69d217fdfcc"
+    LIMIT_SHA256 = "f2f1ca98b60857936735a0b1697e5d48810e7a1e88a500f7e5573e7265065c36"
+
+    @staticmethod
+    def _pin(fn, *args) -> bytes:
+        try:
+            return repr(fn(*args)._mpc_).encode()
+        except DomainError as error:
+            return str(error).encode()
+
+    def test_bit_identical_jackson_sums(self):
+        """jackson_exp at six bases, -phi^2 and q = -1 ([2]_q = 0, refused from two terms on) among them,
+        eight arguments, four term counts and 16, 34 and 100 digits."""
+        rng, digest = random.Random(40), hashlib.sha256()
+        xs = [0.3, -4.2, 37.5, -37.5, 1e30] + [rng.uniform(-5, 5) for _ in range(3)]
+        for dps in (16, 34, 100):
+            with mp.workdps(dps + 10):
+                golden = -mp.phi ** 2
+            for q in (golden, 1, 2, 0.5 + 0.5j, 1e100, -1):
+                for x in xs:
+                    for n_terms in (1, 7, 60, 200):
+                        digest.update(self._pin(jackson_exp, q, x, n_terms, dps))
+        assert digest.hexdigest() == self.JACKSON_SHA256
+
+    def test_bit_identical_limit_sums(self):
+        """remarkable_limit_lhs at six arguments, 1e1000000 and a complex one among them, four degrees
+        and 16, 34 and 100 digits."""
+        rng, digest = random.Random(41), hashlib.sha256()
+        ys = [0.3, -4.2, "1e1000000", rng.uniform(-5, 5), rng.uniform(-5, 5),
+              complex(rng.uniform(-5, 5), rng.uniform(-5, 5))]
+        for dps in (16, 34, 100):
+            for y in ys:
+                for n in (1, 37, 80, 200):
+                    digest.update(self._pin(remarkable_limit_lhs, y, n, dps))
+        assert digest.hexdigest() == self.LIMIT_SHA256
+
 
 class TestTermCountGate:
     """Every series entry point refuses a term count that is not an int in 1..cap."""
@@ -695,7 +732,6 @@ class TestPrecisionGate:
         "fib_extended": lambda p: fib_extended(0.5, p),
         "ratio_sequence": lambda p: ratio_sequence(5, p),
         "casimir_ratio": lambda p: casimir_ratio(5, p),
-        "invert_number": lambda p: invert_number(55, "even", p),
         "jackson_exp": lambda p: jackson_exp(2, 1, precision=p),
         "remarkable_limit_lhs": lambda p: remarkable_limit_lhs(1, 5, precision=p),
         "GoldenSeries.evaluate": lambda p: golden_exp_series("big_E", 2).evaluate(1, precision=p),

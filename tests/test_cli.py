@@ -107,6 +107,11 @@ class TestDispatch:
     def test_exact_derivative_at_any_precision(self):
         assert payload(["--precision", "15", "deriv", "0,0,1"]) == "0,1\n"
 
+    def test_invert_at_any_precision(self):
+        # the exact round trip decides the index, so invert-n reads no precision
+        argv = ["invert-n", "55", "--parity", "even"]
+        assert payload(["--precision", "15"] + argv) == payload(["--precision", "16"] + argv) == "10\n"
+
     def test_integrate_has_no_term_count(self):
         code, _ = run_command(["integrate", "0,0,1", "--x", "1", "--terms", "5"])
         assert code == EXIT_USAGE

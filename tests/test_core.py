@@ -24,6 +24,7 @@ from goldencalc.core import (
     ZPhi,
     _fib_lucas,
     _mul,
+    _ratio_series,
     fib_exact,
     fib_extended,
     fib_range,
@@ -539,6 +540,18 @@ class TestToomProduct:
 
     def test_crossing_indices_straddle_the_cutoff(self):
         assert fib_linear(TOOM_K - 1).bit_length() < C <= fib_linear(TOOM_K).bit_length()
+
+
+class TestRatioSeries:
+    """core._ratio_series' return: the rounded sum, the terms summed and the tail bound."""
+
+    @pytest.mark.parametrize("length", [4, 10])
+    def test_stream_run_out_unproven(self, length):
+        # t_k = 2^-k, never proven: with cap 3 the terms past t_3 are skipped, and no tail is bounded
+        steps = [(1, 0, 0, 2, False, 1)] * length
+        value, terms, tail = _ratio_series(iter(steps), 60, 1, 113, cap=3)
+        assert mp.make_mpc(value) == mp.mpf(15) / 8
+        assert terms == 4 and mp.make_mpf(tail) == mp.inf
 
 
 def nearest_double(x: ZPhi, dps: int = 80) -> float:

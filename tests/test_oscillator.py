@@ -18,7 +18,7 @@ from mpmath import mp
 
 from goldencalc import oscillator
 from goldencalc.binomials import fib_factorial
-from goldencalc.core import MAX_FIB_INDEX, MIN_DPS, DomainError, fib_exact
+from goldencalc.core import MAX_FIB_INDEX, DomainError, fib_exact
 from goldencalc.oscillator import (
     MAX_SPECTRUM_INDEX,
     LadderSet,
@@ -284,7 +284,7 @@ _LOG_SPACED = [n - d for n in sorted({round(10 ** (k / 4)) for k in range(13, 25
 
 
 class TestInvertNumberWholeDomain:
-    """The plus branch at precision + GUARD_DPS digits, over the whole index domain."""
+    """The plus branch at DEFAULT_DPS + GUARD_DPS digits, over the whole index domain."""
 
     def test_every_small_index(self):
         f, f_next = 1, 1  # F_1, F_2
@@ -294,9 +294,7 @@ class TestInvertNumberWholeDomain:
 
     @pytest.mark.parametrize("n", _LOG_SPACED)
     def test_log_spaced_index(self, n):
-        value = fib_exact(n)
-        for precision in (MIN_DPS, 34):
-            assert invert_number(value, "odd" if n % 2 else "even", precision) == n
+        assert invert_number(fib_exact(n), "odd" if n % 2 else "even") == n
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_neighbours_of_largest_refused(self, delta):

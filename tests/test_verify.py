@@ -164,6 +164,13 @@ class TestFaultInjection:
         (entry,) = verify_all(only=["calculus.taylor-basis"]).entries
         assert (entry.status, entry.notes) == ("fail", f"failed at {case}")
 
+    def test_wrong_power_past_the_table_fails_lucas_combinations(self, monkeypatch):
+        """phi^1200, walked past the shared Fibonacci table, off by one fails at its first case."""
+        power = verify.phi_power_exact
+        monkeypatch.setattr(verify, "phi_power_exact", lambda n: power(n) + (1 if n == 1200 else 0))
+        (entry,) = verify_all(only=["core.lucas-combinations"]).entries
+        assert (entry.status, entry.notes) == ("fail", "failed at even k=600")
+
     @pytest.mark.parametrize("index, notes", [
         (5, ["failed at (j=3, m=1)", "failed at n=2", "failed at (n=5, m=2)"]),
         # F_400 enters only the last pair, n = m = 200, of the addition law
