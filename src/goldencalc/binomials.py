@@ -177,26 +177,30 @@ def golden_binomial(n: int, form: BinomialForm = "product") -> BivarPoly:
     expansion: sum [n k]_F (-1)^{k(k-1)/2} x^{n-k} y^k.
 
     Both forms produce the identical polynomial; the expansion coefficients
-    are plain integers (vanishing phi-component).
+    are plain integers (vanishing phi-component).  Each (n, form) is built once
+    per process and kept (at most 62 immutable polynomials, behind the argument
+    gate); `_golden_binomial.cache_clear()` resets them for a cold timing.
     """
     _integer("degree", n, 0, MAX_BINOMIAL_DEGREE)
-    if form == "product":
-        coeffs = [ZPhi(1, 0)]  # of x^(j-k) y^k after j factors
-        for j in range(n):
-            c = phi_power_exact(n - 1 - 2 * j)
-            if j % 2:
-                c = -c
-            coeffs.append(c * coeffs[-1])
-            for k in range(j, 0, -1):
-                coeffs[k] = coeffs[k] + c * coeffs[k - 1]
-        return BivarPoly({(n - k, k): c for k, c in enumerate(coeffs)})
+    if form not in ("product", "expansion"):
+        raise DomainError(f"unknown binomial form {form!r}")
+    return _golden_binomial(n, form)
+
+
+@lru_cache(maxsize=None)  # bounded by the gate: 31 degrees in two forms
+def _golden_binomial(n: int, form: BinomialForm) -> BivarPoly:
     if form == "expansion":
-        coeffs = {
-            (n - k, k): ZPhi(_half_triangle_sign(k) * c, 0)
-            for k, c in enumerate(fibonomial_row(n))
-        }
-        return BivarPoly(coeffs)
-    raise DomainError(f"unknown binomial form {form!r}")
+        return BivarPoly({(n - k, k): ZPhi(_half_triangle_sign(k) * c, 0)
+                          for k, c in enumerate(_fibonomial_row(n))})
+    coeffs = [ZPhi(1, 0)]  # of x^(j-k) y^k after j factors
+    for j in range(n):
+        c = phi_power_exact(n - 1 - 2 * j)
+        if j % 2:
+            c = -c
+        coeffs.append(c * coeffs[-1])
+        for k in range(j, 0, -1):
+            coeffs[k] = coeffs[k] + c * coeffs[k - 1]
+    return BivarPoly({(n - k, k): c for k, c in enumerate(coeffs)})
 
 
 def golden_binomial_roots(n: int) -> list[ZPhi]:
@@ -282,9 +286,15 @@ def noncomm_expand(n: int) -> NoncommWord:
 
     Each right-multiplication is normal-ordered through y x = phi x y, all
     exactly in Z[phi] (powers of phi are units).  The resulting coefficients
-    equal [n k]_F * (-1/phi)^{k(k-1)/2}.
+    equal [n k]_F * (-1/phi)^{k(k-1)/2}.  Each n is expanded once per process and
+    kept (at most 13 frozen words, behind the argument gate);
+    `_noncomm_expand.cache_clear()` resets them for a cold timing.
     """
-    _integer("degree", n, 0, MAX_NONCOMM_DEGREE)
+    return _noncomm_expand(_integer("degree", n, 0, MAX_NONCOMM_DEGREE))
+
+
+@lru_cache(maxsize=None)  # bounded by the gate: 13 degrees
+def _noncomm_expand(n: int) -> NoncommWord:
     q = ZPhi.phi_conjugate()  # -1/phi = 1 - phi
     coeffs = [ZPhi(1, 0)]  # of x^(m-k) y^k after m factors
     for m in range(n):

@@ -171,7 +171,9 @@ def _ratio_series(steps, wp: int, den: int, prec: int, floor: tuple = (0, 1, 0, 
                 _, m, e, _ = floor
                 rest = isqrt(sre * sre + sim * sim) - 2 * isqrt(re * re + im * im)
                 tol = (max(rest, min(m << e + wp if e + wp >= 0 else m >> -e - wp, den << top)) // den) ** 2
-            if re * re + im * im <= tol:
+            # |t|^2 lies in [2^(hb - 2), 2^(hb + 1)): square the term only when the bit lengths cannot decide
+            hb, tb = 2 * max(re.bit_length(), im.bit_length()), tol.bit_length()
+            if hb + 1 < tb or hb - 2 <= tb and re * re + im * im <= tol:
                 break
         elif n > cap:
             skipped += abs(re) + abs(im)

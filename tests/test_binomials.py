@@ -16,9 +16,12 @@ from mpmath import mp, mpc
 
 from goldencalc.binomials import (
     MAX_BINOMIAL_DEGREE,
+    MAX_NONCOMM_DEGREE,
     BivarPoly,
     UnivarPoly,
+    _golden_binomial,
     _linear_factor,
+    _noncomm_expand,
     fib_factorial,
     fibonomial,
     fibonomial_row,
@@ -275,6 +278,49 @@ class TestNoncommutative:
     def test_guard(self):
         with pytest.raises(DomainError):
             noncomm_expand(13)
+
+
+class TestBuildMemo:
+    """golden_binomial and noncomm_expand build each argument once per process, behind their gates."""
+
+    BINOMIAL_ARGS = [(n, form) for n in range(MAX_BINOMIAL_DEGREE + 1) for form in ("product", "expansion")]
+
+    def test_kept_results_equal_cold_builds(self, cold_memos):
+        binoms = {args: golden_binomial(*args) for args in self.BINOMIAL_ARGS}
+        words = {n: noncomm_expand(n) for n in range(MAX_NONCOMM_DEGREE + 1)}
+        assert all(golden_binomial(*args) is poly for args, poly in binoms.items())
+        assert all(noncomm_expand(n) is word for n, word in words.items())
+        cold_memos()
+        for args, poly in binoms.items():
+            cold = golden_binomial(*args)
+            assert cold is not poly and cold == poly and str(cold) == str(poly), args
+        for n, word in words.items():
+            cold = noncomm_expand(n)
+            assert cold is not word and cold == word, n
+
+    @pytest.mark.parametrize("call, args", [
+        (golden_binomial, (True,)), (golden_binomial, (-1,)), (golden_binomial, (31,)),
+        (golden_binomial, (2.0,)), (golden_binomial, (2, "sum")), (golden_binomial, (2, ["product"])),
+        (noncomm_expand, (True,)), (noncomm_expand, (-1,)), (noncomm_expand, (13,)), (noncomm_expand, (2.0,)),
+    ])
+    def test_refusals_with_neighbours_kept(self, cold_memos, call, args):
+        for n in (0, 1, 2, 12):
+            golden_binomial(n, "product"), golden_binomial(n, "expansion"), noncomm_expand(n)
+        golden_binomial(30, "product"), golden_binomial(30, "expansion")
+        kept = _golden_binomial.cache_info().currsize, _noncomm_expand.cache_info().currsize
+        with pytest.raises(DomainError):
+            call(*args)
+        assert (_golden_binomial.cache_info().currsize, _noncomm_expand.cache_info().currsize) == kept
+
+    @pytest.mark.parametrize("form", ["product", "expansion"])
+    def test_mutating_coefficients_leaves_the_kept_result(self, cold_memos, form):
+        expected = str(golden_binomial(5, form))
+        coeffs = golden_binomial(5, form).coefficients
+        coeffs[(5, 0)] = ZPhi(7, 3)
+        del coeffs[(0, 5)]
+        assert str(golden_binomial(5, form)) == expected
+        cold_memos()
+        assert str(golden_binomial(5, form)) == expected
 
 
 class TestJacksonExp:

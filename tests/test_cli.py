@@ -188,6 +188,13 @@ class TestDeterminism:
         second = payload(list(argv))
         assert first == second
 
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize("form", ["product", "expansion"])
+    def test_binomial_cold_and_warm_byte_identical(self, cold_memos, form, fmt):
+        argv = ["--format", fmt, "binom", "30", "--form", form]
+        cold = payload(argv)
+        assert payload(argv) == cold
+
     def test_precision_changes_output(self):
         a = payload(["--precision", "20", "fibx", "0.5"])
         b = payload(["--precision", "34", "fibx", "0.5"])

@@ -87,6 +87,10 @@ class TestDeterminism:
         b = json.dumps(verify_all(seed=7).to_dict(), sort_keys=True)
         assert a == b
 
+    def test_cold_and_warm_memos_same_json(self, cold_memos):
+        cold = json.dumps(verify_all(seed=7).to_dict(), sort_keys=True)
+        assert json.dumps(verify_all(seed=7).to_dict(), sort_keys=True) == cold
+
     def test_seed_recorded(self):
         assert verify_all(seed=3).seed == 3
 
@@ -116,6 +120,10 @@ class TestFiltering:
 
 
 class TestFaultInjection:
+    @pytest.fixture(autouse=True)
+    def _fresh_builds(self, cold_memos):
+        """A fault injected under a memoized builder reaches a fresh build, and no corrupted build outlives its test."""
+
     def test_fault_detected(self, monkeypatch):
         build = verify.oscillator.build_ladder
 
@@ -170,6 +178,27 @@ class TestFaultInjection:
         monkeypatch.setattr(verify, "phi_power_exact", lambda n: power(n) + (1 if n == 1200 else 0))
         (entry,) = verify_all(only=["core.lucas-combinations"]).entries
         assert (entry.status, entry.notes) == ("fail", "failed at even k=600")
+
+    @pytest.mark.parametrize("exponent, n", [(0, 1), (5, 6), (-7, 8), (19, 20)])
+    def test_wrong_phi_power_fails_form_agreement(self, monkeypatch, exponent, n):
+        """phi^exponent off by one in the factor product fails at the first n whose factors take it."""
+        power = binomials.phi_power_exact
+        monkeypatch.setattr(binomials, "phi_power_exact", lambda e: power(e) + (1 if e == exponent else 0))
+        (entry,) = verify_all(only=["fibonomial.form-agreement"]).entries
+        assert (entry.status, entry.notes) == ("fail", f"failed at n={n}")
+
+    def test_corrupted_normal_ordering_fails_noncomm_bridge(self, monkeypatch):
+        """The x^4 y^3 coefficient of the normal-ordered (x+y)^7 off by one fails at (n=7, k=3)."""
+        word = binomials.NoncommWord
+
+        def corrupted(n, coeffs):
+            if n == 7:
+                coeffs = (*coeffs[:3], coeffs[3] + 1, *coeffs[4:])
+            return word(n=n, coeffs=coeffs)
+
+        monkeypatch.setattr(binomials, "NoncommWord", corrupted)
+        (entry,) = verify_all(only=["fibonomial.noncomm-bridge"]).entries
+        assert (entry.status, entry.notes) == ("fail", "failed at (n=7, k=3)")
 
     @pytest.mark.parametrize("index, notes", [
         (5, ["failed at (j=3, m=1)", "failed at n=2", "failed at (n=5, m=2)"]),
